@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import decoherence, design, dynamics, model, network
 from .errors import (
@@ -81,7 +82,14 @@ def _matrix(data, key, location, required=True):
                                  f"{location}/{key}") from None
     if m.ndim != 2:
         raise ScenarioParseError(f"field '{key}' must be a 2-D array", f"{location}/{key}")
+    if not np.all(np.isfinite(m)):
+        raise ScenarioParseError(f"field '{key}' has non-finite entries", f"{location}/{key}")
     return m
+
+
+def _is_number(x):
+    """A finite JSON number; JSON booleans are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _load_subsystem(data, location):
@@ -114,12 +122,14 @@ def load_scenario(path):
         raise ScenarioParseError(f"mode must be 'single' or 'interconnection', got {mode!r}", "/mode")
 
     epsilon = data.get("epsilon", [0.01])
-    if not isinstance(epsilon, list) or not all(isinstance(e, (int, float)) and e > 0 for e in epsilon):
+    if not isinstance(epsilon, list) or not all(_is_number(e) and e > 0 for e in epsilon):
         raise ScenarioParseError("epsilon must be a list of positive numbers", "/epsilon")
     horizon = data.get("horizon")
-    if horizon is not None and (not isinstance(horizon, (int, float)) or horizon <= 0):
+    if horizon is not None and (not _is_number(horizon) or horizon <= 0):
         raise ScenarioParseError("horizon must be a positive number", "/horizon")
     grid_points = data.get("grid_points", 2000)
+    if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points <= 0:
+        raise ScenarioParseError("grid_points must be a positive integer", "/grid_points")
 
     f_mat = _matrix(data, "weight_f", "/")
     p_mat = _matrix(data, "moments_p", "/")
@@ -136,7 +146,7 @@ def load_scenario(path):
         moments = dynamics.MomentData(p=p_mat, ccr=theta)
         return Scenario(schema_version=version, mode=mode, weighting=weighting,
                         moments=moments, epsilon=[float(e) for e in epsilon],
-                        horizon=horizon, grid_points=int(grid_points),
+                        horizon=horizon, grid_points=grid_points,
                         output=data.get("output"), params=params)
 
     subsystems = _require(data, "subsystems", "/")
@@ -147,17 +157,12 @@ def load_scenario(path):
     r12 = _matrix(data, "r12", "/", required=False)
     if r12 is None:
         r12 = np.zeros((sub1.n, sub2.n))
-    closed_theta = model.CcrMatrix(
-        np.block([
-            [sub1.ccr.theta, np.zeros((sub1.n, sub2.n))],
-            [np.zeros((sub2.n, sub1.n)), sub2.ccr.theta],
-        ])
-    )
+    closed_theta = model.CcrMatrix(scipy.linalg.block_diag(sub1.ccr.theta, sub2.ccr.theta))
     weighting = dynamics.Weighting(f_mat)
     moments = dynamics.MomentData(p=p_mat, ccr=closed_theta)
     return Scenario(schema_version=version, mode=mode, weighting=weighting,
                     moments=moments, epsilon=[float(e) for e in epsilon],
-                    horizon=horizon, grid_points=int(grid_points),
+                    horizon=horizon, grid_points=grid_points,
                     output=data.get("output"), sub1=sub1, sub2=sub2, r12=r12)
 
 
@@ -345,6 +350,16 @@ _COMMANDS = {
 }
 
 
+def _positive(type_):
+    """argparse type accepting only finite positive values of type_."""
+    def parse(text):
+        value = type_(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="oqho",
@@ -355,8 +370,8 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-        p.add_argument("--horizon", type=float, default=None)
+        p.add_argument("--grid-points", type=_positive(int), default=None, dest="grid_points")
+        p.add_argument("--horizon", type=_positive(float), default=None)
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser

@@ -13,7 +13,6 @@ Delta.  The expansion coefficients are
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -7,20 +7,22 @@ quadratic decoherence-time approximation iff
     Theta Sigma Theta R P + P R Theta Sigma Theta + K = 0,
     K = (1/4) (Theta Sigma (B B^T + 2 Atilde P) - (B B^T + 2 P Atilde^T) Sigma Theta).
 
-With P > 0 and Sigma > 0 the equation is solved through the algebraic
-Lyapunov equation for G = P R P with the Hurwitz coefficient
-Theta Sigma Theta P^{-1}; otherwise a minimum-norm least-squares solve on
-the symmetric subspace is used and the residual reported.
+This algebraic Lyapunov equation is solved for every Sigma >= 0 through the
+generalized symmetric-definite eigenproblem of the pair
+(-Theta Sigma Theta, P) (Golub & Van Loan, Matrix Computations, 8.7), which
+diagonalizes both coefficients at O(n^3) cost.  Admissible moments force
+P > 0; when Sigma is singular the solution is unique only up to the kernel
+of Theta Sigma Theta, and the minimum-norm solution is returned.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, ito_j, OqhoParams
-from .numerics import LinearMatrixEquation, solve_lyapunov, solve_symmetric_constrained, sqrt_psd
-from .errors import ResonanceError
+from .numerics import eigh_definite, sqrt_psd
 
 __all__ = [
     "EnergyOptimum",
@@ -41,8 +43,13 @@ class EnergyOptimum:
     k_matrix: np.ndarray
     stationarity_residual: float
     ddot_delta_at_opt: float
-    method: str  # "ALE" or "LeastSquares"
+    method: str  # always "ALE": the stationarity equation is an algebraic Lyapunov equation
     null_space_dim: int = 0
+
+
+# Generalized eigenvalues at most this fraction of the largest one count as
+# the kernel of Theta Sigma Theta.
+_NULL_RTOL = 1e-12
 
 
 def _sym(x):
@@ -51,10 +58,7 @@ def _sym(x):
 
 def ddot_delta_of_state(a, b, weighting, moments):
     """<Sigma, A B B^T + B B^T A^T + 2 A P A^T> for raw state matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    bbt = b @ b.T
-    return float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
+    return delta_derivatives(a, b, weighting, moments)[1]
 
 
 def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
@@ -86,57 +90,48 @@ def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
     return -4.0 * _sym(theta @ sigma @ (b @ b.T + 2.0 * a @ moments.p))
 
 
-def _stationarity_operator(ccr, weighting, moments):
-    tst = ccr.theta @ weighting.sigma @ ccr.theta
-    p = moments.p
-    return lambda r: tst @ r @ p + p @ r @ tst, tst
-
-
 def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
-    """Energy matrix maximizing the quadratic decoherence-time approximation."""
+    """Energy matrix maximizing the quadratic decoherence-time approximation.
+
+    Returns the minimum-Frobenius-norm solution R* of the stationarity
+    equation for every Sigma >= 0; null_space_dim is the dimension of the
+    symmetric solutions of the homogeneous equation, k (k + 1) / 2 for a
+    k-dimensional kernel of Theta Sigma Theta.
+    """
     coupling_n = np.asarray(coupling_n, dtype=float)
-    n = ccr.n
     m = coupling_n.shape[0]
     j = ito_j(m)
     b = 2.0 * ccr.theta @ coupling_n.T
     a_tilde = 2.0 * ccr.theta @ coupling_n.T @ j @ coupling_n
     k = k_matrix(ccr, weighting, b, a_tilde, moments)
-
-    op, tst = _stationarity_operator(ccr, weighting, moments)
+    tst = ccr.theta @ weighting.sigma @ ccr.theta
     p = moments.p
 
-    sigma_pd = np.min(np.linalg.eigvalsh(weighting.sigma)) > 1e-12
-    p_pd = np.min(np.linalg.eigvalsh(p)) > 1e-12
-    r_star = None
-    method = "LeastSquares"
-    null_dim = 0
-    if sigma_pd and p_pd:
-        p_inv = np.linalg.inv(p)
-        try:
-            g = solve_lyapunov(tst @ p_inv, k)
-            r_star = _sym(p_inv @ g @ p_inv)
-            method = "ALE"
-        except ResonanceError:
-            # Cannot occur for Hurwitz Theta Sigma Theta P^{-1}; guarded anyway.
-            r_star = None
-    if r_star is None:
-        eq = LinearMatrixEquation(operator=op, q=k, kind="general", symmetric=True)
-        r_star, _ = solve_symmetric_constrained(eq)
-        method = "LeastSquares"
-        # Dimension of the operator null space on the symmetric subspace.
-        from .numerics import sym_basis
-        cols = np.column_stack([op(e).ravel() for e in sym_basis(n)])
-        null_dim = cols.shape[1] - np.linalg.matrix_rank(cols, tol=1e-12 * max(np.linalg.norm(cols), 1.0))
+    # -Theta Sigma Theta V = P V diag(lam), V^T P V = I, lam >= 0, so with
+    # R = V Y V^T the equation reads (lam_i + lam_j) Y_ij = (V^T K V)_ij.
+    lam, v = eigh_definite(-tst, p)
+    null = np.abs(lam) <= _NULL_RTOL * np.max(np.abs(lam))
+    denom = lam[:, None] + lam[None, :]
+    # Sigma Theta v_i = 0 on the kernel, so V^T K V vanishes where both
+    # eigenvalues do; Y is set to 0 there.
+    denom[null[:, None] & null[None, :]] = np.inf
+    r_star = v @ (v.T @ k @ v / denom) @ v.T
+    # Subtract the Frobenius projection onto the homogeneous solutions
+    # V0 Z V0^T, leaving the minimum-norm solution.
+    v0 = v[:, null]
+    g_inv = np.linalg.inv(v0.T @ v0)
+    r_star = _sym(r_star - v0 @ g_inv @ (v0.T @ r_star @ v0) @ g_inv @ v0.T)
 
-    residual = float(np.linalg.norm(op(r_star) + k))
+    residual = float(np.linalg.norm(tst @ r_star @ p + p @ r_star @ tst + k))
     ddot_at_opt = ddot_delta_of_energy(r_star, ccr, weighting, coupling_n, moments)
+    n_null = int(np.count_nonzero(null))
     return EnergyOptimum(
         r_star=r_star,
         k_matrix=k,
         stationarity_residual=residual,
         ddot_delta_at_opt=ddot_at_opt,
-        method=method,
-        null_space_dim=int(null_dim),
+        method="ALE",
+        null_space_dim=n_null * (n_null + 1) // 2,
     )
 
 

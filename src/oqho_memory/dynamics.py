@@ -11,12 +11,19 @@ imaginary parts of V are obtained separately from the source terms B B^T
 and B J B^T.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InvalidMomentMatrixError, PreconditionError, ValidationError
+from .errors import (
+    DimensionError,
+    InvalidMomentMatrixError,
+    NumericalError,
+    PreconditionError,
+    ValidationError,
+)
 from .model import HURWITZ, classify_spectrum, ito_j
 from .numerics import eig_real, matrix_exp, solve_lyapunov, sqrt_psd
 
@@ -74,7 +81,11 @@ class Weighting:
         object.__setattr__(self, "f", f)
         if f.ndim != 2:
             raise DimensionError("F must be a matrix")
-        if np.linalg.matrix_rank(f) < f.shape[0]:
+        # Full row rank: one singular value per row, none below numpy's
+        # default rank tolerance.
+        sv = np.linalg.svd(f, compute_uv=False)
+        tol = sv.max(initial=0.0) * max(f.shape) * np.finfo(float).eps
+        if sv.size < f.shape[0] or np.any(sv <= tol):
             raise ValidationError("F must have full row rank")
 
     @classmethod
@@ -158,14 +169,19 @@ def gramian_real(a, b, t):
 
 
 def delta_terms(a, b, weighting, moments, t):
-    """(signal, noise) summands of the deviation functional at time t."""
+    """(signal, noise) summands of the deviation functional at time t.
+
+    Raises NumericalError when either summand overflows.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     f = weighting.f
     sqrt_p = moments.sqrt_p
-    sig = np.linalg.norm(f @ (matrix_exp(a, t) - np.eye(a.shape[0])) @ sqrt_p) ** 2
+    sig = float(np.linalg.norm(f @ (matrix_exp(a, t) - np.eye(a.shape[0])) @ sqrt_p) ** 2)
     noise = float(np.sum(weighting.sigma * gramian_real(a, b, t)))
-    return float(sig), noise
+    if not (math.isfinite(sig) and math.isfinite(noise)):
+        raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
+    return sig, noise
 
 
 def delta(a, b, weighting, moments, t):

@@ -50,12 +50,16 @@ def ito_j(m):
     """Field commutation matrix J = I_{m/2} (x) J2 for m channels (m even)."""
     if m % 2 != 0 or m <= 0:
         raise ValidationError(f"channel count must be even and positive, got {m}")
-    return np.kron(np.eye(m // 2), J2)
+    j = np.zeros((m, m))
+    k = np.arange(0, m, 2)
+    j[k, k + 1] = 1.0
+    j[k + 1, k] = -1.0
+    return j
 
 
 def canonical_ccr(nu):
     """Canonical position/momentum CCR matrix Theta = (1/2) I_nu (x) J2."""
-    return CcrMatrix(0.5 * np.kron(np.eye(nu), J2))
+    return CcrMatrix(0.5 * ito_j(2 * nu))
 
 
 @dataclass(frozen=True)
@@ -239,43 +243,17 @@ class SpectralClass:
     on_bisectors: bool
 
 
-def _schur_eigenvalues(a):
-    """Eigenvalues of a real matrix extracted from its real Schur form."""
-    try:
-        t, _ = scipy.linalg.schur(a, output="real")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Schur decomposition failed (cond(A) ~ {np.linalg.cond(a):.3e}): {exc}"
-        ) from exc
-    n = a.shape[0]
-    eigs = []
-    k = 0
-    while k < n:
-        if k + 1 < n and abs(t[k + 1, k]) > 0.0:
-            # 2x2 block with a complex-conjugate pair.
-            blk = t[k : k + 2, k : k + 2]
-            tr = 0.5 * (blk[0, 0] + blk[1, 1])
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            disc = det - tr * tr
-            if disc > 0:
-                im = np.sqrt(disc)
-                eigs.extend([tr + 1j * im, tr - 1j * im])
-            else:
-                sq = np.sqrt(-disc)
-                eigs.extend([tr + sq, tr - sq])
-            k += 2
-        else:
-            eigs.append(t[k, k] + 0.0j)
-            k += 1
-    return np.array(eigs)
-
-
 def classify_spectrum(a, tol=1e-9):
-    """Stability classification of a real square matrix via real Schur form."""
+    """Stability classification of a real square matrix by its eigenvalues."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
-    eigs = _schur_eigenvalues(a)
+    try:
+        eigs = scipy.linalg.eigvals(a)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigenvalue computation failed (cond(A) ~ {np.linalg.cond(a):.3e}): {exc}"
+        ) from exc
     re = eigs.real
     if np.max(re) > tol:
         category = UNSTABLE

@@ -9,15 +9,14 @@ identity.  optimal_r12 solves the closed-loop stationarity equation for the
 direct coupling matrix.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .design import ddot_delta_of_state, k_matrix
-from .errors import DimensionError, NumericalError, ResonanceError, ValidationError
+from .errors import DimensionError, NumericalError, ResonanceError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
-from .numerics import LinearMatrixEquation, solve_sylvester, solve_symmetric_constrained
+from .numerics import solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "SubsystemParams",
@@ -203,19 +202,23 @@ def zero_hamiltonian_r12(sub1, sub2):
 def q_matrix(interconnection, weighting, moments):
     """(1,2) block of (1/2) sym(Theta Sigma (B B^T + 2 Abreve P)).
 
-    Abreve is the closed-loop A with the direct coupling R12 removed, i.e.
-    built from blockdiag(R1, R2) + Rtilde + N^T J N.
+    Abreve is the closed-loop A with the direct coupling R12 removed,
+    A - 2 Theta [[0, R12], [R12^T, 0]], i.e. built from
+    blockdiag(R1, R2) + Rtilde + N^T J N.
     """
-    sub1, sub2 = interconnection.sub1, interconnection.sub2
-    base = assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)))
-    a_breve = base.closed_realization.a
-    b = base.closed_realization.b
-    theta = base.closed_theta.theta
+    n1 = interconnection.sub1.n
+    r12 = interconnection.r12
+    theta = interconnection.closed_theta.theta
+    direct = np.zeros_like(theta)
+    direct[:n1, n1:] = r12
+    direct[n1:, :n1] = r12.T
+    a_breve = interconnection.closed_realization.a - 2.0 * theta @ direct
+    b = interconnection.closed_realization.b
     sigma = weighting.sigma
     p = moments.p
     s = theta @ sigma @ (b @ b.T + 2.0 * a_breve @ p)
     sym_s = 0.25 * (s + s.T)  # (1/2) * symmetrizer
-    return sym_s[: sub1.n, sub1.n :]
+    return sym_s[:n1, n1:]
 
 
 def _rase12_operator(sub1, sub2, weighting, moments):
@@ -240,8 +243,9 @@ def optimal_r12(sub1, sub2, weighting, moments):
 
     Returns (r12, residual, method).  With block-diagonal Sigma or P the
     equation reduces to a Sylvester equation; otherwise (or on resonance)
-    the full linear map over the n1*n2 unknowns is solved by minimum-norm
-    least squares.
+    the full linear map over the n1*n2 unknowns, whose negative is
+    self-adjoint positive semidefinite, is solved by conjugate gradients for
+    the minimum-norm least-squares solution ("LeastSquares").
     """
     base = assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)))
     q = q_matrix(base, weighting, moments)
@@ -261,6 +265,5 @@ def optimal_r12(sub1, sub2, weighting, moments):
             return x, residual, "Sylvester"
         except ResonanceError:
             pass
-    eq = LinearMatrixEquation(operator=op, q=q, kind="general", symmetric=False)
-    x, residual = solve_symmetric_constrained(eq)
+    x, residual = solve_symmetric_constrained(op, q)
     return x, residual, "LeastSquares"

@@ -1,15 +1,14 @@
-"""Dense numerical kernels: matrix exponential, eigendecomposition, PSD
-square root and Lyapunov/Sylvester/structured linear matrix equations.
+"""Dense numerical kernels: matrix exponential, eigendecompositions
+(including the generalized symmetric-definite one), PSD square root and
+Lyapunov/Sylvester/self-adjoint linear matrix equations.
 
 All solvers are desk-scale (n <= a few hundred) and double precision.  The
 Lyapunov and Sylvester paths delegate to LAPACK-backed Bartels-Stewart
-routines after an explicit resonance pre-check; the symmetric-constrained
-path vectorizes over an orthonormal basis of symmetric matrices and returns
-the minimum-norm least-squares solution.
+routines after an explicit resonance pre-check; solve_symmetric_constrained
+runs matrix-free conjugate gradients (Hestenes & Stiefel 1952) on a
+self-adjoint positive-semidefinite operator and returns the minimum-norm
+solution, at one operator application (O(n^3)) per iteration.
 """
-
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -26,16 +25,20 @@ __all__ = [
     "matrix_exp",
     "solve_lyapunov",
     "solve_sylvester",
-    "LinearMatrixEquation",
     "solve_symmetric_constrained",
     "sqrt_psd",
     "eig_real",
-    "sym_basis",
-    "sym_to_vec",
-    "vec_to_sym",
+    "eigh_definite",
 ]
 
-_PINV_RCOND = 1e-12
+# Conjugate gradients stop once the recurrence residual is below
+# _CG_RTOL ||Q|| (it keeps falling after the true residual reaches its
+# rounding floor), or after _CG_MAX_ITER_PER_UNKNOWN iterations per unknown:
+# exact arithmetic needs at most one, rounding can need a few more.  The
+# true residual must then be within _CG_ACCEPT (||Q|| + ||op|| ||X||).
+_CG_RTOL = 1e-14
+_CG_ACCEPT = 1e-10
+_CG_MAX_ITER_PER_UNKNOWN = 2
 
 
 def matrix_exp(a, t=1.0):
@@ -104,95 +107,46 @@ def solve_sylvester(m1, m2, q):
     return x
 
 
-def sym_basis(n):
-    """Orthonormal basis of symmetric n x n matrices, upper-triangular order.
+def solve_symmetric_constrained(operator, q):
+    """Minimum-norm solution of op(X) + Q = 0 by conjugate gradients.
 
-    Off-diagonal elements are scaled by 1/sqrt(2) so the basis is orthonormal
-    under the Frobenius inner product.
+    -op must be self-adjoint and positive semidefinite under the Frobenius
+    inner product, and the equation consistent (Q in the range of op), as for
+    the stationarity condition of a convex quadratic that is bounded below.
+    Started at X = 0, every iterate lies in the range of op, so the limit is
+    the minimum-norm solution.  op is applied matrix-free, once per
+    iteration.  Returns (X, residual) with residual = ||op(X) + Q||_F; raises
+    NumericalError when the residual bound is not met within a small
+    multiple of the number of unknowns.
     """
-    basis = []
-    isq2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = isq2
-            basis.append(e)
-    return basis
-
-
-def sym_to_vec(x):
-    """Coordinates of a symmetric matrix in the sym_basis ordering."""
-    n = x.shape[0]
-    return np.array([np.sum(e * x) for e in sym_basis(n)])
-
-
-def vec_to_sym(v, n):
-    """Inverse of sym_to_vec."""
-    x = np.zeros((n, n))
-    for c, e in zip(v, sym_basis(n)):
-        x += c * e
-    return x
-
-
-@dataclass(frozen=True)
-class LinearMatrixEquation:
-    """Linear matrix equation op(X) + Q = 0 with an optional symmetry constraint.
-
-    kind is informational ("lyapunov", "sylvester" or "general"); the solve
-    itself only uses the operator callable and the right-hand side.
-    """
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    q: np.ndarray
-    kind: str = "general"
-    symmetric: bool = True
-
-    @classmethod
-    def lyapunov(cls, m, q):
-        m = np.asarray(m, dtype=float)
-        return cls(operator=lambda x: m @ x + x @ m.T, q=np.asarray(q, dtype=float),
-                   kind="lyapunov", symmetric=True)
-
-    @classmethod
-    def sylvester(cls, m1, m2, q):
-        m1 = np.asarray(m1, dtype=float)
-        m2 = np.asarray(m2, dtype=float)
-        return cls(operator=lambda x: m1 @ x + x @ m2, q=np.asarray(q, dtype=float),
-                   kind="sylvester", symmetric=False)
-
-
-def solve_symmetric_constrained(equation):
-    """Minimum-norm least-squares solution of op(X) + Q = 0.
-
-    When equation.symmetric is set, X is restricted to the symmetric
-    subspace.  Returns (X, residual) where residual = ||op(X) + Q||_F; a
-    residual above ~1e-8 (scaled) indicates an inconsistent stationarity
-    condition rather than a solver failure.
-    """
-    q = equation.q
-    n_rows, n_cols = q.shape
-    if equation.symmetric:
-        if n_rows != n_cols:
-            raise DimensionError("symmetric constraint requires a square right-hand side")
-        basis = sym_basis(n_rows)
-    else:
-        basis = []
-        for i in range(n_rows):
-            for j in range(n_cols):
-                e = np.zeros((n_rows, n_cols))
-                e[i, j] = 1.0
-                basis.append(e)
-    cols = [equation.operator(e).ravel() for e in basis]
-    op_mat = np.column_stack(cols) if cols else np.zeros((q.size, 0))
-    rhs = -q.ravel()
-    coeffs = np.linalg.pinv(op_mat, rcond=_PINV_RCOND) @ rhs
-    x = np.zeros((n_rows, n_cols))
-    for c, e in zip(coeffs, basis):
-        x += c * e
-    residual = float(np.linalg.norm(equation.operator(x) + q))
+    q = np.asarray(q, dtype=float)
+    q_norm = np.linalg.norm(q)
+    x = np.zeros_like(q)
+    r = q.copy()  # Q + op(X), the residual of -op(X) = Q
+    d = r.copy()
+    rr = float(np.sum(r * r))
+    op_norm = 0.0  # running lower estimate of ||op||
+    for _ in range(_CG_MAX_ITER_PER_UNKNOWN * q.size):
+        if np.sqrt(rr) <= _CG_RTOL * q_norm:
+            break
+        ad = -operator(d)
+        dad = float(np.sum(d * ad))
+        if dad <= 0.0:
+            break  # d has no component in the range: Q is not in the range
+        op_norm = max(op_norm, np.linalg.norm(ad) / np.linalg.norm(d))
+        alpha = rr / dad
+        x += alpha * d
+        r -= alpha * ad
+        rr_next = float(np.sum(r * r))
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    residual = float(np.linalg.norm(operator(x) + q))
+    bound = _CG_ACCEPT * (q_norm + op_norm * np.linalg.norm(x))
+    if residual > bound:
+        raise NumericalError(
+            f"conjugate gradients stopped at residual {residual:.3e} (bound {bound:.3e}); "
+            "the equation is inconsistent or -op is not positive semidefinite"
+        )
     return x, residual
 
 
@@ -246,3 +200,15 @@ def eig_real(a, cond_limit=1e12):
         neg_idx.append(best)
     order = real_idx + pos_idx + neg_idx
     return w[order], u[:, order]
+
+
+def eigh_definite(a, b):
+    """Generalized symmetric-definite eigenproblem A V = B V diag(lam).
+
+    Returns (lam, V) with ascending lam and V^T B V = I.  Raises
+    NumericalError when B is not numerically positive definite.
+    """
+    try:
+        return scipy.linalg.eigh(a, b)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"generalized eigenproblem needs a positive definite B: {exc}") from None

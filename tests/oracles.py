@@ -12,7 +12,6 @@ import scipy.integrate
 import scipy.linalg
 
 from oqho_memory.model import J2, CcrMatrix, OqhoParams, build_realization, canonical_ccr, ito_j
-from oqho_memory.numerics import sym_basis
 
 
 # --- Kronecker-vectorized matrix-equation solves (row-major vec) ------------
@@ -35,6 +34,40 @@ def kron_solve_sylvester(m1, m2, q):
     lhs = np.kron(m1, np.eye(s)) + np.kron(np.eye(p), m2.T)
     x = np.linalg.solve(lhs, -q.ravel())
     return x.reshape(p, s)
+
+
+def kron_min_norm_solve(lhs, q):
+    """Minimum-norm least-squares solution of lhs @ vec(X) + vec(Q) = 0.
+
+    lhs is the dense operator matrix (built with np.kron); singular values
+    below 1e-12 of the largest are treated as zero.
+    """
+    x = np.linalg.pinv(lhs, rcond=1e-12) @ -q.ravel()
+    return x.reshape(q.shape)
+
+
+def kron_offdiag_operator(t, p, n1):
+    """Dense matrix of X -> (1,2) block of T R P + P R T, R = [[0, X], [X^T, 0]].
+
+    X is n1 x n2 with n2 = t.shape[0] - n1; vec(A X^T B) = (A kron B^T) vec(X^T).
+    """
+    n2 = t.shape[0] - n1
+    transpose = np.eye(n1 * n2)[np.arange(n1 * n2).reshape(n1, n2).T.ravel()]
+    t11, t12, t22 = t[:n1, :n1], t[:n1, n1:], t[n1:, n1:]
+    p11, p12, p22 = p[:n1, :n1], p[:n1, n1:], p[n1:, n1:]
+    return (np.kron(t11, p22) + np.kron(p11, t22)
+            + (np.kron(t12, p12.T) + np.kron(p12, t12.T)) @ transpose)
+
+
+def symmetric_basis(n):
+    """Frobenius-orthonormal basis of the symmetric n x n matrices."""
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+            basis.append(e)
+    return basis
 
 
 # --- Quadrature Gramian ------------------------------------------------------
@@ -124,7 +157,7 @@ def descent_minimize(f, dim, h=0.05, gtol=1e-10, max_iter=100000):
 
 def descent_minimize_sym(fun, n, **kw):
     """Minimize a function of a symmetric n x n matrix; returns the matrix."""
-    basis = sym_basis(n)
+    basis = symmetric_basis(n)
 
     def f(v):
         r = np.zeros((n, n))

@@ -11,7 +11,6 @@ import scipy.optimize
 import oqho_memory as om
 from oqho_memory import design, dynamics, network
 from oqho_memory.model import J2, OqhoParams, build_realization, canonical_ccr, ito_j
-from oqho_memory.numerics import sym_basis
 
 from oracles import (
     descent_minimize,

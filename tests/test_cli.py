@@ -80,6 +80,31 @@ class TestCheck:
     def test_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["check", "--scenario", str(tmp_path / "nope.json")]) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", "abc"),
+        ("grid_points", 0),
+        ("grid_points", -5),
+        ("grid_points", True),
+        ("epsilon", [True]),
+        ("horizon", True),
+        ("energy", [[float("nan"), 0.0], [0.0, 0.0]]),
+        ("moments_p", [[1.0, 0.0], [0.0, float("nan")]]),
+    ])
+    def test_invalid_field_is_parse_error(self, tmp_path, capsys, field, value):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
+        assert cli.main(["tau", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert f"/{field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--grid-points", "-5"), ("--horizon", "nan")])
+    def test_invalid_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tau", "--scenario", path, flag, value])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestDeltaCurve:
     def test_zero_at_origin_and_closed_form(self, tmp_path):

@@ -15,7 +15,7 @@ from oqho_memory.dynamics import MomentData, Weighting
 from oqho_memory.errors import PreconditionError
 from oqho_memory.model import J2, build_realization, canonical_ccr, ito_j, OqhoParams
 
-from oracles import fd_sym_gradient, random_spd, random_sym
+from oracles import fd_sym_gradient, kron_min_norm_solve, random_ccr, random_spd, random_sym
 
 
 THETA1 = canonical_ccr(1)
@@ -87,6 +87,28 @@ class TestOptimalEnergyMatrix:
             for _ in range(20):
                 probe = opt.r_star + 1e-3 * random_sym(rng, 4)
                 assert base <= ddot_delta_of_energy(probe, theta, w, coupling, mo) + 1e-8
+
+    @pytest.mark.parametrize("nu, rows", [(2, 4), (2, 3), (2, 2), (3, 6), (3, 4), (3, 1)])
+    def test_matches_min_norm_oracle(self, nu, rows):
+        # F with fewer rows than n makes Sigma and Theta Sigma Theta singular;
+        # the stationarity equation then has a k (k + 1) / 2-dimensional
+        # family of solutions, k = n - rows, and R* must be its member of
+        # minimum Frobenius norm.
+        rng = np.random.default_rng(58 + 10 * nu + rows)
+        n = 2 * nu
+        theta = random_ccr(rng, nu)
+        coupling = rng.standard_normal((2, n))
+        w = Weighting(rng.standard_normal((rows, n)))
+        mo = MomentData(random_spd(rng, n, shift=2.0, scale=0.3), theta)
+        opt = optimal_energy_matrix(theta, w, coupling, mo)
+        tst = theta.theta @ w.sigma @ theta.theta
+        lhs = np.kron(tst, mo.p) + np.kron(mo.p, tst)
+        r_ref = kron_min_norm_solve(lhs, opt.k_matrix)
+        assert np.linalg.norm(opt.r_star - r_ref) <= 1e-10 * np.linalg.norm(r_ref)
+        k = n - rows
+        assert opt.null_space_dim == k * (k + 1) // 2
+        assert opt.method == "ALE"
+        assert opt.stationarity_residual <= 1e-10 * max(np.linalg.norm(opt.k_matrix), 1.0)
 
     def test_convexity(self):
         rng = np.random.default_rng(52)

@@ -15,7 +15,12 @@ from oqho_memory.dynamics import (
     hurwitz_limit,
     oscillatory_signal_term,
 )
-from oqho_memory.errors import InvalidMomentMatrixError, PreconditionError, ValidationError
+from oqho_memory.errors import (
+    InvalidMomentMatrixError,
+    NumericalError,
+    PreconditionError,
+    ValidationError,
+)
 from oqho_memory.model import J2, build_realization, canonical_ccr
 
 from oracles import (
@@ -141,6 +146,14 @@ class TestDelta:
         sig, noise = delta_terms(real.a, real.b, w, mo, 0.7)
         assert sig >= 0 and noise >= 0
         assert abs(delta(real.a, real.b, w, mo, 0.7) - (sig + noise)) <= 1e-12
+
+    def test_overflow_raises(self):
+        # e^{tA} = e^{500} I is finite, but the signal term (~e^{1000}) and
+        # the Gramian overflow; a scan would read nan > threshold as "not
+        # crossed".
+        w, mo = identity_weighting_moments()
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
+            delta_terms(5.0 * np.eye(2), J2, w, mo, 100.0)
 
     def test_depends_on_p_only_not_theta(self):
         # The deviation uses the real moment part P; the CCR matrix enters

@@ -14,7 +14,7 @@ from oqho_memory.network import (
     zero_hamiltonian_r12,
 )
 
-from oracles import fd_gradient, random_spd, random_sym
+from oracles import fd_gradient, kron_min_norm_solve, kron_offdiag_operator, random_spd, random_sym
 
 
 def make_subsystem(rng, nu=1, m=2, r_other=2, zero_energy=False, scale=1.0):
@@ -165,6 +165,15 @@ class TestQMatrix:
         g = fd_gradient(f, np.zeros(4), h=1e-5).reshape(2, 2)
         assert np.linalg.norm(g - (-16.0) * q) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
+    def test_independent_of_r12(self):
+        # Q is built from Abreve, the closed loop with the direct coupling removed.
+        rng = np.random.default_rng(76)
+        sub1, sub2 = make_pair(rng)
+        base = assemble(sub1, sub2, np.zeros((2, 2)))
+        w, mo = composite_weighting_moments(rng, 4, base.closed_theta)
+        coupled = assemble(sub1, sub2, rng.standard_normal((2, 2)))
+        np.testing.assert_allclose(q_matrix(coupled, w, mo), q_matrix(base, w, mo), atol=1e-12)
+
     def test_matches_composite_k_block(self):
         # Without internal couplings and with R1 = R2 = 0, the closed loop is
         # a plain OQHO and Q is the (1,2) block of its stationarity constant.
@@ -229,3 +238,19 @@ class TestOptimalR12:
         for _ in range(30):
             probe = x + 1e-3 * rng.standard_normal((2, 2))
             assert best <= ddot_at(probe) + 1e-8
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_general_case_matches_min_norm_oracle(self, nu):
+        rng = np.random.default_rng(73 + nu)
+        n = 2 * nu
+        sub1, sub2 = make_pair(rng, nu=nu)
+        base = assemble(sub1, sub2, np.zeros((n, n)))
+        w, mo = composite_weighting_moments(rng, 2 * n, base.closed_theta)
+        x, residual, method = optimal_r12(sub1, sub2, w, mo)
+        assert method == "LeastSquares"
+
+        theta = base.closed_theta.theta
+        lhs = kron_offdiag_operator(theta @ w.sigma @ theta, mo.p, n)
+        x_ref = kron_min_norm_solve(lhs, q_matrix(base, w, mo))
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert residual <= 1e-10

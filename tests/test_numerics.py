@@ -4,23 +4,28 @@ import pytest
 from oqho_memory.errors import (
     DiagonalizabilityError,
     InvalidMomentMatrixError,
+    NumericalError,
     ResonanceError,
 )
 from oqho_memory.model import J2
 from oqho_memory.numerics import (
-    LinearMatrixEquation,
     eig_real,
+    eigh_definite,
     matrix_exp,
     solve_lyapunov,
     solve_sylvester,
     solve_symmetric_constrained,
     sqrt_psd,
-    sym_basis,
-    sym_to_vec,
-    vec_to_sym,
 )
 
-from oracles import kron_solve_lyapunov, kron_solve_sylvester, random_sym, random_spd
+from oracles import (
+    kron_min_norm_solve,
+    kron_offdiag_operator,
+    kron_solve_lyapunov,
+    kron_solve_sylvester,
+    random_spd,
+    random_sym,
+)
 
 
 def series_expm(a, t, terms=60):
@@ -112,22 +117,38 @@ class TestSolveSylvester:
             solve_sylvester(np.eye(2), -np.eye(2), np.eye(2))
 
 
+def _psd(rng, n, rank):
+    g = rng.standard_normal((n, rank))
+    return g @ g.T
+
+
 class TestSymmetricConstrained:
-    def test_agrees_with_lyapunov(self):
+    def test_matches_min_norm_oracle(self):
+        # op(X) is the (1,2) block of T R P + P R T for R = [[0, X], [X^T, 0]]
+        # with T <= 0 and P >= 0 both singular: self-adjoint, negative
+        # semidefinite and with a nontrivial kernel, so only the minimum-norm
+        # solution is unique.
         rng = np.random.default_rng(13)
+        n1, n2 = 3, 4
         for _ in range(5):
-            m = rng.standard_normal((3, 3)) - 2 * np.eye(3)
-            q = random_sym(rng, 3)
-            eq = LinearMatrixEquation.lyapunov(m, q)
-            x, res = solve_symmetric_constrained(eq)
-            x_ref = solve_lyapunov(m, q)
-            assert np.linalg.norm(x - x_ref) <= 1e-9 * max(np.linalg.norm(x_ref), 1.0)
-            assert res <= 1e-9 * max(np.linalg.norm(q), 1.0)
+            t = -_psd(rng, n1 + n2, 2)
+            p = _psd(rng, n1 + n2, 3)
+            t11, t12, t22 = t[:n1, :n1], t[:n1, n1:], t[n1:, n1:]
+            p11, p12, p22 = p[:n1, :n1], p[:n1, n1:], p[n1:, n1:]
+
+            def op(x):
+                return t11 @ x @ p22 + t12 @ x.T @ p12 + p11 @ x @ t22 + p12 @ x.T @ t12
+
+            lhs = kron_offdiag_operator(t, p, n1)
+            assert np.max(np.linalg.eigvalsh(0.5 * (lhs + lhs.T))) <= 1e-12 * np.linalg.norm(lhs)
+            q = -op(rng.standard_normal((n1, n2)))
+            x, res = solve_symmetric_constrained(op, q)
+            x_ref = kron_min_norm_solve(lhs, q)
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+            assert res <= 1e-10 * np.linalg.norm(q)
 
     def test_zero_operator_zero_rhs(self):
-        eq = LinearMatrixEquation(operator=lambda x: np.zeros((2, 2)),
-                                  q=np.zeros((2, 2)), kind="general", symmetric=True)
-        x, res = solve_symmetric_constrained(eq)
+        x, res = solve_symmetric_constrained(lambda x: np.zeros((2, 2)), np.zeros((2, 2)))
         assert np.all(x == 0)
         assert res == 0
 
@@ -136,11 +157,26 @@ class TestSymmetricConstrained:
         rng = np.random.default_rng(14)
         s = -random_spd(rng, 4)
         p = random_spd(rng, 4)
-        eq = LinearMatrixEquation(operator=lambda x: s @ x @ p + p @ x @ s,
-                                  q=np.zeros((4, 4)), kind="general", symmetric=True)
-        x, res = solve_symmetric_constrained(eq)
+        x, res = solve_symmetric_constrained(lambda x: s @ x @ p + p @ x @ s, np.zeros((4, 4)))
         assert np.linalg.norm(x) <= 1e-12
         assert res <= 1e-12
+
+    def test_inconsistent_equation_rejected(self):
+        with pytest.raises(NumericalError):
+            solve_symmetric_constrained(lambda x: np.zeros((2, 2)), np.eye(2))
+
+
+class TestEighDefinite:
+    def test_simultaneous_diagonalization(self):
+        rng = np.random.default_rng(18)
+        a, b = random_sym(rng, 4), random_spd(rng, 4)
+        lam, v = eigh_definite(a, b)
+        np.testing.assert_allclose(v.T @ b @ v, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(v.T @ a @ v, np.diag(lam), atol=1e-12)
+
+    def test_indefinite_b_rejected(self):
+        with pytest.raises(NumericalError):
+            eigh_definite(np.eye(2), np.diag([1.0, -1.0]))
 
 
 class TestSqrtPsd:
@@ -190,16 +226,3 @@ class TestEigReal:
     def test_defective_rejected(self):
         with pytest.raises(DiagonalizabilityError):
             eig_real(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSymBasis:
-    def test_orthonormal(self):
-        basis = sym_basis(4)
-        assert len(basis) == 10
-        gram = np.array([[np.sum(e1 * e2) for e2 in basis] for e1 in basis])
-        np.testing.assert_allclose(gram, np.eye(10), atol=1e-14)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(17)
-        r = random_sym(rng, 4)
-        np.testing.assert_allclose(vec_to_sym(sym_to_vec(r), 4), r, atol=1e-14)
