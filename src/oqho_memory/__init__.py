@@ -9,7 +9,6 @@ quadratic approximation.
 
 from .model import (
     CcrMatrix,
-    ItoStructure,
     OqhoParams,
     Realization,
     SpectralClass,

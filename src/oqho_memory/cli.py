@@ -107,8 +107,6 @@ def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError:
-        raise
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON: {exc}", "/") from None
     if not isinstance(data, dict):
@@ -257,12 +255,7 @@ def cmd_tau(scenario, args):
         print(f"epsilon={_fmt(eps)}: tau={_fmt(rep.tau)} tau'={_fmt(rep.tau_prime)} "
               f"tau''={_fmt(rep.tau_second)} tau_hat={_fmt(rep.tau_hat)} [{rep.certificate}]")
     payload = json.dumps([_report_to_dict(r) for r in reports], indent=2)
-    if args.format == "json":
-        _write_text(args.out, payload + "\n")
-    elif args.out:
-        _write_text(args.out, payload + "\n")
-    else:
-        print(payload)
+    _write_text(args.out, payload + "\n")
     return EXIT_OK
 
 
@@ -387,7 +380,7 @@ def main(argv=None):
         log.error("parse error: %s", exc)
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, DimensionError, OqhoError) as exc:
+    except OqhoError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

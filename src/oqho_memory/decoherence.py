@@ -12,6 +12,7 @@ Delta.  The expansion coefficients are
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     a, b = _system_matrices(system)
     if epsilon <= 0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
+    if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
+        raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
     fsp = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
     if fsp == 0.0:
         raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
@@ -128,7 +131,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     expansion_valid = math.isfinite(tp)
     if expansion_valid:
         ts = tau_second(system, weighting, moments)
-        th = tau_hat(system, weighting, moments, epsilon)
+        th = float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
     else:
         ts = math.nan
         th = math.nan

@@ -5,15 +5,15 @@ The central quantity is the weighted mean-square deviation
     Delta(t) = ||F (e^{tA} - I) sqrt(P)||^2 + <Sigma, Re V(t)>,
 
 where V(t) = int_0^t e^{sA} B Omega B^T e^{sA^T} ds is the finite-horizon
-noise Gramian and Sigma = F^T F the weighting matrix.  Gramians are
-evaluated with the Van Loan block-exponential method; the real and
-imaginary parts of V are obtained separately from the source terms B B^T
-and B J B^T.
+noise Gramian and Sigma = F^T F the weighting matrix.  Both e^{tA} and a
+Gramian come from one Van Loan block exponential (Van Loan 1978) taken over
+h = t / 2^k and extended to t by k doublings, so the cost of a point grows
+with log(t ||A||), not with t.  The real and imaginary parts of V are
+obtained separately from the source terms B B^T and B J B^T.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -108,39 +108,36 @@ class Weighting:
         return self.f.shape[0]
 
 
-def _van_loan_step(a, q, t):
+# The block exponential is taken over a step h with h ||A||_2 <= _MAX_STEP_NORM,
+# so the -A^T block (it grows like e^{h |Re lambda|}) cannot amplify rounding
+# errors.
+_MAX_STEP_NORM = 5.0
+
+
+def _propagate(a, q, t):
+    """(e^{tA}, V(t)) with V(t) = int_0^t e^{sA} Q e^{sA^T} ds.
+
+    Exponentiates the block [[A, Q], [0, -A^T]] once, over h = t / 2^k with
+    h sqrt(||A||_1 ||A||_inf) <= _MAX_STEP_NORM (a bound on h ||A||_2), then
+    doubles k times: E(2h) = E(h)^2, V(2h) = V(h) + E(h) V(h) E(h)^T.
+    """
     n = a.shape[0]
+    steps = t * math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) / _MAX_STEP_NORM
+    k = math.frexp(steps)[1] if steps > 1.0 else 0  # 2^(k-1) <= steps < 2^k
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = a
     aug[:n, n:] = q
     aug[n:, n:] = -a.T
-    e = matrix_exp(aug, t)
-    return e[:n, n:] @ e[:n, :n].T
+    block = matrix_exp(aug, math.ldexp(t, -k))
+    e = block[:n, :n]
+    v = block[:n, n:] @ e.T
+    for _ in range(k):
+        v = v + e @ v @ e.T
+        e = e @ e
+    return e, v
 
 
-def _van_loan_gramian(a, q, t):
-    """int_0^t e^{sA} Q e^{sA^T} ds via the augmented block exponential.
-
-    Long horizons are split with the semigroup identity
-    V(s + h) = V(h) + e^{hA} V(s) e^{hA^T}; the -A^T block of the augmented
-    matrix would otherwise overflow for strongly stable A.
-    """
-    # Keep h * ||A|| small so the -A^T block of the augmented exponential
-    # cannot amplify rounding errors (it grows like e^{h |Re lambda|}).
-    norm_a = np.linalg.norm(a, 2)
-    n_seg = max(1, int(np.ceil(t * norm_a / 5.0)))
-    h = t / n_seg
-    v_seg = _van_loan_step(a, q, h)
-    if n_seg == 1:
-        return v_seg
-    e_h = matrix_exp(a, h)
-    v = v_seg
-    for _ in range(n_seg - 1):
-        v = v_seg + e_h @ v @ e_h.T
-    return v
-
-
-def gramian(a, b, t, ito=None):
+def gramian(a, b, t):
     """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega))."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -148,24 +145,14 @@ def gramian(a, b, t, ito=None):
         raise PreconditionError(f"time must be nonnegative, got {t}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-    j = ito.j if ito is not None else ito_j(b.shape[1])
+    j = ito_j(b.shape[1])
     if t == 0:
         n = a.shape[0]
         return np.zeros((n, n), dtype=complex)
-    v_re = _van_loan_gramian(a, b @ b.T, t)
-    v_im = _van_loan_gramian(a, b @ j @ b.T, t)
+    _, v_re = _propagate(a, b @ b.T, t)
+    _, v_im = _propagate(a, b @ j @ b.T, t)
     v = v_re + 1j * v_im
     return 0.5 * (v + v.conj().T)
-
-
-def gramian_real(a, b, t):
-    """Real part of V(t); the only piece entering the deviation functional."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if t == 0:
-        return np.zeros_like(a)
-    v = _van_loan_gramian(a, b @ b.T, t)
-    return 0.5 * (v + v.T)
 
 
 def delta_terms(a, b, weighting, moments, t):
@@ -175,10 +162,9 @@ def delta_terms(a, b, weighting, moments, t):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    f = weighting.f
-    sqrt_p = moments.sqrt_p
-    sig = float(np.linalg.norm(f @ (matrix_exp(a, t) - np.eye(a.shape[0])) @ sqrt_p) ** 2)
-    noise = float(np.sum(weighting.sigma * gramian_real(a, b, t)))
+    e, v = _propagate(a, b @ b.T, t)
+    sig = float(np.linalg.norm(weighting.f @ (e - np.eye(a.shape[0])) @ moments.sqrt_p) ** 2)
+    noise = float(np.sum(weighting.sigma * v))
     if not (math.isfinite(sig) and math.isfinite(noise)):
         raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
     return sig, noise
@@ -217,11 +203,11 @@ def hurwitz_limit(a, b, weighting, moments):
     return float(np.sum(weighting.sigma * (moments.p + p_inf)))
 
 
-def asymptotic_rate(a, b, ito=None, tol=1e-7):
+def asymptotic_rate(a, b, tol=1e-7):
     """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    j = ito.j if ito is not None else ito_j(b.shape[1])
+    j = ito_j(b.shape[1])
     w, u = eig_real(a)
     scale = max(np.max(np.abs(w), initial=0.0), 1.0)
     if np.max(np.abs(w.real)) > tol * scale:
@@ -264,10 +250,9 @@ class DeviationCurve:
     delta_values: np.ndarray
     signal_term: np.ndarray
     noise_term: np.ndarray
-    gramian_real: Optional[np.ndarray] = None  # (len(times), n, n) when retained
 
 
-def compute_deviation_curve(a, b, weighting, moments, times=None, keep_gramians=False):
+def compute_deviation_curve(a, b, weighting, moments, times=None):
     """Evaluate Delta on a time grid (grid points are independent)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -278,15 +263,11 @@ def compute_deviation_curve(a, b, weighting, moments, times=None, keep_gramians=
         raise PreconditionError("time grid must be increasing and nonnegative")
     sig = np.empty(len(times))
     noise = np.empty(len(times))
-    grams = np.empty((len(times), a.shape[0], a.shape[0])) if keep_gramians else None
     for k, t in enumerate(times):
         sig[k], noise[k] = delta_terms(a, b, weighting, moments, t)
-        if keep_gramians:
-            grams[k] = gramian_real(a, b, t)
     return DeviationCurve(
         times=times,
         delta_values=sig + noise,
         signal_term=sig,
         noise_term=noise,
-        gramian_real=grams,
     )

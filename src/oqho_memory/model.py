@@ -12,7 +12,7 @@ automatically satisfies the physical-realizability identity
     A Theta + Theta A^T + B J B^T = 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +22,6 @@ from .errors import DimensionError, NumericalError, ValidationError
 __all__ = [
     "J2",
     "CcrMatrix",
-    "ItoStructure",
     "OqhoParams",
     "Realization",
     "SpectralClass",
@@ -95,20 +94,6 @@ class CcrMatrix:
 
 
 @dataclass(frozen=True)
-class ItoStructure:
-    """Quantum Ito structure of m vacuum field channels: Omega = I + iJ."""
-
-    m: int
-    j: np.ndarray = field(init=False)
-    omega: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        j = ito_j(self.m)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "omega", np.eye(self.m) + 1j * j)
-
-
-@dataclass(frozen=True)
 class OqhoParams:
     """Energy matrix R, external coupling N and output selector D of one OQHO."""
 
@@ -164,10 +149,6 @@ class OqhoParams:
     def r(self):
         return self.selector.shape[0]
 
-    @property
-    def ito(self):
-        return ItoStructure(self.m)
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -215,7 +196,7 @@ def build_realization(params):
     return Realization(a=a0 + a_tilde, b=b, c=c, d=d_mat, a0=a0, a_tilde=a_tilde)
 
 
-def check_physical_realizability(a, b, ccr, ito=None):
+def check_physical_realizability(a, b, ccr):
     """Frobenius residual of A Theta + Theta A^T + B J B^T = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -225,7 +206,7 @@ def check_physical_realizability(a, b, ccr, ito=None):
         raise DimensionError(f"A shape {a.shape} does not match CCR order {n}")
     if b.ndim != 2 or b.shape[0] != n:
         raise DimensionError(f"B shape {b.shape} does not match CCR order {n}")
-    j = ito.j if ito is not None else ito_j(b.shape[1])
+    j = ito_j(b.shape[1])
     return float(np.linalg.norm(a @ theta + theta @ a.T + b @ j @ b.T))
 
 

@@ -10,7 +10,7 @@ import scipy.optimize
 
 import oqho_memory as om
 from oqho_memory import design, dynamics, network
-from oqho_memory.model import J2, OqhoParams, build_realization, canonical_ccr, ito_j
+from oqho_memory.model import OqhoParams, build_realization, canonical_ccr
 
 from oracles import (
     descent_minimize,

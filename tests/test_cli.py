@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -107,11 +108,16 @@ class TestCheck:
 
 
 class TestDeltaCurve:
-    def test_zero_at_origin_and_closed_form(self, tmp_path):
+    # The closed form holds at every t.  The cost of a point grows with
+    # log t, so 2000 points up to t = 1e6 must finish well inside the bound.
+    @pytest.mark.parametrize("horizon, points", [("4.0", "50"), ("1e6", "2000")])
+    def test_zero_at_origin_and_closed_form(self, tmp_path, horizon, points):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         out = tmp_path / "curve.csv"
+        start = time.perf_counter()
         assert cli.main(["delta-curve", "--scenario", path, "--out", str(out),
-                         "--grid-points", "50", "--horizon", "4.0"]) == 0
+                         "--grid-points", points, "--horizon", horizon]) == 0
+        assert time.perf_counter() - start < 30.0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,delta,signal_term,noise_term"
         first = lines[1].split(",")

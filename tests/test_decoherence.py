@@ -150,6 +150,12 @@ class TestDecoherenceTime:
         with pytest.raises(PreconditionError):
             decoherence_time(real, w, mo, 0.01, horizon=-1.0)
 
+    @pytest.mark.parametrize("grid_points", [0, -5, 2.5, True])
+    def test_invalid_grid_points(self, grid_points):
+        real, w, mo = single_mode()
+        with pytest.raises(PreconditionError, match="grid_points"):
+            decoherence_time(real, w, mo, 0.01, grid_points=grid_points)
+
     def test_unobserved_noise_still_scannable(self):
         # FB = 0 but the signal term grows through A: tau is found by
         # scanning even though the expansion is flagged inapplicable.

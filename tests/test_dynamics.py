@@ -11,7 +11,6 @@ from oqho_memory.dynamics import (
     delta_derivatives,
     delta_terms,
     gramian,
-    gramian_real,
     hurwitz_limit,
     oscillatory_signal_term,
 )
@@ -84,15 +83,21 @@ class TestWeighting:
 
 
 class TestGramian:
-    def test_constant_integrand(self):
-        v = gramian(np.zeros((2, 2)), np.eye(2), 3.0)
-        np.testing.assert_allclose(v, 3.0 * (np.eye(2) + 1j * J2), atol=1e-12)
+    # A rotation commutes with J, so the integrand stays I + iJ and
+    # V(t) = t (I + iJ) exactly.  At t = 1e6 the rounding of e^{hA} compounds
+    # over the doublings to ~t ||A|| eps relative, the conditioning of e^{tA};
+    # atol = 1e-8 t allows for that.
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), J2], ids=["zero", "J2"])
+    @pytest.mark.parametrize("t, atol", [(3.0, 1e-12), (1e6, 1e-2)], ids=["3", "1e6"])
+    def test_constant_integrand(self, a, t, atol):
+        v = gramian(a, np.eye(2), t)
+        np.testing.assert_allclose(v, t * (np.eye(2) + 1j * J2), rtol=0, atol=atol)
 
     def test_single_mode_real_part(self):
         a, b = single_mode_system()
         for t in (0.3, 1.0, 4.0):
             expect = 0.5 * (1.0 - np.exp(-2.0 * t)) * np.eye(2)
-            np.testing.assert_allclose(gramian_real(a, b, t), expect, atol=1e-12)
+            np.testing.assert_allclose(gramian(a, b, t).real, expect, atol=1e-12)
 
     def test_zero_time(self):
         rng = np.random.default_rng(22)
