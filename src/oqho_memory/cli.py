@@ -93,6 +93,8 @@ def _is_number(x):
 
 
 def _load_subsystem(data, location):
+    if not isinstance(data, dict):
+        raise ScenarioParseError("subsystem must be an object", location)
     theta = model.CcrMatrix(_matrix(data, "theta", location))
     return network.SubsystemParams(
         ccr=theta,
@@ -101,6 +103,12 @@ def _load_subsystem(data, location):
         coupling_internal=_matrix(data, "coupling_internal", location),
         selector=_matrix(data, "selector", location),
     )
+
+
+def _weighting(f_mat, n):
+    if f_mat.shape[1] != n:
+        raise DimensionError(f"weight_f has {f_mat.shape[1]} columns but the system order is {n}")
+    return dynamics.Weighting(f_mat)
 
 
 def load_scenario(path):
@@ -140,7 +148,7 @@ def load_scenario(path):
             coupling=_matrix(data, "coupling", "/"),
             selector=_matrix(data, "selector", "/"),
         )
-        weighting = dynamics.Weighting(f_mat)
+        weighting = _weighting(f_mat, theta.n)
         moments = dynamics.MomentData(p=p_mat, ccr=theta)
         return Scenario(schema_version=version, mode=mode, weighting=weighting,
                         moments=moments, epsilon=[float(e) for e in epsilon],
@@ -156,7 +164,7 @@ def load_scenario(path):
     if r12 is None:
         r12 = np.zeros((sub1.n, sub2.n))
     closed_theta = model.CcrMatrix(scipy.linalg.block_diag(sub1.ccr.theta, sub2.ccr.theta))
-    weighting = dynamics.Weighting(f_mat)
+    weighting = _weighting(f_mat, closed_theta.n)
     moments = dynamics.MomentData(p=p_mat, ccr=closed_theta)
     return Scenario(schema_version=version, mode=mode, weighting=weighting,
                     moments=moments, epsilon=[float(e) for e in epsilon],

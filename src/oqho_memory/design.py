@@ -7,12 +7,12 @@ quadratic decoherence-time approximation iff
     Theta Sigma Theta R P + P R Theta Sigma Theta + K = 0,
     K = (1/4) (Theta Sigma (B B^T + 2 Atilde P) - (B B^T + 2 P Atilde^T) Sigma Theta).
 
-This algebraic Lyapunov equation is solved for every Sigma >= 0 through the
-generalized symmetric-definite eigenproblem of the pair
-(-Theta Sigma Theta, P) (Golub & Van Loan, Matrix Computations, 8.7), which
-diagonalizes both coefficients at O(n^3) cost.  Admissible moments force
-P > 0; when Sigma is singular the solution is unique only up to the kernel
-of Theta Sigma Theta, and the minimum-norm solution is returned.
+This algebraic Lyapunov equation is the congruence equation of
+numerics.solve_sylvester with the pair (Theta Sigma Theta, P) on both sides,
+solved for every Sigma >= 0 by one simultaneous diagonalization at O(n^3)
+cost.  Admissible moments force P > 0; when Sigma is singular the solution
+is unique only up to the kernel of Theta Sigma Theta, and the minimum-norm
+solution is returned.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, ito_j, OqhoParams
-from .numerics import eigh_definite, sqrt_psd
+from .numerics import solve_sylvester, sqrt_psd
 
 __all__ = [
     "EnergyOptimum",
@@ -45,11 +45,6 @@ class EnergyOptimum:
     ddot_delta_at_opt: float
     method: str  # always "ALE": the stationarity equation is an algebraic Lyapunov equation
     null_space_dim: int = 0
-
-
-# Generalized eigenvalues at most this fraction of the largest one count as
-# the kernel of Theta Sigma Theta.
-_NULL_RTOL = 1e-12
 
 
 def _sym(x):
@@ -105,26 +100,10 @@ def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     a_tilde = 2.0 * ccr.theta @ coupling_n.T @ j @ coupling_n
     k = k_matrix(ccr, weighting, b, a_tilde, moments)
     tst = ccr.theta @ weighting.sigma @ ccr.theta
-    p = moments.p
-
-    # -Theta Sigma Theta V = P V diag(lam), V^T P V = I, lam >= 0, so with
-    # R = V Y V^T the equation reads (lam_i + lam_j) Y_ij = (V^T K V)_ij.
-    lam, v = eigh_definite(-tst, p)
-    null = np.abs(lam) <= _NULL_RTOL * np.max(np.abs(lam))
-    denom = lam[:, None] + lam[None, :]
-    # Sigma Theta v_i = 0 on the kernel, so V^T K V vanishes where both
-    # eigenvalues do; Y is set to 0 there.
-    denom[null[:, None] & null[None, :]] = np.inf
-    r_star = v @ (v.T @ k @ v / denom) @ v.T
-    # Subtract the Frobenius projection onto the homogeneous solutions
-    # V0 Z V0^T, leaving the minimum-norm solution.
-    v0 = v[:, null]
-    g_inv = np.linalg.inv(v0.T @ v0)
-    r_star = _sym(r_star - v0 @ g_inv @ (v0.T @ r_star @ v0) @ g_inv @ v0.T)
-
-    residual = float(np.linalg.norm(tst @ r_star @ p + p @ r_star @ tst + k))
+    r_star, residual = solve_sylvester(tst, moments.p, tst, moments.p, k)
+    r_star = _sym(r_star)
     ddot_at_opt = ddot_delta_of_energy(r_star, ccr, weighting, coupling_n, moments)
-    n_null = int(np.count_nonzero(null))
+    n_null = ccr.n - weighting.s  # dim ker(Theta Sigma Theta); F has full row rank
     return EnergyOptimum(
         r_star=r_star,
         k_matrix=k,

@@ -18,7 +18,7 @@ class PreconditionError(OqhoError, ValueError):
 
 
 class ResonanceError(OqhoError):
-    """A Lyapunov/Sylvester equation is singular due to resonant spectra."""
+    """A Lyapunov equation M X + X M^T + Q = 0 is singular: M and -M^T share an eigenvalue."""
 
     def __init__(self, message, eig_pair=None):
         super().__init__(message)

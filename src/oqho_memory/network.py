@@ -6,7 +6,11 @@ The closed loop is again an OQHO over the stacked variables; its block
 state-space assembly must coincide with the realization built from the
 closed-loop (Theta, R, N), which is the module's central consistency
 identity.  optimal_r12 solves the closed-loop stationarity equation for the
-direct coupling matrix.
+direct coupling matrix.  When Sigma or P is block-diagonal the equation
+decouples into S11 R12 P22 + P11 R12 S22 + Q = 0, the same congruence
+equation as the energy optimum, and numerics.solve_sylvester solves it;
+otherwise matrix-free conjugate gradients solve the coupled equation.  Both
+return the minimum-norm solution.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericalError, ResonanceError
+from .design import k_matrix
+from .errors import DimensionError, NumericalError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
 from .numerics import solve_sylvester, solve_symmetric_constrained
 
@@ -200,10 +205,10 @@ def zero_hamiltonian_r12(sub1, sub2):
 
 
 def q_matrix(interconnection, weighting, moments):
-    """(1,2) block of (1/2) sym(Theta Sigma (B B^T + 2 Abreve P)).
+    """(1,2) block of the closed-loop stationarity constant K (design.k_matrix).
 
-    Abreve is the closed-loop A with the direct coupling R12 removed,
-    A - 2 Theta [[0, R12], [R12^T, 0]], i.e. built from
+    K is taken with Atilde = Abreve, the closed-loop A with the direct
+    coupling R12 removed, A - 2 Theta [[0, R12], [R12^T, 0]], i.e. built from
     blockdiag(R1, R2) + Rtilde + N^T J N.
     """
     n1 = interconnection.sub1.n
@@ -213,12 +218,9 @@ def q_matrix(interconnection, weighting, moments):
     direct[:n1, n1:] = r12
     direct[n1:, :n1] = r12.T
     a_breve = interconnection.closed_realization.a - 2.0 * theta @ direct
-    b = interconnection.closed_realization.b
-    sigma = weighting.sigma
-    p = moments.p
-    s = theta @ sigma @ (b @ b.T + 2.0 * a_breve @ p)
-    sym_s = 0.25 * (s + s.T)  # (1/2) * symmetrizer
-    return sym_s[:n1, n1:]
+    k = k_matrix(interconnection.closed_theta, weighting,
+                 interconnection.closed_realization.b, a_breve, moments)
+    return k[:n1, n1:]
 
 
 def _rase12_operator(sub1, sub2, weighting, moments):
@@ -241,11 +243,11 @@ def _rase12_operator(sub1, sub2, weighting, moments):
 def optimal_r12(sub1, sub2, weighting, moments):
     """Direct-coupling matrix solving the closed-loop stationarity equation.
 
-    Returns (r12, residual, method).  With block-diagonal Sigma or P the
-    equation reduces to a Sylvester equation; otherwise (or on resonance)
-    the full linear map over the n1*n2 unknowns, whose negative is
-    self-adjoint positive semidefinite, is solved by conjugate gradients for
-    the minimum-norm least-squares solution ("LeastSquares").
+    Returns (r12, residual, method), residual = ||op(R12) + Q||_F over the
+    full operator.  With block-diagonal Sigma or P the equation decouples and
+    numerics.solve_sylvester solves it ("Sylvester"); otherwise conjugate
+    gradients solve the full n1*n2 system, whose negative is self-adjoint
+    positive semidefinite ("LeastSquares").  Both give the minimum-norm R12.
     """
     base = assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)))
     q = q_matrix(base, weighting, moments)
@@ -253,17 +255,8 @@ def optimal_r12(sub1, sub2, weighting, moments):
 
     decoupled = np.linalg.norm(s12) <= 1e-14 * max(np.linalg.norm(weighting.sigma), 1.0) \
         or np.linalg.norm(p12) <= 1e-14 * max(np.linalg.norm(moments.p), 1.0)
-    if decoupled and np.min(np.abs(np.linalg.eigvalsh(p11))) > 1e-12 \
-            and np.min(np.abs(np.linalg.eigvalsh(p22))) > 1e-12:
-        # S11 X P22 + P11 X S22 + Q = 0  ->  standard Sylvester form.
-        m1 = np.linalg.solve(p11, s11)
-        m2 = s22 @ np.linalg.inv(p22)
-        q_t = np.linalg.solve(p11, q) @ np.linalg.inv(p22)
-        try:
-            x = solve_sylvester(m1, m2, q_t)
-            residual = float(np.linalg.norm(op(x) + q))
-            return x, residual, "Sylvester"
-        except ResonanceError:
-            pass
+    if decoupled:
+        x, _ = solve_sylvester(s11, p11, s22, p22, q)
+        return x, float(np.linalg.norm(op(x) + q)), "Sylvester"
     x, residual = solve_symmetric_constrained(op, q)
     return x, residual, "LeastSquares"

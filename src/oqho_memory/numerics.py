@@ -2,12 +2,15 @@
 (including the generalized symmetric-definite one), PSD square root and
 Lyapunov/Sylvester/self-adjoint linear matrix equations.
 
-All solvers are desk-scale (n <= a few hundred) and double precision.  The
-Lyapunov and Sylvester paths delegate to LAPACK-backed Bartels-Stewart
-routines after an explicit resonance pre-check; solve_symmetric_constrained
-runs matrix-free conjugate gradients (Hestenes & Stiefel 1952) on a
-self-adjoint positive-semidefinite operator and returns the minimum-norm
-solution, at one operator application (O(n^3)) per iteration.
+All solvers are desk-scale (n <= a few hundred) and double precision.
+solve_lyapunov runs LAPACK-backed Bartels-Stewart after a resonance
+pre-check.  solve_sylvester solves S1 X P2 + P1 X S2 + Q = 0 (S_k <= 0,
+P_k > 0), the form of both stationarity equations, by simultaneous
+diagonalization of each pair by congruence (Golub & Van Loan, Matrix
+Computations, 8.7).  solve_symmetric_constrained runs matrix-free conjugate
+gradients (Hestenes & Stiefel 1952) on a self-adjoint positive-semidefinite
+operator, at one operator application (O(n^3)) per iteration.  Both return
+the minimum-norm solution.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from .errors import (
     DimensionError,
     InvalidMomentMatrixError,
     NumericalError,
+    PreconditionError,
     ResonanceError,
 )
 
@@ -40,6 +44,12 @@ _CG_RTOL = 1e-14
 _CG_ACCEPT = 1e-10
 _CG_MAX_ITER_PER_UNKNOWN = 2
 
+# Generalized eigenvalues at most _NULL_RTOL times the largest one count as
+# the kernel of S in solve_sylvester, whose residual must be within
+# _SYLVESTER_RTOL (||Q|| + ||op|| ||X||).
+_NULL_RTOL = 1e-12
+_SYLVESTER_RTOL = 1e-10
+
 
 def matrix_exp(a, t=1.0):
     """exp(t*A) by scaling-and-squaring with Pade approximation."""
@@ -54,17 +64,6 @@ def matrix_exp(a, t=1.0):
     return out
 
 
-def _check_resonance_pair(eigs1, eigs2, scale):
-    """Raise if some lambda in eigs1 and mu in eigs2 have lambda + mu ~ 0."""
-    s = np.abs(eigs1[:, None] + eigs2[None, :])
-    i, j = np.unravel_index(np.argmin(s), s.shape)
-    if s[i, j] <= 1e-10 * max(scale, 1.0):
-        raise ResonanceError(
-            f"resonant spectra: eigenvalues {eigs1[i]:.6g} and {eigs2[j]:.6g} sum to {eigs1[i] + eigs2[j]:.3e}",
-            eig_pair=(eigs1[i], eigs2[j]),
-        )
-
-
 def solve_lyapunov(m, q):
     """Solve M X + X M^T + Q = 0 for symmetric Q (Bartels-Stewart).
 
@@ -75,7 +74,13 @@ def solve_lyapunov(m, q):
     if m.shape != q.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"incompatible shapes M {m.shape}, Q {q.shape}")
     eigs = np.linalg.eigvals(m)
-    _check_resonance_pair(eigs, eigs, np.max(np.abs(eigs)) if eigs.size else 1.0)
+    sums = np.abs(eigs[:, None] + eigs[None, :])
+    i, j = np.unravel_index(np.argmin(sums), sums.shape)
+    if sums[i, j] <= 1e-10 * max(np.max(np.abs(eigs)), 1.0):
+        raise ResonanceError(
+            f"resonant spectra: eigenvalues {eigs[i]:.6g} and {eigs[j]:.6g} sum to {eigs[i] + eigs[j]:.3e}",
+            eig_pair=(eigs[i], eigs[j]),
+        )
     x = scipy.linalg.solve_continuous_lyapunov(m, -q)
     if np.linalg.norm(q - q.T) <= 1e-12 * max(np.linalg.norm(q), 1.0):
         x = 0.5 * (x + x.T)
@@ -86,25 +91,43 @@ def solve_lyapunov(m, q):
     return x
 
 
-def solve_sylvester(m1, m2, q):
-    """Solve M1 X + X M2 + Q = 0 (Bartels-Stewart with resonance pre-check)."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (m1.shape[0], m2.shape[0]):
-        raise DimensionError(
-            f"Q shape {q.shape} incompatible with M1 {m1.shape}, M2 {m2.shape}"
-        )
-    e1 = np.linalg.eigvals(m1)
-    e2 = np.linalg.eigvals(m2)
-    scale = max(np.max(np.abs(e1), initial=0.0), np.max(np.abs(e2), initial=0.0))
-    _check_resonance_pair(e1, e2, scale)
-    x = scipy.linalg.solve_sylvester(m1, m2, -q)
-    res = np.linalg.norm(m1 @ x + x @ m2 + q)
-    bound = 1e-10 * (np.linalg.norm(q) + scale * np.linalg.norm(x) + 1.0)
-    if res > bound:
-        raise NumericalError(f"Sylvester residual {res:.3e} exceeds bound {bound:.3e}")
-    return x
+def solve_sylvester(s1, p1, s2, p2, q):
+    """Minimum-norm solution of S1 X P2 + P1 X S2 + Q = 0.
+
+    Each S_k must be symmetric negative semidefinite and each P_k positive
+    definite.  With -S_k V_k = P_k V_k diag(lam_k), V_k^T P_k V_k = I and
+    X = V1 Y V2^T the equation reads (lam1_i + lam2_j) Y_ij = (V1^T Q V2)_ij;
+    Y_ij = 0 where both eigenvalues lie in the kernel, and the Frobenius
+    projection onto the homogeneous solutions V10 Z V20^T is subtracted.  A
+    pair passed as the same objects on both sides is factored once.  Returns
+    (X, residual); raises PreconditionError when an S_k is not negative
+    semidefinite, NumericalError when a P_k is not positive definite or the
+    residual bound is not met (e.g. Q inconsistent on the kernel).
+    """
+    same_pair = s2 is s1 and p2 is p1
+    s1, p1, s2, p2, q = (np.asarray(m, dtype=float) for m in (s1, p1, s2, p2, q))
+    if s1.shape != p1.shape or s2.shape != p2.shape or q.shape != (len(s1), len(s2)):
+        raise DimensionError(f"incompatible shapes S1 {s1.shape}, P1 {p1.shape}, "
+                             f"S2 {s2.shape}, P2 {p2.shape}, Q {q.shape}")
+    lam1, v1 = eigh_definite(-s1, p1)
+    lam2, v2 = (lam1, v1) if same_pair else eigh_definite(-s2, p2)
+    scale = max(np.max(np.abs(lam1), initial=0.0), np.max(np.abs(lam2), initial=0.0))
+    if min(np.min(lam1, initial=0.0), np.min(lam2, initial=0.0)) < -_NULL_RTOL * scale:
+        raise PreconditionError("S1 and S2 must be negative semidefinite")
+    null1 = np.abs(lam1) <= _NULL_RTOL * scale
+    null2 = np.abs(lam2) <= _NULL_RTOL * scale
+    denom = lam1[:, None] + lam2[None, :]
+    denom[null1[:, None] & null2[None, :]] = np.inf
+    x = v1 @ (v1.T @ q @ v2 / denom) @ v2.T
+    v10, v20 = v1[:, null1], v2[:, null2]
+    x -= (v10 @ np.linalg.inv(v10.T @ v10) @ (v10.T @ x @ v20)
+          @ np.linalg.inv(v20.T @ v20) @ v20.T)
+    residual = float(np.linalg.norm(s1 @ x @ p2 + p1 @ x @ s2 + q))
+    op_norm = np.linalg.norm(s1) * np.linalg.norm(p2) + np.linalg.norm(p1) * np.linalg.norm(s2)
+    bound = _SYLVESTER_RTOL * (np.linalg.norm(q) + op_norm * np.linalg.norm(x))
+    if not residual <= bound:
+        raise NumericalError(f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e}")
+    return x, residual
 
 
 def solve_symmetric_constrained(operator, q):
@@ -168,13 +191,10 @@ def sqrt_psd(p, neg_tol=1e-8):
 
 
 def eig_real(a, cond_limit=1e12):
-    """Eigendecomposition of a real matrix with conjugate pairs paired up.
+    """Eigendecomposition of a real matrix, A U = U diag(eigenvalues).
 
-    Returns (eigenvalues, U) with A U = U diag(eigenvalues).  Complex
-    eigenvalues are ordered as all upper-half-plane representatives first,
-    followed by their conjugates in the same order (so for a purely
-    imaginary spectrum the second half is the elementwise conjugate of the
-    first).  Real eigenvalues precede the complex ones, in increasing order.
+    Returns (eigenvalues, U) in LAPACK order.  Raises DiagonalizabilityError
+    when U is too ill-conditioned for the matrix to count as diagonalizable.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -186,20 +206,7 @@ def eig_real(a, cond_limit=1e12):
             f"eigenvector matrix condition number {cond:.3e} exceeds {cond_limit:.1e}; "
             "matrix is (numerically) defective"
         )
-    real_idx = [k for k in range(len(w)) if w[k].imag == 0.0]
-    pos_idx = [k for k in range(len(w)) if w[k].imag > 0.0]
-    real_idx.sort(key=lambda k: w[k].real)
-    pos_idx.sort(key=lambda k: (w[k].imag, w[k].real))
-    # Match each upper-half representative with its conjugate partner.
-    neg_pool = [k for k in range(len(w)) if w[k].imag < 0.0]
-    neg_idx = []
-    for k in pos_idx:
-        target = np.conj(w[k])
-        best = min(neg_pool, key=lambda j: abs(w[j] - target))
-        neg_pool.remove(best)
-        neg_idx.append(best)
-    order = real_idx + pos_idx + neg_idx
-    return w[order], u[:, order]
+    return w, u
 
 
 def eigh_definite(a, b):

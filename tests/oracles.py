@@ -28,14 +28,6 @@ def kron_solve_lyapunov(m, q):
     return x.reshape(n, n)
 
 
-def kron_solve_sylvester(m1, m2, q):
-    """Solve M1 X + X M2 + Q = 0 by dense vectorization."""
-    p, s = m1.shape[0], m2.shape[0]
-    lhs = np.kron(m1, np.eye(s)) + np.kron(np.eye(p), m2.T)
-    x = np.linalg.solve(lhs, -q.ravel())
-    return x.reshape(p, s)
-
-
 def kron_min_norm_solve(lhs, q):
     """Minimum-norm least-squares solution of lhs @ vec(X) + vec(Q) = 0.
 

@@ -90,12 +90,24 @@ class TestCheck:
         ("horizon", True),
         ("energy", [[float("nan"), 0.0], [0.0, 0.0]]),
         ("moments_p", [[1.0, 0.0], [0.0, float("nan")]]),
+        ("subsystems", [1, 2]),
     ])
     def test_invalid_field_is_parse_error(self, tmp_path, capsys, field, value):
-        path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
+        data = interconnection_scenario() if field == "subsystems" else single_mode_scenario()
+        data[field] = value
+        path = write_scenario(tmp_path, "s.json", data)
         assert cli.main(["tau", "--scenario", path]) == 2
         err = capsys.readouterr().err
         assert f"/{field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "tau", "optimize-energy"])
+    def test_weight_f_column_count_is_validation_error(self, tmp_path, capsys, command):
+        # F must have n columns; a mismatch is caught at load, as for P.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(weight_f=[[1.0, 0.0, 0.0]]))
+        assert cli.main([command, "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert "weight_f" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [("--grid-points", "-5"), ("--horizon", "nan")])

@@ -150,6 +150,18 @@ class TestDecoherenceTime:
         with pytest.raises(PreconditionError):
             decoherence_time(real, w, mo, 0.01, horizon=-1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        real, w, mo = single_mode()
+        with pytest.raises(PreconditionError, match="epsilon"):
+            decoherence_time(real, w, mo, epsilon)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, horizon):
+        real, w, mo = single_mode()
+        with pytest.raises(PreconditionError, match="horizon"):
+            decoherence_time(real, w, mo, 0.01, horizon=horizon)
+
     @pytest.mark.parametrize("grid_points", [0, -5, 2.5, True])
     def test_invalid_grid_points(self, grid_points):
         real, w, mo = single_mode()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import oqho_memory as om
 from oqho_memory.errors import DimensionError, ValidationError
 from oqho_memory.model import (
     HURWITZ,

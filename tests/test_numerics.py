@@ -5,6 +5,7 @@ from oqho_memory.errors import (
     DiagonalizabilityError,
     InvalidMomentMatrixError,
     NumericalError,
+    PreconditionError,
     ResonanceError,
 )
 from oqho_memory.model import J2
@@ -22,7 +23,6 @@ from oracles import (
     kron_min_norm_solve,
     kron_offdiag_operator,
     kron_solve_lyapunov,
-    kron_solve_sylvester,
     random_spd,
     random_sym,
 )
@@ -92,34 +92,42 @@ class TestSolveLyapunov:
             assert np.linalg.norm(x - x.T) <= 1e-12 * max(np.linalg.norm(x), 1.0)
 
 
-class TestSolveSylvester:
-    def test_identity_coefficients(self):
-        np.testing.assert_allclose(solve_sylvester(-np.eye(3), -np.eye(3), np.eye(3)),
-                                   0.5 * np.eye(3), atol=1e-13)
-
-    def test_diagonal_scalars(self):
-        # (1+3)x = -4 and (2+3)x = -5.
-        x = solve_sylvester(np.diag([1.0, 2.0]), np.diag([3.0]), np.array([[4.0], [5.0]]))
-        np.testing.assert_allclose(x, [[-1.0], [-1.0]], atol=1e-13)
-
-    def test_matches_kronecker_solve(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            m1 = rng.standard_normal((3, 3)) - 2 * np.eye(3)
-            m2 = rng.standard_normal((4, 4)) - 2 * np.eye(4)
-            q = rng.standard_normal((3, 4))
-            x = solve_sylvester(m1, m2, q)
-            x_ref = kron_solve_sylvester(m1, m2, q)
-            assert np.linalg.norm(x - x_ref) <= 1e-9 * max(np.linalg.norm(x_ref), 1.0)
-
-    def test_resonance_rejected(self):
-        with pytest.raises(ResonanceError):
-            solve_sylvester(np.eye(2), -np.eye(2), np.eye(2))
-
-
 def _psd(rng, n, rank):
     g = rng.standard_normal((n, rank))
     return g @ g.T
+
+
+class TestSolveSylvester:
+    def test_identity_coefficients(self):
+        # S = -I, P = I on both sides: -2 X + Q = 0.
+        q = np.arange(6.0).reshape(2, 3)
+        x, res = solve_sylvester(-np.eye(2), np.eye(2), -np.eye(3), np.eye(3), q)
+        np.testing.assert_allclose(x, 0.5 * q, atol=1e-14)
+        assert res <= 1e-13
+
+    def test_matches_kronecker_solve(self):
+        # n1 != n2 and both S singular: the solution is unique only up to
+        # V10 Z V20^T, and the minimum-norm one must be returned.
+        rng = np.random.default_rng(12)
+        n1, n2 = 3, 5
+        for _ in range(10):
+            s1, s2 = -_psd(rng, n1, 2), -_psd(rng, n2, 3)
+            p1, p2 = random_spd(rng, n1), random_spd(rng, n2)
+            x0 = rng.standard_normal((n1, n2))
+            q = -(s1 @ x0 @ p2 + p1 @ x0 @ s2)
+            x, res = solve_sylvester(s1, p1, s2, p2, q)
+            x_ref = kron_min_norm_solve(np.kron(s1, p2) + np.kron(p1, s2), q)
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+            assert res <= 1e-10 * np.linalg.norm(q)
+
+    def test_indefinite_p_rejected(self):
+        with pytest.raises(NumericalError):
+            solve_sylvester(-np.eye(2), np.diag([1.0, -1.0]), -np.eye(2), np.eye(2), np.eye(2))
+
+    def test_positive_s_rejected(self):
+        # S1 = I, S2 = -I would make lam1 + lam2 = 0 everywhere.
+        with pytest.raises(PreconditionError):
+            solve_sylvester(np.eye(2), np.eye(2), -np.eye(2), np.eye(2), np.eye(2))
 
 
 class TestSymmetricConstrained:
