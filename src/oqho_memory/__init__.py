@@ -19,6 +19,7 @@ from .model import (
 )
 from .dynamics import (
     DeviationCurve,
+    DeviationEvaluator,
     MomentData,
     Weighting,
     compute_deviation_curve,

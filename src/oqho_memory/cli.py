@@ -248,7 +248,7 @@ def _report_to_dict(rep):
     return {k: clean(getattr(rep, k)) for k in (
         "epsilon", "threshold", "tau", "tau_prime", "tau_second", "tau_hat",
         "horizon_used", "certificate", "grid_points", "bisection_iterations",
-        "expansion_valid")}
+        "expansion_valid", "delta_evaluations", "delta_path")}
 
 
 def cmd_tau(scenario, args):
@@ -374,7 +374,6 @@ def build_parser():
         p.add_argument("--grid-points", type=_positive(int), default=None, dest="grid_points")
         p.add_argument("--horizon", type=_positive(float), default=None)
         p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 

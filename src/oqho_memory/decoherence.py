@@ -4,7 +4,11 @@ tau(eps) is the first time the deviation Delta(t) exceeds the relative
 threshold eps * ||F sqrt(P)||^2 (inf over an empty set is +inf).  tau is
 located by a dense grid scan followed by bisection of the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
-Delta.  The expansion coefficients are
+Delta.  Scan and bisection share one dynamics.DeviationEvaluator, so A is
+factored once per tau and each point costs O(n^2) on its spectral path (the
+Van Loan path when A is defective or its eigenvectors ill-conditioned); the
+report names the path and counts the Delta evaluations.  The expansion
+coefficients are
 
     tau'  = ||F sqrt(P)||^2 / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import delta, delta_derivatives, hurwitz_limit
+from .dynamics import DeviationEvaluator, delta_derivatives, hurwitz_limit
 from .errors import PreconditionError
 from .model import HURWITZ, classify_spectrum
 
@@ -53,6 +57,8 @@ class DecoherenceReport:
     grid_points: int
     bisection_iterations: int
     expansion_valid: bool  # false when FB = 0 and the eps-expansion is inapplicable
+    delta_evaluations: int  # grid points scanned plus bisection steps
+    delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
 
 def _system_matrices(system):
@@ -142,7 +148,9 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if not (math.isfinite(horizon) and horizon > 0):
         raise PreconditionError(f"horizon must be finite and positive, got {horizon}")
 
-    def make_report(tau, certificate, iters):
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
+
+    def make_report(tau, certificate, scanned, iters):
         return DecoherenceReport(
             epsilon=float(epsilon),
             threshold=threshold,
@@ -155,14 +163,18 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             grid_points=grid_points,
             bisection_iterations=iters,
             expansion_valid=expansion_valid,
+            delta_evaluations=scanned + iters,
+            delta_path=evaluator.path,
         )
 
     grid = _hybrid_grid(horizon, grid_points)
     t_lo = 0.0
     bracket = None
     max_delta = 0.0
+    scanned = 0
     for t in grid:
-        d = delta(a, b, weighting, moments, t)
+        d = evaluator.delta(t)
+        scanned += 1
         max_delta = max(max_delta, d)
         if d > threshold:
             bracket = (t_lo, t)
@@ -171,19 +183,19 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
 
     if bracket is None:
         if max_delta == 0.0 and np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:
-            return make_report(math.inf, CERT_DELTA_ZERO, 0)
+            return make_report(math.inf, CERT_DELTA_ZERO, scanned, 0)
         if classify_spectrum(a).category == HURWITZ:
             if hurwitz_limit(a, b, weighting, moments) <= threshold:
-                return make_report(math.inf, CERT_HURWITZ, 0)
-        return make_report(math.inf, CERT_INCONCLUSIVE, 0)
+                return make_report(math.inf, CERT_HURWITZ, scanned, 0)
+        return make_report(math.inf, CERT_INCONCLUSIVE, scanned, 0)
 
     lo, hi = bracket
     iters = 0
     while hi - lo > 4.0 * np.spacing(hi) and iters < _MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
-        if delta(a, b, weighting, moments, mid) > threshold:
+        if evaluator.delta(mid) > threshold:
             hi = mid
         else:
             lo = mid
         iters += 1
-    return make_report(0.5 * (lo + hi), CERT_CROSSING, iters)
+    return make_report(0.5 * (lo + hi), CERT_CROSSING, scanned, iters)

@@ -5,11 +5,16 @@ The central quantity is the weighted mean-square deviation
     Delta(t) = ||F (e^{tA} - I) sqrt(P)||^2 + <Sigma, Re V(t)>,
 
 where V(t) = int_0^t e^{sA} B Omega B^T e^{sA^T} ds is the finite-horizon
-noise Gramian and Sigma = F^T F the weighting matrix.  Both e^{tA} and a
-Gramian come from one Van Loan block exponential (Van Loan 1978) taken over
-h = t / 2^k and extended to t by k doublings, so the cost of a point grows
-with log(t ||A||), not with t.  The real and imaginary parts of V are
-obtained separately from the source terms B B^T and B J B^T.
+noise Gramian and Sigma = F^T F the weighting matrix.
+
+DeviationEvaluator is the one way to evaluate Delta.  It factors
+A = U diag(lam) U^-1 once; every point then costs O(n^2), with
+e^{tA} - I = U diag(expm1(lam t)) U^-1 and V(t) = U (Q~ o Phi(t)) U^H,
+Q~ = U^-1 Q U^-H, Phi_ij(t) = int_0^t e^{(lam_i + conj(lam_j)) s} ds.  When A
+is defective or cond(U) exceeds _SPECTRAL_COND_LIMIT, each point instead
+takes e^{tA} and V(t) from one Van Loan block exponential (Van Loan 1978)
+over h = t / 2^k, extended to t by k doublings, so its cost grows with
+log(t ||A||), not with t.  gramian takes the same two paths.
 """
 
 import math
@@ -31,13 +36,15 @@ __all__ = [
     "MomentData",
     "Weighting",
     "DeviationCurve",
+    "DeviationEvaluator",
+    "SPECTRAL",
+    "VAN_LOAN",
     "gramian",
     "delta",
     "delta_terms",
     "delta_derivatives",
     "hurwitz_limit",
     "asymptotic_rate",
-    "oscillatory_signal_term",
     "default_time_grid",
     "compute_deviation_curve",
 ]
@@ -137,6 +144,35 @@ def _propagate(a, q, t):
     return e, v
 
 
+# With U of unit columns, the eigenbasis A = U diag(lam) U^-1 loses about
+# cond(U)^2 eps of relative accuracy, ~1e-10 at this limit.  Above it, and for
+# a defective A (cond(U) ~ 1/eps), Delta and the Gramian take the Van Loan path.
+_SPECTRAL_COND_LIMIT = 1e3
+
+SPECTRAL = "spectral"
+VAN_LOAN = "van_loan"
+
+
+def _eigenbasis(a):
+    """(lam, U, U^-1, Z) with A = U diag(lam) U^-1 and Z_ij = lam_i + conj(lam_j).
+
+    None when A is defective or cond(U) exceeds _SPECTRAL_COND_LIMIT.
+    """
+    try:
+        lam, u = np.linalg.eig(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.cond(u) <= _SPECTRAL_COND_LIMIT:
+        return None
+    return lam, u, np.linalg.inv(u), lam[:, None] + lam.conj()[None, :]
+
+
+def _phi(z, t):
+    """int_0^t e^{z s} ds elementwise: expm1(z t) / z, and t exactly where z = 0."""
+    zero = z == 0
+    return np.where(zero, t, np.expm1(z * t) / np.where(zero, 1.0, z))
+
+
 def gramian(a, b, t):
     """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega))."""
     a = np.asarray(a, dtype=float)
@@ -145,14 +181,70 @@ def gramian(a, b, t):
         raise PreconditionError(f"time must be nonnegative, got {t}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-    j = ito_j(b.shape[1])
-    if t == 0:
-        n = a.shape[0]
-        return np.zeros((n, n), dtype=complex)
-    _, v_re = _propagate(a, b @ b.T, t)
-    _, v_im = _propagate(a, b @ j @ b.T, t)
-    v = v_re + 1j * v_im
+    m = b.shape[1]
+    q = b @ (np.eye(m) + 1j * ito_j(m)) @ b.T
+    basis = _eigenbasis(a)
+    if basis is None:
+        v = _propagate(a, q.real, t)[1] + 1j * _propagate(a, q.imag, t)[1]
+    else:
+        _, u, u_inv, z = basis
+        v = u @ ((u_inv @ q @ u_inv.conj().T) * _phi(z, t)) @ u.conj().T
     return 0.5 * (v + v.conj().T)
+
+
+class DeviationEvaluator:
+    """(signal, noise) summands of Delta(t) at any t from one factorization of A.
+
+    On the spectral path, with S = U^H Sigma U, d = expm1(lam t) and
+    Phi = _phi(Z, t),
+
+        signal = Re d^T H conj(d),   H = S^T o (U^-1 P U^-H),
+        noise  = Re sum G o Phi,     G = S^T o (U^-1 B B^T U^-H),
+
+    O(n^2) per point with no exponential and no solve.  G o Phi is
+    Hermitian, so the sum runs over its upper triangle.  On the Van Loan
+    path each point takes one _propagate.  path names the one taken.
+    """
+
+    def __init__(self, a, b, weighting, moments):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        self._a, self._bbt = a, b @ b.T
+        self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
+        basis = _eigenbasis(a)
+        self.path = VAN_LOAN if basis is None else SPECTRAL
+        if basis is None:
+            return
+        lam, u, u_inv, z = basis
+        s_t = (u.conj().T @ self._sigma @ u).T
+        self._lam = lam
+        self._h = s_t * (u_inv @ moments.p @ u_inv.conj().T)
+        g = s_t * (u_inv @ self._bbt @ u_inv.conj().T)
+        upper = np.triu_indices(len(lam))
+        self._g = np.where(upper[0] == upper[1], 1.0, 2.0) * g[upper]
+        self._z = z[upper]
+
+    def terms(self, t):
+        """(signal, noise); raises NumericalError when either summand overflows."""
+        if not t >= 0:
+            raise PreconditionError(f"time must be nonnegative, got {t}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.path == SPECTRAL:
+                d = np.expm1(self._lam * t)
+                sig = float((d @ self._h @ d.conj()).real)
+                noise = float((self._g @ _phi(self._z, t)).real)
+            else:
+                e, v = _propagate(self._a, self._bbt, t)
+                sig = float(np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2)
+                noise = float(np.sum(self._sigma * v))
+        if not (math.isfinite(sig) and math.isfinite(noise)):
+            raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
+        return sig, noise
+
+    def delta(self, t):
+        """Delta(t) = signal + noise."""
+        sig, noise = self.terms(t)
+        return sig + noise
 
 
 def delta_terms(a, b, weighting, moments, t):
@@ -160,20 +252,12 @@ def delta_terms(a, b, weighting, moments, t):
 
     Raises NumericalError when either summand overflows.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    e, v = _propagate(a, b @ b.T, t)
-    sig = float(np.linalg.norm(weighting.f @ (e - np.eye(a.shape[0])) @ moments.sqrt_p) ** 2)
-    noise = float(np.sum(weighting.sigma * v))
-    if not (math.isfinite(sig) and math.isfinite(noise)):
-        raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
-    return sig, noise
+    return DeviationEvaluator(a, b, weighting, moments).terms(t)
 
 
 def delta(a, b, weighting, moments, t):
     """Weighted mean-square deviation Delta(t) >= 0."""
-    sig, noise = delta_terms(a, b, weighting, moments, t)
-    return sig + noise
+    return DeviationEvaluator(a, b, weighting, moments).delta(t)
 
 
 def delta_derivatives(a, b, weighting, moments):
@@ -221,20 +305,6 @@ def asymptotic_rate(a, b, tol=1e-7):
     return 0.5 * (rate + rate.conj().T)
 
 
-def oscillatory_signal_term(a, weighting, moments, t):
-    """Signal term evaluated through the eigendecomposition of A.
-
-    Cross-validation path for ||F (e^{tA} - I) sqrt(P)||^2; requires A
-    diagonalizable.
-    """
-    a = np.asarray(a, dtype=float)
-    w, u = eig_real(a)
-    u_inv = np.linalg.inv(u)
-    e_ta = u @ np.diag(np.exp(t * w) - 1.0) @ u_inv
-    m = weighting.f @ e_ta @ moments.sqrt_p
-    return float(np.sum(np.abs(m) ** 2))
-
-
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid from 1e-4 * t_ref to t_ref with t_ref = 10/max(||A||, 1)."""
     if t_ref is None:
@@ -253,7 +323,7 @@ class DeviationCurve:
 
 
 def compute_deviation_curve(a, b, weighting, moments, times=None):
-    """Evaluate Delta on a time grid (grid points are independent)."""
+    """Evaluate Delta on a time grid through one DeviationEvaluator."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if times is None:
@@ -261,10 +331,11 @@ def compute_deviation_curve(a, b, weighting, moments, times=None):
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or np.any(times < 0):
         raise PreconditionError("time grid must be increasing and nonnegative")
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
     sig = np.empty(len(times))
     noise = np.empty(len(times))
     for k, t in enumerate(times):
-        sig[k], noise[k] = delta_terms(a, b, weighting, moments, t)
+        sig[k], noise[k] = evaluator.terms(t)
     return DeviationCurve(
         times=times,
         delta_values=sig + noise,

@@ -238,3 +238,34 @@ def random_marginal_system(rng, freqs_lo=5.0, freqs_hi=20.0, gap=3.0,
     a = t @ a0 @ np.linalg.inv(t)
     b = b_scale * rng.standard_normal((4, 2))
     return a, b
+
+
+def random_damped_realization(rng, nu, perturb=0.1):
+    """Physically realizable system with R > 0 and N = I + a perturbation (m = n).
+
+    With N = I the field term 2 Theta N^T J N is -I, so Re(lambda) sits near
+    -1 at any order, where random_hurwitz_realization's rejection sampler
+    finds no instance.  Returns (params, realization).
+    """
+    n = 2 * nu
+    params = OqhoParams(
+        ccr=canonical_ccr(nu),
+        energy=random_spd(rng, n, shift=1.0, scale=1.0 / np.sqrt(n)),
+        coupling=np.eye(n) + perturb / np.sqrt(n) * rng.standard_normal((n, n)),
+        selector=random_selector(n, n),
+    )
+    return params, build_realization(params)
+
+
+def random_marginal_modes(rng, nu, m=2, t_perturb=0.1, b_scale=0.3):
+    """(A, B) with A similar to the rotations f_k J2, f_k in [k, k + 1/2).
+
+    Any number nu of modes with distinct, purely imaginary eigenvalues; the
+    similarity stays near the identity, so the eigenvectors are well
+    conditioned.
+    """
+    n = 2 * nu
+    freqs = np.arange(1, nu + 1) + rng.uniform(0.0, 0.5, nu)
+    a0 = scipy.linalg.block_diag(*[f * J2 for f in freqs])
+    t = np.eye(n) + t_perturb / np.sqrt(n) * rng.standard_normal((n, n))
+    return t @ a0 @ np.linalg.inv(t), b_scale * rng.standard_normal((n, m))

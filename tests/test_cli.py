@@ -169,8 +169,7 @@ class TestTau:
     def test_single_mode_report(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         out = tmp_path / "tau.json"
-        assert cli.main(["tau", "--scenario", path, "--format", "json",
-                         "--out", str(out)]) == 0
+        assert cli.main(["tau", "--scenario", path, "--out", str(out)]) == 0
         reports = json.loads(out.read_text())
         assert len(reports) == 1
         rep = reports[0]
@@ -178,6 +177,8 @@ class TestTau:
         assert abs(rep["tau_prime"] - 1.0) <= 1e-12
         assert abs(rep["tau_hat"] - 0.01) <= 1e-12
         assert abs(rep["tau"] - 0.01) <= 1e-3
+        assert rep["delta_path"] == "spectral"
+        assert rep["delta_evaluations"] > rep["bisection_iterations"] > 0
 
     def test_stdout_text_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from oqho_memory import dynamics
 from oqho_memory.decoherence import (
     CERT_CROSSING,
     CERT_DELTA_ZERO,
     CERT_HURWITZ,
+    _hybrid_grid,
     decoherence_time,
     tau_hat,
     tau_prime,
@@ -17,7 +19,7 @@ from oqho_memory.dynamics import MomentData, Weighting, delta, hurwitz_limit
 from oqho_memory.errors import PreconditionError
 from oqho_memory.model import J2, Realization, build_realization, canonical_ccr
 
-from oracles import random_hurwitz_realization, random_params, random_spd
+from oracles import random_damped_realization, random_hurwitz_realization, random_params, random_spd
 
 
 THETA1 = canonical_ccr(1)
@@ -105,6 +107,36 @@ class TestDecoherenceTime:
         rep = decoherence_time((np.zeros((2, 2)), np.zeros((2, 2))), w, mo, 0.5)
         assert rep.tau == math.inf
         assert rep.certificate == CERT_DELTA_ZERO
+        assert rep.delta_path == dynamics.SPECTRAL
+        assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
+
+    def test_delta_evaluations_count(self):
+        real, w, mo = single_mode()
+        rep = decoherence_time(real, w, mo, 0.01)
+        grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
+        scanned = int(np.argmax(closed_form_delta(grid) > rep.threshold)) + 1
+        assert rep.bisection_iterations > 0
+        assert rep.delta_evaluations == scanned + rep.bisection_iterations
+        assert rep.delta_path == dynamics.SPECTRAL
+
+    def test_same_scan_as_van_loan(self, monkeypatch):
+        # The spectral path must reproduce the Van Loan scan: the same first
+        # bracketing interval (given by the number of grid points scanned),
+        # the same bisection, and tau to rounding.
+        rng = np.random.default_rng(42)
+        params, real = random_damped_realization(rng, 16)
+        w = Weighting(rng.standard_normal((16, 32)))
+        mo = MomentData(random_spd(rng, 32), params.ccr)
+        for eps in (0.01, 0.1):
+            rep = decoherence_time(real, w, mo, eps)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+                ref = decoherence_time(real, w, mo, eps)
+            assert (rep.delta_path, ref.delta_path) == (dynamics.SPECTRAL, dynamics.VAN_LOAN)
+            assert rep.certificate == ref.certificate == CERT_CROSSING
+            assert rep.delta_evaluations == ref.delta_evaluations
+            assert rep.bisection_iterations == ref.bisection_iterations
+            assert abs(rep.tau - ref.tau) <= 1e-12 * ref.tau
 
     def test_single_mode_against_root_finder(self):
         real, w, mo = single_mode()

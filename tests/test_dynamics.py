@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oqho_memory.dynamics import (
+    SPECTRAL,
+    VAN_LOAN,
+    DeviationEvaluator,
     MomentData,
     Weighting,
+    _propagate,
     asymptotic_rate,
     compute_deviation_curve,
     default_time_grid,
@@ -12,7 +17,6 @@ from oqho_memory.dynamics import (
     delta_terms,
     gramian,
     hurwitz_limit,
-    oscillatory_signal_term,
 )
 from oqho_memory.errors import (
     InvalidMomentMatrixError,
@@ -25,7 +29,9 @@ from oqho_memory.model import J2, build_realization, canonical_ccr
 from oracles import (
     quad_gramian,
     random_ccr,
+    random_damped_realization,
     random_hurwitz_realization,
+    random_marginal_modes,
     random_marginal_system,
     random_params,
     random_spd,
@@ -46,6 +52,12 @@ def closed_form_delta(t):
 
 def identity_weighting_moments(n=2, theta=None):
     return Weighting(np.eye(n)), MomentData(np.eye(n), theta or THETA1)
+
+
+def van_loan_terms(a, b, w, mo, t):
+    """(signal, noise) from one Van Loan block exponential, the fallback path."""
+    e, v = _propagate(a, b @ b.T, t)
+    return np.linalg.norm(w.f @ (e - np.eye(len(a))) @ mo.sqrt_p) ** 2, np.sum(w.sigma * v)
 
 
 class TestMomentData:
@@ -116,6 +128,13 @@ class TestGramian:
                 v = gramian(a, b, t)
                 v_ref = quad_gramian(a, b, t)
                 assert np.max(np.abs(v - v_ref)) <= 1e-8
+
+    def test_defective_matches_quadrature(self):
+        # A Jordan block has no eigenbasis, so V(t) comes from Van Loan.
+        a = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        b = np.array([[1.0, 0.3], [-0.2, 1.0]])
+        for t in (0.5, 4.0):
+            assert np.max(np.abs(gramian(a, b, t) - quad_gramian(a, b, t))) <= 1e-8
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(24)
@@ -258,31 +277,95 @@ class TestAsymptoticRate:
         assert np.max(np.abs(emp - rate)) <= 1e-3
 
 
-class TestOscillatorySignalTerm:
+class TestDeviationEvaluator:
     def test_zero_time(self):
         w, mo = identity_weighting_moments()
-        assert oscillatory_signal_term(-np.eye(2), w, mo, 0.0) <= 1e-30
+        a, b = single_mode_system()
+        assert DeviationEvaluator(a, b, w, mo).terms(0.0) == (0.0, 0.0)
 
     def test_single_mode(self):
+        a, b = single_mode_system()
         w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(a, b, w, mo)
+        assert ev.path == SPECTRAL
         for t in (0.5, 1.0, 3.0):
-            got = oscillatory_signal_term(-np.eye(2), w, mo, t)
-            assert abs(got - 2.0 * (1.0 - np.exp(-t)) ** 2) <= 1e-12
+            sig, noise = ev.terms(t)
+            assert abs(sig - 2.0 * (1.0 - np.exp(-t)) ** 2) <= 1e-12
+            assert abs(noise - (1.0 - np.exp(-2.0 * t))) <= 1e-12
 
     def test_half_turn(self):
         # ||e^{pi J2} - I||^2 = ||-2 I||^2 = 8.
         w, mo = identity_weighting_moments()
-        assert abs(oscillatory_signal_term(J2, w, mo, np.pi) - 8.0) <= 1e-10
+        sig, _ = DeviationEvaluator(J2, np.zeros((2, 2)), w, mo).terms(np.pi)
+        assert abs(sig - 8.0) <= 1e-10
 
-    def test_matches_direct_path(self):
+    def test_matches_van_loan_random_hurwitz(self):
         rng = np.random.default_rng(31)
         w, mo = identity_weighting_moments()
         for _ in range(5):
-            params = random_params(rng, 1, 2)
-            real = build_realization(params)
+            _, real = random_hurwitz_realization(rng)
+            ev = DeviationEvaluator(real.a, real.b, w, mo)
+            assert ev.path == SPECTRAL
             t = rng.uniform(0.1, 3.0)
-            sig, _ = delta_terms(real.a, real.b, w, mo, t)
-            assert abs(oscillatory_signal_term(real.a, w, mo, t) - sig) <= 1e-8
+            np.testing.assert_allclose(ev.terms(t), van_loan_terms(real.a, real.b, w, mo, t),
+                                       rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("kind", ["hurwitz", "marginal"])
+    @pytest.mark.parametrize("nu", [4, 16])
+    def test_agrees_with_van_loan(self, kind, nu):
+        rng = np.random.default_rng(32 + nu)
+        params, real = random_damped_realization(rng, nu)
+        a, b = (real.a, real.b) if kind == "hurwitz" else random_marginal_modes(rng, nu)
+        n = 2 * nu
+        w = Weighting(rng.standard_normal((nu, n)))
+        mo = MomentData(random_spd(rng, n), params.ccr)
+        ev = DeviationEvaluator(a, b, w, mo)
+        assert ev.path == SPECTRAL
+        for t in np.geomspace(1e-6, 1e4, 21):
+            want = sum(van_loan_terms(a, b, w, mo, t))
+            assert abs(ev.delta(t) - want) <= 1e-10 * want
+
+    def test_jordan_block_takes_van_loan(self):
+        # e^{tA} = e^{-t} [[1, t], [0, 1]]; with B = F = P = I the noise term
+        # is int_0^t ||e^{sA}||_F^2 ds = int_0^t e^{-2s} (2 + s^2) ds.
+        a = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(a, np.eye(2), w, mo)
+        assert ev.path == VAN_LOAN
+        for t in (0.1, 1.0, 5.0, 30.0):
+            e = np.exp(-t)
+            sig, noise = ev.terms(t)
+            assert abs(sig - (2.0 * (1.0 - e) ** 2 + t * t * e * e)) <= 1e-12
+            assert abs(noise - (1.25 - e * e * (1.25 + 0.5 * t + 0.5 * t * t))) <= 1e-12
+
+    def test_zero_system_is_exactly_zero(self):
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(np.zeros((2, 2)), np.zeros((2, 2)), w, mo)
+        assert ev.path == SPECTRAL
+        for t in (0.0, 1e-6, 1.0, 1e6):
+            assert ev.terms(t) == (0.0, 0.0)
+
+    def test_marginal_noise_grows_at_asymptotic_rate(self):
+        # The rotations have eigenvalues +-i, +-2i with real parts exactly 0,
+        # so Z = lam_i + conj(lam_j) vanishes on the diagonal and those terms
+        # integrate to exactly t; the rest oscillates at frequencies >= 1 and
+        # stays within 2 n ||B B^T||_F.
+        rng = np.random.default_rng(33)
+        a = scipy.linalg.block_diag(J2, 2.0 * J2)
+        b = rng.standard_normal((4, 2))
+        w, mo = identity_weighting_moments(4, canonical_ccr(2))
+        rate = float(np.trace(asymptotic_rate(a, b).real))
+        ev = DeviationEvaluator(a, b, w, mo)
+        bound = 2.0 * 4 * np.linalg.norm(b @ b.T)
+        for t in (1e2, 1e4, 1e6, 1e8):
+            _, noise = ev.terms(t)
+            assert abs(noise - rate * t) <= bound
+
+    def test_negative_time_rejected(self):
+        a, b = single_mode_system()
+        w, mo = identity_weighting_moments()
+        with pytest.raises(PreconditionError):
+            DeviationEvaluator(a, b, w, mo).terms(-1.0)
 
 
 class TestDeviationCurve:
