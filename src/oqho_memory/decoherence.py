@@ -124,10 +124,14 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     otherwise the horizon was exhausted and the result is inconclusive.
     """
     a, b = _system_matrices(system)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon}")
+    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
+        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
+    if horizon is not None and (isinstance(horizon, (bool, np.bool_))
+                                or not (math.isfinite(horizon) and horizon > 0)):
+        raise PreconditionError(f"horizon must be finite and positive, got {horizon!r}")
     if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
         raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
     fsp = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
     if fsp == 0.0:
         raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
@@ -145,10 +149,6 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if horizon is None:
         t_scale = 1.0 / max(np.linalg.norm(a), 1.0)
         horizon = 50.0 * max(tp if expansion_valid else 0.0, t_scale)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise PreconditionError(f"horizon must be finite and positive, got {horizon}")
-
-    evaluator = DeviationEvaluator(a, b, weighting, moments)
 
     def make_report(tau, certificate, scanned, iters):
         return DecoherenceReport(

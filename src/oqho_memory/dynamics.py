@@ -8,13 +8,18 @@ where V(t) = int_0^t e^{sA} B Omega B^T e^{sA^T} ds is the finite-horizon
 noise Gramian and Sigma = F^T F the weighting matrix.
 
 DeviationEvaluator is the one way to evaluate Delta.  It factors
-A = U diag(lam) U^-1 once; every point then costs O(n^2), with
-e^{tA} - I = U diag(expm1(lam t)) U^-1 and V(t) = U (Q~ o Phi(t)) U^H,
-Q~ = U^-1 Q U^-H, Phi_ij(t) = int_0^t e^{(lam_i + conj(lam_j)) s} ds.  When A
-is defective or cond(U) exceeds _SPECTRAL_COND_LIMIT, each point instead
-takes e^{tA} and V(t) from one Van Loan block exponential (Van Loan 1978)
-over h = t / 2^k, extended to t by k doublings, so its cost grows with
-log(t ||A||), not with t.  gramian takes the same two paths.
+A = U diag(lam) U^-1 once; every point then takes the n values
+d = expm1(lam t) and reads both summands as quadratic forms in d, at the
+cost of two n x n mat-vecs.  The signal term is Re d^T H conj(d).  The
+noise term <Sigma, Re V(t)>, with V(t) = U (Q~ o Phi(t)) U^H,
+Q~ = U^-1 Q U^-H and Phi_ij(t) = (e^{Z_ij t} - 1) / Z_ij,
+Z_ij = lam_i + conj(lam_j), follows from e^{Z_ij t} = e_i conj(e_j) with
+e = 1 + d (Van Loan 1978; Moler & Van Loan 2003).  The few near-resonant
+entries, |Z_ij| <= _NEAR_RESONANT max(|lam_i|, |lam_j|), where that form
+would cancel, take Phi_ij directly.  When A is defective or cond(U) exceeds
+_SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and V(t) from one Van
+Loan block exponential over h = t / 2^k, extended to t by k doublings, so its
+cost grows with log(t ||A||), not with t.  gramian takes the same two paths.
 """
 
 import math
@@ -63,6 +68,8 @@ class MomentData:
         n = self.ccr.n
         if p.shape != (n, n):
             raise DimensionError(f"P shape {p.shape} does not match CCR order {n}")
+        if not np.all(np.isfinite(p)):
+            raise InvalidMomentMatrixError("P has an entry that is not finite")
         if np.linalg.norm(p - p.T) > 1e-10 * max(np.linalg.norm(p), 1.0):
             raise InvalidMomentMatrixError("P not symmetric")
         pi_min = np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta))
@@ -88,6 +95,8 @@ class Weighting:
         object.__setattr__(self, "f", f)
         if f.ndim != 2:
             raise DimensionError("F must be a matrix")
+        if not np.all(np.isfinite(f)):
+            raise ValidationError("F must be finite")
         # Full row rank: one singular value per row, none below numpy's
         # default rank tolerance.
         sv = np.linalg.svd(f, compute_uv=False)
@@ -149,8 +158,27 @@ def _propagate(a, q, t):
 # a defective A (cond(U) ~ 1/eps), Delta and the Gramian take the Van Loan path.
 _SPECTRAL_COND_LIMIT = 1e3
 
+# Z_ij = lam_i + conj(lam_j) is near resonant when |Z_ij| <= _NEAR_RESONANT *
+# max(|lam_i|, |lam_j|): there the quadratic form for the noise term cancels to
+# ~eps / _NEAR_RESONANT relative, and the evaluator takes _phi instead.
+_NEAR_RESONANT = 1e-3
+
 SPECTRAL = "spectral"
 VAN_LOAN = "van_loan"
+
+
+def _check_system(a, b, weighting, moments):
+    """DimensionError unless A is n x n, B has n rows and F has n columns, with
+    n the order of P; ValidationError unless A and B are finite."""
+    n = moments.p.shape[0]
+    if a.shape != (n, n):
+        raise DimensionError(f"A shape {a.shape} does not match the moment order {n}")
+    if b.ndim != 2 or b.shape[0] != n:
+        raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
+    if weighting.f.shape[1] != n:
+        raise DimensionError(f"F has {weighting.f.shape[1]} columns but the system order is {n}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValidationError("A and B must be finite")
 
 
 def _eigenbasis(a):
@@ -195,20 +223,25 @@ def gramian(a, b, t):
 class DeviationEvaluator:
     """(signal, noise) summands of Delta(t) at any t from one factorization of A.
 
-    On the spectral path, with S = U^H Sigma U, d = expm1(lam t) and
-    Phi = _phi(Z, t),
+    On the spectral path, with S = U^H Sigma U and d = expm1(lam t), both
+    summands are quadratic forms in d:
 
-        signal = Re d^T H conj(d),   H = S^T o (U^-1 P U^-H),
-        noise  = Re sum G o Phi,     G = S^T o (U^-1 B B^T U^-H),
+        signal = Re d^T H conj(d),
+        noise  = Re [d^T M conj(d) + d^T M 1 + 1^T M conj(d)] + near terms,
 
-    O(n^2) per point with no exponential and no solve.  G o Phi is
-    Hermitian, so the sum runs over its upper triangle.  On the Van Loan
-    path each point takes one _propagate.  path names the one taken.
+    with H = S^T o (U^-1 P U^-H), M = G / Z and G = S^T o (U^-1 B B^T U^-H).  The noise form follows
+    from e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j), so a point costs n
+    expm1 calls and two n x n mat-vecs.  Where Z_ij is near resonant,
+    |Z_ij| <= _NEAR_RESONANT * max(|lam_i|, |lam_j|) (Z = 0 included), the
+    form would cancel to ~eps / _NEAR_RESONANT relative, so M is zero there
+    and those few entries add Re G_ij _phi(Z_ij, t) directly.  On the Van
+    Loan path each point takes one _propagate.  path names the one taken.
     """
 
     def __init__(self, a, b, weighting, moments):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        _check_system(a, b, weighting, moments)
         self._a, self._bbt = a, b @ b.T
         self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
         basis = _eigenbasis(a)
@@ -217,12 +250,15 @@ class DeviationEvaluator:
             return
         lam, u, u_inv, z = basis
         s_t = (u.conj().T @ self._sigma @ u).T
-        self._lam = lam
-        self._h = s_t * (u_inv @ moments.p @ u_inv.conj().T)
         g = s_t * (u_inv @ self._bbt @ u_inv.conj().T)
-        upper = np.triu_indices(len(lam))
-        self._g = np.where(upper[0] == upper[1], 1.0, 2.0) * g[upper]
-        self._z = z[upper]
+        scale = np.abs(lam)
+        near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
+        m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
+        self._lam = lam
+        # One stacked mat-vec gives H conj(d) and M conj(d).
+        self._hm = np.vstack([s_t * (u_inv @ moments.p @ u_inv.conj().T), m])
+        self._m_row, self._m_col = m.sum(axis=1), m.sum(axis=0)
+        self._g_near, self._z_near = g[near], z[near]
 
     def terms(self, t):
         """(signal, noise); raises NumericalError when either summand overflows."""
@@ -231,8 +267,14 @@ class DeviationEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.path == SPECTRAL:
                 d = np.expm1(self._lam * t)
-                sig = float((d @ self._h @ d.conj()).real)
-                noise = float((self._g @ _phi(self._z, t)).real)
+                d_bar = d.conj()
+                hm_d = self._hm @ d_bar
+                n = len(d)
+                sig = float((d @ hm_d[:n]).real)
+                noise = d @ (hm_d[n:] + self._m_row) + self._m_col @ d_bar
+                if self._z_near.size:
+                    noise += self._g_near @ _phi(self._z_near, t)
+                noise = float(noise.real)
             else:
                 e, v = _propagate(self._a, self._bbt, t)
                 sig = float(np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2)
@@ -324,14 +366,12 @@ class DeviationCurve:
 
 def compute_deviation_curve(a, b, weighting, moments, times=None):
     """Evaluate Delta on a time grid through one DeviationEvaluator."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
     if times is None:
         times = default_time_grid(a)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or np.any(times < 0):
         raise PreconditionError("time grid must be increasing and nonnegative")
-    evaluator = DeviationEvaluator(a, b, weighting, moments)
     sig = np.empty(len(times))
     noise = np.empty(len(times))
     for k, t in enumerate(times):

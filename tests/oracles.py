@@ -257,15 +257,19 @@ def random_damped_realization(rng, nu, perturb=0.1):
     return params, build_realization(params)
 
 
-def random_marginal_modes(rng, nu, m=2, t_perturb=0.1, b_scale=0.3):
+def random_marginal_modes(rng, nu, m=2, t_perturb=0.1, b_scale=0.3, near_gap=None):
     """(A, B) with A similar to the rotations f_k J2, f_k in [k, k + 1/2).
 
     Any number nu of modes with distinct, purely imaginary eigenvalues; the
     similarity stays near the identity, so the eigenvectors are well
-    conditioned.
+    conditioned.  With near_gap (nu >= 2), the second frequency becomes
+    f_1 (1 + near_gap): a near-degenerate pair.  The random draws are the
+    same with or without it.
     """
     n = 2 * nu
     freqs = np.arange(1, nu + 1) + rng.uniform(0.0, 0.5, nu)
+    if near_gap is not None:
+        freqs[1] = freqs[0] * (1.0 + near_gap)
     a0 = scipy.linalg.block_diag(*[f * J2 for f in freqs])
     t = np.eye(n) + t_perturb / np.sqrt(n) * rng.standard_normal((n, n))
     return t @ a0 @ np.linalg.inv(t), b_scale * rng.standard_normal((n, m))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from oqho_memory.dynamics import MomentData, Weighting, delta, hurwitz_limit
 from oqho_memory.errors import PreconditionError
 from oqho_memory.model import J2, Realization, build_realization, canonical_ccr
 
-from oracles import random_damped_realization, random_hurwitz_realization, random_params, random_spd
+from oracles import (
+    random_damped_realization,
+    random_hurwitz_realization,
+    random_marginal_modes,
+    random_params,
+    random_spd,
+)
 
 
 THETA1 = canonical_ccr(1)
@@ -122,16 +129,18 @@ class TestDecoherenceTime:
     def test_same_scan_as_van_loan(self, monkeypatch):
         # The spectral path must reproduce the Van Loan scan: the same first
         # bracketing interval (given by the number of grid points scanned),
-        # the same bisection, and tau to rounding.
+        # the same bisection, and tau to rounding.  The marginal system takes
+        # the _phi route on the diagonal of Z.
         rng = np.random.default_rng(42)
         params, real = random_damped_realization(rng, 16)
         w = Weighting(rng.standard_normal((16, 32)))
         mo = MomentData(random_spd(rng, 32), params.ccr)
-        for eps in (0.01, 0.1):
-            rep = decoherence_time(real, w, mo, eps)
+        marginal = random_marginal_modes(rng, 16)
+        for system, eps in itertools.product((real, marginal), (0.01, 0.1)):
+            rep = decoherence_time(system, w, mo, eps)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
-                ref = decoherence_time(real, w, mo, eps)
+                ref = decoherence_time(system, w, mo, eps)
             assert (rep.delta_path, ref.delta_path) == (dynamics.SPECTRAL, dynamics.VAN_LOAN)
             assert rep.certificate == ref.certificate == CERT_CROSSING
             assert rep.delta_evaluations == ref.delta_evaluations
@@ -193,6 +202,14 @@ class TestDecoherenceTime:
         real, w, mo = single_mode()
         with pytest.raises(PreconditionError, match="horizon"):
             decoherence_time(real, w, mo, 0.01, horizon=horizon)
+
+    @pytest.mark.parametrize("name", ["epsilon", "horizon"])
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_boolean_epsilon_or_horizon(self, name, flag):
+        real, w, mo = single_mode()
+        args = {"epsilon": 0.01, name: flag}
+        with pytest.raises(PreconditionError, match=name):
+            decoherence_time(real, w, mo, **args)
 
     @pytest.mark.parametrize("grid_points", [0, -5, 2.5, True])
     def test_invalid_grid_points(self, grid_points):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oqho_memory.decoherence import decoherence_time
 from oqho_memory.dynamics import (
     SPECTRAL,
     VAN_LOAN,
@@ -19,6 +20,7 @@ from oqho_memory.dynamics import (
     hurwitz_limit,
 )
 from oqho_memory.errors import (
+    DimensionError,
     InvalidMomentMatrixError,
     NumericalError,
     PreconditionError,
@@ -74,6 +76,13 @@ class TestMomentData:
         with pytest.raises(InvalidMomentMatrixError):
             MomentData(np.array([[1.0, 0.5], [0.0, 1.0]]), THETA1)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, entry):
+        p = np.eye(2)
+        p[0, 1] = p[1, 0] = entry
+        with pytest.raises(InvalidMomentMatrixError, match="not finite"):
+            MomentData(p, THETA1)
+
 
 class TestWeighting:
     def test_sigma_factorization(self):
@@ -92,6 +101,13 @@ class TestWeighting:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValidationError):
             Weighting(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, entry):
+        f = np.eye(2, 3)
+        f[1, 2] = entry
+        with pytest.raises(ValidationError, match="finite"):
+            Weighting(f)
 
 
 class TestGramian:
@@ -310,17 +326,29 @@ class TestDeviationEvaluator:
             np.testing.assert_allclose(ev.terms(t), van_loan_terms(real.a, real.b, w, mo, t),
                                        rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("kind", ["hurwitz", "marginal"])
+    # near_gap is the relative frequency gap of a near-degenerate pair: 1e-4
+    # is below _NEAR_RESONANT, so its four off-diagonal Z entries join the
+    # diagonal on the _phi route; 1e-2 is above, so they stay in the form.
+    @pytest.mark.parametrize("kind, near_gap, phi_entries", [
+        ("hurwitz", None, lambda n: 0),
+        ("marginal", None, lambda n: n),
+        ("marginal", 1e-4, lambda n: n + 4),
+        ("marginal", 1e-2, lambda n: n),
+    ], ids=["hurwitz", "marginal", "marginal-gap-1e-4", "marginal-gap-1e-2"])
     @pytest.mark.parametrize("nu", [4, 16])
-    def test_agrees_with_van_loan(self, kind, nu):
+    def test_agrees_with_van_loan(self, kind, near_gap, phi_entries, nu):
         rng = np.random.default_rng(32 + nu)
         params, real = random_damped_realization(rng, nu)
-        a, b = (real.a, real.b) if kind == "hurwitz" else random_marginal_modes(rng, nu)
+        if kind == "hurwitz":
+            a, b = real.a, real.b
+        else:
+            a, b = random_marginal_modes(rng, nu, near_gap=near_gap)
         n = 2 * nu
         w = Weighting(rng.standard_normal((nu, n)))
         mo = MomentData(random_spd(rng, n), params.ccr)
         ev = DeviationEvaluator(a, b, w, mo)
         assert ev.path == SPECTRAL
+        assert ev._z_near.size == phi_entries(n)
         for t in np.geomspace(1e-6, 1e4, 21):
             want = sum(van_loan_terms(a, b, w, mo, t))
             assert abs(ev.delta(t) - want) <= 1e-10 * want
@@ -366,6 +394,64 @@ class TestDeviationEvaluator:
         w, mo = identity_weighting_moments()
         with pytest.raises(PreconditionError):
             DeviationEvaluator(a, b, w, mo).terms(-1.0)
+
+    # Each point takes n expm1 values d = expm1(lam t), plus one per
+    # near-resonant entry: the diagonal when the spectrum is imaginary, and
+    # four more for a near-degenerate pair.  O(n^2) calls would fail here.
+    @pytest.mark.parametrize("kind, values", [
+        ("hurwitz", 32),
+        ("marginal", 32 + 32),
+        ("near-degenerate", 32 + 32 + 4),
+    ])
+    def test_expm1_values_per_point(self, monkeypatch, kind, values):
+        rng = np.random.default_rng(34)
+        params, real = random_damped_realization(rng, 16)
+        if kind == "hurwitz":
+            a, b = real.a, real.b
+        else:
+            a, b = random_marginal_modes(rng, 16, near_gap=1e-4 if kind == "near-degenerate" else None)
+        w = Weighting(rng.standard_normal((16, 32)))
+        ev = DeviationEvaluator(a, b, w, MomentData(random_spd(rng, 32), params.ccr))
+        counted = []
+        expm1 = np.expm1
+        monkeypatch.setattr(np, "expm1", lambda x: counted.append(np.size(x)) or expm1(x))
+        for t in (1e-3, 1.0, 1e3):
+            counted.clear()
+            ev.terms(t)
+            assert sum(counted) == values
+
+
+# Each input breaks the single-mode system (A = -I, B = J2, F = P = I) in one
+# way; every entry point of the Delta layer must raise the typed error, not
+# numpy's ValueError from a matmul or a nan that reaches a later check.
+BAD_INPUTS = {
+    "b-rows": (DimensionError, {"b": np.ones((3, 2))}),
+    "b-vector": (DimensionError, {"b": np.ones(2)}),
+    "a-order": (DimensionError, {"a": -np.eye(4), "b": np.ones((4, 2))}),
+    "a-not-square": (DimensionError, {"a": np.ones((2, 3))}),
+    "f-columns": (DimensionError, {"f": np.eye(2, 4)}),
+    "a-nan": (ValidationError, {"a": np.full((2, 2), np.nan)}),
+    "b-inf": (ValidationError, {"b": np.array([[np.inf, 0.0], [0.0, 1.0]])}),
+}
+
+DELTA_LAYER = {
+    "DeviationEvaluator": DeviationEvaluator,
+    "delta": lambda a, b, w, mo: delta(a, b, w, mo, 1.0),
+    "delta_terms": lambda a, b, w, mo: delta_terms(a, b, w, mo, 1.0),
+    "compute_deviation_curve": compute_deviation_curve,
+    "decoherence_time": lambda a, b, w, mo: decoherence_time((a, b), w, mo, 0.01),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("entry", DELTA_LAYER)
+def test_bad_system_raises_typed_error(entry, case):
+    error, broken = BAD_INPUTS[case]
+    a, b = single_mode_system()
+    inputs = {"a": a, "b": b, "f": np.eye(2)} | broken
+    w, mo = Weighting(inputs["f"]), MomentData(np.eye(2), THETA1)
+    with pytest.raises(error):
+        DELTA_LAYER[entry](inputs["a"], inputs["b"], w, mo)
 
 
 class TestDeviationCurve:
