@@ -4,13 +4,16 @@ A scenario is a JSON file with row-major nested arrays for all matrices.
 Single-oscillator scenarios carry theta/energy/coupling/selector plus the
 weighting factor F and initial moments P; interconnection scenarios carry
 two subsystem blocks and an optional R12.  Numbers are emitted with 17
-significant digits so output round-trips exactly.
+significant digits so output round-trips exactly.  The argument parser is
+built once per process, so repeated in-process calls of main pay only for
+their scenario and its linear algebra.
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 I/O
 failure, 4 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import decoherence, design, dynamics, model, network
 from .errors import (
@@ -163,7 +165,7 @@ def load_scenario(path):
     r12 = _matrix(data, "r12", "/", required=False)
     if r12 is None:
         r12 = np.zeros((sub1.n, sub2.n))
-    closed_theta = model.CcrMatrix(scipy.linalg.block_diag(sub1.ccr.theta, sub2.ccr.theta))
+    closed_theta = model.CcrMatrix(network._blocks(sub1.ccr.theta, sub2.ccr.theta))
     weighting = _weighting(f_mat, closed_theta.n)
     moments = dynamics.MomentData(p=p_mat, ccr=closed_theta)
     return Scenario(schema_version=version, mode=mode, weighting=weighting,
@@ -185,7 +187,10 @@ def _fmt(x):
 
 
 def _matrix_lines(m, indent="  "):
-    return "\n".join(indent + "[" + ", ".join(_fmt(v) for v in row) + "]" for row in np.atleast_2d(m))
+    # Python floats print as numpy's float64 (a float subclass) does, but
+    # format faster.
+    return "\n".join(indent + "[" + ", ".join(_fmt(v) for v in row) + "]"
+                      for row in np.atleast_2d(m).tolist())
 
 
 def _write_text(path, text):
@@ -361,7 +366,9 @@ def _positive(type_):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="oqho",
         description="Decoherence-time analysis and optimization of open quantum harmonic oscillators",

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DeviationEvaluator, delta_derivatives, hurwitz_limit
-from .errors import PreconditionError
+from .dynamics import DeviationEvaluator, _check_system, delta_derivatives, hurwitz_limit, time_scale
+from .errors import NumericalError, PreconditionError
 from .model import HURWITZ, classify_spectrum
 
 __all__ = [
@@ -72,13 +72,17 @@ def tau_prime(b, weighting, moments):
     """Signal-to-noise-like ratio ||F sqrt(P)||^2 / ||F B||^2 (time units).
 
     Returns +inf when F B = 0, in which case the small-eps expansion of tau
-    does not apply.
+    does not apply.  Raises NumericalError when either squared norm
+    overflows.
     """
     b = np.asarray(b, dtype=float)
+    _check_system(moments.sqrt_p.shape[0], None, b, weighting.f)
     num = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
     if num == 0.0:
         raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
     den = np.linalg.norm(weighting.f @ b) ** 2
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericalError(f"||F sqrt(P)||^2 = {num} or ||F B||^2 = {den} overflows")
     if den == 0.0:
         return math.inf
     return float(num / den)
@@ -147,8 +151,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         th = math.nan
 
     if horizon is None:
-        t_scale = 1.0 / max(np.linalg.norm(a), 1.0)
-        horizon = 50.0 * max(tp if expansion_valid else 0.0, t_scale)
+        horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
 
     def make_report(tau, certificate, scanned, iters):
         return DecoherenceReport(

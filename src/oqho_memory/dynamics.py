@@ -50,6 +50,7 @@ __all__ = [
     "delta_derivatives",
     "hurwitz_limit",
     "asymptotic_rate",
+    "time_scale",
     "default_time_grid",
     "compute_deviation_curve",
 ]
@@ -167,17 +168,17 @@ SPECTRAL = "spectral"
 VAN_LOAN = "van_loan"
 
 
-def _check_system(a, b, weighting, moments):
-    """DimensionError unless A is n x n, B has n rows and F has n columns, with
-    n the order of P; ValidationError unless A and B are finite."""
-    n = moments.p.shape[0]
-    if a.shape != (n, n):
-        raise DimensionError(f"A shape {a.shape} does not match the moment order {n}")
+def _check_system(n, a, b, f=None):
+    """DimensionError unless A is n x n, B is a matrix with n rows and F has n
+    columns; ValidationError unless A and B are finite.  A or F given as None
+    is not checked.  O(n^2), so cheap beside any use of the system."""
+    if a is not None and a.shape != (n, n):
+        raise DimensionError(f"A shape {a.shape} does not match the system order {n}")
     if b.ndim != 2 or b.shape[0] != n:
-        raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-    if weighting.f.shape[1] != n:
-        raise DimensionError(f"F has {weighting.f.shape[1]} columns but the system order is {n}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DimensionError(f"B shape {b.shape} does not match the system order {n}")
+    if f is not None and f.shape[1] != n:
+        raise DimensionError(f"F has {f.shape[1]} columns but the system order is {n}")
+    if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
         raise ValidationError("A and B must be finite")
 
 
@@ -241,7 +242,7 @@ class DeviationEvaluator:
     def __init__(self, a, b, weighting, moments):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        _check_system(a, b, weighting, moments)
+        _check_system(moments.p.shape[0], a, b, weighting.f)
         self._a, self._bbt = a, b @ b.T
         self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
         basis = _eigenbasis(a)
@@ -310,6 +311,7 @@ def delta_derivatives(a, b, weighting, moments):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    _check_system(moments.p.shape[0], a, b, weighting.f)
     f = weighting.f
     sigma = weighting.sigma
     bbt = b @ b.T
@@ -322,6 +324,7 @@ def hurwitz_limit(a, b, weighting, moments):
     """Infinite-horizon value ||F sqrt(P + P_inf)||^2 for Hurwitz A."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    _check_system(moments.p.shape[0], a, b, weighting.f)
     spec = classify_spectrum(a)
     if spec.category != HURWITZ:
         raise PreconditionError(f"A must be Hurwitz, classified {spec.category}")
@@ -333,6 +336,9 @@ def asymptotic_rate(a, b, tol=1e-7):
     """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.ndim != 2:
+        raise DimensionError(f"A must be a matrix, got shape {a.shape}")
+    _check_system(a.shape[0], a, b)
     j = ito_j(b.shape[1])
     w, u = eig_real(a)
     scale = max(np.max(np.abs(w), initial=0.0), 1.0)
@@ -347,10 +353,18 @@ def asymptotic_rate(a, b, tol=1e-7):
     return 0.5 * (rate + rate.conj().T)
 
 
+def time_scale(a):
+    """1 / max(||A||_F, 1); raises NumericalError when ||A||_F overflows."""
+    norm = np.linalg.norm(np.asarray(a, dtype=float))
+    if not math.isfinite(norm):
+        raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
+    return 1.0 / max(norm, 1.0)
+
+
 def default_time_grid(a, t_ref=None, points=400):
-    """Log-spaced grid from 1e-4 * t_ref to t_ref with t_ref = 10/max(||A||, 1)."""
+    """Log-spaced grid from 1e-4 * t_ref to t_ref with t_ref = 10 time_scale(A)."""
     if t_ref is None:
-        t_ref = 10.0 / max(np.linalg.norm(np.asarray(a, dtype=float)), 1.0)
+        t_ref = 10.0 * time_scale(a)
     return np.geomspace(1e-4 * t_ref, t_ref, points)
 
 

@@ -182,7 +182,10 @@ class Realization:
 
 
 def build_realization(params):
-    """State-space matrices of the OQHO induced by (Theta, R, N, D)."""
+    """State-space matrices of the OQHO induced by (Theta, R, N, D).
+
+    Raises NumericalError when A, B or C overflows.
+    """
     theta = params.ccr.theta
     r_mat = params.energy
     n_mat = params.coupling
@@ -191,9 +194,12 @@ def build_realization(params):
 
     a0 = 2.0 * theta @ r_mat
     a_tilde = 2.0 * theta @ n_mat.T @ j @ n_mat
+    a = a0 + a_tilde
     b = 2.0 * theta @ n_mat.T
     c = 2.0 * d_mat @ j @ n_mat
-    return Realization(a=a0 + a_tilde, b=b, c=c, d=d_mat, a0=a0, a_tilde=a_tilde)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise NumericalError("the realization (A, B, C) overflows: energy or coupling entries too large")
+    return Realization(a=a, b=b, c=c, d=d_mat, a0=a0, a_tilde=a_tilde)
 
 
 def check_physical_realizability(a, b, ccr):
@@ -229,6 +235,8 @@ def classify_spectrum(a, tol=1e-9):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix must be finite")
     try:
         eigs = scipy.linalg.eigvals(a)
     except scipy.linalg.LinAlgError as exc:

@@ -16,7 +16,6 @@ return the minimum-norm solution.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .design import k_matrix
 from .errors import DimensionError, NumericalError
@@ -98,6 +97,23 @@ def _check_internal_dims(sub1, sub2):
         )
 
 
+def _blocks(diag1, diag2, upper=None, lower=None):
+    """[[diag1, upper], [lower, diag2]] filled into one preallocated array.
+
+    The diagonal blocks set the sizes; an off-diagonal block left as None is
+    zero, so _blocks(x, y) is the block-diagonal matrix of x and y.
+    """
+    (h1, w1), (h2, w2) = diag1.shape, diag2.shape
+    out = np.zeros((h1 + h2, w1 + w2))
+    out[:h1, :w1] = diag1
+    out[h1:, w1:] = diag2
+    if upper is not None:
+        out[:h1, w1:] = upper
+    if lower is not None:
+        out[h1:, :w1] = lower
+    return out
+
+
 def assemble(sub1, sub2, r12):
     """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
     _check_internal_dims(sub1, sub2)
@@ -122,30 +138,19 @@ def assemble(sub1, sub2, r12):
         e_blk.append(2.0 * thetas[k] @ lk.T)
         f_blk.append(2.0 * thetas[k] @ r_cross[k])
 
-    a_closed = np.block([
-        [a_blk[0], f_blk[0] + e_blk[0] @ c_blk[1]],
-        [f_blk[1] + e_blk[1] @ c_blk[0], a_blk[1]],
-    ])
-    b_closed = np.block([
-        [b_blk[0], e_blk[0] @ subs[1].selector],
-        [e_blk[1] @ subs[0].selector, b_blk[1]],
-    ])
+    a_closed = _blocks(a_blk[0], a_blk[1],
+                       f_blk[0] + e_blk[0] @ c_blk[1], f_blk[1] + e_blk[1] @ c_blk[0])
+    b_closed = _blocks(b_blk[0], b_blk[1],
+                       e_blk[0] @ subs[1].selector, e_blk[1] @ subs[0].selector)
 
     # Closed-loop physical parameters.
-    n1, n2 = sub1.n, sub2.n
     l1, l2 = sub1.coupling_internal, sub2.coupling_internal
     nn1, nn2 = sub1.coupling_external, sub2.coupling_external
     d1, d2 = sub1.selector, sub2.selector
     r_tilde_12 = l1.T @ d2 @ js[1] @ nn2 - nn1.T @ js[0] @ d1.T @ l2
-    closed_r = np.block([
-        [sub1.energy, r12 + r_tilde_12],
-        [(r12 + r_tilde_12).T, sub2.energy],
-    ])
-    closed_n = np.block([
-        [nn1, d1.T @ l2],
-        [d2.T @ l1, nn2],
-    ])
-    closed_theta = CcrMatrix(scipy.linalg.block_diag(thetas[0], thetas[1]))
+    closed_r = _blocks(sub1.energy, sub2.energy, r12 + r_tilde_12, (r12 + r_tilde_12).T)
+    closed_n = _blocks(nn1, nn2, d1.T @ l2, d2.T @ l1)
+    closed_theta = CcrMatrix(_blocks(thetas[0], thetas[1]))
 
     # The block assembly must reproduce the PR construction from (Theta, R, N).
     ref = build_realization(OqhoParams(
@@ -165,8 +170,8 @@ def assemble(sub1, sub2, r12):
             "this indicates an implementation bug"
         )
 
-    d_closed = scipy.linalg.block_diag(d1, d2)
-    c_closed = 2.0 * d_closed @ scipy.linalg.block_diag(js[0], js[1]) @ closed_n
+    d_closed = _blocks(d1, d2)
+    c_closed = 2.0 * d_closed @ _blocks(js[0], js[1]) @ closed_n
     realization = Realization(
         a=a_closed,
         b=b_closed,

@@ -213,8 +213,11 @@ def eigh_definite(a, b):
     """Generalized symmetric-definite eigenproblem A V = B V diag(lam).
 
     Returns (lam, V) with ascending lam and V^T B V = I.  Raises
-    NumericalError when B is not numerically positive definite.
+    NumericalError when A or B is not finite (e.g. an overflowed product) or
+    B is not numerically positive definite.
     """
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericalError("generalized eigenproblem needs finite matrices")
     try:
         return scipy.linalg.eigh(a, b)
     except scipy.linalg.LinAlgError as exc:

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqho_memory import cli
 
@@ -118,6 +126,30 @@ class TestCheck:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    # Finite entries so large that the realization, ||A|| or Theta Sigma Theta
+    # overflows are a numerical failure, not a raw ValueError from numpy.
+    @pytest.mark.parametrize("command, field, value", [
+        ("check", "coupling", [[1e200, 0.0], [0.0, 1e200]]),
+        ("spectrum", "coupling", [[1e200, 0.0], [0.0, 1e200]]),
+        ("delta-curve", "energy", [[1e308, 0.0], [0.0, 1e308]]),
+        ("tau", "energy", [[1e308, 0.0], [0.0, 1e308]]),
+        ("optimize-energy", "weight_f", [[1e200, 0.0], [0.0, 1e200]]),
+    ])
+    def test_overflow_is_numerical_error(self, tmp_path, capsys, command, field, value):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
+        assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "numerical error:" in err
+        assert "Traceback" not in err
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        # The parser is shared between calls; a failed parse must not spoil it.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--scenario", path, "--horizon", "-1"])
+        assert exc.value.code == 2
+        assert cli.main(["check", "--scenario", path]) == 0
+
 
 class TestDeltaCurve:
     # The closed form holds at every t.  The cost of a point grows with
@@ -180,6 +212,14 @@ class TestTau:
         assert rep["delta_path"] == "spectral"
         assert rep["delta_evaluations"] > rep["bisection_iterations"] > 0
 
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert cli.main(["tau", "--scenario", path, "--horizon", "5", "--out", str(first)]) == 0
+        assert cli.main(["tau", "--scenario", path, "--out", str(second)]) == 0
+        assert json.loads(first.read_text())[0]["horizon_used"] == 5.0
+        assert json.loads(second.read_text())[0]["horizon_used"] != 5.0
+
     def test_stdout_text_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json",
                               single_mode_scenario(epsilon=[0.01, 0.1]))
@@ -236,3 +276,73 @@ class TestSpectrum:
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         assert cli.main(["spectrum", "--scenario", path]) == 0
         assert "category: Hurwitz" in capsys.readouterr().out
+
+
+def test_matrix_lines_format():
+    m = np.array([[-0.0, 5e-324], [1e308, 0.1]])
+    # Per-entry "%.17g" of numpy scalars, the format scripts parse.
+    want = "\n".join("  [" + ", ".join("%.17g" % v for v in row) + "]" for row in m)
+    text = cli._matrix_lines(m)
+    assert text == want
+    back = [[float(v) for v in line.strip()[1:-1].split(",")] for line in text.splitlines()]
+    assert [[(x, math.copysign(1.0, x)) for x in row] for row in back] == \
+        [[(x, math.copysign(1.0, x)) for x in row] for row in m.tolist()]
+
+
+# --- seeded fuzzing of the README scenario ------------------------------------
+
+README_SCENARIO = single_mode_scenario(epsilon=[0.01, 0.1])
+MATRIX_FIELDS = ["theta", "energy", "coupling", "selector", "weight_f", "moments_p"]
+FUZZ_COMMANDS = ["check", "spectrum", "tau", "optimize-energy", "delta-curve"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _set_entry(field, i, j, value):
+    def mutate(data):
+        data[field][i][j] = value
+    return mutate
+
+
+def _set_field(field, value):
+    def mutate(data):
+        data[field] = value
+    return mutate
+
+
+def _remove_field(field):
+    def mutate(data):
+        del data[field]
+    return mutate
+
+
+mutations = st.one_of(
+    st.builds(_set_entry, st.sampled_from(MATRIX_FIELDS), st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from([0.0, 1e-320, -1e-320, 1e308, -1e308])),
+    st.builds(_set_field, st.sampled_from(list(README_SCENARIO)), json_values),
+    st.builds(_set_field, st.sampled_from(MATRIX_FIELDS),
+              st.builds(lambda r, c: np.eye(r, c).tolist(), st.integers(0, 4), st.integers(0, 4))),
+    st.builds(_remove_field, st.sampled_from(list(README_SCENARIO))),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mutations)
+def test_fuzzed_scenario_keeps_exit_code_contract(change):
+    # Every mutation of a valid scenario ends in one of the documented exit
+    # codes, never in a raw exception or traceback.
+    data = copy.deepcopy(README_SCENARIO)
+    change(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(data))
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2, 3, 4), (command, data)
+            assert "Traceback" not in err.getvalue(), (command, data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oqho_memory.decoherence import decoherence_time
+from oqho_memory.decoherence import decoherence_time, tau_hat, tau_prime, tau_second
 from oqho_memory.dynamics import (
     SPECTRAL,
     VAN_LOAN,
@@ -18,6 +18,7 @@ from oqho_memory.dynamics import (
     delta_terms,
     gramian,
     hurwitz_limit,
+    time_scale,
 )
 from oqho_memory.errors import (
     DimensionError,
@@ -452,6 +453,37 @@ def test_bad_system_raises_typed_error(entry, case):
     w, mo = Weighting(inputs["f"]), MomentData(np.eye(2), THETA1)
     with pytest.raises(error):
         DELTA_LAYER[entry](inputs["a"], inputs["b"], w, mo)
+
+
+# The rest of the Delta layer, with the cases that break an input it reads:
+# tau_prime reads no A, asymptotic_rate no F and no P.
+REST_OF_LAYER = {
+    "tau_prime": (lambda a, b, w, mo: tau_prime(b, w, mo),
+                  ["b-rows", "b-vector", "a-order", "f-columns", "b-inf"]),
+    "tau_second": (lambda a, b, w, mo: tau_second((a, b), w, mo), list(BAD_INPUTS)),
+    "tau_hat": (lambda a, b, w, mo: tau_hat((a, b), w, mo, 0.01), list(BAD_INPUTS)),
+    "delta_derivatives": (delta_derivatives, list(BAD_INPUTS)),
+    "hurwitz_limit": (hurwitz_limit, list(BAD_INPUTS)),
+    "asymptotic_rate": (lambda a, b, w, mo: asymptotic_rate(a, b),
+                        ["b-rows", "b-vector", "a-not-square", "a-nan", "b-inf"]),
+}
+
+
+@pytest.mark.parametrize("entry, case", [(entry, case) for entry, (_, cases) in REST_OF_LAYER.items()
+                                         for case in cases])
+def test_rest_of_layer_raises_typed_error(entry, case):
+    error, broken = BAD_INPUTS[case]
+    a, b = single_mode_system()
+    inputs = {"a": a, "b": b, "f": np.eye(2)} | broken
+    w, mo = Weighting(inputs["f"]), MomentData(np.eye(2), THETA1)
+    with pytest.raises(error):
+        REST_OF_LAYER[entry][0](inputs["a"], inputs["b"], w, mo)
+
+
+def test_time_scale_of_overflowing_norm():
+    # Every entry is finite, but ||A||_F overflows.
+    with pytest.raises(NumericalError):
+        time_scale(np.full((2, 2), 1e300))
 
 
 class TestDeviationCurve:

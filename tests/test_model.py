@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqho_memory.errors import DimensionError, ValidationError
+from oqho_memory.errors import DimensionError, NumericalError, ValidationError
 from oqho_memory.model import (
     HURWITZ,
     J2,
@@ -67,6 +67,10 @@ class TestBuildRealization:
         with pytest.raises(DimensionError):
             OqhoParams(ccr=theta, energy=np.zeros((2, 2)),
                        coupling=np.zeros((2, 4)), selector=np.eye(2))
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            build_realization(single_mode_params(coupling=np.diag([1e200, 1e200])))
 
 
 class TestValidation:
@@ -162,6 +166,11 @@ class TestClassifySpectrum:
             theta = canonical_ccr(nu)
             spec = classify_spectrum(2 * theta.theta @ r)
             assert np.max(np.abs(spec.eigenvalues.real)) <= 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            classify_spectrum(np.array([[bad, 1.0], [-1.0, 0.0]]))
 
     def test_zero_energy_even_multiplicities(self):
         # R = 0 leaves A = 2 Theta N^T J N; nonzero eigenvalues pair up.

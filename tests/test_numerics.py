@@ -186,6 +186,14 @@ class TestEighDefinite:
         with pytest.raises(NumericalError):
             eigh_definite(np.eye(2), np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([np.inf, 1.0]), np.eye(2)),  # e.g. an overflowed Theta Sigma Theta
+        (np.eye(2), np.diag([1.0, np.nan])),
+    ])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(NumericalError):
+            eigh_definite(a, b)
+
 
 class TestSqrtPsd:
     def test_identity(self):
