@@ -211,8 +211,13 @@ def cmd_check(scenario, args):
     print(f"spectral class:     {spec.category}")
     print(f"imaginary-axis eig: {spec.on_bisectors}")
     print(f"min eig(P + iTheta): {_fmt(pi_min)}")
+    # The rounding error of A Theta + Theta A^T + B J B^T grows with the size
+    # of its terms, so --tolerance bounds the residual relative to it.
+    scale = np.linalg.norm(real.a) * np.linalg.norm(theta.theta) + np.linalg.norm(real.b) ** 2
+    if not (math.isfinite(pr) and math.isfinite(scale)):
+        raise NumericalError(f"PR residual {pr} or its scale {scale} is not finite")
     tol = args.tolerance if args.tolerance is not None else 1e-10
-    ok = pr <= max(tol, 1e-10) and pi_min >= -1e-10
+    ok = pr <= max(tol, 1e-10) * scale and pi_min >= -1e-10
     print("check: PASS" if ok else "check: FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 

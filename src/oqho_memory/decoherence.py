@@ -6,8 +6,11 @@ located by a dense grid scan followed by bisection of the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
 Delta.  Scan and bisection share one dynamics.DeviationEvaluator, so A is
 factored once per tau and each point costs O(n^2) on its spectral path (the
-Van Loan path when A is defective or its eigenvectors ill-conditioned); the
-report names the path and counts the Delta evaluations.  The expansion
+Van Loan path when A is defective or its eigenvectors ill-conditioned).  The
+scan evaluates the grid in blocks of _SCAN_BLOCK points, one matrix product
+per block, and stops at the first block that holds a point above the
+threshold; bisection evaluates one point at a time.  The report names the
+path and counts the Delta evaluations up to the crossing.  The expansion
 coefficients are
 
     tau'  = ||F sqrt(P)||^2 / ||F B||^2,
@@ -21,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DeviationEvaluator, _check_system, delta_derivatives, hurwitz_limit, time_scale
+from .dynamics import (
+    DeviationEvaluator,
+    _SCAN_BLOCK,
+    _check_system,
+    _overflow,
+    delta_derivatives,
+    hurwitz_limit,
+    time_scale,
+)
 from .errors import NumericalError, PreconditionError
 from .model import HURWITZ, classify_spectrum
 
@@ -57,7 +68,11 @@ class DecoherenceReport:
     grid_points: int
     bisection_iterations: int
     expansion_valid: bool  # false when FB = 0 and the eps-expansion is inapplicable
-    delta_evaluations: int  # grid points scanned plus bisection steps
+    # Grid points up to and including the first one above the threshold, plus
+    # bisection steps.  The scan evaluates whole blocks of _SCAN_BLOCK points,
+    # so up to _SCAN_BLOCK - 1 points after the crossing are computed but not
+    # counted.
+    delta_evaluations: int
     delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
 
@@ -121,11 +136,14 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     """Decoherence time tau(eps) with a crossing or no-crossing certificate.
 
     system may be a Realization (or anything with .a/.b) or an (A, B) pair.
-    The scan evaluates Delta on a hybrid log/linear grid over [0, horizon];
-    the first bracketing interval is refined by bisection and tau is the
-    bracket midpoint.  +inf is returned with a certificate: the deviation is
-    identically zero, or A is Hurwitz with its limit below the threshold;
-    otherwise the horizon was exhausted and the result is inconclusive.
+    The scan evaluates Delta on a hybrid log/linear grid over [0, horizon],
+    in blocks of _SCAN_BLOCK points; the interval before the first point
+    above the threshold is refined by bisection and tau is the bracket
+    midpoint.  A summand that is not finite at or before that point raises
+    NumericalError; points after it are not looked at.  +inf is returned
+    with a certificate: the deviation is identically zero, or A is Hurwitz
+    with its limit below the threshold; otherwise the horizon was exhausted
+    and the result is inconclusive.
     """
     a, b = _system_matrices(system)
     if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
@@ -171,18 +189,25 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         )
 
     grid = _hybrid_grid(horizon, grid_points)
-    t_lo = 0.0
     bracket = None
     max_delta = 0.0
-    scanned = 0
-    for t in grid:
-        d = evaluator.delta(t)
-        scanned += 1
-        max_delta = max(max_delta, d)
-        if d > threshold:
-            bracket = (t_lo, t)
+    scanned = len(grid)
+    for start in range(0, len(grid), _SCAN_BLOCK):
+        times = grid[start:start + _SCAN_BLOCK]
+        sig, noise = evaluator._terms(times)
+        # The scan stops at the first point that is above the threshold or
+        # has a summand that is not finite; points after it do not count.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = sig + noise
+        stop = ~((d <= threshold) & np.isfinite(sig) & np.isfinite(noise))
+        if stop.any():
+            k = int(np.argmax(stop))
+            if not (math.isfinite(sig[k]) and math.isfinite(noise[k])):
+                raise _overflow(times[k], sig[k], noise[k])
+            scanned = start + k + 1
+            bracket = (grid[start + k - 1] if start + k else 0.0, grid[start + k])
             break
-        t_lo = t
+        max_delta = max(max_delta, d.max())
 
     if bracket is None:
         if max_delta == 0.0 and np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:

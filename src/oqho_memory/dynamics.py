@@ -10,16 +10,24 @@ noise Gramian and Sigma = F^T F the weighting matrix.
 DeviationEvaluator is the one way to evaluate Delta.  It factors
 A = U diag(lam) U^-1 once; every point then takes the n values
 d = expm1(lam t) and reads both summands as quadratic forms in d, at the
-cost of two n x n mat-vecs.  The signal term is Re d^T H conj(d).  The
-noise term <Sigma, Re V(t)>, with V(t) = U (Q~ o Phi(t)) U^H,
-Q~ = U^-1 Q U^-H and Phi_ij(t) = (e^{Z_ij t} - 1) / Z_ij,
-Z_ij = lam_i + conj(lam_j), follows from e^{Z_ij t} = e_i conj(e_j) with
-e = 1 + d (Van Loan 1978; Moler & Van Loan 2003).  The few near-resonant
+cost of one stacked (2n + 1) x n mat-vec.  The signal term is
+Re d^T H conj(d).  The noise term <Sigma, Re V(t)>, with
+V(t) = U (Q~ o Phi(t)) U^H, Q~ = U^-1 Q U^-H and
+Phi_ij(t) = (e^{Z_ij t} - 1) / Z_ij, Z_ij = lam_i + conj(lam_j), follows from
+e^{Z_ij t} = e_i conj(e_j) with e = 1 + d (Van Loan 1978; Moler & Van Loan
+2003).  The few near-resonant
 entries, |Z_ij| <= _NEAR_RESONANT max(|lam_i|, |lam_j|), where that form
 would cancel, take Phi_ij directly.  When A is defective or cond(U) exceeds
 _SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and V(t) from one Van
 Loan block exponential over h = t / 2^k, extended to t by k doublings, so its
 cost grows with log(t ||A||), not with t.  gramian takes the same two paths.
+
+DeviationEvaluator.terms also takes a 1-D array of K times: d is then n x K
+and one (2n + 1) x n x K matrix product reads every point, which costs less
+per point than K mat-vecs (the Van Loan path loops over the points).  The
+tau scan and compute_deviation_curve walk their grids in blocks of
+_SCAN_BLOCK times, so memory stays O(n _SCAN_BLOCK) for any grid; bisection
+evaluates one point at a time.
 """
 
 import math
@@ -164,6 +172,11 @@ _SPECTRAL_COND_LIMIT = 1e3
 # ~eps / _NEAR_RESONANT relative, and the evaluator takes _phi instead.
 _NEAR_RESONANT = 1e-3
 
+# Grids are evaluated _SCAN_BLOCK times at a time.  At n = 100 a block of 64
+# costs less per point than blocks of 16 or of the whole grid; a scan that
+# stops at a crossing wastes at most _SCAN_BLOCK - 1 points.
+_SCAN_BLOCK = 64
+
 SPECTRAL = "spectral"
 VAN_LOAN = "van_loan"
 
@@ -228,13 +241,16 @@ class DeviationEvaluator:
     summands are quadratic forms in d:
 
         signal = Re d^T H conj(d),
-        noise  = Re [d^T M conj(d) + d^T M 1 + 1^T M conj(d)] + near terms,
+        noise  = Re [d^T M conj(d) + d^T M 1 + 1^T M conj(d)] + near terms
+               = Re [d^T M conj(d) + c^T conj(d)] + near terms,
 
-    with H = S^T o (U^-1 P U^-H), M = G / Z and G = S^T o (U^-1 B B^T U^-H).  The noise form follows
-    from e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j), so a point costs n
-    expm1 calls and two n x n mat-vecs.  Where Z_ij is near resonant,
-    |Z_ij| <= _NEAR_RESONANT * max(|lam_i|, |lam_j|) (Z = 0 included), the
-    form would cancel to ~eps / _NEAR_RESONANT relative, so M is zero there
+    with H = S^T o (U^-1 P U^-H), M = G / Z, G = S^T o (U^-1 B B^T U^-H) and
+    c = conj(M 1) + M^T 1.  The noise form follows from
+    e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j), so a point costs n
+    expm1 calls and one mat-vec with the stacked rows [H; M; c^T], and K
+    points one product with an n x K matrix of d.  Where Z_ij is near
+    resonant, |Z_ij| <= _NEAR_RESONANT * max(|lam_i|, |lam_j|) (Z = 0
+    included), the form would cancel to ~eps / _NEAR_RESONANT relative, so M is zero there
     and those few entries add Re G_ij _phi(Z_ij, t) directly.  On the Van
     Loan path each point takes one _propagate.  path names the one taken.
     """
@@ -256,38 +272,70 @@ class DeviationEvaluator:
         near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
         m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
         self._lam = lam
-        # One stacked mat-vec gives H conj(d) and M conj(d).
-        self._hm = np.vstack([s_t * (u_inv @ moments.p @ u_inv.conj().T), m])
-        self._m_row, self._m_col = m.sum(axis=1), m.sum(axis=0)
+        c = m.sum(axis=1).conj() + m.sum(axis=0)
+        self._hmc = np.vstack([s_t * (u_inv @ moments.p @ u_inv.conj().T), m, c])
         self._g_near, self._z_near = g[near], z[near]
 
     def terms(self, t):
-        """(signal, noise); raises NumericalError when either summand overflows."""
-        if not t >= 0:
-            raise PreconditionError(f"time must be nonnegative, got {t}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.path == SPECTRAL:
-                d = np.expm1(self._lam * t)
-                d_bar = d.conj()
-                hm_d = self._hm @ d_bar
-                n = len(d)
-                sig = float((d @ hm_d[:n]).real)
-                noise = d @ (hm_d[n:] + self._m_row) + self._m_col @ d_bar
-                if self._z_near.size:
-                    noise += self._g_near @ _phi(self._z_near, t)
-                noise = float(noise.real)
-            else:
-                e, v = _propagate(self._a, self._bbt, t)
-                sig = float(np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2)
-                noise = float(np.sum(self._sigma * v))
-        if not (math.isfinite(sig) and math.isfinite(noise)):
-            raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
+        """(signal, noise) at a time t, or two arrays of them for a 1-D array t.
+
+        Raises NumericalError naming the first time where either summand
+        overflows.
+        """
+        if not isinstance(t, (np.ndarray, list, tuple)):
+            if not t >= 0:
+                raise PreconditionError(f"time must be nonnegative, got {t}")
+            sig, noise = self._terms(t)
+            sig, noise = float(sig), float(noise)
+            if not (math.isfinite(sig) and math.isfinite(noise)):
+                raise _overflow(t, sig, noise)
+            return sig, noise
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return self.terms(float(t))
+        if t.ndim != 1:
+            raise PreconditionError(f"times must be a number or a 1-D array, got shape {t.shape}")
+        if not np.all(t >= 0):
+            raise PreconditionError("times must be nonnegative")
+        sig, noise = self._terms(t)
+        bad = ~(np.isfinite(sig) & np.isfinite(noise))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _overflow(t[k], sig[k], noise[k])
         return sig, noise
 
+    def _terms(self, t):
+        """terms(t) for a float t >= 0 or a 1-D float array of them, unchecked:
+        a summand that overflows comes back inf or nan."""
+        block = isinstance(t, np.ndarray)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.path == VAN_LOAN:
+                if block:
+                    sig, noise = np.array([self._terms(s) for s in t]).reshape(-1, 2).T
+                    return sig, noise
+                e, v = _propagate(self._a, self._bbt, t)
+                sig = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
+                return sig, np.sum(self._sigma * v)
+            # For an array, d is n x K: one column per point.
+            d = np.expm1(np.multiply.outer(self._lam, t) if block else self._lam * t)
+            hmc_d = self._hmc @ d.conj()
+            n = len(d)
+            quad = hmc_d[:2 * n].reshape(2, *d.shape)
+            sig, noise = np.sum(quad * d, axis=1) if block else quad @ d
+            noise = noise + hmc_d[2 * n]
+            if self._z_near.size:
+                noise = noise + self._g_near @ _phi(self._z_near[:, None] if block else self._z_near, t)
+            return sig.real, noise.real
+
     def delta(self, t):
-        """Delta(t) = signal + noise."""
+        """Delta(t) = signal + noise, at a time t or at each time of a 1-D array t."""
         sig, noise = self.terms(t)
         return sig + noise
+
+
+def _overflow(t, sig, noise):
+    """The NumericalError for a summand of Delta that is not finite at t."""
+    return NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
 
 
 def delta_terms(a, b, weighting, moments, t):
@@ -307,7 +355,8 @@ def delta_derivatives(a, b, weighting, moments):
     """Small-time derivatives of Delta at t = 0.
 
     Returns (dot, ddot) with dot = ||F B||^2 and
-    ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T>.
+    ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T>; raises NumericalError
+    when either overflows.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -316,7 +365,10 @@ def delta_derivatives(a, b, weighting, moments):
     sigma = weighting.sigma
     bbt = b @ b.T
     dot = float(np.linalg.norm(f @ b) ** 2)
-    ddot = float(np.sum(sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ddot = float(np.sum(sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
+    if not (math.isfinite(dot) and math.isfinite(ddot)):
+        raise NumericalError(f"Delta derivatives at t = 0 are not finite: dot {dot}, ddot {ddot}")
     return dot, ddot
 
 
@@ -388,8 +440,8 @@ def compute_deviation_curve(a, b, weighting, moments, times=None):
         raise PreconditionError("time grid must be increasing and nonnegative")
     sig = np.empty(len(times))
     noise = np.empty(len(times))
-    for k, t in enumerate(times):
-        sig[k], noise[k] = evaluator.terms(t)
+    for k in range(0, len(times), _SCAN_BLOCK):
+        sig[k:k + _SCAN_BLOCK], noise[k:k + _SCAN_BLOCK] = evaluator.terms(times[k:k + _SCAN_BLOCK])
     return DeviationCurve(
         times=times,
         delta_values=sig + noise,

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from oqho_memory import cli
 
+from oracles import random_damped_realization
+
 
 def write_scenario(tmp_path, name, data):
     path = tmp_path / name
@@ -134,6 +136,7 @@ class TestCheck:
         ("delta-curve", "energy", [[1e308, 0.0], [0.0, 1e308]]),
         ("tau", "energy", [[1e308, 0.0], [0.0, 1e308]]),
         ("optimize-energy", "weight_f", [[1e200, 0.0], [0.0, 1e200]]),
+        ("optimize-energy", "energy", [[1e308, 1e308], [1e308, 1e308]]),
     ])
     def test_overflow_is_numerical_error(self, tmp_path, capsys, command, field, value):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
@@ -141,6 +144,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "numerical error:" in err
         assert "Traceback" not in err
+
+    # A realizable system passes at any scale of its energy matrix: the PR
+    # residual is rounding, bounded relative to ||A|| ||Theta|| + ||B||^2.
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    def test_scaled_realizable_system_passes(self, tmp_path, capsys, scale):
+        rng = np.random.default_rng(44)
+        params, _ = random_damped_realization(rng, 16)
+        data = single_mode_scenario(theta=params.ccr.theta.tolist(),
+                                    energy=(scale * params.energy).tolist(),
+                                    coupling=params.coupling.tolist(),
+                                    selector=params.selector.tolist(),
+                                    weight_f=np.eye(32).tolist(),
+                                    moments_p=np.eye(32).tolist())
+        path = write_scenario(tmp_path, "s.json", data)
+        assert cli.main(["check", "--scenario", path]) == 0
+        assert "check: PASS" in capsys.readouterr().out
 
     def test_usage_error_then_valid_call(self, tmp_path, capsys):
         # The parser is shared between calls; a failed parse must not spoil it.

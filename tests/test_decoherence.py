@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from oqho_memory import dynamics
+from oqho_memory import decoherence, dynamics
 from oqho_memory.decoherence import (
     CERT_CROSSING,
     CERT_DELTA_ZERO,
@@ -17,7 +17,7 @@ from oqho_memory.decoherence import (
     tau_second,
 )
 from oqho_memory.dynamics import MomentData, Weighting, delta, hurwitz_limit
-from oqho_memory.errors import PreconditionError
+from oqho_memory.errors import NumericalError, PreconditionError
 from oqho_memory.model import J2, Realization, build_realization, canonical_ccr
 
 from oracles import (
@@ -146,6 +146,51 @@ class TestDecoherenceTime:
             assert rep.delta_evaluations == ref.delta_evaluations
             assert rep.bisection_iterations == ref.bisection_iterations
             assert abs(rep.tau - ref.tau) <= 1e-12 * ref.tau
+
+    # A = 50 I, B = 0.1 I, F = P = I: Delta = 2 (x - 1)^2 + 2e-4 (x^2 - 1) with
+    # x = e^{50 t}, so Delta reaches eps ||F sqrt(P)||^2 = 2e290 at
+    # t = ln(1e290 / (1 + 1e-4)) / 100 to double precision, and overflows
+    # from t ~ 7.1 on.
+    def unstable(self):
+        w, mo = Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
+        return (50.0 * np.eye(2), 0.1 * np.eye(2)), w, mo
+
+    def test_crossing_before_overflow(self):
+        # The grid points after the crossing overflow, some in the same
+        # block as the crossing; only the crossing counts.
+        system, w, mo = self.unstable()
+        rep = decoherence_time(system, w, mo, 1e290)
+        assert rep.certificate == CERT_CROSSING
+        want = (290.0 * math.log(10.0) - math.log1p(1e-4)) / 100.0
+        assert abs(rep.tau - want) <= 1e-12 * want
+        grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
+        assert rep.delta_evaluations == int(np.sum(grid <= rep.tau)) + 1 + rep.bisection_iterations
+
+    def test_overflow_before_crossing(self):
+        # On a coarse grid the first point past the crossing is already
+        # beyond the overflow: that is a numerical error, naming the point.
+        system, w, mo = self.unstable()
+        grid = _hybrid_grid(100.0, 20)
+        t_bad = grid[grid > 6.7][0]
+        assert t_bad > 7.5
+        with pytest.raises(NumericalError, match=f"t = {t_bad:.6g}:"):
+            decoherence_time(system, w, mo, 1e290, horizon=100.0, grid_points=20)
+
+    @pytest.mark.parametrize("block", [1, 7, 10_000])
+    def test_scan_does_not_depend_on_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(43)
+        params, real = random_damped_realization(rng, 8)
+        w = Weighting(rng.standard_normal((8, 16)))
+        mo = MomentData(random_spd(rng, 16), params.ccr)
+        for system in (real, random_marginal_modes(rng, 8)):
+            ref = decoherence_time(system, w, mo, 0.05)
+            monkeypatch.setattr(decoherence, "_SCAN_BLOCK", block)
+            rep = decoherence_time(system, w, mo, 0.05)
+            monkeypatch.undo()
+            assert rep.certificate == ref.certificate == CERT_CROSSING
+            assert rep.delta_evaluations == ref.delta_evaluations
+            assert rep.bisection_iterations == ref.bisection_iterations
+            assert abs(rep.tau - ref.tau) <= 1e-14 * ref.tau
 
     def test_single_mode_against_root_finder(self):
         real, w, mo = single_mode()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oqho_memory import dynamics
 from oqho_memory.decoherence import decoherence_time, tau_hat, tau_prime, tau_second
 from oqho_memory.dynamics import (
     SPECTRAL,
@@ -421,6 +422,47 @@ class TestDeviationEvaluator:
             ev.terms(t)
             assert sum(counted) == values
 
+    # An array of times goes through one stacked product (spectral path) or a
+    # loop of _propagate (Van Loan path); either way each point must match the
+    # scalar call, which bisection uses, to rounding.
+    @pytest.mark.parametrize("kind", ["hurwitz", "marginal-gap-1e-4", "van-loan"])
+    def test_array_of_times_matches_points(self, monkeypatch, kind):
+        rng = np.random.default_rng(35)
+        params, real = random_damped_realization(rng, 16)
+        a, b = real.a, real.b
+        if kind == "marginal-gap-1e-4":
+            a, b = random_marginal_modes(rng, 16, near_gap=1e-4)
+        if kind == "van-loan":
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        w = Weighting(rng.standard_normal((16, 32)))
+        ev = DeviationEvaluator(a, b, w, MomentData(random_spd(rng, 32), params.ccr))
+        assert ev.path == (VAN_LOAN if kind == "van-loan" else SPECTRAL)
+        if kind == "marginal-gap-1e-4":
+            assert ev._z_near.size == 32 + 4
+        times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
+        sig, noise = ev.terms(times)
+        assert sig.shape == noise.shape == times.shape
+        for k, t in enumerate(times):
+            want = ev.terms(t)
+            assert abs(sig[k] - want[0]) <= 1e-14 * abs(want[0])
+            assert abs(noise[k] - want[1]) <= 1e-14 * abs(want[1])
+        np.testing.assert_array_equal(ev.delta(times), sig + noise)
+
+    def test_array_overflow_names_first_time(self):
+        # Delta grows like e^{100 t}: it overflows between t = 7 and t = 8.
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(50.0 * np.eye(2), 0.1 * np.eye(2), w, mo)
+        assert np.all(np.isfinite(ev.terms(np.arange(8.0))))
+        with pytest.raises(NumericalError, match="t = 8:"):
+            ev.terms(np.arange(12.0))
+
+    @pytest.mark.parametrize("times", [np.array([0.5, -1.0]), np.array([[0.5, 1.0]]), [np.nan]])
+    def test_bad_array_of_times_rejected(self, times):
+        a, b = single_mode_system()
+        w, mo = identity_weighting_moments()
+        with pytest.raises(PreconditionError):
+            DeviationEvaluator(a, b, w, mo).terms(times)
+
 
 # Each input breaks the single-mode system (A = -I, B = J2, F = P = I) in one
 # way; every entry point of the Delta layer must raise the typed error, not
@@ -498,6 +540,22 @@ class TestDeviationCurve:
                                    curve.signal_term + curve.noise_term, atol=1e-14)
         # The noise term integrates a PSD integrand, so it never decreases.
         assert np.all(np.diff(curve.noise_term) >= -1e-12)
+
+    def test_evaluated_in_blocks(self, monkeypatch):
+        # More than three blocks of times: the evaluator must never be handed
+        # more than one block, so memory stays O(n _SCAN_BLOCK) for any grid.
+        a, b = single_mode_system()
+        w, mo = identity_weighting_moments()
+        times = np.linspace(0.0, 5.0, 3 * dynamics._SCAN_BLOCK + 5)
+        sizes = []
+        terms = DeviationEvaluator.terms
+        monkeypatch.setattr(DeviationEvaluator, "terms",
+                            lambda self, t: sizes.append(np.size(t)) or terms(self, t))
+        curve = compute_deviation_curve(a, b, w, mo, times=times)
+        assert len(sizes) == 4
+        assert max(sizes) <= dynamics._SCAN_BLOCK
+        assert sum(sizes) == len(times)
+        np.testing.assert_allclose(curve.delta_values, closed_form_delta(times), rtol=0, atol=1e-14)
 
     def test_default_grid(self):
         times = default_time_grid(-np.eye(2))
