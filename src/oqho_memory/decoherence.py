@@ -83,13 +83,8 @@ def _system_matrices(system):
     return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
 
-def tau_prime(b, weighting, moments):
-    """Signal-to-noise-like ratio ||F sqrt(P)||^2 / ||F B||^2 (time units).
-
-    Returns +inf when F B = 0, in which case the small-eps expansion of tau
-    does not apply.  Raises NumericalError when either squared norm
-    overflows.
-    """
+def _tau_prime(b, weighting, moments):
+    """(||F sqrt(P)||^2, tau'): the threshold scale and tau' from one pass."""
     b = np.asarray(b, dtype=float)
     _check_system(moments.sqrt_p.shape[0], None, b, weighting.f)
     num = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
@@ -98,9 +93,22 @@ def tau_prime(b, weighting, moments):
     den = np.linalg.norm(weighting.f @ b) ** 2
     if not (math.isfinite(num) and math.isfinite(den)):
         raise NumericalError(f"||F sqrt(P)||^2 = {num} or ||F B||^2 = {den} overflows")
-    if den == 0.0:
-        return math.inf
-    return float(num / den)
+    return float(num), (math.inf if den == 0.0 else float(num / den))
+
+
+def tau_prime(b, weighting, moments):
+    """Signal-to-noise-like ratio ||F sqrt(P)||^2 / ||F B||^2 (time units).
+
+    Returns +inf when F B = 0, in which case the small-eps expansion of tau
+    does not apply.  Raises NumericalError when either squared norm
+    overflows.
+    """
+    return _tau_prime(b, weighting, moments)[1]
+
+
+def _tau_second(dot, ddot, tp):
+    """tau'' = -ddot(Delta) tau'^2 / dot(Delta) from delta_derivatives and tau'."""
+    return float(-ddot * tp * tp / dot)
 
 
 def tau_second(system, weighting, moments):
@@ -109,17 +117,16 @@ def tau_second(system, weighting, moments):
     dot, ddot = delta_derivatives(a, b, weighting, moments)
     if dot == 0.0:
         raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
-    tp = tau_prime(b, weighting, moments)
-    return float(-ddot * tp * tp / dot)
+    return _tau_second(dot, ddot, tau_prime(b, weighting, moments))
 
 
 def tau_hat(system, weighting, moments, epsilon):
     """Quadratic approximation tau' eps + (1/2) tau'' eps^2."""
-    _, b = _system_matrices(system)
+    a, b = _system_matrices(system)
     tp = tau_prime(b, weighting, moments)
     if not math.isfinite(tp):
         raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
-    ts = tau_second(system, weighting, moments)
+    ts = _tau_second(*delta_derivatives(a, b, weighting, moments), tp)
     return float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
 
 
@@ -154,15 +161,12 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
         raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
     evaluator = DeviationEvaluator(a, b, weighting, moments)
-    fsp = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
-    if fsp == 0.0:
-        raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
+    fsp, tp = _tau_prime(b, weighting, moments)
     threshold = float(epsilon * fsp)
-
-    tp = tau_prime(b, weighting, moments)
     expansion_valid = math.isfinite(tp)
     if expansion_valid:
-        ts = tau_second(system, weighting, moments)
+        # tau' is finite, so dot = ||F B||^2 is not zero.
+        ts = _tau_second(*delta_derivatives(a, b, weighting, moments), tp)
         th = float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
     else:
         ts = math.nan

@@ -8,26 +8,31 @@ where V(t) = int_0^t e^{sA} B Omega B^T e^{sA^T} ds is the finite-horizon
 noise Gramian and Sigma = F^T F the weighting matrix.
 
 DeviationEvaluator is the one way to evaluate Delta.  It factors
-A = U diag(lam) U^-1 once; every point then takes the n values
-d = expm1(lam t) and reads both summands as quadratic forms in d, at the
-cost of one stacked (2n + 1) x n mat-vec.  The signal term is
-Re d^T H conj(d).  The noise term <Sigma, Re V(t)>, with
-V(t) = U (Q~ o Phi(t)) U^H, Q~ = U^-1 Q U^-H and
+A = U diag(lam) U^-1 once, and both summands are quadratic forms in
+d = expm1(lam t).  The signal term is Re d^T H conj(d).  The noise term
+<Sigma, Re V(t)>, with V(t) = U (Q~ o Phi(t)) U^H, Q~ = U^-1 Q U^-H and
 Phi_ij(t) = (e^{Z_ij t} - 1) / Z_ij, Z_ij = lam_i + conj(lam_j), follows from
 e^{Z_ij t} = e_i conj(e_j) with e = 1 + d (Van Loan 1978; Moler & Van Loan
-2003).  The few near-resonant
-entries, |Z_ij| <= _NEAR_RESONANT max(|lam_i|, |lam_j|), where that form
-would cancel, take Phi_ij directly.  When A is defective or cond(U) exceeds
+2003).  The few near-resonant entries,
+|Z_ij| <= _NEAR_RESONANT max(|lam_i|, |lam_j|), where that form would cancel,
+take Phi_ij directly.  A is real, so the evaluator works in its real modal
+basis V (the real and imaginary parts of each conjugate pair of
+eigenvectors, U = V T with T unitary and block diagonal): the congruences,
+the inverse and the condition check are real n^3 work, the eigenbasis is
+reached by an O(n^2) block transform, and the forms become real n x n
+matrices in the n real numbers theta(t), Re and Im of expm1(lam t) for each
+pair and expm1(lam t) for each real eigenvalue.  A point costs one stacked
+(2n + 1) x n real mat-vec.  When A is defective or cond(U) exceeds
 _SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and V(t) from one Van
 Loan block exponential over h = t / 2^k, extended to t by k doublings, so its
 cost grows with log(t ||A||), not with t.  gramian takes the same two paths.
 
-DeviationEvaluator.terms also takes a 1-D array of K times: d is then n x K
-and one (2n + 1) x n x K matrix product reads every point, which costs less
-per point than K mat-vecs (the Van Loan path loops over the points).  The
-tau scan and compute_deviation_curve walk their grids in blocks of
-_SCAN_BLOCK times, so memory stays O(n _SCAN_BLOCK) for any grid; bisection
-evaluates one point at a time.
+DeviationEvaluator.terms also takes a 1-D array of K times: theta is then
+K x n and one real K x n x (2n + 1) matrix product reads every point, which
+costs less per point than K mat-vecs (the Van Loan path loops over the
+points).  The tau scan and compute_deviation_curve walk their grids in blocks
+of _SCAN_BLOCK times, so memory stays O(n _SCAN_BLOCK) for any grid;
+bisection evaluates one point at a time.
 """
 
 import math
@@ -107,11 +112,16 @@ class Weighting:
         if not np.all(np.isfinite(f)):
             raise ValidationError("F must be finite")
         # Full row rank: one singular value per row, none below numpy's
-        # default rank tolerance.
+        # default rank tolerance (scaled last, so it cannot overflow).
         sv = np.linalg.svd(f, compute_uv=False)
-        tol = sv.max(initial=0.0) * max(f.shape) * np.finfo(float).eps
+        tol = sv.max(initial=0.0) * (max(f.shape) * np.finfo(float).eps)
         if sv.size < f.shape[0] or np.any(sv <= tol):
             raise ValidationError("F must have full row rank")
+        # Sigma may overflow for a finite F; its users raise on the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = f.T @ f
+        f.flags.writeable = sigma.flags.writeable = False
+        object.__setattr__(self, "_sigma", sigma)
 
     @classmethod
     def from_sigma(cls, sigma, tol=1e-12):
@@ -126,7 +136,8 @@ class Weighting:
 
     @property
     def sigma(self):
-        return self.f.T @ self.f
+        """Sigma = F^T F, computed once (read-only, like F)."""
+        return self._sigma
 
     @property
     def s(self):
@@ -195,18 +206,61 @@ def _check_system(n, a, b, f=None):
         raise ValidationError("A and B must be finite")
 
 
-def _eigenbasis(a):
-    """(lam, U, U^-1, Z) with A = U diag(lam) U^-1 and Z_ij = lam_i + conj(lam_j).
+# U = V T relates the complex eigenbasis to the real modal basis V of
+# _modal_basis.  T is block diagonal: _PAIR_T / sqrt(2), which is unitary, on
+# each conjugate pair and 1 on each real eigenvalue.
+_PAIR_T = np.array([[1.0, 1.0], [1j, -1j]])
+_PAIR_T_UNITARY = math.sqrt(0.5) * _PAIR_T
 
-    None when A is defective or cond(U) exceeds _SPECTRAL_COND_LIMIT.
+
+def _modal_basis(a):
+    """(lam, k, V, V^-1): the real modal basis of A, or None.
+
+    np.linalg.eig (LAPACK dgeev) lists each conjugate pair next to each
+    other, Im lam > 0 first, with conjugate eigenvectors.  lam is reordered
+    so that the k pairs come first, (lam, conj(lam)) each, then the real
+    eigenvalues.  V has columns sqrt(2) Re u and sqrt(2) Im u for a pair's
+    eigenvector u, and u for a real eigenvalue, so U = V T with T unitary
+    (see _PAIR_T): cond_2(V) = cond_2(U), and every n^3 product in this basis
+    is real.  None when A is defective or cond(U) exceeds
+    _SPECTRAL_COND_LIMIT.
     """
     try:
         lam, u = np.linalg.eig(a)
     except np.linalg.LinAlgError:
         return None
-    if not np.linalg.cond(u) <= _SPECTRAL_COND_LIMIT:
+    pairs, reals = np.flatnonzero(lam.imag > 0), np.flatnonzero(lam.imag == 0)
+    k = len(pairs)
+    v = np.empty(u.shape)
+    v[:, 0:2 * k:2] = u[:, pairs].real
+    v[:, 1:2 * k:2] = u[:, pairs].imag
+    v[:, :2 * k] *= math.sqrt(2.0)
+    v[:, 2 * k:] = u[:, reals].real
+    if not np.linalg.cond(v) <= _SPECTRAL_COND_LIMIT:
         return None
-    return lam, u, np.linalg.inv(u), lam[:, None] + lam.conj()[None, :]
+    lam = np.concatenate([np.stack([lam[pairs], lam[pairs].conj()], axis=1).ravel(), lam[reals]])
+    return lam, k, v, np.linalg.inv(v)
+
+
+def _pair_rows(x, k, m):
+    """L x for L block diagonal: the 2 x 2 block m on rows (2j, 2j + 1) for
+    each of the k pairs, 1 on the rows after them.  O(n^2) for an n x n x."""
+    y = x.astype(complex)
+    top, bottom = x[0:2 * k:2], x[1:2 * k:2]
+    y[0:2 * k:2] = m[0, 0] * top + m[0, 1] * bottom
+    y[1:2 * k:2] = m[1, 0] * top + m[1, 1] * bottom
+    return y
+
+
+def _pair_congruence(x, k, m):
+    """L x L^H for the L of _pair_rows."""
+    return _pair_rows(_pair_rows(x, k, m).T, k, m.conj()).T
+
+
+def _to_eigenbasis(x, k):
+    """T^H x T: a matrix congruent through V (V^T x V or V^-1 x V^-T) taken on
+    to the eigenbasis U = V T."""
+    return _pair_congruence(x, k, _PAIR_T_UNITARY.conj().T)
 
 
 def _phi(z, t):
@@ -223,14 +277,17 @@ def gramian(a, b, t):
         raise PreconditionError(f"time must be nonnegative, got {t}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-    m = b.shape[1]
-    q = b @ (np.eye(m) + 1j * ito_j(m)) @ b.T
-    basis = _eigenbasis(a)
+    # Q = B (I + i J) B^T, kept as its real and imaginary parts.
+    q_re, q_im = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
+    basis = _modal_basis(a)
     if basis is None:
-        v = _propagate(a, q.real, t)[1] + 1j * _propagate(a, q.imag, t)[1]
+        v = _propagate(a, q_re, t)[1] + 1j * _propagate(a, q_im, t)[1]
     else:
-        _, u, u_inv, z = basis
-        v = u @ ((u_inv @ q @ u_inv.conj().T) * _phi(z, t)) @ u.conj().T
+        # V(t) = U (Q~ o Phi(t)) U^H with Q~ = U^-1 Q U^-H, U = V T.
+        lam, k, w, w_inv = basis
+        q_t = _to_eigenbasis(w_inv @ q_re @ w_inv.T + 1j * (w_inv @ q_im @ w_inv.T), k)
+        y = _pair_congruence(q_t * _phi(lam[:, None] + lam.conj()[None, :], t), k, _PAIR_T_UNITARY)
+        v = w @ y.real @ w.T + 1j * (w @ y.imag @ w.T)
     return 0.5 * (v + v.conj().T)
 
 
@@ -246,13 +303,26 @@ class DeviationEvaluator:
 
     with H = S^T o (U^-1 P U^-H), M = G / Z, G = S^T o (U^-1 B B^T U^-H) and
     c = conj(M 1) + M^T 1.  The noise form follows from
-    e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j), so a point costs n
-    expm1 calls and one mat-vec with the stacked rows [H; M; c^T], and K
-    points one product with an n x K matrix of d.  Where Z_ij is near
+    e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j).  Where Z_ij is near
     resonant, |Z_ij| <= _NEAR_RESONANT * max(|lam_i|, |lam_j|) (Z = 0
-    included), the form would cancel to ~eps / _NEAR_RESONANT relative, so M is zero there
-    and those few entries add Re G_ij _phi(Z_ij, t) directly.  On the Van
-    Loan path each point takes one _propagate.  path names the one taken.
+    included), the form would cancel to ~eps / _NEAR_RESONANT relative, so M
+    is zero there and those few entries add Re G_ij _phi(Z_ij, t) directly.
+
+    A is real, so the forms are evaluated in real arithmetic.  The congruences
+    run through the real modal basis V of _modal_basis and reach the
+    eigenbasis by an O(n^2) block transform.  d is linear in n real numbers
+    theta: for a pair lam = alpha +- i beta, d_k and d_{k+1} = x +- i y with
+
+        x = Re expm1(lam t) = expm1(alpha t) cos(beta t) - 2 sin^2(beta t / 2),
+        y = Im expm1(lam t) = e^{alpha t} sin(beta t),
+
+    and d_j = expm1(lam_j t) for a real lam_j.  So the forms become the real
+    n x n matrices H_theta = Re T H T^H and M_theta = Re T M T^H and the real
+    vector c_theta = Re conj(T) c (T = _PAIR_T per pair), stacked once as
+    [H_theta; M_theta; c_theta^T].  A point costs one expm1 value per pair and
+    per real eigenvalue and one real mat-vec; K points one real
+    K x n x (2n + 1) product.  On the Van Loan path each point takes one
+    _propagate.  path names the one taken.
     """
 
     def __init__(self, a, b, weighting, moments):
@@ -261,19 +331,28 @@ class DeviationEvaluator:
         _check_system(moments.p.shape[0], a, b, weighting.f)
         self._a, self._bbt = a, b @ b.T
         self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
-        basis = _eigenbasis(a)
+        basis = _modal_basis(a)
         self.path = VAN_LOAN if basis is None else SPECTRAL
         if basis is None:
             return
-        lam, u, u_inv, z = basis
-        s_t = (u.conj().T @ self._sigma @ u).T
-        g = s_t * (u_inv @ self._bbt @ u_inv.conj().T)
-        scale = np.abs(lam)
-        near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
-        m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
-        self._lam = lam
-        c = m.sum(axis=1).conj() + m.sum(axis=0)
-        self._hmc = np.vstack([s_t * (u_inv @ moments.p @ u_inv.conj().T), m, c])
+        lam, k, v, v_inv = basis
+        # A sum or product that overflows here makes every point non-finite,
+        # which terms reports as a NumericalError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = lam[:, None] + lam.conj()[None, :]
+            s_t = _to_eigenbasis(v.T @ self._sigma @ v, k).T
+            g = s_t * _to_eigenbasis(v_inv @ self._bbt @ v_inv.T, k)
+            h = s_t * _to_eigenbasis(v_inv @ moments.p @ v_inv.T, k)
+            scale = np.abs(lam)
+            near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
+            m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
+            c = m.sum(axis=1).conj() + m.sum(axis=0)
+            self._hmc = np.vstack([_pair_congruence(h, k, _PAIR_T).real,
+                                   _pair_congruence(m, k, _PAIR_T).real,
+                                   _pair_rows(c, k, _PAIR_T.conj()).real])
+        # One mode per pair (Im lam > 0) and per real eigenvalue.
+        self._modes = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).astype(complex)
+        self._half_freq = 0.5 * self._modes.imag[:k]
         self._g_near, self._z_near = g[near], z[near]
 
     def terms(self, t):
@@ -316,16 +395,48 @@ class DeviationEvaluator:
                 e, v = _propagate(self._a, self._bbt, t)
                 sig = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
                 return sig, np.sum(self._sigma * v)
-            # For an array, d is n x K: one column per point.
-            d = np.expm1(np.multiply.outer(self._lam, t) if block else self._lam * t)
-            hmc_d = self._hmc @ d.conj()
-            n = len(d)
-            quad = hmc_d[:2 * n].reshape(2, *d.shape)
-            sig, noise = np.sum(quad * d, axis=1) if block else quad @ d
-            noise = noise + hmc_d[2 * n]
+            # For an array, theta is K x n: one row per point.
+            theta = self._modal_values(t)
+            n = theta.shape[-1]
+            if block:
+                prod = theta @ self._hmc.T
+                sig, noise = np.einsum("kjn,kn->jk", prod[:, :2 * n].reshape(-1, 2, n), theta)
+                noise = noise + prod[:, 2 * n]
+            else:
+                prod = self._hmc @ theta
+                sig, noise = prod[:2 * n].reshape(2, n) @ theta
+                noise = noise + prod[2 * n]
             if self._z_near.size:
-                noise = noise + self._g_near @ _phi(self._z_near[:, None] if block else self._z_near, t)
-            return sig.real, noise.real
+                near = self._g_near @ _phi(self._z_near[:, None] if block else self._z_near, t)
+                noise = noise + near.real
+            return sig, noise
+
+    def _modal_values(self, t):
+        """theta(t) = [x_1, y_1, ..., x_k, y_k, then expm1(lam_j t) for each
+        real lam_j]: an n-vector for a float t, K x n for an array of K times.
+
+        One point takes numpy's complex expm1 of the modes, which computes x
+        and y by the formulas of the class docstring and costs least at this
+        size.  A block takes them from real expm1, sin and cos, which numpy
+        vectorizes, with sin(beta t) = 2 s c and cos(beta t) = 1 - 2 s^2 for
+        s, c = sin, cos(beta t / 2): x = expm1(alpha t) - 2 s^2 e^{alpha t}.
+        """
+        k = len(self._half_freq)
+        if not isinstance(t, np.ndarray):
+            d = np.expm1(self._modes * t)
+            return d.view(float) if k == len(d) else np.concatenate([d[:k].view(float), d[k:].real])
+        e = np.expm1(np.multiply.outer(t, self._modes.real))
+        half = np.multiply.outer(t, self._half_freq)
+        s, c = np.sin(half), np.cos(half)
+        theta = np.empty((len(t), self._hmc.shape[1]))
+        w = e[:, :k] + 1.0
+        w *= s
+        w += w  # 2 s e^{alpha t}
+        np.multiply(c, w, out=theta[:, 1:2 * k:2])
+        w *= s
+        np.subtract(e[:, :k], w, out=theta[:, 0:2 * k:2])
+        theta[:, 2 * k:] = e[:, k:]
+        return theta
 
     def delta(self, t):
         """Delta(t) = signal + noise, at a time t or at each time of a 1-D array t."""
@@ -407,7 +518,8 @@ def asymptotic_rate(a, b, tol=1e-7):
 
 def time_scale(a):
     """1 / max(||A||_F, 1); raises NumericalError when ||A||_F overflows."""
-    norm = np.linalg.norm(np.asarray(a, dtype=float))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(np.asarray(a, dtype=float))
     if not math.isfinite(norm):
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
     return 1.0 / max(norm, 1.0)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -125,6 +126,22 @@ class TestDecoherenceTime:
         assert rep.bisection_iterations > 0
         assert rep.delta_evaluations == scanned + rep.bisection_iterations
         assert rep.delta_path == dynamics.SPECTRAL
+
+    # One tau takes ||F sqrt(P)||^2 and tau' from one _tau_prime pass and the
+    # derivatives at t = 0 from one delta_derivatives call; so does tau_hat.
+    def test_one_expansion_pass(self, monkeypatch):
+        real, w, mo = single_mode()
+        calls = collections.Counter()
+        for name in ("_tau_prime", "delta_derivatives"):
+            original = getattr(decoherence, name)
+            monkeypatch.setattr(decoherence, name,
+                                lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+        rep = decoherence_time(real, w, mo, 0.01)
+        assert calls == {"_tau_prime": 1, "delta_derivatives": 1}
+        calls.clear()
+        assert tau_hat(real, w, mo, 0.01) == rep.tau_hat
+        assert calls == {"_tau_prime": 1, "delta_derivatives": 1}
+        assert (rep.tau_prime, rep.tau_second) == (tau_prime(real.b, w, mo), tau_second(real, w, mo))
 
     def test_same_scan_as_van_loan(self, monkeypatch):
         # The spectral path must reproduce the Van Loan scan: the same first

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,6 +66,24 @@ def van_loan_terms(a, b, w, mo, t):
     return np.linalg.norm(w.f @ (e - np.eye(len(a))) @ mo.sqrt_p) ** 2, np.sum(w.sigma * v)
 
 
+def modal_system(rng, n, pairs, zero=False, b_scale=0.3):
+    """(A, B) of order n: A similar, through T near the identity, to `pairs`
+    decaying rotations and n - 2 * pairs distinct negative real eigenvalues.
+
+    With zero, the last real eigenvalue is replaced by an exact 0: A gets a
+    zero last column, which LAPACK's balancing isolates.
+    """
+    blocks = [-(0.3 + 0.1 * k) * np.eye(2) + (1.0 + k) * J2 for k in range(pairs)]
+    reals = n - 2 * pairs - bool(zero)
+    d = scipy.linalg.block_diag(*blocks, np.diag(-1.0 - 0.5 * np.arange(reals)))
+    t = np.eye(len(d)) + 0.1 / np.sqrt(n) * rng.standard_normal(d.shape)
+    a = t @ d @ np.linalg.inv(t)
+    if zero:
+        a = scipy.linalg.block_diag(a, 0.0)
+        a[-1, :-1] = rng.standard_normal(n - 1)
+    return a, b_scale * rng.standard_normal((n, 2))
+
+
 class TestMomentData:
     def test_heisenberg_violation_rejected(self):
         # P = 0.1 I is dominated by Theta = J2/2: P + i Theta indefinite.
@@ -103,6 +123,29 @@ class TestWeighting:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValidationError):
             Weighting(np.zeros((2, 3)))
+
+    # The rank tolerance is scaled so that it cannot overflow: full-row-rank
+    # factors near the overflow threshold are accepted without a warning
+    # (Sigma overflows to inf, which its users reject), and a rank-deficient
+    # one there is still rejected.
+    @pytest.mark.parametrize("f", [[[1e308, 1e308]], np.diag([1e308, 1e308])], ids=["row", "diagonal"])
+    def test_full_rank_near_overflow_accepted(self, f):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Weighting(f).s == len(f)
+
+    def test_rank_deficient_near_overflow_rejected(self):
+        with warnings.catch_warnings(), pytest.raises(ValidationError, match="full row rank"):
+            warnings.simplefilter("error")
+            Weighting([[1e308, 1e308], [5e307, 5e307]])
+
+    def test_sigma_is_computed_once_and_read_only(self):
+        w = Weighting(np.eye(2, 3))
+        assert w.sigma is w.sigma
+        with pytest.raises(ValueError):
+            w.sigma[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            w.f[0, 0] = 2.0
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, entry):
@@ -331,21 +374,31 @@ class TestDeviationEvaluator:
     # near_gap is the relative frequency gap of a near-degenerate pair: 1e-4
     # is below _NEAR_RESONANT, so its four off-diagonal Z entries join the
     # diagonal on the _phi route; 1e-2 is above, so they stay in the form.
+    # The last three kinds reach the real modal basis with real eigenvalues:
+    # all of them (numpy's eig is then real), mixed with conjugate pairs, and
+    # an exact zero eigenvalue, whose diagonal Z entry takes _phi.
     @pytest.mark.parametrize("kind, near_gap, phi_entries", [
         ("hurwitz", None, lambda n: 0),
         ("marginal", None, lambda n: n),
         ("marginal", 1e-4, lambda n: n + 4),
         ("marginal", 1e-2, lambda n: n),
-    ], ids=["hurwitz", "marginal", "marginal-gap-1e-4", "marginal-gap-1e-2"])
+        ("real", None, lambda n: 0),
+        ("mixed", None, lambda n: 0),
+        ("zero-eigenvalue", None, lambda n: 1),
+    ], ids=["hurwitz", "marginal", "marginal-gap-1e-4", "marginal-gap-1e-2", "real", "mixed",
+            "zero-eigenvalue"])
     @pytest.mark.parametrize("nu", [4, 16])
     def test_agrees_with_van_loan(self, kind, near_gap, phi_entries, nu):
         rng = np.random.default_rng(32 + nu)
         params, real = random_damped_realization(rng, nu)
+        n = 2 * nu
         if kind == "hurwitz":
             a, b = real.a, real.b
-        else:
+        elif kind == "marginal":
             a, b = random_marginal_modes(rng, nu, near_gap=near_gap)
-        n = 2 * nu
+        else:
+            a, b = modal_system(rng, n, 0 if kind == "real" else nu // 2, zero=kind == "zero-eigenvalue")
+            assert (np.linalg.eigvals(a).dtype == float) == (kind == "real")
         w = Weighting(rng.standard_normal((nu, n)))
         mo = MomentData(random_spd(rng, n), params.ccr)
         ev = DeviationEvaluator(a, b, w, mo)
@@ -354,6 +407,25 @@ class TestDeviationEvaluator:
         for t in np.geomspace(1e-6, 1e4, 21):
             want = sum(van_loan_terms(a, b, w, mo, t))
             assert abs(ev.delta(t) - want) <= 1e-10 * want
+
+    # cond_2 of the real modal basis equals cond_2(U), so the spectral/Van
+    # Loan decision is the one cond(U) would make, on both sides of the limit.
+    @pytest.mark.parametrize("cond", [10.0, 500.0, 2000.0, 1e5])
+    def test_path_decided_by_eigenvector_condition(self, cond):
+        rng = np.random.default_rng(36)
+        n = 12
+        d = scipy.linalg.block_diag(*[-0.5 * np.eye(2) + (1.0 + k) * J2 for k in range(4)],
+                                    np.diag([-1.0, -2.0, -3.0, -4.0]))
+        q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        t = q1 @ np.diag(np.geomspace(1.0, cond, n)) @ q2.T
+        a = t @ d @ np.linalg.inv(t)
+        cond_u = np.linalg.cond(np.linalg.eig(a)[1])
+        spectral = cond_u <= dynamics._SPECTRAL_COND_LIMIT
+        assert spectral == (cond < 1e3)
+        if spectral:
+            assert abs(np.linalg.cond(dynamics._modal_basis(a)[2]) / cond_u - 1.0) <= 1e-12
+        w, mo = identity_weighting_moments(n, canonical_ccr(n // 2))
+        assert DeviationEvaluator(a, rng.standard_normal((n, 2)), w, mo).path == (SPECTRAL if spectral else VAN_LOAN)
 
     def test_jordan_block_takes_van_loan(self):
         # e^{tA} = e^{-t} [[1, t], [0, 1]]; with B = F = P = I the noise term
@@ -397,13 +469,27 @@ class TestDeviationEvaluator:
         with pytest.raises(PreconditionError):
             DeviationEvaluator(a, b, w, mo).terms(-1.0)
 
-    # Each point takes n expm1 values d = expm1(lam t), plus one per
-    # near-resonant entry: the diagonal when the spectrum is imaginary, and
-    # four more for a near-degenerate pair.  O(n^2) calls would fail here.
+    def test_overflowing_frequency_sum_is_silent(self):
+        # A = 1e308 J2: Z = +-2e308 i overflows off the diagonal, so M is 0
+        # there, yet Delta stays finite: e^{tA} is a rotation by 1e308 t, so
+        # signal = ||e^{tA} - I||_F^2 = 4 - 4 cos(1e308 t) lies in [0, 8] (the
+        # angle itself is lost to rounding) and noise = ||J2||_F^2 t = 2 t.
+        # The set-up must not leak numpy's overflow warning.
+        w, mo = identity_weighting_moments()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig, noise = DeviationEvaluator(1e308 * J2, J2, w, mo).terms(1.0)
+        assert 0.0 <= sig <= 8.0
+        assert abs(noise - 2.0) <= 1e-12
+
+    # Each point takes one expm1 value per conjugate pair of eigenvalues (all
+    # 16 are pairs here) and per real one, plus one per near-resonant entry:
+    # the diagonal when the spectrum is imaginary, and four more for a
+    # near-degenerate pair.  O(n^2) calls, or one per eigenvalue, would fail.
     @pytest.mark.parametrize("kind, values", [
-        ("hurwitz", 32),
-        ("marginal", 32 + 32),
-        ("near-degenerate", 32 + 32 + 4),
+        ("hurwitz", 16),
+        ("marginal", 16 + 32),
+        ("near-degenerate", 16 + 32 + 4),
     ])
     def test_expm1_values_per_point(self, monkeypatch, kind, values):
         rng = np.random.default_rng(34)
@@ -425,13 +511,15 @@ class TestDeviationEvaluator:
     # An array of times goes through one stacked product (spectral path) or a
     # loop of _propagate (Van Loan path); either way each point must match the
     # scalar call, which bisection uses, to rounding.
-    @pytest.mark.parametrize("kind", ["hurwitz", "marginal-gap-1e-4", "van-loan"])
+    @pytest.mark.parametrize("kind", ["hurwitz", "marginal-gap-1e-4", "mixed", "van-loan"])
     def test_array_of_times_matches_points(self, monkeypatch, kind):
         rng = np.random.default_rng(35)
         params, real = random_damped_realization(rng, 16)
         a, b = real.a, real.b
         if kind == "marginal-gap-1e-4":
             a, b = random_marginal_modes(rng, 16, near_gap=1e-4)
+        if kind == "mixed":
+            a, b = modal_system(rng, 32, 8, zero=True)
         if kind == "van-loan":
             monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
         w = Weighting(rng.standard_normal((16, 32)))
