@@ -213,7 +213,8 @@ def cmd_check(scenario, args):
     print(f"min eig(P + iTheta): {_fmt(pi_min)}")
     # The rounding error of A Theta + Theta A^T + B J B^T grows with the size
     # of its terms, so --tolerance bounds the residual relative to it.
-    scale = np.linalg.norm(real.a) * np.linalg.norm(theta.theta) + np.linalg.norm(real.b) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(real.a) * np.linalg.norm(theta.theta) + np.linalg.norm(real.b) ** 2
     if not (math.isfinite(pr) and math.isfinite(scale)):
         raise NumericalError(f"PR residual {pr} or its scale {scale} is not finite")
     tol = args.tolerance if args.tolerance is not None else 1e-10

@@ -4,14 +4,14 @@ tau(eps) is the first time the deviation Delta(t) exceeds the relative
 threshold eps * ||F sqrt(P)||^2 (inf over an empty set is +inf).  tau is
 located by a dense grid scan followed by bisection of the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
-Delta.  Scan and bisection share one dynamics.DeviationEvaluator, so A is
-factored once per tau and each point costs O(n^2) on its spectral path (the
-Van Loan path when A is defective or its eigenvectors ill-conditioned).  The
-scan evaluates the grid in blocks of _SCAN_BLOCK points, one matrix product
-per block, and stops at the first block that holds a point above the
-threshold; bisection evaluates one point at a time.  The report names the
-path and counts the Delta evaluations up to the crossing.  The expansion
-coefficients are
+Delta.  Scan, bisection and the t -> inf limit behind the Hurwitz
+certificate share one dynamics.DeviationEvaluator, so A is factored once per
+tau and each point costs O(n^2) on its spectral path (the Van Loan path when
+A is defective or its eigenvectors ill-conditioned).  The scan evaluates
+the grid in blocks of _SCAN_BLOCK points, one matrix product per block, and
+stops at the first block that holds a point above the threshold; bisection
+evaluates one point at a time.  The report names the path and counts the
+Delta evaluations up to the crossing.  The expansion coefficients are
 
     tau'  = ||F sqrt(P)||^2 / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -30,11 +30,9 @@ from .dynamics import (
     _check_system,
     _overflow,
     delta_derivatives,
-    hurwitz_limit,
     time_scale,
 )
 from .errors import NumericalError, PreconditionError
-from .model import HURWITZ, classify_spectrum
 
 __all__ = [
     "DecoherenceReport",
@@ -85,8 +83,7 @@ def _system_matrices(system):
 
 def _tau_prime(b, weighting, moments):
     """(||F sqrt(P)||^2, tau'): the threshold scale and tau' from one pass."""
-    b = np.asarray(b, dtype=float)
-    _check_system(moments.sqrt_p.shape[0], None, b, weighting.f)
+    _, b = _check_system(moments.sqrt_p.shape[0], None, b, weighting.f)
     num = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
     if num == 0.0:
         raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
@@ -216,10 +213,11 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if bracket is None:
         if max_delta == 0.0 and np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:
             return make_report(math.inf, CERT_DELTA_ZERO, scanned, 0)
-        if classify_spectrum(a).category == HURWITZ:
-            if hurwitz_limit(a, b, weighting, moments) <= threshold:
-                return make_report(math.inf, CERT_HURWITZ, scanned, 0)
-        return make_report(math.inf, CERT_INCONCLUSIVE, scanned, 0)
+        try:
+            below = evaluator.hurwitz_limit() <= threshold
+        except PreconditionError:  # A is not Hurwitz
+            below = False
+        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, scanned, 0)
 
     lo, hi = bracket
     iters = 0

@@ -63,6 +63,7 @@ def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
     return ddot_delta_of_state(real.a, real.b, weighting, moments)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # solve_sylvester rejects a non-finite K
 def k_matrix(ccr, weighting, b, a_tilde, moments):
     """Constant term of the stationarity equation (symmetric by construction)."""
     theta = ccr.theta
@@ -85,6 +86,7 @@ def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
     return -4.0 * _sym(theta @ sigma @ (b @ b.T + 2.0 * a @ moments.p))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # solve_sylvester rejects a non-finite S
 def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     """Energy matrix maximizing the quadratic decoherence-time approximation.
 

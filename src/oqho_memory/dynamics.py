@@ -26,6 +26,8 @@ pair and expm1(lam t) for each real eigenvalue.  A point costs one stacked
 _SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and V(t) from one Van
 Loan block exponential over h = t / 2^k, extended to t by k doublings, so its
 cost grows with log(t ||A||), not with t.  gramian takes the same two paths.
+The t -> inf limits come from the same eigenbasis: Phi(inf) = -1 / Z gives
+DeviationEvaluator.hurwitz_limit, the diagonal of Q~ asymptotic_rate.
 
 DeviationEvaluator.terms also takes a 1-D array of K times: theta is then
 K x n and one real K x n x (2n + 1) matrix product reads every point, which
@@ -47,8 +49,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .model import HURWITZ, classify_spectrum, ito_j
-from .numerics import eig_real, matrix_exp, solve_lyapunov, sqrt_psd
+from .model import _SPECTRAL_TOL, ito_j
+from .numerics import matrix_exp, solve_lyapunov, sqrt_psd
 
 __all__ = [
     "MomentData",
@@ -59,7 +61,6 @@ __all__ = [
     "VAN_LOAN",
     "gramian",
     "delta",
-    "delta_terms",
     "delta_derivatives",
     "hurwitz_limit",
     "asymptotic_rate",
@@ -76,6 +77,7 @@ class MomentData:
     p: np.ndarray
     ccr: "CcrMatrix"
 
+    @np.errstate(over="ignore", invalid="ignore")  # huge finite P: no RuntimeWarning
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
         object.__setattr__(self, "p", p)
@@ -193,9 +195,11 @@ VAN_LOAN = "van_loan"
 
 
 def _check_system(n, a, b, f=None):
-    """DimensionError unless A is n x n, B is a matrix with n rows and F has n
-    columns; ValidationError unless A and B are finite.  A or F given as None
-    is not checked.  O(n^2), so cheap beside any use of the system."""
+    """(A, B) as float arrays; DimensionError unless A is n x n, B is an n-row
+    matrix and F has n columns, ValidationError unless A and B are finite.  A
+    or F given as None is not checked.  O(n^2), cheap beside any use of them."""
+    a = None if a is None else np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a is not None and a.shape != (n, n):
         raise DimensionError(f"A shape {a.shape} does not match the system order {n}")
     if b.ndim != 2 or b.shape[0] != n:
@@ -204,6 +208,7 @@ def _check_system(n, a, b, f=None):
         raise DimensionError(f"F has {f.shape[1]} columns but the system order is {n}")
     if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
         raise ValidationError("A and B must be finite")
+    return a, b
 
 
 # U = V T relates the complex eigenbasis to the real modal basis V of
@@ -214,7 +219,7 @@ _PAIR_T_UNITARY = math.sqrt(0.5) * _PAIR_T
 
 
 def _modal_basis(a):
-    """(lam, k, V, V^-1): the real modal basis of A, or None.
+    """(lam, basis): the eigenvalues of A and its real modal basis (k, V, V^-1).
 
     np.linalg.eig (LAPACK dgeev) lists each conjugate pair next to each
     other, Im lam > 0 first, with conjugate eigenvectors.  lam is reordered
@@ -222,13 +227,13 @@ def _modal_basis(a):
     eigenvalues.  V has columns sqrt(2) Re u and sqrt(2) Im u for a pair's
     eigenvector u, and u for a real eigenvalue, so U = V T with T unitary
     (see _PAIR_T): cond_2(V) = cond_2(U), and every n^3 product in this basis
-    is real.  None when A is defective or cond(U) exceeds
-    _SPECTRAL_COND_LIMIT.
+    is real.  basis is None (lam in LAPACK order) when A is defective or
+    cond(U) exceeds _SPECTRAL_COND_LIMIT.  NumericalError if eig fails.
     """
     try:
         lam, u = np.linalg.eig(a)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalues of A did not converge: {exc}") from None
     pairs, reals = np.flatnonzero(lam.imag > 0), np.flatnonzero(lam.imag == 0)
     k = len(pairs)
     v = np.empty(u.shape)
@@ -237,9 +242,9 @@ def _modal_basis(a):
     v[:, :2 * k] *= math.sqrt(2.0)
     v[:, 2 * k:] = u[:, reals].real
     if not np.linalg.cond(v) <= _SPECTRAL_COND_LIMIT:
-        return None
+        return lam, None
     lam = np.concatenate([np.stack([lam[pairs], lam[pairs].conj()], axis=1).ravel(), lam[reals]])
-    return lam, k, v, np.linalg.inv(v)
+    return lam, (k, v, np.linalg.inv(v))
 
 
 def _pair_rows(x, k, m):
@@ -269,25 +274,37 @@ def _phi(z, t):
     return np.where(zero, t, np.expm1(z * t) / np.where(zero, 1.0, z))
 
 
+def _noise_system(a, b):
+    """(A, Q, lam, basis): A from _check_system, Q = B (I + i J) B^T as
+    (Re Q, Im Q), and lam and basis from _modal_basis."""
+    a, b = _check_system(len(a) if np.ndim(a) else 0, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
+    return (a, q) + _modal_basis(a)
+
+
+def _modal_congruence(basis, q, weight):
+    """U (Q~ o weight) U^H with Q~ = U^-1 Q U^-H, for U = V T and the real
+    modal basis (k, V, V^-1) of _modal_basis; Q = q[0] + i q[1]."""
+    k, v, v_inv = basis
+    q_t = _to_eigenbasis(v_inv @ q[0] @ v_inv.T + 1j * (v_inv @ q[1] @ v_inv.T), k)
+    y = _pair_congruence(q_t * weight, k, _PAIR_T_UNITARY)
+    return v @ y.real @ v.T + 1j * (v @ y.imag @ v.T)
+
+
 def gramian(a, b, t):
-    """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if t < 0:
+    """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega));
+    raises NumericalError when V(t) is not finite."""
+    a, q, lam, basis = _noise_system(a, b)
+    if not t >= 0:
         raise PreconditionError(f"time must be nonnegative, got {t}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-    # Q = B (I + i J) B^T, kept as its real and imaginary parts.
-    q_re, q_im = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
-    basis = _modal_basis(a)
-    if basis is None:
-        v = _propagate(a, q_re, t)[1] + 1j * _propagate(a, q_im, t)[1]
-    else:
-        # V(t) = U (Q~ o Phi(t)) U^H with Q~ = U^-1 Q U^-H, U = V T.
-        lam, k, w, w_inv = basis
-        q_t = _to_eigenbasis(w_inv @ q_re @ w_inv.T + 1j * (w_inv @ q_im @ w_inv.T), k)
-        y = _pair_congruence(q_t * _phi(lam[:, None] + lam.conj()[None, :], t), k, _PAIR_T_UNITARY)
-        v = w @ y.real @ w.T + 1j * (w @ y.imag @ w.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if basis is None:
+            v = _propagate(a, q[0], t)[1] + 1j * _propagate(a, q[1], t)[1]
+        else:
+            v = _modal_congruence(basis, q, _phi(lam[:, None] + lam.conj()[None, :], t))
+    if not np.all(np.isfinite(v)):
+        raise NumericalError(f"noise Gramian not finite at t = {t:.6g}")
     return 0.5 * (v + v.conj().T)
 
 
@@ -326,16 +343,15 @@ class DeviationEvaluator:
     """
 
     def __init__(self, a, b, weighting, moments):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        _check_system(moments.p.shape[0], a, b, weighting.f)
-        self._a, self._bbt = a, b @ b.T
+        a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
+        self._a, self._bbt, self._p = a, b @ b.T, moments.p
         self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
-        basis = _modal_basis(a)
+        lam, basis = _modal_basis(a)
+        self._lam = lam
         self.path = VAN_LOAN if basis is None else SPECTRAL
         if basis is None:
             return
-        lam, k, v, v_inv = basis
+        k, v, v_inv = basis
         # A sum or product that overflows here makes every point non-finite,
         # which terms reports as a NumericalError.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -353,7 +369,7 @@ class DeviationEvaluator:
         # One mode per pair (Im lam > 0) and per real eigenvalue.
         self._modes = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).astype(complex)
         self._half_freq = 0.5 * self._modes.imag[:k]
-        self._g_near, self._z_near = g[near], z[near]
+        self._m, self._g_near, self._z_near = m, g[near], z[near]
 
     def terms(self, t):
         """(signal, noise) at a time t, or two arrays of them for a 1-D array t.
@@ -443,18 +459,31 @@ class DeviationEvaluator:
         sig, noise = self.terms(t)
         return sig + noise
 
+    def hurwitz_limit(self):
+        """lim Delta(t) as t -> inf: <Sigma, P + P_inf>, A P_inf + P_inf A^T + B B^T = 0.
+
+        An O(n^2) read of M and the near terms on the spectral path, a
+        Lyapunov solve on the Van Loan path.  PreconditionError unless every
+        Re lam < -_SPECTRAL_TOL (classify_spectrum's Hurwitz test),
+        NumericalError when the limit overflows.
+        """
+        re_max = self._lam.real.max()
+        if not re_max < -_SPECTRAL_TOL:
+            raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {re_max:.3e}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.path == VAN_LOAN:
+                limit = np.sum(self._sigma * (self._p + solve_lyapunov(self._a, self._bbt)))
+            else:
+                noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
+                limit = np.sum(self._sigma * self._p) + noise
+        if not math.isfinite(limit):
+            raise NumericalError(f"the t -> inf limit of Delta is not finite: {limit}")
+        return float(limit)
+
 
 def _overflow(t, sig, noise):
     """The NumericalError for a summand of Delta that is not finite at t."""
     return NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
-
-
-def delta_terms(a, b, weighting, moments, t):
-    """(signal, noise) summands of the deviation functional at time t.
-
-    Raises NumericalError when either summand overflows.
-    """
-    return DeviationEvaluator(a, b, weighting, moments).terms(t)
 
 
 def delta(a, b, weighting, moments, t):
@@ -469,9 +498,7 @@ def delta_derivatives(a, b, weighting, moments):
     ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T>; raises NumericalError
     when either overflows.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_system(moments.p.shape[0], a, b, weighting.f)
+    a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
     f = weighting.f
     sigma = weighting.sigma
     bbt = b @ b.T
@@ -485,34 +512,26 @@ def delta_derivatives(a, b, weighting, moments):
 
 def hurwitz_limit(a, b, weighting, moments):
     """Infinite-horizon value ||F sqrt(P + P_inf)||^2 for Hurwitz A."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_system(moments.p.shape[0], a, b, weighting.f)
-    spec = classify_spectrum(a)
-    if spec.category != HURWITZ:
-        raise PreconditionError(f"A must be Hurwitz, classified {spec.category}")
-    p_inf = solve_lyapunov(a, b @ b.T)
-    return float(np.sum(weighting.sigma * (moments.p + p_inf)))
+    return DeviationEvaluator(a, b, weighting, moments).hurwitz_limit()
 
 
 def asymptotic_rate(a, b, tol=1e-7):
-    """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"A must be a matrix, got shape {a.shape}")
-    _check_system(a.shape[0], a, b)
-    j = ito_j(b.shape[1])
-    w, u = eig_real(a)
-    scale = max(np.max(np.abs(w), initial=0.0), 1.0)
-    if np.max(np.abs(w.real)) > tol * scale:
+    """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum.
+
+    Phi_ij(t) / t -> 0 off the diagonal and Phi_ii(t) = t, so the rate is
+    gramian's spectral congruence with the identity as weight.  Raises
+    PreconditionError also when cond(U) is above _SPECTRAL_COND_LIMIT.
+    """
+    _, q, lam, basis = _noise_system(a, b)
+    scale = max(np.max(np.abs(lam), initial=0.0), 1.0)
+    if np.max(np.abs(lam.real)) > tol * scale:
         raise PreconditionError("spectrum of A is not purely imaginary")
-    gaps = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
+    gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
     if np.min(gaps) <= tol * scale:
         raise PreconditionError("extended eigenfrequencies of A are not pairwise distinct")
-    u_inv = np.linalg.inv(u)
-    inner = u_inv @ (b @ b.T + 1j * (b @ j @ b.T)) @ u_inv.conj().T
-    rate = u @ np.diag(np.diag(inner)) @ u.conj().T
+    if basis is None:
+        raise PreconditionError(f"A is defective or cond(U) > {_SPECTRAL_COND_LIMIT:g}")
+    rate = _modal_congruence(basis, q, np.eye(len(lam)))
     return 0.5 * (rate + rate.conj().T)
 
 

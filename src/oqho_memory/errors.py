@@ -25,10 +25,6 @@ class ResonanceError(OqhoError):
         self.eig_pair = eig_pair
 
 
-class DiagonalizabilityError(OqhoError):
-    """An eigenvector matrix is too ill-conditioned to trust."""
-
-
 class InvalidMomentMatrixError(OqhoError, ValueError):
     """A claimed second-moment matrix fails positive semi-definiteness."""
 

@@ -43,6 +43,7 @@ MARGINALLY_STABLE = "MarginallyStable"
 UNSTABLE = "Unstable"
 
 _ANTISYM_TOL = 1e-12
+_SPECTRAL_TOL = 1e-9  # |Re lambda| <= _SPECTRAL_TOL is on the imaginary axis
 
 
 def ito_j(m):
@@ -68,6 +69,7 @@ class CcrMatrix:
     theta: np.ndarray
     singular_tol: float = 1e-10
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm fails its check
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
@@ -102,6 +104,7 @@ class OqhoParams:
     coupling: np.ndarray
     selector: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm fails its check
     def __post_init__(self):
         n = self.ccr.n
         r_mat = np.array(self.energy, dtype=float)
@@ -181,6 +184,7 @@ class Realization:
         return self.b.shape[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalError
 def build_realization(params):
     """State-space matrices of the OQHO induced by (Theta, R, N, D).
 
@@ -230,7 +234,7 @@ class SpectralClass:
     on_bisectors: bool
 
 
-def classify_spectrum(a, tol=1e-9):
+def classify_spectrum(a, tol=_SPECTRAL_TOL):
     """Stability classification of a real square matrix by its eigenvalues."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

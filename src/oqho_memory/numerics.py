@@ -1,5 +1,5 @@
-"""Dense numerical kernels: matrix exponential, eigendecompositions
-(including the generalized symmetric-definite one), PSD square root and
+"""Dense numerical kernels: matrix exponential, the generalized
+symmetric-definite eigendecomposition, PSD square root and
 Lyapunov/Sylvester/self-adjoint linear matrix equations.
 
 All solvers are desk-scale (n <= a few hundred) and double precision.
@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DiagonalizabilityError,
     DimensionError,
     InvalidMomentMatrixError,
     NumericalError,
@@ -31,7 +30,6 @@ __all__ = [
     "solve_sylvester",
     "solve_symmetric_constrained",
     "sqrt_psd",
-    "eig_real",
     "eigh_definite",
 ]
 
@@ -188,25 +186,6 @@ def sqrt_psd(p, neg_tol=1e-8):
         )
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
-
-
-def eig_real(a, cond_limit=1e12):
-    """Eigendecomposition of a real matrix, A U = U diag(eigenvalues).
-
-    Returns (eigenvalues, U) in LAPACK order.  Raises DiagonalizabilityError
-    when U is too ill-conditioned for the matrix to count as diagonalizable.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
-    w, u = np.linalg.eig(a)
-    cond = np.linalg.cond(u)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise DiagonalizabilityError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds {cond_limit:.1e}; "
-            "matrix is (numerically) defective"
-        )
-    return w, u
 
 
 def eigh_definite(a, b):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from oqho_memory import decoherence, dynamics
@@ -17,7 +18,7 @@ from oqho_memory.decoherence import (
     tau_prime,
     tau_second,
 )
-from oqho_memory.dynamics import MomentData, Weighting, delta, hurwitz_limit
+from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting, delta, hurwitz_limit
 from oqho_memory.errors import NumericalError, PreconditionError
 from oqho_memory.model import J2, Realization, build_realization, canonical_ccr
 
@@ -230,6 +231,19 @@ class TestDecoherenceTime:
         assert rep.tau == math.inf
         assert rep.certificate == CERT_HURWITZ
 
+    def test_one_eigendecomposition_on_no_crossing_path(self, monkeypatch):
+        # The scan, the Hurwitz test and the limit all read the evaluator's
+        # one factorization of A.
+        real, w, mo = single_mode()
+        calls = []
+        for module, name in itertools.product((np.linalg, scipy.linalg), ("eig", "eigvals")):
+            func = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _func=func, **kw: calls.append(_func) or _func(*args, **kw))
+        rep = decoherence_time(real, w, mo, 1.6)
+        assert rep.certificate == CERT_HURWITZ
+        assert len(calls) == 1
+
     def test_monotone_in_epsilon(self):
         real, w, mo = single_mode()
         taus = [decoherence_time(real, w, mo, e).tau for e in np.linspace(0.01, 1.4, 10)]
@@ -243,7 +257,7 @@ class TestDecoherenceTime:
         mo = MomentData(np.eye(2), THETA1)
         rep = decoherence_time(real, w, mo, 0.05)
         ts = np.linspace(0.0, rep.tau * (1 - 1e-9), 50)
-        vals = [delta(real.a, real.b, w, mo, t) for t in ts]
+        vals = DeviationEvaluator(real.a, real.b, w, mo).delta(ts)
         assert max(vals) <= rep.threshold * (1 + 1e-9)
 
     def test_invalid_arguments(self):

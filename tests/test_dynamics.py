@@ -18,7 +18,6 @@ from oqho_memory.dynamics import (
     default_time_grid,
     delta,
     delta_derivatives,
-    delta_terms,
     gramian,
     hurwitz_limit,
     time_scale,
@@ -30,9 +29,10 @@ from oqho_memory.errors import (
     PreconditionError,
     ValidationError,
 )
-from oqho_memory.model import J2, build_realization, canonical_ccr
+from oqho_memory.model import HURWITZ, J2, build_realization, canonical_ccr, classify_spectrum
 
 from oracles import (
+    kron_solve_lyapunov,
     quad_gramian,
     random_ccr,
     random_damped_realization,
@@ -209,13 +209,19 @@ class TestGramian:
         with pytest.raises(PreconditionError):
             gramian(np.eye(2), np.eye(2), -1.0)
 
+    def test_overflow_is_numerical_error(self):
+        # expm1(Z t) / Z overflows for Z = +-2e308 i: a typed error, no warning.
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="not finite"):
+            warnings.simplefilter("error")
+            gramian(1e308 * J2, J2, 1.0)
+
 
 class TestDelta:
     def test_single_mode_closed_form(self):
         a, b = single_mode_system()
-        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(a, b, *identity_weighting_moments())
         for t in np.linspace(0.0, 6.0, 25):
-            assert abs(delta(a, b, w, mo, t) - closed_form_delta(t)) <= 1e-10
+            assert abs(ev.delta(t) - closed_form_delta(t)) <= 1e-10
 
     def test_isolated_zero_hamiltonian_is_memoryless(self):
         w, mo = identity_weighting_moments()
@@ -228,17 +234,18 @@ class TestDelta:
         real = build_realization(params)
         w = Weighting(rng.standard_normal((2, 4)))
         mo = MomentData(random_spd(rng, 4), params.ccr)
-        sig, noise = delta_terms(real.a, real.b, w, mo, 0.7)
+        sig, noise = DeviationEvaluator(real.a, real.b, w, mo).terms(0.7)
         assert sig >= 0 and noise >= 0
         assert abs(delta(real.a, real.b, w, mo, 0.7) - (sig + noise)) <= 1e-12
 
     def test_overflow_raises(self):
         # e^{tA} = e^{500} I is finite, but the signal term (~e^{1000}) and
         # the Gramian overflow; a scan would read nan > threshold as "not
-        # crossed".
-        w, mo = identity_weighting_moments()
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
-            delta_terms(5.0 * np.eye(2), J2, w, mo, 100.0)
+        # crossed".  The error comes without a RuntimeWarning.
+        ev = DeviationEvaluator(5.0 * np.eye(2), J2, *identity_weighting_moments())
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="not finite"):
+            warnings.simplefilter("error")
+            ev.terms(100.0)
 
     def test_depends_on_p_only_not_theta(self):
         # The deviation uses the real moment part P; the CCR matrix enters
@@ -276,8 +283,9 @@ class TestDeltaDerivatives:
             params = random_params(rng, 1, 2)
             real = build_realization(params)
             dot, ddot = delta_derivatives(real.a, real.b, w, mo)
+            ev = DeviationEvaluator(real.a, real.b, w, mo)
             for h in (1e-3, 1e-4):
-                d1, d2, d3 = (delta(real.a, real.b, w, mo, k * h) for k in (1, 2, 3))
+                d1, d2, d3 = (ev.delta(k * h) for k in (1, 2, 3))
                 fd_dot = (4.0 * d1 - d2) / (2.0 * h)
                 fd_ddot = (-d3 + 4.0 * d2 - 5.0 * d1) / h ** 2
                 assert abs(fd_dot - dot) <= 1e-4 * max(abs(dot), 1.0)
@@ -300,7 +308,6 @@ class TestHurwitzLimit:
         w, mo = identity_weighting_moments()
         for _ in range(5):
             _, real = random_hurwitz_realization(rng, re_min=-1.5, re_max=-0.3)
-            from oqho_memory.model import classify_spectrum
             re_max = classify_spectrum(real.a).eigenvalues.real.max()
             t_end = 40.0 / abs(re_max)
             lim = hurwitz_limit(real.a, real.b, w, mo)
@@ -310,6 +317,60 @@ class TestHurwitzLimit:
         w, mo = identity_weighting_moments()
         with pytest.raises(PreconditionError):
             hurwitz_limit(J2, np.eye(2), w, mo)
+
+    # Re lam = -1e-10 is on the imaginary axis for classify_spectrum's
+    # tolerance, -1e-8 is not: the limit's Hurwitz test must agree.
+    @pytest.mark.parametrize("re", [-1e-10, -1e-8])
+    def test_hurwitz_test_matches_classify_spectrum(self, re):
+        a = re * np.eye(2) + J2
+        w, mo = identity_weighting_moments()
+        if classify_spectrum(a).category == HURWITZ:
+            assert re == -1e-8
+            assert hurwitz_limit(a, np.eye(2), w, mo) > 0
+        else:
+            with pytest.raises(PreconditionError):
+                hurwitz_limit(a, np.eye(2), w, mo)
+
+    # The evaluator reads the limit from its eigenbasis (spectral path) or
+    # solves a Lyapunov equation (Van Loan path); the Kronecker solve of
+    # A P_inf + P_inf A^T + B B^T = 0 is the independent reference.
+    @staticmethod
+    def kronecker_limit(a, b, w, mo):
+        return float(np.sum(w.sigma * (mo.p + kron_solve_lyapunov(a, b @ b.T))))
+
+    @pytest.mark.parametrize("nu", [1, 2, 4, 8])
+    def test_spectral_matches_kronecker_oracle(self, nu):
+        rng = np.random.default_rng(40 + nu)
+        params, real = random_damped_realization(rng, nu)
+        w = Weighting(rng.standard_normal((nu, 2 * nu)))
+        mo = MomentData(random_spd(rng, 2 * nu), params.ccr)
+        ev = DeviationEvaluator(real.a, real.b, w, mo)
+        assert ev.path == SPECTRAL
+        ref = self.kronecker_limit(real.a, real.b, w, mo)
+        assert abs(ev.hurwitz_limit() - ref) <= 1e-12 * abs(ref)
+
+    def test_near_resonant_matches_kronecker_oracle(self):
+        # lam = -1e-5 +- 10i and -1e-5 +- 13i: each Z_ii = -2e-5 is near
+        # resonant, and its entry G_ii / Z_ii dominates the limit.
+        rng = np.random.default_rng(45)
+        modes = scipy.linalg.block_diag(*[-1e-5 * np.eye(2) + f * J2 for f in (10.0, 13.0)])
+        t = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        a, b = t @ modes @ np.linalg.inv(t), 0.3 * rng.standard_normal((4, 2))
+        w, mo = identity_weighting_moments(4, canonical_ccr(2))
+        ev = DeviationEvaluator(a, b, w, mo)
+        assert ev.path == SPECTRAL
+        ref = self.kronecker_limit(a, b, w, mo)
+        assert ref > 1e4
+        assert abs(ev.hurwitz_limit() - ref) <= 1e-9 * ref
+
+    def test_defective_van_loan_limit(self):
+        # tr P_inf = int_0^inf e^{-2s} (2 + s^2) ds = 5/4 for the Jordan block.
+        a = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(a, np.eye(2), w, mo)
+        assert ev.path == VAN_LOAN
+        assert abs(ev.hurwitz_limit() - 3.25) <= 1e-12
+        assert abs(ev.hurwitz_limit() - self.kronecker_limit(a, np.eye(2), w, mo)) <= 1e-12
 
 
 class TestAsymptoticRate:
@@ -329,6 +390,15 @@ class TestAsymptoticRate:
     def test_nonimaginary_spectrum_rejected(self):
         with pytest.raises(PreconditionError):
             asymptotic_rate(-np.eye(2), np.eye(2))
+
+    # A defective A has a repeated eigenvalue; A = S J2 S^-1 with
+    # cond(S) = 1e4 has eigenvalues +-i but cond(U) ~ 1e4 > 1e3.
+    @pytest.mark.parametrize("a", [np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                   np.array([[0.0, 1e4], [-1e-4, 0.0]])],
+                             ids=["defective", "ill-conditioned"])
+    def test_no_spectral_basis_rejected(self, a):
+        with pytest.raises(PreconditionError):
+            asymptotic_rate(a, np.eye(2))
 
     def test_matches_long_time_growth(self):
         rng = np.random.default_rng(30)
@@ -423,7 +493,7 @@ class TestDeviationEvaluator:
         spectral = cond_u <= dynamics._SPECTRAL_COND_LIMIT
         assert spectral == (cond < 1e3)
         if spectral:
-            assert abs(np.linalg.cond(dynamics._modal_basis(a)[2]) / cond_u - 1.0) <= 1e-12
+            assert abs(np.linalg.cond(dynamics._modal_basis(a)[1][1]) / cond_u - 1.0) <= 1e-12
         w, mo = identity_weighting_moments(n, canonical_ccr(n // 2))
         assert DeviationEvaluator(a, rng.standard_normal((n, 2)), w, mo).path == (SPECTRAL if spectral else VAN_LOAN)
 
@@ -568,7 +638,6 @@ BAD_INPUTS = {
 DELTA_LAYER = {
     "DeviationEvaluator": DeviationEvaluator,
     "delta": lambda a, b, w, mo: delta(a, b, w, mo, 1.0),
-    "delta_terms": lambda a, b, w, mo: delta_terms(a, b, w, mo, 1.0),
     "compute_deviation_curve": compute_deviation_curve,
     "decoherence_time": lambda a, b, w, mo: decoherence_time((a, b), w, mo, 0.01),
 }
@@ -586,7 +655,8 @@ def test_bad_system_raises_typed_error(entry, case):
 
 
 # The rest of the Delta layer, with the cases that break an input it reads:
-# tau_prime reads no A, asymptotic_rate no F and no P.
+# tau_prime reads no A, gramian and asymptotic_rate no F and no P.
+AB_CASES = ["b-rows", "b-vector", "a-not-square", "a-nan", "b-inf"]
 REST_OF_LAYER = {
     "tau_prime": (lambda a, b, w, mo: tau_prime(b, w, mo),
                   ["b-rows", "b-vector", "a-order", "f-columns", "b-inf"]),
@@ -594,8 +664,8 @@ REST_OF_LAYER = {
     "tau_hat": (lambda a, b, w, mo: tau_hat((a, b), w, mo, 0.01), list(BAD_INPUTS)),
     "delta_derivatives": (delta_derivatives, list(BAD_INPUTS)),
     "hurwitz_limit": (hurwitz_limit, list(BAD_INPUTS)),
-    "asymptotic_rate": (lambda a, b, w, mo: asymptotic_rate(a, b),
-                        ["b-rows", "b-vector", "a-not-square", "a-nan", "b-inf"]),
+    "gramian": (lambda a, b, w, mo: gramian(a, b, 1.0), AB_CASES),
+    "asymptotic_rate": (lambda a, b, w, mo: asymptotic_rate(a, b), AB_CASES),
 }
 
 

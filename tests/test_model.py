@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,8 @@ class TestBuildRealization:
                        coupling=np.zeros((2, 4)), selector=np.eye(2))
 
     def test_overflow_raises(self):
-        with pytest.raises(NumericalError):
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error")
             build_realization(single_mode_params(coupling=np.diag([1e200, 1e200])))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oqho_memory.errors import (
-    DiagonalizabilityError,
     InvalidMomentMatrixError,
     NumericalError,
     PreconditionError,
@@ -10,7 +9,6 @@ from oqho_memory.errors import (
 )
 from oqho_memory.model import J2
 from oqho_memory.numerics import (
-    eig_real,
     eigh_definite,
     matrix_exp,
     solve_lyapunov,
@@ -215,30 +213,3 @@ class TestSqrtPsd:
     def test_indefinite_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
             sqrt_psd(np.diag([1.0, -1.0]))
-
-
-class TestEigReal:
-    def test_symplectic_unit(self):
-        w, _ = eig_real(J2)
-        np.testing.assert_allclose(np.sort_complex(w), [-1j, 1j], atol=1e-12)
-
-    def test_diagonal(self):
-        w, u = eig_real(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(u), np.eye(2), atol=1e-12)
-
-    def test_anisotropic_rotation(self):
-        w, _ = eig_real(np.array([[0.0, 4.0], [-1.0, 0.0]]))
-        np.testing.assert_allclose(np.sort_complex(w), [-2j, 2j], atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            a = rng.standard_normal((5, 5))
-            w, u = eig_real(a)
-            rec = (u @ np.diag(w) @ np.linalg.inv(u)).real
-            assert np.linalg.norm(rec - a) <= 1e-8 * max(np.linalg.norm(a), 1.0)
-
-    def test_defective_rejected(self):
-        with pytest.raises(DiagonalizabilityError):
-            eig_real(np.array([[0.0, 1.0], [0.0, 0.0]]))
