@@ -4,22 +4,25 @@ A scenario is a JSON file with row-major nested arrays for all matrices.
 Single-oscillator scenarios carry theta/energy/coupling/selector plus the
 weighting factor F and initial moments P; interconnection scenarios carry
 two subsystem blocks and an optional R12.  Numbers are emitted with 17
-significant digits so output round-trips exactly.  The argument parser is
-built once per process, so repeated in-process calls of main pay only for
-their scenario and its linear algebra.
+significant digits so output round-trips exactly.  Each command declares
+only the flags it reads besides --scenario: --tolerance for check; --out,
+--grid-points and --horizon for delta-curve and tau.  A flag given to any
+other command is a usage error.  The argument parser is built once per
+process, so repeated in-process calls of main pay only for their scenario
+and its linear algebra.
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 I/O
 failure, 4 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,16 +53,14 @@ class ScenarioParseError(Exception):
         self.location = location
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
-    schema_version: int
     mode: str  # "single" or "interconnection"
     weighting: dynamics.Weighting
     moments: dynamics.MomentData
     epsilon: list
     horizon: Optional[float]
     grid_points: int
-    output: Optional[str]
     params: Optional[model.OqhoParams] = None
     sub1: Optional[network.SubsystemParams] = None
     sub2: Optional[network.SubsystemParams] = None
@@ -107,12 +108,6 @@ def _load_subsystem(data, location):
     )
 
 
-def _weighting(f_mat, n):
-    if f_mat.shape[1] != n:
-        raise DimensionError(f"weight_f has {f_mat.shape[1]} columns but the system order is {n}")
-    return dynamics.Weighting(f_mat)
-
-
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,34 +139,29 @@ def load_scenario(path):
 
     if mode == "single":
         theta = model.CcrMatrix(_matrix(data, "theta", "/"))
-        params = model.OqhoParams(
+        system = {"params": model.OqhoParams(
             ccr=theta,
             energy=_matrix(data, "energy", "/"),
             coupling=_matrix(data, "coupling", "/"),
             selector=_matrix(data, "selector", "/"),
-        )
-        weighting = _weighting(f_mat, theta.n)
-        moments = dynamics.MomentData(p=p_mat, ccr=theta)
-        return Scenario(schema_version=version, mode=mode, weighting=weighting,
-                        moments=moments, epsilon=[float(e) for e in epsilon],
-                        horizon=horizon, grid_points=grid_points,
-                        output=data.get("output"), params=params)
-
-    subsystems = _require(data, "subsystems", "/")
-    if not isinstance(subsystems, list) or len(subsystems) != 2:
-        raise ScenarioParseError("subsystems must be a list of exactly two objects", "/subsystems")
-    sub1 = _load_subsystem(subsystems[0], "/subsystems/0")
-    sub2 = _load_subsystem(subsystems[1], "/subsystems/1")
-    r12 = _matrix(data, "r12", "/", required=False)
-    if r12 is None:
-        r12 = np.zeros((sub1.n, sub2.n))
-    closed_theta = model.CcrMatrix(network._blocks(sub1.ccr.theta, sub2.ccr.theta))
-    weighting = _weighting(f_mat, closed_theta.n)
-    moments = dynamics.MomentData(p=p_mat, ccr=closed_theta)
-    return Scenario(schema_version=version, mode=mode, weighting=weighting,
-                    moments=moments, epsilon=[float(e) for e in epsilon],
-                    horizon=horizon, grid_points=grid_points,
-                    output=data.get("output"), sub1=sub1, sub2=sub2, r12=r12)
+        )}
+    else:
+        subsystems = _require(data, "subsystems", "/")
+        if not isinstance(subsystems, list) or len(subsystems) != 2:
+            raise ScenarioParseError("subsystems must be a list of exactly two objects", "/subsystems")
+        sub1 = _load_subsystem(subsystems[0], "/subsystems/0")
+        sub2 = _load_subsystem(subsystems[1], "/subsystems/1")
+        r12 = _matrix(data, "r12", "/", required=False)
+        if r12 is None:
+            r12 = np.zeros((sub1.n, sub2.n))
+        theta = model.CcrMatrix(network._blocks(sub1.ccr.theta, sub2.ccr.theta))
+        system = {"sub1": sub1, "sub2": sub2, "r12": r12}
+    if f_mat.shape[1] != theta.n:
+        raise DimensionError(f"weight_f has {f_mat.shape[1]} columns but the system order is {theta.n}")
+    return Scenario(mode=mode, weighting=dynamics.Weighting(f_mat),
+                    moments=dynamics.MomentData(p=p_mat, ccr=theta),
+                    epsilon=[float(e) for e in epsilon],
+                    horizon=horizon, grid_points=grid_points, **system)
 
 
 def _scenario_system(scenario):
@@ -203,7 +193,7 @@ def _write_text(path, text):
 
 def cmd_check(scenario, args):
     real = _scenario_system(scenario)
-    theta = scenario.params.ccr if scenario.mode == "single" else scenario.moments.ccr
+    theta = scenario.moments.ccr
     pr = model.check_physical_realizability(real.a, real.b, theta)
     spec = model.classify_spectrum(real.a)
     pi_min = float(np.min(np.linalg.eigvalsh(scenario.moments.p + 1j * theta.theta)))
@@ -217,8 +207,7 @@ def cmd_check(scenario, args):
         scale = np.linalg.norm(real.a) * np.linalg.norm(theta.theta) + np.linalg.norm(real.b) ** 2
     if not (math.isfinite(pr) and math.isfinite(scale)):
         raise NumericalError(f"PR residual {pr} or its scale {scale} is not finite")
-    tol = args.tolerance if args.tolerance is not None else 1e-10
-    ok = pr <= max(tol, 1e-10) * scale and pi_min >= -1e-10
+    ok = pr <= max(args.tolerance, 1e-10) * scale and pi_min >= -1e-10
     print("check: PASS" if ok else "check: FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -239,13 +228,12 @@ def cmd_delta_curve(scenario, args):
     horizon = args.horizon or scenario.horizon
     times = dynamics.default_time_grid(real.a, t_ref=horizon, points=grid_points)
     curve = dynamics.compute_deviation_curve(real.a, real.b, scenario.weighting,
-                                             scenario.moments, times=np.concatenate([[0.0], times])
-                                             if times[0] > 0 else times)
+                                             scenario.moments, times=np.concatenate([[0.0], times]))
     lines = ["t,delta,signal_term,noise_term"]
     for k in range(len(curve.times)):
         lines.append(",".join(_fmt(v) for v in (
             curve.times[k], curve.delta_values[k], curve.signal_term[k], curve.noise_term[k])))
-    _write_text(args.out or scenario.output, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -256,10 +244,7 @@ def _report_to_dict(rep):
         if isinstance(x, float) and math.isnan(x):
             return "nan"
         return x
-    return {k: clean(getattr(rep, k)) for k in (
-        "epsilon", "threshold", "tau", "tau_prime", "tau_second", "tau_hat",
-        "horizon_used", "certificate", "grid_points", "bisection_iterations",
-        "expansion_valid", "delta_evaluations", "delta_path")}
+    return {f.name: clean(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
 
 
 def cmd_tau(scenario, args):
@@ -278,6 +263,29 @@ def cmd_tau(scenario, args):
     return EXIT_OK
 
 
+def _print_comparison(scenario, header, before, after, name, optimum):
+    """Print header, ddot(Delta) before and after, the optimum, and tau_hat
+    before and after for every epsilon from one expansion of each system."""
+    weighting, moments = scenario.weighting, scenario.moments
+    derivatives = [dynamics.delta_derivatives(s.a, s.b, weighting, moments) for s in (before, after)]
+    print("\n".join(header))
+    print(f"ddot_delta before: {_fmt(derivatives[0][1])}  after: {_fmt(derivatives[1][1])}")
+    print(f"{name}:")
+    print(_matrix_lines(optimum))
+    if not scenario.epsilon:  # nothing reads the expansion, so its errors must not end the run
+        return EXIT_OK
+    try:
+        series = [decoherence._series(s, weighting, moments, d) for s, d in zip((before, after), derivatives)]
+    except PreconditionError as exc:
+        for eps in scenario.epsilon:
+            print(f"epsilon={_fmt(eps)}: tau_hat unavailable ({exc})")
+        return EXIT_OK
+    for eps in scenario.epsilon:
+        th_before, th_after = (decoherence._quadratic(*s, eps) for s in series)
+        print(f"epsilon={_fmt(eps)}: tau_hat before={_fmt(th_before)} after={_fmt(th_after)}")
+    return EXIT_OK
+
+
 def cmd_optimize_energy(scenario, args):
     if scenario.mode != "single":
         raise ValidationError("optimize-energy requires a single-oscillator scenario")
@@ -285,52 +293,24 @@ def cmd_optimize_energy(scenario, args):
     weighting, moments = scenario.weighting, scenario.moments
     before = model.build_realization(params)
     opt = design.optimal_energy_matrix(params.ccr, weighting, params.coupling, moments)
-    after_params = model.OqhoParams(ccr=params.ccr, energy=opt.r_star,
-                                    coupling=params.coupling, selector=params.selector)
-    after = model.build_realization(after_params)
+    after = model.build_realization(dataclasses.replace(params, energy=opt.r_star))
     zh = design.zero_hamiltonian_condition(params.ccr, weighting, params.coupling, moments)
-    ddot_before = design.ddot_delta_of_state(before.a, before.b, weighting, moments)
-    print(f"method: {opt.method}")
-    print(f"stationarity residual: {_fmt(opt.stationarity_residual)}")
-    print(f"zero-Hamiltonian condition residual: {_fmt(zh)}")
-    print(f"ddot_delta before: {_fmt(ddot_before)}  after: {_fmt(opt.ddot_delta_at_opt)}")
-    print("R_star:")
-    print(_matrix_lines(opt.r_star))
-    for eps in scenario.epsilon:
-        try:
-            th_before = decoherence.tau_hat(before, weighting, moments, eps)
-            th_after = decoherence.tau_hat(after, weighting, moments, eps)
-            print(f"epsilon={_fmt(eps)}: tau_hat before={_fmt(th_before)} after={_fmt(th_after)}")
-        except PreconditionError as exc:
-            print(f"epsilon={_fmt(eps)}: tau_hat unavailable ({exc})")
-    return EXIT_OK
+    header = [f"method: {opt.method}",
+              f"stationarity residual: {_fmt(opt.stationarity_residual)}",
+              f"zero-Hamiltonian condition residual: {_fmt(zh)}"]
+    return _print_comparison(scenario, header, before, after, "R_star", opt.r_star)
 
 
 def cmd_optimize_r12(scenario, args):
     if scenario.mode != "interconnection":
         raise ValidationError("optimize-r12 requires an interconnection scenario")
-    weighting, moments = scenario.weighting, scenario.moments
     before = network.assemble(scenario.sub1, scenario.sub2, scenario.r12)
     r12_star, residual, method = network.optimal_r12(scenario.sub1, scenario.sub2,
-                                                     weighting, moments)
+                                                     scenario.weighting, scenario.moments)
     after = network.assemble(scenario.sub1, scenario.sub2, r12_star)
-    ddot_before = design.ddot_delta_of_state(before.closed_realization.a,
-                                             before.closed_realization.b, weighting, moments)
-    ddot_after = design.ddot_delta_of_state(after.closed_realization.a,
-                                            after.closed_realization.b, weighting, moments)
-    print(f"method: {method}")
-    print(f"stationarity residual: {_fmt(residual)}")
-    print(f"ddot_delta before: {_fmt(ddot_before)}  after: {_fmt(ddot_after)}")
-    print("R12_star:")
-    print(_matrix_lines(r12_star))
-    for eps in scenario.epsilon:
-        try:
-            th_before = decoherence.tau_hat(before.closed_realization, weighting, moments, eps)
-            th_after = decoherence.tau_hat(after.closed_realization, weighting, moments, eps)
-            print(f"epsilon={_fmt(eps)}: tau_hat before={_fmt(th_before)} after={_fmt(th_after)}")
-        except PreconditionError as exc:
-            print(f"epsilon={_fmt(eps)}: tau_hat unavailable ({exc})")
-    return EXIT_OK
+    header = [f"method: {method}", f"stationarity residual: {_fmt(residual)}"]
+    return _print_comparison(scenario, header, before.closed_realization,
+                             after.closed_realization, "R12_star", r12_star)
 
 
 def cmd_interconnect(scenario, args):
@@ -383,10 +363,13 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
-        p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--grid-points", type=_positive(int), default=None, dest="grid_points")
-        p.add_argument("--horizon", type=_positive(float), default=None)
-        p.add_argument("--tolerance", type=float, default=None)
+        if name == "check":
+            p.add_argument("--tolerance", type=_positive(float), default=1e-10,
+                           help="bound on the PR residual relative to its scale (at least 1e-10)")
+        elif name in ("delta-curve", "tau"):
+            p.add_argument("--out", default=None, help="output path ('-' for stdout)")
+            p.add_argument("--grid-points", type=_positive(int), default=None, dest="grid_points")
+            p.add_argument("--horizon", type=_positive(float), default=None)
     return parser
 
 

@@ -103,28 +103,40 @@ def tau_prime(b, weighting, moments):
     return _tau_prime(b, weighting, moments)[1]
 
 
-def _tau_second(dot, ddot, tp):
-    """tau'' = -ddot(Delta) tau'^2 / dot(Delta) from delta_derivatives and tau'."""
-    return float(-ddot * tp * tp / dot)
+def _expansion(system, weighting, moments, derivatives=None):
+    """(||F sqrt(P)||^2, tau', tau'') from one _tau_prime pass and one
+    delta_derivatives call; none when derivatives holds its result, or when
+    F B = 0, which makes tau' = inf and tau'' = nan."""
+    a, b = _system_matrices(system)
+    fsp, tp = _tau_prime(b, weighting, moments)
+    if not math.isfinite(tp):
+        return fsp, tp, math.nan
+    # tau' is finite, so dot = ||F B||^2 is not zero.
+    dot, ddot = derivatives or delta_derivatives(a, b, weighting, moments)
+    return fsp, tp, float(-ddot * tp * tp / dot)
+
+
+def _series(system, weighting, moments, derivatives=None):
+    """(tau', tau'') of _expansion; PreconditionError when F B = 0."""
+    _, tp, ts = _expansion(system, weighting, moments, derivatives)
+    if not math.isfinite(tp):
+        raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
+    return tp, ts
+
+
+def _quadratic(tp, ts, epsilon):
+    """tau_hat(eps) = tau' eps + (1/2) tau'' eps^2; nan when F B = 0."""
+    return float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
 
 
 def tau_second(system, weighting, moments):
     """Second derivative of tau in eps at 0: -ddot(Delta) tau'^2 / dot(Delta)."""
-    a, b = _system_matrices(system)
-    dot, ddot = delta_derivatives(a, b, weighting, moments)
-    if dot == 0.0:
-        raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
-    return _tau_second(dot, ddot, tau_prime(b, weighting, moments))
+    return _series(system, weighting, moments)[1]
 
 
 def tau_hat(system, weighting, moments, epsilon):
     """Quadratic approximation tau' eps + (1/2) tau'' eps^2."""
-    a, b = _system_matrices(system)
-    tp = tau_prime(b, weighting, moments)
-    if not math.isfinite(tp):
-        raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
-    ts = _tau_second(*delta_derivatives(a, b, weighting, moments), tp)
-    return float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
+    return _quadratic(*_series(system, weighting, moments), epsilon)
 
 
 def _hybrid_grid(horizon, points):
@@ -158,16 +170,9 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
         raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
     evaluator = DeviationEvaluator(a, b, weighting, moments)
-    fsp, tp = _tau_prime(b, weighting, moments)
+    fsp, tp, ts = _expansion((a, b), weighting, moments)
     threshold = float(epsilon * fsp)
     expansion_valid = math.isfinite(tp)
-    if expansion_valid:
-        # tau' is finite, so dot = ||F B||^2 is not zero.
-        ts = _tau_second(*delta_derivatives(a, b, weighting, moments), tp)
-        th = float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
-    else:
-        ts = math.nan
-        th = math.nan
 
     if horizon is None:
         horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
@@ -179,7 +184,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             tau=tau,
             tau_prime=tp,
             tau_second=ts,
-            tau_hat=th,
+            tau_hat=_quadratic(tp, ts, epsilon),
             horizon_used=float(horizon),
             certificate=certificate,
             grid_points=grid_points,

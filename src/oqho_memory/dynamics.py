@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _SPECTRAL_TOL, ito_j
-from .numerics import matrix_exp, solve_lyapunov, sqrt_psd
+from .numerics import _asymmetric, matrix_exp, solve_lyapunov, sqrt_psd
 
 __all__ = [
     "MomentData",
@@ -86,7 +86,7 @@ class MomentData:
             raise DimensionError(f"P shape {p.shape} does not match CCR order {n}")
         if not np.all(np.isfinite(p)):
             raise InvalidMomentMatrixError("P has an entry that is not finite")
-        if np.linalg.norm(p - p.T) > 1e-10 * max(np.linalg.norm(p), 1.0):
+        if _asymmetric(p):
             raise InvalidMomentMatrixError("P not symmetric")
         pi_min = np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta))
         if pi_min < -1e-10:
@@ -269,9 +269,11 @@ def _to_eigenbasis(x, k):
 
 
 def _phi(z, t):
-    """int_0^t e^{z s} ds elementwise: expm1(z t) / z, and t exactly where z = 0."""
+    """int_0^t e^{z s} ds elementwise: expm1(z t) / z, t exactly where z = 0,
+    and 0 where z is not finite and Re z <= 0, since |phi| <= 2 / |z| there."""
     zero = z == 0
-    return np.where(zero, t, np.expm1(z * t) / np.where(zero, 1.0, z))
+    phi = np.where(zero, t, np.expm1(z * t) / np.where(zero, 1.0, z))
+    return np.where(~np.isfinite(z) & (z.real <= 0), 0.0, phi)
 
 
 def _noise_system(a, b):

@@ -171,12 +171,20 @@ def solve_symmetric_constrained(operator, q):
     return x, residual
 
 
+def _asymmetric(p):
+    """||P - P^T|| > 1e-10 max(||P||, 1), both norms taken of P / max|P| so
+    that neither overflows for huge finite entries."""
+    s = np.max(np.abs(p), initial=0.0) or 1.0
+    q = p / s
+    return np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0 / s)
+
+
 def sqrt_psd(p, neg_tol=1e-8):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionError(f"matrix must be square, got {p.shape}")
-    if np.linalg.norm(p - p.T) > 1e-10 * max(np.linalg.norm(p), 1.0):
+    if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
     w, v = np.linalg.eigh(0.5 * (p + p.T))
     scale = max(np.max(np.abs(w), initial=0.0), 1e-300)

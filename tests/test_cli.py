@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqho_memory import cli
+from oqho_memory import cli, decoherence, design, dynamics
 
 from oracles import random_damped_realization
 
@@ -37,6 +38,24 @@ def single_mode_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+# The flags each command declares besides --scenario, with a valid value each.
+DECLARED_FLAGS = {
+    "check": {"--tolerance": "1e-9"},
+    "spectrum": {},
+    "delta-curve": {"--out": "-", "--grid-points": "5", "--horizon": "1.0"},
+    "tau": {"--out": "-", "--grid-points": "5", "--horizon": "1.0"},
+    "optimize-energy": {},
+    "optimize-r12": {},
+    "interconnect": {},
+}
+ALL_FLAGS = {flag: value for flags in DECLARED_FLAGS.values() for flag, value in flags.items()}
+
+
+def out_flag(command, path):
+    """["--out", path] for a command that declares --out, else []."""
+    return ["--out", str(path)] if "--out" in DECLARED_FLAGS[command] else []
 
 
 def interconnection_scenario():
@@ -120,6 +139,32 @@ class TestCheck:
         assert "weight_f" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_tolerance_is_usage_error(self, tmp_path, capsys, value):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--scenario", path, "--tolerance", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --tolerance: must be positive, got {value}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in DECLARED_FLAGS for f in ALL_FLAGS])
+    def test_undeclared_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        # Each command declares only the flags it reads; any other flag is
+        # refused rather than silently ignored.
+        argv = [command, "--scenario", "s.json", flag, ALL_FLAGS[flag]]
+        if flag in DECLARED_FLAGS[command]:
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == command
+            return
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value", [("--grid-points", "-5"), ("--horizon", "nan")])
     def test_invalid_flag_is_usage_error(self, tmp_path, capsys, flag, value):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
@@ -140,7 +185,7 @@ class TestCheck:
     ])
     def test_overflow_is_numerical_error(self, tmp_path, capsys, command, field, value):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
-        assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out")]) == 4
+        assert cli.main([command, "--scenario", path, *out_flag(command, tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "numerical error:" in err
         assert "Traceback" not in err
@@ -165,7 +210,7 @@ class TestCheck:
         # The parser is shared between calls; a failed parse must not spoil it.
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         with pytest.raises(SystemExit) as exc:
-            cli.main(["check", "--scenario", path, "--horizon", "-1"])
+            cli.main(["check", "--scenario", path, "--tolerance", "-1"])
         assert exc.value.code == 2
         assert cli.main(["check", "--scenario", path]) == 0
 
@@ -209,6 +254,15 @@ class TestDeltaCurve:
                          "--grid-points", "30"]) == 0
         for row in out.read_text().splitlines()[1:]:
             assert float(row.split(",")[1]) == 0.0
+
+    def test_output_key_is_not_read(self, tmp_path, capsys):
+        # Only --out chooses where the CSV goes; an "output" key in the
+        # scenario is ignored like any other unknown key.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(output=1))
+        assert cli.main(["delta-curve", "--scenario", path, "--grid-points", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,delta,signal_term,noise_term"
+        assert len(lines) == 7
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
@@ -274,6 +328,27 @@ class TestOptimize:
         assert "R12_star" in out
         res = float(out.split("stationarity residual:")[1].splitlines()[0])
         assert res <= 1e-9
+
+    # The before/after comparison expands each system once: delta_derivatives
+    # once per system (plus once at R* inside optimal_energy_matrix) and one
+    # _tau_prime pass per system, however many epsilon there are.
+    @pytest.mark.parametrize("epsilon", [[0.01, 0.1], [0.01, 0.02, 0.05, 0.1]])
+    @pytest.mark.parametrize("command, data, derivative_calls", [
+        ("optimize-energy", single_mode_scenario(), 3),
+        ("optimize-r12", interconnection_scenario(), 2),
+    ])
+    def test_one_expansion_per_system(self, tmp_path, capsys, monkeypatch,
+                                      command, data, derivative_calls, epsilon):
+        path = write_scenario(tmp_path, "s.json", dict(data, epsilon=epsilon))
+        calls = collections.Counter()
+        for module, name in [(dynamics, "delta_derivatives"), (design, "delta_derivatives"),
+                             (decoherence, "delta_derivatives"), (decoherence, "_tau_prime")]:
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+        assert cli.main([command, "--scenario", path]) == 0
+        assert calls == {"delta_derivatives": derivative_calls, "_tau_prime": 2}
+        assert capsys.readouterr().out.count("tau_hat before=") == len(epsilon)
 
     def test_mode_mismatch(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
@@ -362,6 +437,6 @@ def test_fuzzed_scenario_keeps_exit_code_contract(change):
         for command in FUZZ_COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([command, "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+                code = cli.main([command, "--scenario", str(path), *out_flag(command, Path(tmp) / "out")])
             assert code in (0, 1, 2, 3, 4), (command, data)
             assert "Traceback" not in err.getvalue(), (command, data)

@@ -98,6 +98,11 @@ class TestMomentData:
         with pytest.raises(InvalidMomentMatrixError):
             MomentData(np.array([[1.0, 0.5], [0.0, 1.0]]), THETA1)
 
+    def test_asymmetric_rejected_when_norm_overflows(self):
+        # ||P|| = inf must not make the symmetry bound inf.
+        with pytest.raises(InvalidMomentMatrixError, match="not symmetric"):
+            MomentData(np.array([[1e308, 1e300], [0.0, 1e308]]), THETA1)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_rejected(self, entry):
         p = np.eye(2)
@@ -210,10 +215,18 @@ class TestGramian:
             gramian(np.eye(2), np.eye(2), -1.0)
 
     def test_overflow_is_numerical_error(self):
-        # expm1(Z t) / Z overflows for Z = +-2e308 i: a typed error, no warning.
+        # Re lam = +1e308: e^{Z t} and so V(t) overflow.  A typed error, no warning.
         with warnings.catch_warnings(), pytest.raises(NumericalError, match="not finite"):
             warnings.simplefilter("error")
-            gramian(1e308 * J2, J2, 1.0)
+            gramian(1e308 * np.eye(2), J2, 1.0)
+
+    def test_non_finite_z_on_the_imaginary_axis(self):
+        # Z = +-2e308 i overflows, but |Phi(Z, t)| <= 2 / |Z| there, so V(t)
+        # is the finite t (I + iJ) of test_constant_integrand.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = gramian(1e308 * J2, J2, 1.0)
+        np.testing.assert_allclose(v, np.eye(2) + 1j * J2, rtol=0, atol=1e-15)
 
 
 class TestDelta:

@@ -213,3 +213,8 @@ class TestSqrtPsd:
     def test_indefinite_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
             sqrt_psd(np.diag([1.0, -1.0]))
+
+    def test_asymmetric_rejected_when_norm_overflows(self):
+        # ||P|| = inf must not make the symmetry bound inf.
+        with pytest.raises(InvalidMomentMatrixError, match="not symmetric"):
+            sqrt_psd(np.array([[1e308, 1e300], [0.0, 1e308]]))
