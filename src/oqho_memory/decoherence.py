@@ -2,16 +2,17 @@
 
 tau(eps) is the first time the deviation Delta(t) exceeds the relative
 threshold eps * ||F sqrt(P)||^2 (inf over an empty set is +inf).  tau is
-located by a dense grid scan followed by bisection of the first bracketing
+located by a dense grid scan, and Brent's method (Brent 1973, Algorithms for
+Minimization without Derivatives, ch. 4) refines the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
-Delta.  Scan, bisection and the t -> inf limit behind the Hurwitz
+Delta.  Scan, refinement and the t -> inf limit behind the Hurwitz
 certificate share one dynamics.DeviationEvaluator, so A is factored once per
 tau and each point costs O(n^2) on its spectral path (the Van Loan path when
 A is defective or its eigenvectors ill-conditioned).  The scan evaluates
 the grid in blocks of _SCAN_BLOCK points, one matrix product per block, and
-stops at the first block that holds a point above the threshold; bisection
-evaluates one point at a time.  The report names the path and counts the
-Delta evaluations up to the crossing.  The expansion coefficients are
+stops at the first block that holds a point above the threshold; Brent's
+method evaluates a block of one per step.  The report names the path and
+counts the Delta evaluations up to the crossing.  The expansion coefficients are
 
     tau'  = ||F sqrt(P)||^2 / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -27,6 +28,7 @@ import numpy as np
 from .dynamics import (
     DeviationEvaluator,
     _SCAN_BLOCK,
+    _check_horizon,
     _check_system,
     _overflow,
     delta_derivatives,
@@ -50,7 +52,8 @@ CERT_HURWITZ = "hurwitz_below_threshold"
 CERT_INCONCLUSIVE = "horizon_exhausted"
 CERT_CROSSING = "crossing_found"
 
-_MAX_BISECTIONS = 200
+_MAX_REFINEMENTS = 200
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,12 @@ class DecoherenceReport:
     horizon_used: float
     certificate: str
     grid_points: int
-    bisection_iterations: int
+    bisection_iterations: int  # Delta evaluations of Brent's refinement (old name)
     expansion_valid: bool  # false when FB = 0 and the eps-expansion is inapplicable
     # Grid points up to and including the first one above the threshold, plus
-    # bisection steps.  The scan evaluates whole blocks of _SCAN_BLOCK points,
-    # so up to _SCAN_BLOCK - 1 points after the crossing are computed but not
-    # counted.
+    # the refinement's evaluations.  The scan evaluates whole blocks of
+    # _SCAN_BLOCK points, so up to _SCAN_BLOCK - 1 points after the crossing
+    # are computed but not counted.
     delta_evaluations: int
     delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
@@ -153,10 +156,11 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
 
     system may be a Realization (or anything with .a/.b) or an (A, B) pair.
     The scan evaluates Delta on a hybrid log/linear grid over [0, horizon],
-    in blocks of _SCAN_BLOCK points; the interval before the first point
-    above the threshold is refined by bisection and tau is the bracket
-    midpoint.  A summand that is not finite at or before that point raises
-    NumericalError; points after it are not looked at.  +inf is returned
+    in blocks of _SCAN_BLOCK points; Brent's method refines the interval
+    before the first point above the threshold to a few ulps (NumericalError
+    if it takes more than _MAX_REFINEMENTS steps).  A summand that is not
+    finite at or before that point raises NumericalError; points after it
+    are not looked at.  +inf is returned
     with a certificate: the deviation is identically zero, or A is Hurwitz
     with its limit below the threshold; otherwise the horizon was exhausted
     and the result is inconclusive.
@@ -164,9 +168,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     a, b = _system_matrices(system)
     if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
         raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
-    if horizon is not None and (isinstance(horizon, (bool, np.bool_))
-                                or not (math.isfinite(horizon) and horizon > 0)):
-        raise PreconditionError(f"horizon must be finite and positive, got {horizon!r}")
+    if horizon is not None:
+        _check_horizon(horizon)
     if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
         raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
     evaluator = DeviationEvaluator(a, b, weighting, moments)
@@ -195,9 +198,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         )
 
     grid = _hybrid_grid(horizon, grid_points)
-    bracket = None
-    max_delta = 0.0
-    scanned = len(grid)
+    last = 0.0, 0.0  # (t, Delta(t)) at the last point scanned; Delta(0) = 0
     for start in range(0, len(grid), _SCAN_BLOCK):
         times = grid[start:start + _SCAN_BLOCK]
         sig, noise = evaluator._terms(times)
@@ -210,27 +211,57 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             k = int(np.argmax(stop))
             if not (math.isfinite(sig[k]) and math.isfinite(noise[k])):
                 raise _overflow(times[k], sig[k], noise[k])
-            scanned = start + k + 1
-            bracket = (grid[start + k - 1] if start + k else 0.0, grid[start + k])
             break
-        max_delta = max(max_delta, d.max())
-
-    if bracket is None:
-        if max_delta == 0.0 and np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:
-            return make_report(math.inf, CERT_DELTA_ZERO, scanned, 0)
+        last = times[-1], d[-1]
+    else:
+        if np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:  # Delta = 0
+            return make_report(math.inf, CERT_DELTA_ZERO, len(grid), 0)
         try:
             below = evaluator.hurwitz_limit() <= threshold
         except PreconditionError:  # A is not Hurwitz
             below = False
-        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, scanned, 0)
+        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, len(grid), 0)
 
-    lo, hi = bracket
-    iters = 0
-    while hi - lo > 4.0 * np.spacing(hi) and iters < _MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        if evaluator.delta(mid) > threshold:
-            hi = mid
-        else:
-            lo = mid
-        iters += 1
-    return make_report(0.5 * (lo + hi), CERT_CROSSING, scanned, iters)
+    # The bracket's end values come from the scan, so their signs are the scan's.
+    lo, d_lo = (times[k - 1], d[k - 1]) if k else last
+    tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
+                        times[k], d[k] - threshold, 4.0 * np.spacing(times[k]))
+    return make_report(tau, CERT_CROSSING, start + k + 1, steps)
+
+
+# A trial step that overflows or divides by 0 is inf or nan, fails the step
+# test and bisects, as in C.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _brent(f, a, fa, b, fb, xtol):
+    """(x, steps): a root of f in [a, b] by Brent's method (Brent 1973, ch. 4),
+    step for step as scipy.optimize.brentq with rtol _BRENT_RTOL, given
+    fa = f(a) and fb = f(b) of opposite signs.  Each step is one call of f;
+    NumericalError after _MAX_REFINEMENTS steps."""
+    if fa == 0.0 or fb == 0.0:
+        return float(a if fa == 0.0 else b), 0
+    pre, fpre, cur, fcur = map(np.float64, (a, fa, b, fb))
+    blk = fblk = spre = scur = 0.0
+    for steps in range(_MAX_REFINEMENTS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            blk, fblk = pre, fpre
+            spre = scur = cur - pre
+        if abs(fblk) < abs(fcur):  # cur is the best estimate, blk brackets it
+            pre, cur, blk, fpre, fcur, fblk = cur, blk, cur, fcur, fblk, fcur
+        delta = 0.5 * (xtol + _BRENT_RTOL * abs(cur))
+        sbis = 0.5 * (blk - cur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return float(cur), steps
+        interpolate = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:  # secant
+                stry = -fcur * (cur - pre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre, dblk = (fpre - fcur) / (pre - cur), (fblk - fcur) / (blk - cur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            interpolate = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if interpolate else (sbis, sbis)
+        pre, fpre = cur, fcur
+        cur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(cur)
+    raise NumericalError(f"Brent's method did not locate tau in [{a:.17g}, {b:.17g}] "
+                         f"within {_MAX_REFINEMENTS} steps")

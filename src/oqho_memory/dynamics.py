@@ -21,20 +21,19 @@ eigenvectors, U = V T with T unitary and block diagonal): the congruences,
 the inverse and the condition check are real n^3 work, the eigenbasis is
 reached by an O(n^2) block transform, and the forms become real n x n
 matrices in the n real numbers theta(t), Re and Im of expm1(lam t) for each
-pair and expm1(lam t) for each real eigenvalue.  A point costs one stacked
-(2n + 1) x n real mat-vec.  When A is defective or cond(U) exceeds
-_SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and V(t) from one Van
-Loan block exponential over h = t / 2^k, extended to t by k doublings, so its
-cost grows with log(t ||A||), not with t.  gramian takes the same two paths.
-The t -> inf limits come from the same eigenbasis: Phi(inf) = -1 / Z gives
-DeviationEvaluator.hurwitz_limit, the diagonal of Q~ asymptotic_rate.
+pair and expm1(lam t) for each real eigenvalue.  When A is defective or
+cond(U) exceeds _SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and
+V(t) from one Van Loan block exponential over h = t / 2^k, extended to t by k
+doublings, so its cost grows with log(t ||A||), not with t.  gramian takes
+the same two paths.  The t -> inf limits come from the same eigenbasis:
+Phi(inf) = -1 / Z gives DeviationEvaluator.hurwitz_limit, the diagonal of Q~
+asymptotic_rate.
 
-DeviationEvaluator.terms also takes a 1-D array of K times: theta is then
-K x n and one real K x n x (2n + 1) matrix product reads every point, which
-costs less per point than K mat-vecs (the Van Loan path loops over the
-points).  The tau scan and compute_deviation_curve walk their grids in blocks
-of _SCAN_BLOCK times, so memory stays O(n _SCAN_BLOCK) for any grid;
-bisection evaluates one point at a time.
+Every evaluation is a block evaluation: DeviationEvaluator.terms reads a
+1-D array of K times (a single time is an array of one) with one real
+K x n x (2n + 1) matrix product (the Van Loan path loops over them).  The tau
+scan and compute_deviation_curve walk their grids in blocks of _SCAN_BLOCK
+times, so memory stays O(n _SCAN_BLOCK) for any grid.
 """
 
 import math
@@ -338,10 +337,10 @@ class DeviationEvaluator:
     and d_j = expm1(lam_j t) for a real lam_j.  So the forms become the real
     n x n matrices H_theta = Re T H T^H and M_theta = Re T M T^H and the real
     vector c_theta = Re conj(T) c (T = _PAIR_T per pair), stacked once as
-    [H_theta; M_theta; c_theta^T].  A point costs one expm1 value per pair and
-    per real eigenvalue and one real mat-vec; K points one real
-    K x n x (2n + 1) product.  On the Van Loan path each point takes one
-    _propagate.  path names the one taken.
+    [H_theta; M_theta; c_theta^T].  K points cost one expm1 value per pair
+    and per real eigenvalue each and one real K x n x (2n + 1) product.  On
+    the Van Loan path each point takes one _propagate.  path names the one
+    taken.
     """
 
     def __init__(self, a, b, weighting, moments):
@@ -368,82 +367,62 @@ class DeviationEvaluator:
             self._hmc = np.vstack([_pair_congruence(h, k, _PAIR_T).real,
                                    _pair_congruence(m, k, _PAIR_T).real,
                                    _pair_rows(c, k, _PAIR_T.conj()).real])
-        # One mode per pair (Im lam > 0) and per real eigenvalue.
-        self._modes = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).astype(complex)
-        self._half_freq = 0.5 * self._modes.imag[:k]
+        # alpha for one mode per pair (Im lam > 0) and per real eigenvalue.
+        self._alpha = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).real
+        self._half_freq = 0.5 * lam[0:2 * k:2].imag
         self._m, self._g_near, self._z_near = m, g[near], z[near]
 
     def terms(self, t):
         """(signal, noise) at a time t, or two arrays of them for a 1-D array t.
 
-        Raises NumericalError naming the first time where either summand
-        overflows.
+        A single time is evaluated as a one-element array.  Raises
+        NumericalError naming the first time where either summand overflows.
         """
-        if not isinstance(t, (np.ndarray, list, tuple)):
-            if not t >= 0:
-                raise PreconditionError(f"time must be nonnegative, got {t}")
-            sig, noise = self._terms(t)
-            sig, noise = float(sig), float(noise)
-            if not (math.isfinite(sig) and math.isfinite(noise)):
-                raise _overflow(t, sig, noise)
-            return sig, noise
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self.terms(float(t))
-        if t.ndim != 1:
-            raise PreconditionError(f"times must be a number or a 1-D array, got shape {t.shape}")
-        if not np.all(t >= 0):
-            raise PreconditionError("times must be nonnegative")
-        sig, noise = self._terms(t)
+        times = np.array(t, dtype=float, ndmin=1)
+        if times.ndim != 1:
+            raise PreconditionError(f"times must be a number or a 1-D array, got shape {times.shape}")
+        if not np.all(times >= 0):
+            raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
+        sig, noise = self._terms(times)
         bad = ~(np.isfinite(sig) & np.isfinite(noise))
         if bad.any():
             k = int(np.argmax(bad))
-            raise _overflow(t[k], sig[k], noise[k])
+            raise _overflow(times[k], sig[k], noise[k])
+        if np.ndim(t) == 0:
+            return float(sig[0]), float(noise[0])
         return sig, noise
 
     def _terms(self, t):
-        """terms(t) for a float t >= 0 or a 1-D float array of them, unchecked:
-        a summand that overflows comes back inf or nan."""
-        block = isinstance(t, np.ndarray)
+        """terms(t) for a 1-D float array t >= 0, unchecked: a summand that
+        overflows comes back inf or nan."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self.path == VAN_LOAN:
-                if block:
-                    sig, noise = np.array([self._terms(s) for s in t]).reshape(-1, 2).T
-                    return sig, noise
-                e, v = _propagate(self._a, self._bbt, t)
-                sig = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
-                return sig, np.sum(self._sigma * v)
-            # For an array, theta is K x n: one row per point.
+                sig, noise = np.empty(len(t)), np.empty(len(t))
+                for j, s in enumerate(t):
+                    e, v = _propagate(self._a, self._bbt, s)
+                    sig[j] = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
+                    noise[j] = np.sum(self._sigma * v)
+                return sig, noise
+            # theta is K x n: one row per point.
             theta = self._modal_values(t)
-            n = theta.shape[-1]
-            if block:
-                prod = theta @ self._hmc.T
-                sig, noise = np.einsum("kjn,kn->jk", prod[:, :2 * n].reshape(-1, 2, n), theta)
-                noise = noise + prod[:, 2 * n]
-            else:
-                prod = self._hmc @ theta
-                sig, noise = prod[:2 * n].reshape(2, n) @ theta
-                noise = noise + prod[2 * n]
+            n = theta.shape[1]
+            prod = theta @ self._hmc.T
+            sig, noise = np.einsum("kjn,kn->jk", prod[:, :2 * n].reshape(-1, 2, n), theta)
+            noise = noise + prod[:, 2 * n]
             if self._z_near.size:
-                near = self._g_near @ _phi(self._z_near[:, None] if block else self._z_near, t)
-                noise = noise + near.real
+                noise = noise + (self._g_near @ _phi(self._z_near[:, None], t)).real
             return sig, noise
 
     def _modal_values(self, t):
-        """theta(t) = [x_1, y_1, ..., x_k, y_k, then expm1(lam_j t) for each
-        real lam_j]: an n-vector for a float t, K x n for an array of K times.
+        """theta(t) for a 1-D array of K times: K x n, each row
+        [x_1, y_1, ..., x_k, y_k, then expm1(lam_j t) for each real lam_j].
 
-        One point takes numpy's complex expm1 of the modes, which computes x
-        and y by the formulas of the class docstring and costs least at this
-        size.  A block takes them from real expm1, sin and cos, which numpy
-        vectorizes, with sin(beta t) = 2 s c and cos(beta t) = 1 - 2 s^2 for
+        x and y come from real expm1, sin and cos, which numpy vectorizes,
+        with sin(beta t) = 2 s c and cos(beta t) = 1 - 2 s^2 for
         s, c = sin, cos(beta t / 2): x = expm1(alpha t) - 2 s^2 e^{alpha t}.
         """
         k = len(self._half_freq)
-        if not isinstance(t, np.ndarray):
-            d = np.expm1(self._modes * t)
-            return d.view(float) if k == len(d) else np.concatenate([d[:k].view(float), d[k:].real])
-        e = np.expm1(np.multiply.outer(t, self._modes.real))
+        e = np.expm1(np.multiply.outer(t, self._alpha))
         half = np.multiply.outer(t, self._half_freq)
         s, c = np.sin(half), np.cos(half)
         theta = np.empty((len(t), self._hmc.shape[1]))
@@ -546,10 +525,19 @@ def time_scale(a):
     return 1.0 / max(norm, 1.0)
 
 
+def _check_horizon(horizon):
+    """PreconditionError unless horizon is finite and normal: a time grid starts
+    at a fixed fraction of its horizon, which underflows for a subnormal one."""
+    tiny = np.finfo(float).tiny
+    if isinstance(horizon, (bool, np.bool_)) or not tiny <= horizon < math.inf:
+        raise PreconditionError(f"horizon must be finite and at least {tiny:.6g}, got {horizon!r}")
+
+
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid from 1e-4 * t_ref to t_ref with t_ref = 10 time_scale(A)."""
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)
+    _check_horizon(t_ref)
     return np.geomspace(1e-4 * t_ref, t_ref, points)
 
 

@@ -186,14 +186,17 @@ def sqrt_psd(p, neg_tol=1e-8):
         raise DimensionError(f"matrix must be square, got {p.shape}")
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
-    w, v = np.linalg.eigh(0.5 * (p + p.T))
+    # sqrt(P) = 2^k sqrt(P / 4^k), 4^k ~ max|P|: exact, and no overflow below.
+    k = np.frexp(np.max(np.abs(p), initial=0.0))[1] // 2
+    q = np.ldexp(p, -2 * k)
+    w, v = np.linalg.eigh(0.5 * (q + q.T))
     scale = max(np.max(np.abs(w), initial=0.0), 1e-300)
     if np.min(w) < -neg_tol * scale:
         raise InvalidMomentMatrixError(
-            f"matrix has a significantly negative eigenvalue {np.min(w):.3e}"
+            f"matrix has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
         )
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return np.ldexp((v * np.sqrt(w)) @ v.T, k)
 
 
 def eigh_definite(a, b):

@@ -269,8 +269,23 @@ class TestDeltaCurve:
         assert cli.main(["delta-curve", "--scenario", path,
                          "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
 
+    def test_subnormal_horizon_is_precondition_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        assert cli.main(["delta-curve", "--scenario", path, "--horizon", "1e-320"]) == 1
+        assert "horizon" in capsys.readouterr().err
+
 
 class TestTau:
+    # A positive horizon below the smallest normal double, from the flag or
+    # the scenario, is a precondition error (exit 1), not a traceback.
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_subnormal_horizon_is_precondition_error(self, tmp_path, capsys, source):
+        data = single_mode_scenario(**({"horizon": 1e-320} if source == "scenario" else {}))
+        path = write_scenario(tmp_path, "s.json", data)
+        flags = ["--horizon", "1e-320"] if source == "flag" else []
+        assert cli.main(["tau", "--scenario", path] + flags) == 1
+        assert "horizon" in capsys.readouterr().err
+
     def test_single_mode_report(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         out = tmp_path / "tau.json"

@@ -110,6 +110,39 @@ class TestTauHat:
         assert tau_hat(real, w, mo, 0.0) == 0.0
 
 
+# _brent is scipy.optimize.brentq written out, because importing
+# scipy.optimize adds ~20 MB and ~0.2 s to every process that imports the
+# package.  It must take the same steps: the same root bit for bit, and two
+# fewer calls of f, because it is given f at both ends.  The "huge" case
+# overflows the interpolation, which must then bisect without a warning.
+BRENT_CASES = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "exp": (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    "flat": (lambda x: (x - 0.1) ** 5, 0.0, 1.0),
+    "single-mode": (lambda t: float(closed_form_delta(t)) - 0.02, 0.005, 0.02),
+    "huge": (lambda x: 1e300 * (x - 0.3) ** 3 + 1e300 * (x - 0.3), 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", BRENT_CASES)
+@pytest.mark.parametrize("xtol", [2e-12, "4 ulp"])
+def test_brent_matches_scipy(case, xtol):
+    f, a, b = BRENT_CASES[case]
+    xtol = 4.0 * np.spacing(b) if xtol == "4 ulp" else xtol
+    root, steps = decoherence._brent(f, a, f(a), b, f(b), xtol)
+    want = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=decoherence._BRENT_RTOL,
+                                 maxiter=decoherence._MAX_REFINEMENTS, full_output=True)[1]
+    assert want.converged
+    assert root == want.root
+    assert steps + 2 == want.function_calls
+
+
+def test_brent_returns_a_zero_end():
+    assert decoherence._brent(math.sin, 0.0, 0.0, 1.0, math.sin(1.0), 1e-12) == (0.0, 0)
+    assert decoherence._brent(math.sin, -1.0, math.sin(-1.0), 0.0, 0.0, 1e-12) == (0.0, 0)
+
+
 class TestDecoherenceTime:
     def test_isolated_zero_hamiltonian(self):
         _, w, mo = single_mode()
@@ -146,9 +179,11 @@ class TestDecoherenceTime:
 
     def test_same_scan_as_van_loan(self, monkeypatch):
         # The spectral path must reproduce the Van Loan scan: the same first
-        # bracketing interval (given by the number of grid points scanned),
-        # the same bisection, and tau to rounding.  The marginal system takes
-        # the _phi route on the diagonal of Z.
+        # bracketing interval (given by the number of grid points scanned)
+        # and tau to rounding.  Brent's steps depend on Delta values, which
+        # differ between the paths at rounding level, so their count may
+        # differ.  The marginal system takes the _phi route on the diagonal
+        # of Z.
         rng = np.random.default_rng(42)
         params, real = random_damped_realization(rng, 16)
         w = Weighting(rng.standard_normal((16, 32)))
@@ -161,9 +196,33 @@ class TestDecoherenceTime:
                 ref = decoherence_time(system, w, mo, eps)
             assert (rep.delta_path, ref.delta_path) == (dynamics.SPECTRAL, dynamics.VAN_LOAN)
             assert rep.certificate == ref.certificate == CERT_CROSSING
-            assert rep.delta_evaluations == ref.delta_evaluations
-            assert rep.bisection_iterations == ref.bisection_iterations
+            assert (rep.delta_evaluations - rep.bisection_iterations
+                    == ref.delta_evaluations - ref.bisection_iterations)
             assert abs(rep.tau - ref.tau) <= 1e-12 * ref.tau
+
+    # Delta = (1 - x)(3 - x) with x = e^{-t}, so Delta = c at
+    # x = 1 - c / (1 + sqrt(1 + c)).  Brent's method refines the scan's
+    # bracket to full precision in a few Delta evaluations (bisection took 45).
+    def test_refinement_takes_few_evaluations(self):
+        real, w, mo = single_mode()
+        rep = decoherence_time(real, w, mo, 0.01)
+        c = rep.threshold
+        want = -math.log1p(-c / (1.0 + math.sqrt(1.0 + c)))
+        assert rep.certificate == CERT_CROSSING
+        assert 0 < rep.bisection_iterations <= 10
+        assert abs(rep.tau - want) <= 1e-14 * want
+
+    def test_refinement_failure_is_numerical_error(self, monkeypatch):
+        real, w, mo = single_mode()
+        monkeypatch.setattr(decoherence, "_MAX_REFINEMENTS", 1)
+        with pytest.raises(NumericalError, match="did not locate tau"):
+            decoherence_time(real, w, mo, 0.01)
+
+    def test_subnormal_horizon_rejected(self):
+        # A grid starting at 1e-8 horizon would underflow to 0.
+        real, w, mo = single_mode()
+        with pytest.raises(PreconditionError, match="horizon"):
+            decoherence_time(real, w, mo, 0.01, horizon=1e-320)
 
     # A = 50 I, B = 0.1 I, F = P = I: Delta = 2 (x - 1)^2 + 2e-4 (x^2 - 1) with
     # x = e^{50 t}, so Delta reaches eps ||F sqrt(P)||^2 = 2e290 at

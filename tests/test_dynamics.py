@@ -110,6 +110,12 @@ class TestMomentData:
         with pytest.raises(InvalidMomentMatrixError, match="not finite"):
             MomentData(p, THETA1)
 
+    def test_huge_finite_p_has_finite_sqrt(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mo = MomentData(np.diag([1e308, 1e308]), THETA1)
+        np.testing.assert_allclose(mo.sqrt_p, 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
+
 
 class TestWeighting:
     def test_sigma_factorization(self):
@@ -591,9 +597,13 @@ class TestDeviationEvaluator:
             ev.terms(t)
             assert sum(counted) == values
 
-    # An array of times goes through one stacked product (spectral path) or a
-    # loop of _propagate (Van Loan path); either way each point must match the
-    # scalar call, which bisection uses, to rounding.
+    # The spectral path reads theta(t) from real expm1, sin and cos.  The
+    # reference is numpy's complex expm1 of one mode per pair (Im lam > 0) and
+    # per real eigenvalue: theta holds Re and Im of each pair's value, then the
+    # real values; they must agree to 1e-14 relative, or 1e-16 absolute where
+    # e^{alpha t} has decayed to ~0 (|theta| <= 2 for Re lam <= 0).  The Van
+    # Loan path loops _propagate over the times; its reference is
+    # van_loan_terms.  A single time is a one-element array, bit for bit.
     @pytest.mark.parametrize("kind", ["hurwitz", "marginal-gap-1e-4", "mixed", "van-loan"])
     def test_array_of_times_matches_points(self, monkeypatch, kind):
         rng = np.random.default_rng(35)
@@ -606,17 +616,28 @@ class TestDeviationEvaluator:
         if kind == "van-loan":
             monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
         w = Weighting(rng.standard_normal((16, 32)))
-        ev = DeviationEvaluator(a, b, w, MomentData(random_spd(rng, 32), params.ccr))
+        mo = MomentData(random_spd(rng, 32), params.ccr)
+        ev = DeviationEvaluator(a, b, w, mo)
         assert ev.path == (VAN_LOAN if kind == "van-loan" else SPECTRAL)
         if kind == "marginal-gap-1e-4":
             assert ev._z_near.size == 32 + 4
         times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
         sig, noise = ev.terms(times)
         assert sig.shape == noise.shape == times.shape
-        for k, t in enumerate(times):
-            want = ev.terms(t)
-            assert abs(sig[k] - want[0]) <= 1e-14 * abs(want[0])
-            assert abs(noise[k] - want[1]) <= 1e-14 * abs(want[1])
+        if kind == "van-loan":
+            for k, t in enumerate(times):
+                want = van_loan_terms(a, b, w, mo, t)
+                assert abs(sig[k] - want[0]) <= 1e-14 * abs(want[0])
+                assert abs(noise[k] - want[1]) <= 1e-14 * abs(want[1])
+        else:
+            pairs = len(ev._half_freq)
+            d = np.expm1(np.multiply.outer(times, np.concatenate([ev._lam[0:2 * pairs:2],
+                                                                  ev._lam[2 * pairs:]])))
+            want = np.hstack([d[:, :pairs, None].view(float).reshape(len(times), -1),
+                              d[:, pairs:].real])
+            np.testing.assert_allclose(ev._modal_values(times), want, rtol=1e-14, atol=1e-16)
+        for t in times:
+            assert ev.terms(t) == tuple(x[0] for x in ev.terms(np.array([t])))
         np.testing.assert_array_equal(ev.delta(times), sig + noise)
 
     def test_array_overflow_names_first_time(self):

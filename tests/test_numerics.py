@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,10 @@ class TestSqrtPsd:
         # ||P|| = inf must not make the symmetry bound inf.
         with pytest.raises(InvalidMomentMatrixError, match="not symmetric"):
             sqrt_psd(np.array([[1e308, 1e300], [0.0, 1e308]]))
+
+    def test_huge_entries_do_not_overflow(self):
+        # 0.5 (P + P^T) would overflow; sqrt(diag(1e308, 1e308)) = 1e154 I.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            s = sqrt_psd(np.diag([1e308, 1e308]))
+        np.testing.assert_allclose(s, 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
