@@ -5,7 +5,11 @@ deviation is convex in the symmetric energy matrix R, and R maximizes the
 quadratic decoherence-time approximation iff
 
     Theta Sigma Theta R P + P R Theta Sigma Theta + K = 0,
-    K = (1/4) (Theta Sigma (B B^T + 2 Atilde P) - (B B^T + 2 P Atilde^T) Sigma Theta).
+    K = K(Atilde) = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)),
+
+B and Atilde from model.build_realization.  k_matrix is the one formula for
+K: the gradient of ddot(Delta) in R is -8 K(A), and the zero-Hamiltonian
+residual, which vanishes iff R = 0 is optimal, is 4 ||K(Atilde)||.
 
 This algebraic Lyapunov equation is the congruence equation of
 numerics.solve_sylvester with the pair (Theta Sigma Theta, P) on both sides,
@@ -15,14 +19,15 @@ is unique only up to the kernel of Theta Sigma Theta, and the minimum-norm
 solution is returned.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import delta_derivatives
-from .errors import PreconditionError
-from .model import build_realization, ito_j, OqhoParams
-from .numerics import solve_sylvester, sqrt_psd
+from .errors import NumericalError, PreconditionError
+from .model import build_realization, OqhoParams
+from .numerics import solve_sylvester
 
 __all__ = [
     "EnergyOptimum",
@@ -51,6 +56,13 @@ def _sym(x):
     return 0.5 * (x + x.T)
 
 
+def _realization(ccr, coupling_n, r=None):
+    """build_realization for energy R (None: 0) and coupling N; B, Atilde do not depend on R."""
+    coupling_n = np.asarray(coupling_n, dtype=float)
+    return build_realization(OqhoParams(ccr=ccr, energy=np.zeros((ccr.n, ccr.n)) if r is None else r,
+                                        coupling=coupling_n, selector=np.eye(coupling_n.shape[0])))
+
+
 def ddot_delta_of_state(a, b, weighting, moments):
     """<Sigma, A B B^T + B B^T A^T + 2 A P A^T> for raw state matrices."""
     return delta_derivatives(a, b, weighting, moments)[1]
@@ -58,32 +70,24 @@ def ddot_delta_of_state(a, b, weighting, moments):
 
 def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
     """ddot(Delta) as a function of the energy matrix for fixed coupling."""
-    real = build_realization(OqhoParams(ccr=ccr, energy=r, coupling=coupling_n,
-                                        selector=np.eye(coupling_n.shape[0])))
+    real = _realization(ccr, coupling_n, r)
     return ddot_delta_of_state(real.a, real.b, weighting, moments)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # solve_sylvester rejects a non-finite K
+@np.errstate(over="ignore", invalid="ignore")  # a K that is not finite raises below
 def k_matrix(ccr, weighting, b, a_tilde, moments):
-    """Constant term of the stationarity equation (symmetric by construction)."""
-    theta = ccr.theta
-    sigma = weighting.sigma
-    b = np.asarray(b, dtype=float)
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    bbt = b @ b.T
-    p = moments.p
-    k = 0.25 * (theta @ sigma @ (bbt + 2.0 * a_tilde @ p)
-                - (bbt + 2.0 * p @ a_tilde.T) @ sigma @ theta)
-    return _sym(k)
+    """K = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)) of the stationarity
+    equation; NumericalError when it overflows."""
+    b, a_tilde = np.asarray(b, dtype=float), np.asarray(a_tilde, dtype=float)
+    k = 0.5 * _sym(ccr.theta @ weighting.sigma @ (b @ b.T + 2.0 * a_tilde @ moments.p))
+    if not np.all(np.isfinite(k)):
+        raise NumericalError("the stationarity constant K is not finite: B or Atilde too large")
+    return k
 
 
 def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
-    """Gradient of ddot(Delta) in R: -4 sym(Theta Sigma (B B^T + 2 A P))."""
-    a = np.asarray(system.a, dtype=float)
-    b = np.asarray(system.b, dtype=float)
-    theta = ccr.theta
-    sigma = weighting.sigma
-    return -4.0 * _sym(theta @ sigma @ (b @ b.T + 2.0 * a @ moments.p))
+    """Gradient of ddot(Delta) in R: -8 K(A), i.e. k_matrix with A for Atilde."""
+    return -8.0 * k_matrix(ccr, weighting, system.b, system.a, moments)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # solve_sylvester rejects a non-finite S
@@ -95,12 +99,8 @@ def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     symmetric solutions of the homogeneous equation, k (k + 1) / 2 for a
     k-dimensional kernel of Theta Sigma Theta.
     """
-    coupling_n = np.asarray(coupling_n, dtype=float)
-    m = coupling_n.shape[0]
-    j = ito_j(m)
-    b = 2.0 * ccr.theta @ coupling_n.T
-    a_tilde = 2.0 * ccr.theta @ coupling_n.T @ j @ coupling_n
-    k = k_matrix(ccr, weighting, b, a_tilde, moments)
+    real = _realization(ccr, coupling_n)
+    k = k_matrix(ccr, weighting, real.b, real.a_tilde, moments)
     tst = ccr.theta @ weighting.sigma @ ccr.theta
     r_star, residual = solve_sylvester(tst, moments.p, tst, moments.p, k)
     r_star = _sym(r_star)
@@ -116,24 +116,15 @@ def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     )
 
 
+@np.errstate(over="ignore")  # a residual that overflows raises below
 def zero_hamiltonian_condition(ccr, weighting, coupling_n, moments):
-    """Residual whose vanishing certifies that R = 0 is optimal.
-
-    Equals 4 ||K|| with Atilde expressed through B as -1/2 B J B^T Theta^{-1}.
-    """
-    coupling_n = np.asarray(coupling_n, dtype=float)
-    m = coupling_n.shape[0]
-    j = ito_j(m)
-    theta = ccr.theta
-    theta_inv = ccr.inverse
-    sigma = weighting.sigma
-    p = moments.p
-    b = 2.0 * theta @ coupling_n.T
-    bbt = b @ b.T
-    bjbt = b @ j @ b.T
-    expr = (theta @ sigma @ (bbt - bjbt @ theta_inv @ p)
-            - (bbt - p @ theta_inv @ bjbt) @ sigma @ theta)
-    return float(np.linalg.norm(expr))
+    """Residual 4 ||K(Atilde)|| whose vanishing certifies that R = 0 is optimal;
+    NumericalError when it overflows."""
+    real = _realization(ccr, coupling_n)
+    residual = 4.0 * float(np.linalg.norm(k_matrix(ccr, weighting, real.b, real.a_tilde, moments)))
+    if not math.isfinite(residual):
+        raise NumericalError(f"the zero-Hamiltonian residual is not finite: {residual}")
+    return residual
 
 
 def a_hat_minimizer(b, moments):
@@ -145,15 +136,18 @@ def a_hat_minimizer(b, moments):
     return -0.5 * b @ b.T @ np.linalg.inv(p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that is not finite raises below
 def ddot_delta_quad_form(a, b, weighting, moments):
-    """Completed-square form 2||F(A - Ahat)sqrt(P)||^2 - 1/2||F B B^T P^{-1/2}||^2."""
+    """Completed-square form 2||F(A - Ahat)sqrt(P)||^2 - 1/2||F B B^T P^{-1/2}||^2;
+    NumericalError when it overflows."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     f = weighting.f
-    p = moments.p
-    a_hat = a_hat_minimizer(b, moments)
     sqrt_p = moments.sqrt_p
-    p_inv_half = np.linalg.inv(sqrt_psd(p))
+    a_hat = a_hat_minimizer(b, moments)
     quad = 2.0 * np.linalg.norm(f @ (a - a_hat) @ sqrt_p) ** 2
-    const = 0.5 * np.linalg.norm(f @ b @ b.T @ p_inv_half) ** 2
-    return float(quad - const)
+    const = 0.5 * np.linalg.norm(f @ b @ b.T @ np.linalg.inv(sqrt_p)) ** 2
+    value = float(quad - const)
+    if not math.isfinite(value):
+        raise NumericalError(f"ddot(Delta) in completed-square form is not finite: {quad} - {const}")
+    return value

@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _SPECTRAL_TOL, ito_j
-from .numerics import _asymmetric, matrix_exp, solve_lyapunov, sqrt_psd
+from .numerics import _asymmetric, _scaled_eigh, matrix_exp, solve_lyapunov, sqrt_psd
 
 __all__ = [
     "MomentData",
@@ -112,12 +112,12 @@ class Weighting:
             raise DimensionError("F must be a matrix")
         if not np.all(np.isfinite(f)):
             raise ValidationError("F must be finite")
-        # Full row rank: one singular value per row, none below numpy's
-        # default rank tolerance (scaled last, so it cannot overflow).
+        # Full row rank: a row or more, one singular value per row, none below
+        # numpy's default rank tolerance (scaled last, so it cannot overflow).
         sv = np.linalg.svd(f, compute_uv=False)
         tol = sv.max(initial=0.0) * (max(f.shape) * np.finfo(float).eps)
-        if sv.size < f.shape[0] or np.any(sv <= tol):
-            raise ValidationError("F must have full row rank")
+        if f.shape[0] == 0 or sv.size < f.shape[0] or np.any(sv <= tol):
+            raise ValidationError("F must have full row rank and at least one row")
         # Sigma may overflow for a finite F; its users raise on the result.
         with np.errstate(over="ignore", invalid="ignore"):
             sigma = f.T @ f
@@ -125,15 +125,16 @@ class Weighting:
         object.__setattr__(self, "_sigma", sigma)
 
     @classmethod
+    @np.errstate(over="ignore")  # 4^-k is inf only for a subnormal Sigma, which passes the PSD test
     def from_sigma(cls, sigma, tol=1e-12):
-        """Factor a symmetric PSD Sigma as F^T F with F of full row rank."""
+        """Factor a symmetric PSD Sigma as F^T F with F of full row rank; Sigma
+        is scaled as in sqrt_psd, so a huge finite Sigma gives a finite F."""
         sigma = np.asarray(sigma, dtype=float)
-        w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
-        if np.min(w) < -1e-10 * max(np.max(np.abs(w), initial=0.0), 1.0):
+        w, v, k = _scaled_eigh(sigma)
+        if np.min(w) < -1e-10 * max(np.max(np.abs(w), initial=0.0), np.ldexp(1.0, -2 * k)):
             raise InvalidMomentMatrixError("Sigma is not positive semi-definite")
         keep = w > tol * max(np.max(w, initial=0.0), 1e-300)
-        f = (np.sqrt(w[keep])[:, None]) * v[:, keep].T
-        return cls(f)
+        return cls(np.ldexp(np.sqrt(w[keep])[:, None] * v[:, keep].T, k))
 
     @property
     def sigma(self):
@@ -178,6 +179,9 @@ def _propagate(a, q, t):
 # cond(U)^2 eps of relative accuracy, ~1e-10 at this limit.  Above it, and for
 # a defective A (cond(U) ~ 1/eps), Delta and the Gramian take the Van Loan path.
 _SPECTRAL_COND_LIMIT = 1e3
+
+# asymptotic_rate reads |Re lam| and eigenvalue gaps <= _RATE_TOL max(|lam|, 1) as 0.
+_RATE_TOL = 1e-7
 
 # Z_ij = lam_i + conj(lam_j) is near resonant when |Z_ij| <= _NEAR_RESONANT *
 # max(|lam_i|, |lam_j|): there the quadratic form for the noise term cancels to
@@ -468,7 +472,11 @@ def _overflow(t, sig, noise):
 
 
 def delta(a, b, weighting, moments, t):
-    """Weighted mean-square deviation Delta(t) >= 0."""
+    """Weighted mean-square deviation Delta(t) >= 0.
+
+    Each call builds a DeviationEvaluator and so factors A; a caller that
+    needs Delta at many times should hold one evaluator and call its delta.
+    """
     return DeviationEvaluator(a, b, weighting, moments).delta(t)
 
 
@@ -480,12 +488,10 @@ def delta_derivatives(a, b, weighting, moments):
     when either overflows.
     """
     a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
-    f = weighting.f
-    sigma = weighting.sigma
-    bbt = b @ b.T
-    dot = float(np.linalg.norm(f @ b) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        ddot = float(np.sum(sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
+        bbt = b @ b.T
+        dot = float(np.linalg.norm(weighting.f @ b) ** 2)
+        ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
     if not (math.isfinite(dot) and math.isfinite(ddot)):
         raise NumericalError(f"Delta derivatives at t = 0 are not finite: dot {dot}, ddot {ddot}")
     return dot, ddot
@@ -496,7 +502,7 @@ def hurwitz_limit(a, b, weighting, moments):
     return DeviationEvaluator(a, b, weighting, moments).hurwitz_limit()
 
 
-def asymptotic_rate(a, b, tol=1e-7):
+def asymptotic_rate(a, b):
     """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum.
 
     Phi_ij(t) / t -> 0 off the diagonal and Phi_ii(t) = t, so the rate is
@@ -505,10 +511,10 @@ def asymptotic_rate(a, b, tol=1e-7):
     """
     _, q, lam, basis = _noise_system(a, b)
     scale = max(np.max(np.abs(lam), initial=0.0), 1.0)
-    if np.max(np.abs(lam.real)) > tol * scale:
+    if np.max(np.abs(lam.real)) > _RATE_TOL * scale:
         raise PreconditionError("spectrum of A is not purely imaginary")
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
-    if np.min(gaps) <= tol * scale:
+    if np.min(gaps) <= _RATE_TOL * scale:
         raise PreconditionError("extended eigenfrequencies of A are not pairwise distinct")
     if basis is None:
         raise PreconditionError(f"A is defective or cond(U) > {_SPECTRAL_COND_LIMIT:g}")

@@ -43,6 +43,7 @@ MARGINALLY_STABLE = "MarginallyStable"
 UNSTABLE = "Unstable"
 
 _ANTISYM_TOL = 1e-12
+_SINGULAR_TOL = 1e-10  # Theta is singular when sigma_min <= _SINGULAR_TOL sigma_max
 _SPECTRAL_TOL = 1e-9  # |Re lambda| <= _SPECTRAL_TOL is on the imaginary axis
 
 
@@ -67,7 +68,6 @@ class CcrMatrix:
     """Antisymmetric, nonsingular commutation matrix of the system variables."""
 
     theta: np.ndarray
-    singular_tol: float = 1e-10
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm fails its check
     def __post_init__(self):
@@ -81,7 +81,7 @@ class CcrMatrix:
         if np.linalg.norm(theta + theta.T) > _ANTISYM_TOL:
             raise ValidationError("CCR matrix is not antisymmetric")
         sv = np.linalg.svd(theta, compute_uv=False)
-        if sv[-1] <= self.singular_tol * sv[0]:
+        if sv[-1] <= _SINGULAR_TOL * sv[0]:
             raise ValidationError(
                 f"CCR matrix singular: smallest singular value {sv[-1]:.3e}"
             )
@@ -89,10 +89,6 @@ class CcrMatrix:
     @property
     def n(self):
         return self.theta.shape[0]
-
-    @property
-    def inverse(self):
-        return np.linalg.inv(self.theta)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ class SpectralClass:
     on_bisectors: bool
 
 
-def classify_spectrum(a, tol=_SPECTRAL_TOL):
+def classify_spectrum(a):
     """Stability classification of a real square matrix by its eigenvalues."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -248,11 +244,11 @@ def classify_spectrum(a, tol=_SPECTRAL_TOL):
             f"eigenvalue computation failed (cond(A) ~ {np.linalg.cond(a):.3e}): {exc}"
         ) from exc
     re = eigs.real
-    if np.max(re) > tol:
+    if np.max(re) > _SPECTRAL_TOL:
         category = UNSTABLE
-    elif np.max(re) >= -tol:
+    elif np.max(re) >= -_SPECTRAL_TOL:
         category = MARGINALLY_STABLE
     else:
         category = HURWITZ
-    on_bisectors = bool(np.any(np.abs(re) <= tol))
+    on_bisectors = bool(np.any(np.abs(re) <= _SPECTRAL_TOL))
     return SpectralClass(eigenvalues=eigs, category=category, on_bisectors=on_bisectors)

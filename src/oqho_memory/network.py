@@ -5,8 +5,11 @@ indirectly through exchanged output fields (internal couplings L1, L2).
 The closed loop is again an OQHO over the stacked variables; its block
 state-space assembly must coincide with the realization built from the
 closed-loop (Theta, R, N), which is the module's central consistency
-identity.  optimal_r12 solves the closed-loop stationarity equation for the
-direct coupling matrix.  When Sigma or P is block-diagonal the equation
+identity, and the closed loop's C and A0 are read from that realization.
+The fields add Rtilde12 to the energy cross-term; the zero-Hamiltonian R12
+is -Rtilde12.  optimal_r12 solves the closed-loop stationarity equation for
+the direct coupling matrix, whose constant Q is the (1, 2) block of
+design.k_matrix.  When Sigma or P is block-diagonal the equation
 decouples into S11 R12 P22 + P11 R12 S22 + Q = 0, the same congruence
 equation as the energy optimum, and numerics.solve_sylvester solves it;
 otherwise matrix-free conjugate gradients solve the coupled equation.  Both
@@ -114,6 +117,13 @@ def _blocks(diag1, diag2, upper=None, lower=None):
     return out
 
 
+def _field_cross_term(sub1, sub2):
+    """Rtilde12 = L1^T D2 J_2 N2 - N1^T J_1 D1^T L2, the (1, 2) block of the
+    closed-loop energy matrix that the exchanged fields contribute."""
+    return (sub1.coupling_internal.T @ sub2.selector @ ito_j(sub2.m) @ sub2.coupling_external
+            - sub1.coupling_external.T @ ito_j(sub1.m) @ sub1.selector.T @ sub2.coupling_internal)
+
+
 def assemble(sub1, sub2, r12):
     """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
     _check_internal_dims(sub1, sub2)
@@ -144,12 +154,10 @@ def assemble(sub1, sub2, r12):
                        e_blk[0] @ subs[1].selector, e_blk[1] @ subs[0].selector)
 
     # Closed-loop physical parameters.
-    l1, l2 = sub1.coupling_internal, sub2.coupling_internal
-    nn1, nn2 = sub1.coupling_external, sub2.coupling_external
-    d1, d2 = sub1.selector, sub2.selector
-    r_tilde_12 = l1.T @ d2 @ js[1] @ nn2 - nn1.T @ js[0] @ d1.T @ l2
-    closed_r = _blocks(sub1.energy, sub2.energy, r12 + r_tilde_12, (r12 + r_tilde_12).T)
-    closed_n = _blocks(nn1, nn2, d1.T @ l2, d2.T @ l1)
+    r12_closed = r12 + _field_cross_term(sub1, sub2)
+    closed_r = _blocks(sub1.energy, sub2.energy, r12_closed, r12_closed.T)
+    closed_n = _blocks(sub1.coupling_external, sub2.coupling_external,
+                       sub1.selector.T @ sub2.coupling_internal, sub2.selector.T @ sub1.coupling_internal)
     closed_theta = CcrMatrix(_blocks(thetas[0], thetas[1]))
 
     # The block assembly must reproduce the PR construction from (Theta, R, N).
@@ -170,16 +178,9 @@ def assemble(sub1, sub2, r12):
             "this indicates an implementation bug"
         )
 
-    d_closed = _blocks(d1, d2)
-    c_closed = 2.0 * d_closed @ _blocks(js[0], js[1]) @ closed_n
-    realization = Realization(
-        a=a_closed,
-        b=b_closed,
-        c=c_closed,
-        d=d_closed,
-        a0=2.0 * closed_theta.theta @ closed_r,
-        a_tilde=a_closed - 2.0 * closed_theta.theta @ closed_r,
-    )
+    d_closed = _blocks(sub1.selector, sub2.selector)
+    realization = Realization(a=a_closed, b=b_closed, c=d_closed @ ref.c, d=d_closed,
+                              a0=ref.a0, a_tilde=a_closed - ref.a0)
     return Interconnection(
         sub1=sub1,
         sub2=sub2,
@@ -199,10 +200,7 @@ def zero_hamiltonian_r12(sub1, sub2):
     which case the closed-loop energy matrix cannot vanish.
     """
     _check_internal_dims(sub1, sub2)
-    j1 = ito_j(sub1.m)
-    j2 = ito_j(sub2.m)
-    r12 = (sub1.coupling_external.T @ j1 @ sub1.selector.T @ sub2.coupling_internal
-           - sub1.coupling_internal.T @ sub2.selector @ j2 @ sub2.coupling_external)
+    r12 = -_field_cross_term(sub1, sub2)
     warning = None
     if np.linalg.norm(sub1.energy) > 0 or np.linalg.norm(sub2.energy) > 0:
         warning = "R1 or R2 nonzero: closed-loop energy matrix will not vanish"
@@ -216,13 +214,10 @@ def q_matrix(interconnection, weighting, moments):
     coupling R12 removed, A - 2 Theta [[0, R12], [R12^T, 0]], i.e. built from
     blockdiag(R1, R2) + Rtilde + N^T J N.
     """
-    n1 = interconnection.sub1.n
+    n1, n2 = interconnection.sub1.n, interconnection.sub2.n
     r12 = interconnection.r12
-    theta = interconnection.closed_theta.theta
-    direct = np.zeros_like(theta)
-    direct[:n1, n1:] = r12
-    direct[n1:, :n1] = r12.T
-    a_breve = interconnection.closed_realization.a - 2.0 * theta @ direct
+    direct = _blocks(np.zeros((n1, n1)), np.zeros((n2, n2)), r12, r12.T)
+    a_breve = interconnection.closed_realization.a - 2.0 * interconnection.closed_theta.theta @ direct
     k = k_matrix(interconnection.closed_theta, weighting,
                  interconnection.closed_realization.b, a_breve, moments)
     return k[:n1, n1:]

@@ -47,6 +47,7 @@ _CG_MAX_ITER_PER_UNKNOWN = 2
 # _SYLVESTER_RTOL (||Q|| + ||op|| ||X||).
 _NULL_RTOL = 1e-12
 _SYLVESTER_RTOL = 1e-10
+_PSD_NEG_RTOL = 1e-8  # sqrt_psd: least eigenvalue allowed, relative to the largest
 
 
 def matrix_exp(a, t=1.0):
@@ -179,19 +180,25 @@ def _asymmetric(p):
     return np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0 / s)
 
 
-def sqrt_psd(p, neg_tol=1e-8):
+def _scaled_eigh(p):
+    """(w, V, k) with sym(P) = 4^k V diag(w) V^T; P is scaled by 4^-k ~ 1 / max|P|
+    first, which is exact and keeps every step finite for a finite P."""
+    k = np.frexp(np.max(np.abs(p), initial=0.0))[1] // 2
+    q = np.ldexp(p, -2 * k)
+    w, v = np.linalg.eigh(0.5 * (q + q.T))
+    return w, v, k
+
+
+def sqrt_psd(p):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionError(f"matrix must be square, got {p.shape}")
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
-    # sqrt(P) = 2^k sqrt(P / 4^k), 4^k ~ max|P|: exact, and no overflow below.
-    k = np.frexp(np.max(np.abs(p), initial=0.0))[1] // 2
-    q = np.ldexp(p, -2 * k)
-    w, v = np.linalg.eigh(0.5 * (q + q.T))
+    w, v, k = _scaled_eigh(p)  # sqrt(P) = 2^k sqrt(P / 4^k)
     scale = max(np.max(np.abs(w), initial=0.0), 1e-300)
-    if np.min(w) < -neg_tol * scale:
+    if np.min(w) < -_PSD_NEG_RTOL * scale:
         raise InvalidMomentMatrixError(
             f"matrix has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
         )

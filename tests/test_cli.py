@@ -4,6 +4,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqho_memory import cli, decoherence, design, dynamics
+from oqho_memory import cli, decoherence, design, dynamics, model, network
 
 from oracles import random_damped_realization
 
@@ -385,6 +388,73 @@ class TestSpectrum:
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         assert cli.main(["spectrum", "--scenario", path]) == 0
         assert "category: Hurwitz" in capsys.readouterr().out
+
+
+def interconnection_library(data):
+    """(closed-loop realization, weighting, moments) of an interconnection
+    scenario, built with the library alone."""
+    subs = [network.SubsystemParams(ccr=model.CcrMatrix(s["theta"]), energy=s["energy"],
+                                    coupling_external=s["coupling"],
+                                    coupling_internal=s["coupling_internal"], selector=s["selector"])
+            for s in data["subsystems"]]
+    inter = network.assemble(subs[0], subs[1], np.zeros((subs[0].n, subs[1].n)))
+    return (inter.closed_realization, dynamics.Weighting(data["weight_f"]),
+            dynamics.MomentData(data["moments_p"], inter.closed_theta))
+
+
+class TestInterconnectionAnalysis:
+    """check, spectrum, tau and delta-curve run on the closed loop that
+    network.assemble builds, and print what the library computes for it."""
+
+    def run(self, tmp_path, capsys, *argv):
+        data = interconnection_scenario()
+        path = write_scenario(tmp_path, "i.json", data)
+        assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == 0
+        return capsys.readouterr().out, interconnection_library(data)
+
+    def test_check(self, tmp_path, capsys):
+        out, (real, _, mo) = self.run(tmp_path, capsys, "check")
+        pr = model.check_physical_realizability(real.a, real.b, mo.ccr)
+        assert f"PR residual:        {cli._fmt(pr)}" in out
+        assert f"spectral class:     {model.classify_spectrum(real.a).category}" in out
+        assert "check: PASS" in out
+
+    def test_spectrum(self, tmp_path, capsys):
+        out, (real, _, _) = self.run(tmp_path, capsys, "spectrum")
+        lines = out.splitlines()
+        eigs = model.classify_spectrum(real.a).eigenvalues
+        assert len(eigs) == 4 and len(lines) == 2 + len(eigs)
+        for line, lam in zip(lines[2:], eigs):
+            re, sign, im = line.split()
+            assert float(re) == lam.real
+            assert float(im[:-1]) == abs(lam.imag) and (sign == "+") == (lam.imag >= 0)
+
+    def test_tau(self, tmp_path, capsys):
+        out, (real, w, mo) = self.run(tmp_path, capsys, "tau", "--out", str(tmp_path / "tau.json"))
+        [rep] = json.loads((tmp_path / "tau.json").read_text())
+        want = decoherence.decoherence_time(real, w, mo, 0.01)
+        assert rep == cli._report_to_dict(want)
+        assert rep["certificate"] == "crossing_found"
+
+    def test_delta_curve(self, tmp_path, capsys):
+        out, (real, w, mo) = self.run(tmp_path, capsys, "delta-curve", "--grid-points", "20")
+        rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+        times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=20)])
+        curve = dynamics.compute_deviation_curve(real.a, real.b, w, mo, times)
+        np.testing.assert_array_equal(rows, np.column_stack(
+            [curve.times, curve.delta_values, curve.signal_term, curve.noise_term]))
+
+
+def test_module_entry_point(tmp_path):
+    # python -m oqho_memory.cli runs main and exits with its code.
+    path = write_scenario(tmp_path, "s.json", single_mode_scenario(epsilon=[0.01, 0.1]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "oqho_memory.cli", "tau", "--scenario", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("epsilon=")]
+    assert len(lines) == 2 and all(line.endswith("[crossing_found]") for line in lines)
 
 
 def test_matrix_lines_format():

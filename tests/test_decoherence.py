@@ -12,6 +12,7 @@ from oqho_memory.decoherence import (
     CERT_CROSSING,
     CERT_DELTA_ZERO,
     CERT_HURWITZ,
+    CERT_INCONCLUSIVE,
     _hybrid_grid,
     decoherence_time,
     tau_hat,
@@ -150,6 +151,18 @@ class TestDecoherenceTime:
         assert rep.tau == math.inf
         assert rep.certificate == CERT_DELTA_ZERO
         assert rep.delta_path == dynamics.SPECTRAL
+        assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
+
+    def test_undamped_below_threshold_is_inconclusive(self):
+        # A = J2 rotates, B = 0: Delta(t) = ||e^{t J2} - I||^2 = 4 (1 - cos t) <= 8
+        # stays below the threshold 5 ||F sqrt(P)||^2 = 10, and A is not Hurwitz,
+        # so no certificate applies.
+        _, w, mo = single_mode()
+        rep = decoherence_time((J2, np.zeros((2, 2))), w, mo, 5.0)
+        assert rep.tau == math.inf
+        assert rep.certificate == CERT_INCONCLUSIVE
+        assert abs(rep.threshold - 10.0) <= 1e-14
+        assert not rep.expansion_valid
         assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
 
     def test_delta_evaluations_count(self):

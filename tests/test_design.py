@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from oqho_memory.design import (
     zero_hamiltonian_condition,
 )
 from oqho_memory.dynamics import MomentData, Weighting
-from oqho_memory.errors import PreconditionError
-from oqho_memory.model import J2, build_realization, canonical_ccr, ito_j, OqhoParams
+from oqho_memory.errors import NumericalError, PreconditionError
+from oqho_memory.model import J2, Realization, build_realization, canonical_ccr, ito_j, OqhoParams
 
 from oracles import fd_sym_gradient, kron_min_norm_solve, random_ccr, random_spd, random_sym
 
@@ -164,14 +166,39 @@ class TestZeroHamiltonianCondition:
         assert zero_hamiltonian_condition(THETA1, w, np.eye(2), mo) <= 1e-12
 
     def test_equals_scaled_k_norm(self):
+        # Independent reference: with Atilde = -1/2 B J B^T Theta^-1, 4 K is
+        # Theta Sigma (B B^T - B J B^T Theta^-1 P) - (B B^T - P Theta^-1 B J B^T) Sigma Theta.
         rng = np.random.default_rng(55)
         for _ in range(5):
             theta, w, mo, coupling = random_setup(rng)
-            b = 2.0 * theta.theta @ coupling.T
-            a_tilde = 2.0 * theta.theta @ coupling.T @ ito_j(2) @ coupling
+            t, sigma, p = theta.theta, w.sigma, mo.p
+            t_inv = np.linalg.inv(t)
+            b = 2.0 * t @ coupling.T
+            bbt, bjbt = b @ b.T, b @ ito_j(2) @ b.T
+            ref = np.linalg.norm(t @ sigma @ (bbt - bjbt @ t_inv @ p)
+                                 - (bbt - p @ t_inv @ bjbt) @ sigma @ t)
             zh = zero_hamiltonian_condition(theta, w, coupling, mo)
-            k = k_matrix(theta, w, b, a_tilde, mo)
-            assert abs(zh - 4.0 * np.linalg.norm(k)) <= 1e-12 * max(zh, 1.0)
+            assert abs(zh - ref) <= 1e-12 * max(ref, 1.0)
+
+
+class TestOverflow:
+    # A product that overflows is a NumericalError, with no RuntimeWarning.
+    @pytest.mark.parametrize("call", [
+        lambda w, mo: zero_hamiltonian_condition(THETA1, w, 1e200 * np.eye(2), mo),
+        lambda w, mo: zero_hamiltonian_condition(THETA1, Weighting(1e60 * np.eye(2)), 1e100 * np.eye(2), mo),
+        lambda w, mo: k_matrix(THETA1, w, 1e200 * np.eye(2), np.eye(2), mo),
+        lambda w, mo: grad_ddot_delta_wrt_energy(
+            THETA1, w, Realization.from_matrices(1e200 * np.eye(2), 1e200 * np.eye(2)), mo),
+        lambda w, mo: ddot_delta_quad_form(1e200 * np.eye(2), 1e200 * np.eye(2), w, mo),
+        lambda w, mo: ddot_delta_quad_form(1e200 * np.eye(2), np.eye(2), w, mo),
+        lambda w, mo: optimal_energy_matrix(THETA1, w, 1e200 * np.eye(2), mo),
+    ], ids=["zero_h_realization", "zero_h_k", "k_matrix", "gradient", "quad_form", "quad_form_a",
+            "optimal_energy"])
+    def test_numerical_error_without_warning(self, call):
+        w, mo = single_mode_setup()
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error")
+            call(w, mo)
 
 
 class TestAHatMinimizer:

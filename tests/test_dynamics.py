@@ -135,6 +135,25 @@ class TestWeighting:
         with pytest.raises(ValidationError):
             Weighting(np.zeros((2, 3)))
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValidationError, match="at least one row"):
+            Weighting(np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="at least one row"):
+            Weighting.from_sigma(np.zeros((2, 2)))
+
+    # Sigma is scaled by a power of two before eigh, so a huge finite Sigma
+    # is factored without overflow: F = 1e154 I, F^T F = Sigma.
+    def test_from_sigma_near_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = Weighting.from_sigma(np.diag([1e308, 1e308]))
+        np.testing.assert_allclose(w.f, 1e154 * np.eye(2), rtol=1e-15)
+        np.testing.assert_allclose(w.sigma, np.diag([1e308, 1e308]), rtol=1e-15)
+
+    def test_from_sigma_not_psd_rejected(self):
+        with pytest.raises(InvalidMomentMatrixError):
+            Weighting.from_sigma(np.diag([1e308, -1e300]))
+
     # The rank tolerance is scaled so that it cannot overflow: full-row-rank
     # factors near the overflow threshold are accepted without a warning
     # (Sigma overflows to inf, which its users reject), and a rank-deficient
@@ -309,6 +328,12 @@ class TestDeltaDerivatives:
                 fd_ddot = (-d3 + 4.0 * d2 - 5.0 * d1) / h ** 2
                 assert abs(fd_dot - dot) <= 1e-4 * max(abs(dot), 1.0)
                 assert abs(fd_ddot - ddot) <= 1e-3 * max(abs(ddot), 1.0)
+
+    def test_overflow_is_numerical_error_without_warning(self):
+        w, mo = identity_weighting_moments()
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error")
+            delta_derivatives(1e200 * np.eye(2), 1e200 * np.eye(2), w, mo)
 
 
 class TestHurwitzLimit:
