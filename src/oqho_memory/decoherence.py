@@ -35,6 +35,7 @@ from .dynamics import (
     time_scale,
 )
 from .errors import NumericalError, PreconditionError
+from .numerics import _guarded
 
 __all__ = [
     "DecoherenceReport",
@@ -96,6 +97,7 @@ def _tau_prime(b, weighting, moments):
     return float(num), (math.inf if den == 0.0 else float(num / den))
 
 
+@_guarded()  # tau' = inf is a result; _tau_prime raises when a norm overflows
 def tau_prime(b, weighting, moments):
     """Signal-to-noise-like ratio ||F sqrt(P)||^2 / ||F B||^2 (time units).
 
@@ -132,11 +134,13 @@ def _quadratic(tp, ts, epsilon):
     return float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
 
 
+@_guarded("tau''")
 def tau_second(system, weighting, moments):
     """Second derivative of tau in eps at 0: -ddot(Delta) tau'^2 / dot(Delta)."""
     return _series(system, weighting, moments)[1]
 
 
+@_guarded("tau_hat")
 def tau_hat(system, weighting, moments, epsilon):
     """Quadratic approximation tau' eps + (1/2) tau'' eps^2."""
     return _quadratic(*_series(system, weighting, moments), epsilon)
@@ -151,6 +155,7 @@ def _hybrid_grid(horizon, points):
     return np.unique(np.concatenate([log_part, lin_part]))
 
 
+@_guarded()  # the report is a record; the scan and _brent check their values
 def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_points=2000):
     """Decoherence time tau(eps) with a crossing or no-crossing certificate.
 
@@ -203,13 +208,12 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         times = grid[start:start + _SCAN_BLOCK]
         sig, noise = evaluator._terms(times)
         # The scan stops at the first point that is above the threshold or
-        # has a summand that is not finite; points after it do not count.
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = sig + noise
-        stop = ~((d <= threshold) & np.isfinite(sig) & np.isfinite(noise))
+        # not finite; points after it do not count.
+        d = sig + noise
+        stop = ~(d <= threshold)
         if stop.any():
             k = int(np.argmax(stop))
-            if not (math.isfinite(sig[k]) and math.isfinite(noise[k])):
+            if not math.isfinite(d[k]):
                 raise _overflow(times[k], sig[k], noise[k])
             break
         last = times[-1], d[-1]
@@ -231,7 +235,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
 
 # A trial step that overflows or divides by 0 is inf or nan, fails the step
 # test and bisects, as in C.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@_guarded()
 def _brent(f, a, fa, b, fb, xtol):
     """(x, steps): a root of f in [a, b] by Brent's method (Brent 1973, ch. 4),
     step for step as scipy.optimize.brentq with rtol _BRENT_RTOL, given

@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _SPECTRAL_TOL, ito_j
-from .numerics import _asymmetric, _scaled_eigh, matrix_exp, solve_lyapunov, sqrt_psd
+from .numerics import _asymmetric, _guarded, _scaled_eigh, matrix_exp, solve_lyapunov, sqrt_psd
 
 __all__ = [
     "MomentData",
@@ -76,7 +76,7 @@ class MomentData:
     p: np.ndarray
     ccr: "CcrMatrix"
 
-    @np.errstate(over="ignore", invalid="ignore")  # huge finite P: no RuntimeWarning
+    @_guarded()  # huge finite P: no RuntimeWarning
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
         object.__setattr__(self, "p", p)
@@ -105,6 +105,7 @@ class Weighting:
 
     f: np.ndarray
 
+    @_guarded()  # Sigma may overflow for a finite F; its users raise on the result
     def __post_init__(self):
         f = np.array(self.f, dtype=float)
         object.__setattr__(self, "f", f)
@@ -118,22 +119,20 @@ class Weighting:
         tol = sv.max(initial=0.0) * (max(f.shape) * np.finfo(float).eps)
         if f.shape[0] == 0 or sv.size < f.shape[0] or np.any(sv <= tol):
             raise ValidationError("F must have full row rank and at least one row")
-        # Sigma may overflow for a finite F; its users raise on the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sigma = f.T @ f
+        sigma = f.T @ f
         f.flags.writeable = sigma.flags.writeable = False
         object.__setattr__(self, "_sigma", sigma)
 
     @classmethod
-    @np.errstate(over="ignore")  # 4^-k is inf only for a subnormal Sigma, which passes the PSD test
-    def from_sigma(cls, sigma, tol=1e-12):
+    @_guarded()  # 4^-k is inf only for a subnormal Sigma, which passes the PSD test
+    def from_sigma(cls, sigma):
         """Factor a symmetric PSD Sigma as F^T F with F of full row rank; Sigma
         is scaled as in sqrt_psd, so a huge finite Sigma gives a finite F."""
         sigma = np.asarray(sigma, dtype=float)
         w, v, k = _scaled_eigh(sigma)
         if np.min(w) < -1e-10 * max(np.max(np.abs(w), initial=0.0), np.ldexp(1.0, -2 * k)):
             raise InvalidMomentMatrixError("Sigma is not positive semi-definite")
-        keep = w > tol * max(np.max(w, initial=0.0), 1e-300)
+        keep = w > _RANK_RTOL * max(np.max(w, initial=0.0), 1e-300)
         return cls(np.ldexp(np.sqrt(w[keep])[:, None] * v[:, keep].T, k))
 
     @property
@@ -182,6 +181,7 @@ _SPECTRAL_COND_LIMIT = 1e3
 
 # asymptotic_rate reads |Re lam| and eigenvalue gaps <= _RATE_TOL max(|lam|, 1) as 0.
 _RATE_TOL = 1e-7
+_RANK_RTOL = 1e-12  # Weighting.from_sigma drops eigenvalues of Sigma <= _RANK_RTOL max(eig)
 
 # Z_ij = lam_i + conj(lam_j) is near resonant when |Z_ij| <= _NEAR_RESONANT *
 # max(|lam_i|, |lam_j|): there the quadratic form for the noise term cancels to
@@ -283,8 +283,7 @@ def _noise_system(a, b):
     """(A, Q, lam, basis): A from _check_system, Q = B (I + i J) B^T as
     (Re Q, Im Q), and lam and basis from _modal_basis."""
     a, b = _check_system(len(a) if np.ndim(a) else 0, a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
+    q = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
     return (a, q) + _modal_basis(a)
 
 
@@ -297,19 +296,17 @@ def _modal_congruence(basis, q, weight):
     return v @ y.real @ v.T + 1j * (v @ y.imag @ v.T)
 
 
+@_guarded("the noise Gramian")
 def gramian(a, b, t):
     """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega));
     raises NumericalError when V(t) is not finite."""
     a, q, lam, basis = _noise_system(a, b)
     if not t >= 0:
         raise PreconditionError(f"time must be nonnegative, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if basis is None:
-            v = _propagate(a, q[0], t)[1] + 1j * _propagate(a, q[1], t)[1]
-        else:
-            v = _modal_congruence(basis, q, _phi(lam[:, None] + lam.conj()[None, :], t))
-    if not np.all(np.isfinite(v)):
-        raise NumericalError(f"noise Gramian not finite at t = {t:.6g}")
+    if basis is None:
+        v = _propagate(a, q[0], t)[1] + 1j * _propagate(a, q[1], t)[1]
+    else:
+        v = _modal_congruence(basis, q, _phi(lam[:, None] + lam.conj()[None, :], t))
     return 0.5 * (v + v.conj().T)
 
 
@@ -347,6 +344,7 @@ class DeviationEvaluator:
     taken.
     """
 
+    @_guarded()  # an overflow here makes every point non-finite, which terms reports
     def __init__(self, a, b, weighting, moments):
         a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
         self._a, self._bbt, self._p = a, b @ b.T, moments.p
@@ -357,30 +355,28 @@ class DeviationEvaluator:
         if basis is None:
             return
         k, v, v_inv = basis
-        # A sum or product that overflows here makes every point non-finite,
-        # which terms reports as a NumericalError.
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = lam[:, None] + lam.conj()[None, :]
-            s_t = _to_eigenbasis(v.T @ self._sigma @ v, k).T
-            g = s_t * _to_eigenbasis(v_inv @ self._bbt @ v_inv.T, k)
-            h = s_t * _to_eigenbasis(v_inv @ moments.p @ v_inv.T, k)
-            scale = np.abs(lam)
-            near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
-            m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
-            c = m.sum(axis=1).conj() + m.sum(axis=0)
-            self._hmc = np.vstack([_pair_congruence(h, k, _PAIR_T).real,
-                                   _pair_congruence(m, k, _PAIR_T).real,
-                                   _pair_rows(c, k, _PAIR_T.conj()).real])
+        z = lam[:, None] + lam.conj()[None, :]
+        s_t = _to_eigenbasis(v.T @ self._sigma @ v, k).T
+        g = s_t * _to_eigenbasis(v_inv @ self._bbt @ v_inv.T, k)
+        h = s_t * _to_eigenbasis(v_inv @ moments.p @ v_inv.T, k)
+        scale = np.abs(lam)
+        near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
+        m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
+        c = m.sum(axis=1).conj() + m.sum(axis=0)
+        self._hmc = np.vstack([_pair_congruence(h, k, _PAIR_T).real,
+                               _pair_congruence(m, k, _PAIR_T).real,
+                               _pair_rows(c, k, _PAIR_T.conj()).real])
         # alpha for one mode per pair (Im lam > 0) and per real eigenvalue.
         self._alpha = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).real
         self._half_freq = 0.5 * lam[0:2 * k:2].imag
         self._m, self._g_near, self._z_near = m, g[near], z[near]
 
+    @_guarded()
     def terms(self, t):
         """(signal, noise) at a time t, or two arrays of them for a 1-D array t.
 
         A single time is evaluated as a one-element array.  Raises
-        NumericalError naming the first time where either summand overflows.
+        NumericalError naming the first time where a summand or their sum overflows.
         """
         times = np.array(t, dtype=float, ndmin=1)
         if times.ndim != 1:
@@ -388,7 +384,7 @@ class DeviationEvaluator:
         if not np.all(times >= 0):
             raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
         sig, noise = self._terms(times)
-        bad = ~(np.isfinite(sig) & np.isfinite(noise))
+        bad = ~np.isfinite(sig + noise)
         if bad.any():
             k = int(np.argmax(bad))
             raise _overflow(times[k], sig[k], noise[k])
@@ -398,24 +394,23 @@ class DeviationEvaluator:
 
     def _terms(self, t):
         """terms(t) for a 1-D float array t >= 0, unchecked: a summand that
-        overflows comes back inf or nan."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.path == VAN_LOAN:
-                sig, noise = np.empty(len(t)), np.empty(len(t))
-                for j, s in enumerate(t):
-                    e, v = _propagate(self._a, self._bbt, s)
-                    sig[j] = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
-                    noise[j] = np.sum(self._sigma * v)
-                return sig, noise
-            # theta is K x n: one row per point.
-            theta = self._modal_values(t)
-            n = theta.shape[1]
-            prod = theta @ self._hmc.T
-            sig, noise = np.einsum("kjn,kn->jk", prod[:, :2 * n].reshape(-1, 2, n), theta)
-            noise = noise + prod[:, 2 * n]
-            if self._z_near.size:
-                noise = noise + (self._g_near @ _phi(self._z_near[:, None], t)).real
+        overflows comes back inf or nan.  Callers run it under _guarded."""
+        if self.path == VAN_LOAN:
+            sig, noise = np.empty(len(t)), np.empty(len(t))
+            for j, s in enumerate(t):
+                e, v = _propagate(self._a, self._bbt, s)
+                sig[j] = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
+                noise[j] = np.sum(self._sigma * v)
             return sig, noise
+        # theta is K x n: one row per point.
+        theta = self._modal_values(t)
+        n = theta.shape[1]
+        prod = theta @ self._hmc.T
+        sig, noise = np.einsum("kjn,kn->jk", prod[:, :2 * n].reshape(-1, 2, n), theta)
+        noise = noise + prod[:, 2 * n]
+        if self._z_near.size:
+            noise = noise + (self._g_near @ _phi(self._z_near[:, None], t)).real
+        return sig, noise
 
     def _modal_values(self, t):
         """theta(t) for a 1-D array of K times: K x n, each row
@@ -444,6 +439,7 @@ class DeviationEvaluator:
         sig, noise = self.terms(t)
         return sig + noise
 
+    @_guarded("the t -> inf limit of Delta")
     def hurwitz_limit(self):
         """lim Delta(t) as t -> inf: <Sigma, P + P_inf>, A P_inf + P_inf A^T + B B^T = 0.
 
@@ -455,14 +451,11 @@ class DeviationEvaluator:
         re_max = self._lam.real.max()
         if not re_max < -_SPECTRAL_TOL:
             raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {re_max:.3e}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.path == VAN_LOAN:
-                limit = np.sum(self._sigma * (self._p + solve_lyapunov(self._a, self._bbt)))
-            else:
-                noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
-                limit = np.sum(self._sigma * self._p) + noise
-        if not math.isfinite(limit):
-            raise NumericalError(f"the t -> inf limit of Delta is not finite: {limit}")
+        if self.path == VAN_LOAN:
+            limit = np.sum(self._sigma * (self._p + solve_lyapunov(self._a, self._bbt)))
+        else:
+            noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
+            limit = np.sum(self._sigma * self._p) + noise
         return float(limit)
 
 
@@ -480,6 +473,7 @@ def delta(a, b, weighting, moments, t):
     return DeviationEvaluator(a, b, weighting, moments).delta(t)
 
 
+@_guarded("(dot(Delta), ddot(Delta)) at t = 0")
 def delta_derivatives(a, b, weighting, moments):
     """Small-time derivatives of Delta at t = 0.
 
@@ -488,12 +482,9 @@ def delta_derivatives(a, b, weighting, moments):
     when either overflows.
     """
     a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bbt = b @ b.T
-        dot = float(np.linalg.norm(weighting.f @ b) ** 2)
-        ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
-    if not (math.isfinite(dot) and math.isfinite(ddot)):
-        raise NumericalError(f"Delta derivatives at t = 0 are not finite: dot {dot}, ddot {ddot}")
+    bbt = b @ b.T
+    dot = float(np.linalg.norm(weighting.f @ b) ** 2)
+    ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
     return dot, ddot
 
 
@@ -502,6 +493,7 @@ def hurwitz_limit(a, b, weighting, moments):
     return DeviationEvaluator(a, b, weighting, moments).hurwitz_limit()
 
 
+@_guarded("the asymptotic rate")
 def asymptotic_rate(a, b):
     """Limit of V(t)/t for diagonalizable A with distinct imaginary spectrum.
 
@@ -522,10 +514,10 @@ def asymptotic_rate(a, b):
     return 0.5 * (rate + rate.conj().T)
 
 
+@_guarded()
 def time_scale(a):
     """1 / max(||A||_F, 1); raises NumericalError when ||A||_F overflows."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(np.asarray(a, dtype=float))
+    norm = np.linalg.norm(np.asarray(a, dtype=float))
     if not math.isfinite(norm):
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
     return 1.0 / max(norm, 1.0)

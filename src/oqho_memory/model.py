@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NumericalError, ValidationError
+from .numerics import _guarded
 
 __all__ = [
     "J2",
@@ -69,7 +70,7 @@ class CcrMatrix:
 
     theta: np.ndarray
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm fails its check
+    @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
         theta = np.array(self.theta, dtype=float)
         object.__setattr__(self, "theta", theta)
@@ -78,6 +79,8 @@ class CcrMatrix:
         n = theta.shape[0]
         if n % 2 != 0 or n == 0:
             raise ValidationError(f"CCR matrix order must be even and positive, got {n}")
+        if not np.isfinite(theta).all():
+            raise ValidationError("CCR matrix must be finite")
         if np.linalg.norm(theta + theta.T) > _ANTISYM_TOL:
             raise ValidationError("CCR matrix is not antisymmetric")
         sv = np.linalg.svd(theta, compute_uv=False)
@@ -100,7 +103,7 @@ class OqhoParams:
     coupling: np.ndarray
     selector: np.ndarray
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm fails its check
+    @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
         n = self.ccr.n
         r_mat = np.array(self.energy, dtype=float)
@@ -109,6 +112,8 @@ class OqhoParams:
         object.__setattr__(self, "energy", r_mat)
         object.__setattr__(self, "coupling", n_mat)
         object.__setattr__(self, "selector", d_mat)
+        if not (np.isfinite(r_mat).all() and np.isfinite(n_mat).all() and np.isfinite(d_mat).all()):
+            raise ValidationError("energy, coupling and selector must be finite")
 
         if r_mat.shape != (n, n):
             raise DimensionError(
@@ -180,7 +185,7 @@ class Realization:
         return self.b.shape[1]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalError
+@_guarded()  # the realization is a record, so overflow is checked below
 def build_realization(params):
     """State-space matrices of the OQHO induced by (Theta, R, N, D).
 
@@ -202,6 +207,7 @@ def build_realization(params):
     return Realization(a=a, b=b, c=c, d=d_mat, a0=a0, a_tilde=a_tilde)
 
 
+@_guarded("the physical-realizability residual")
 def check_physical_realizability(a, b, ccr):
     """Frobenius residual of A Theta + Theta A^T + B J B^T = 0."""
     a = np.asarray(a, dtype=float)

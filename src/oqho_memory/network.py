@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import k_matrix
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, ValidationError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
-from .numerics import solve_sylvester, solve_symmetric_constrained
+from .numerics import _guarded, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "SubsystemParams",
@@ -63,6 +63,8 @@ class SubsystemParams:
             raise DimensionError(
                 f"internal coupling shape {self.coupling_internal.shape} incompatible with n={self.ccr.n}"
             )
+        if not np.isfinite(self.coupling_internal).all():
+            raise ValidationError("internal coupling must be finite")
 
     @property
     def n(self):
@@ -124,6 +126,7 @@ def _field_cross_term(sub1, sub2):
             - sub1.coupling_external.T @ ito_j(sub1.m) @ sub1.selector.T @ sub2.coupling_internal)
 
 
+@_guarded()  # the closed loop is a record; overflow fails the consistency test
 def assemble(sub1, sub2, r12):
     """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
     _check_internal_dims(sub1, sub2)
@@ -172,10 +175,10 @@ def assemble(sub1, sub2, r12):
         float(np.linalg.norm(ref.b - b_closed)),
     )
     scale = max(np.linalg.norm(a_closed), np.linalg.norm(b_closed), 1.0)
-    if residual > _CONSISTENCY_TOL * scale:
+    if not (np.isfinite(residual) and residual <= _CONSISTENCY_TOL * scale):
         raise NumericalError(
-            f"closed-loop assembly inconsistent with PR construction (residual {residual:.3e}); "
-            "this indicates an implementation bug"
+            f"closed-loop assembly inconsistent with PR construction (residual {residual:.3e}, "
+            f"scale {scale:.3e}): the closed loop overflows, or the implementation is wrong"
         )
 
     d_closed = _blocks(sub1.selector, sub2.selector)
@@ -193,6 +196,7 @@ def assemble(sub1, sub2, r12):
     )
 
 
+@_guarded("the zero-Hamiltonian R12")
 def zero_hamiltonian_r12(sub1, sub2):
     """Direct coupling cancelling the field-mediated energy cross-term.
 
@@ -240,6 +244,7 @@ def _rase12_operator(sub1, sub2, weighting, moments):
     return op, (s11, s22, s12, p11, p22, p12)
 
 
+@_guarded("R12*")
 def optimal_r12(sub1, sub2, weighting, moments):
     """Direct-coupling matrix solving the closed-loop stationarity equation.
 

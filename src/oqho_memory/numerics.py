@@ -11,7 +11,11 @@ Computations, 8.7).  solve_symmetric_constrained runs matrix-free conjugate
 gradients (Hestenes & Stiefel 1952) on a self-adjoint positive-semidefinite
 operator, at one operator application (O(n^3)) per iteration.  Both return
 the minimum-norm solution.
+
+_guarded is the one home of the library's floating-point policy.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +54,24 @@ _SYLVESTER_RTOL = 1e-10
 _PSD_NEG_RTOL = 1e-8  # sqrt_psd: least eigenvalue allowed, relative to the largest
 
 
+def _guarded(what=None):
+    """Run func with numpy's float warnings off (a fresh errstate per call); given what,
+    raise NumericalError unless each float or array returned, alone or in a tuple, is finite."""
+    def decorate(func):
+        @functools.wraps(func)
+        def guarded(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = func(*args, **kwargs)
+            parts = out if isinstance(out, tuple) else (out,)
+            if what is not None and not all(np.isfinite(x).all() for x in parts
+                                            if isinstance(x, (float, np.ndarray))):
+                raise NumericalError(f"{what} is not finite")
+            return out
+        return guarded
+    return decorate
+
+
+@_guarded("the matrix exponential")
 def matrix_exp(a, t=1.0):
     """exp(t*A) by scaling-and-squaring with Pade approximation."""
     a = np.asarray(a, dtype=float)
@@ -57,12 +79,10 @@ def matrix_exp(a, t=1.0):
         raise DimensionError(f"matrix must be square, got {a.shape}")
     if not np.all(np.isfinite(a)) or not np.isfinite(t):
         raise NumericalError("matrix_exp requires finite entries")
-    out = scipy.linalg.expm(t * a)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"matrix exponential overflow at ||tA|| = {abs(t) * np.linalg.norm(a):.3e}")
-    return out
+    return scipy.linalg.expm(t * a)
 
 
+@_guarded()  # the accept test below requires a finite residual
 def solve_lyapunov(m, q):
     """Solve M X + X M^T + Q = 0 for symmetric Q (Bartels-Stewart).
 
@@ -85,11 +105,12 @@ def solve_lyapunov(m, q):
         x = 0.5 * (x + x.T)
     res = np.linalg.norm(m @ x + x @ m.T + q)
     bound = 1e-10 * (np.linalg.norm(q) + np.linalg.norm(m) * np.linalg.norm(x) + 1.0)
-    if res > bound:
+    if not (np.isfinite(res) and res <= bound):
         raise NumericalError(f"Lyapunov residual {res:.3e} exceeds bound {bound:.3e}")
     return x
 
 
+@_guarded()  # the accept test below requires a finite residual
 def solve_sylvester(s1, p1, s2, p2, q):
     """Minimum-norm solution of S1 X P2 + P1 X S2 + Q = 0.
 
@@ -124,11 +145,12 @@ def solve_sylvester(s1, p1, s2, p2, q):
     residual = float(np.linalg.norm(s1 @ x @ p2 + p1 @ x @ s2 + q))
     op_norm = np.linalg.norm(s1) * np.linalg.norm(p2) + np.linalg.norm(p1) * np.linalg.norm(s2)
     bound = _SYLVESTER_RTOL * (np.linalg.norm(q) + op_norm * np.linalg.norm(x))
-    if not residual <= bound:
+    if not (np.isfinite(residual) and residual <= bound):
         raise NumericalError(f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e}")
     return x, residual
 
 
+@_guarded()  # the accept test below requires a finite residual
 def solve_symmetric_constrained(operator, q):
     """Minimum-norm solution of op(X) + Q = 0 by conjugate gradients.
 
@@ -164,7 +186,7 @@ def solve_symmetric_constrained(operator, q):
         rr = rr_next
     residual = float(np.linalg.norm(operator(x) + q))
     bound = _CG_ACCEPT * (q_norm + op_norm * np.linalg.norm(x))
-    if residual > bound:
+    if not (np.isfinite(residual) and residual <= bound):
         raise NumericalError(
             f"conjugate gradients stopped at residual {residual:.3e} (bound {bound:.3e}); "
             "the equation is inconsistent or -op is not positive semidefinite"
@@ -189,6 +211,7 @@ def _scaled_eigh(p):
     return w, v, k
 
 
+@_guarded()  # 1 / max|P| in _asymmetric overflows for a subnormal P
 def sqrt_psd(p):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
     p = np.asarray(p, dtype=float)
@@ -206,6 +229,7 @@ def sqrt_psd(p):
     return np.ldexp((v * np.sqrt(w)) @ v.T, k)
 
 
+@_guarded("the generalized eigendecomposition")
 def eigh_definite(a, b):
     """Generalized symmetric-definite eigenproblem A V = B V diag(lam).
 

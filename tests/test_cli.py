@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,8 @@ class TestCheck:
         ("tau", "energy", [[1e308, 0.0], [0.0, 1e308]]),
         ("optimize-energy", "weight_f", [[1e200, 0.0], [0.0, 1e200]]),
         ("optimize-energy", "energy", [[1e308, 1e308], [1e308, 1e308]]),
+        # The PR residual is 0, its scale ||A|| ||Theta|| + ||B||^2 is not finite.
+        ("check", "coupling", [[1e100, 0.0], [0.0, 1e100]]),
     ])
     def test_overflow_is_numerical_error(self, tmp_path, capsys, command, field, value):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
@@ -457,6 +460,28 @@ def test_module_entry_point(tmp_path):
     assert len(lines) == 2 and all(line.endswith("[crossing_found]") for line in lines)
 
 
+def big_coupling_scenario():
+    """The interconnection scenario with N = L = 1e150 I and coupled F and P."""
+    data = interconnection_scenario()
+    big = (1e150 * np.eye(2)).tolist()
+    sub = dict(data["subsystems"][0], coupling=big, coupling_internal=big)
+    coupled = (np.eye(4) + np.kron([[0.0, 1.0], [1.0, 0.0]], 0.2 * np.eye(2))).tolist()
+    return dict(data, subsystems=[sub, sub], weight_f=coupled, moments_p=coupled)
+
+
+@pytest.mark.parametrize("command", ["optimize-r12", "interconnect"])
+def test_overflow_warnings_never_reach_stderr(tmp_path, command):
+    # pytest's -W error does not reach a subprocess, so this runs the command
+    # as a user would and reads its stderr.
+    path = write_scenario(tmp_path, "big.json", big_coupling_scenario())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "oqho_memory.cli", command, "--scenario", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 1, 2, 3, 4), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_matrix_lines_format():
     m = np.array([[-0.0, 5e-324], [1e308, 0.1]])
     # Per-entry "%.17g" of numpy scalars, the format scripts parse.
@@ -509,19 +534,72 @@ mutations = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(mutations)
-def test_fuzzed_scenario_keeps_exit_code_contract(change):
+def _check_exit_code_contract(data, commands):
     # Every mutation of a valid scenario ends in one of the documented exit
-    # codes, never in a raw exception or traceback.
-    data = copy.deepcopy(README_SCENARIO)
-    change(data)
-    with tempfile.TemporaryDirectory() as tmp:
+    # codes, never in a raw exception, a traceback or a RuntimeWarning.
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(data))
-        for command in FUZZ_COMMANDS:
+        for command in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([command, "--scenario", str(path), *out_flag(command, Path(tmp) / "out")])
             assert code in (0, 1, 2, 3, 4), (command, data)
             assert "Traceback" not in err.getvalue(), (command, data)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mutations)
+def test_fuzzed_scenario_keeps_exit_code_contract(change):
+    data = copy.deepcopy(README_SCENARIO)
+    change(data)
+    _check_exit_code_contract(data, FUZZ_COMMANDS)
+
+
+# The interconnection scenario as a second base: a JSON round trip gives the
+# two subsystems separate dicts, so a mutation changes one of them.
+INTERCONNECTION_SCENARIO = json.loads(json.dumps(dict(interconnection_scenario(), r12=np.zeros((2, 2)).tolist())))
+SUBSYSTEM_FIELDS = ["theta", "energy", "coupling", "coupling_internal", "selector"]
+NETWORK_FUZZ_COMMANDS = ["check", "tau", "optimize-r12", "interconnect"]
+
+
+def _set_sub_entry(k, field, i, j, value):
+    def mutate(data):
+        data["subsystems"][k][field][i][j] = value
+    return mutate
+
+
+def _set_sub_field(k, field, value):
+    def mutate(data):
+        data["subsystems"][k][field] = value
+    return mutate
+
+
+def _scale_couplings(value):
+    def mutate(data):
+        for sub in data["subsystems"]:
+            sub["coupling"] = sub["coupling_internal"] = (value * np.eye(2)).tolist()
+    return mutate
+
+
+network_mutations = st.one_of(
+    st.builds(_set_sub_entry, st.integers(0, 1), st.sampled_from(SUBSYSTEM_FIELDS), st.integers(0, 1),
+              st.integers(0, 1), st.sampled_from([0.0, 1e-320, 1e150, 1e308, -1e308])),
+    st.builds(_set_entry, st.sampled_from(["weight_f", "moments_p"]), st.integers(0, 3), st.integers(0, 3),
+              st.sampled_from([0.0, 0.2, 1e-320, 1e150, 1e308])),
+    st.builds(_set_entry, st.just("r12"), st.integers(0, 1), st.integers(0, 1),
+              st.sampled_from([1e-320, 1e150, 1e308, -1e308])),
+    st.builds(_set_sub_field, st.integers(0, 1), st.sampled_from(SUBSYSTEM_FIELDS), json_values),
+    st.builds(_scale_couplings, st.sampled_from([1e100, 1e150, 1e154, 1e200])),
+    st.builds(_set_field, st.sampled_from(list(INTERCONNECTION_SCENARIO)), json_values),
+    st.builds(_remove_field, st.sampled_from(list(INTERCONNECTION_SCENARIO))),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(network_mutations)
+def test_fuzzed_interconnection_keeps_exit_code_contract(change):
+    data = copy.deepcopy(INTERCONNECTION_SCENARIO)
+    change(data)
+    _check_exit_code_contract(data, NETWORK_FUZZ_COMMANDS)

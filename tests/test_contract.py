@@ -1,0 +1,164 @@
+"""Every public callable keeps the floating-point contract on overflowing input.
+
+Each row calls one callable of the library's public surface (or several
+times) with finite inputs whose entries, 1e150 to 1e308 or subnormal, make an
+intermediate result overflow.  Under warnings-as-errors each call must either
+return finite values or raise an OqhoError; a RuntimeWarning, a raw numpy
+error or a silent inf or nan fails the row.  The table must name every
+callable of the modules' __all__.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from oqho_memory import decoherence, design, dynamics, model, network, numerics
+from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting
+from oqho_memory.errors import OqhoError
+from oqho_memory.model import J2, CcrMatrix, OqhoParams, Realization, canonical_ccr
+from oqho_memory.network import SubsystemParams
+
+MODULES = (model, numerics, dynamics, decoherence, design, network)
+
+# Records (dataclasses that only hold values) and the two constructors whose
+# arguments are counts.
+EXEMPT = {
+    "model.Realization", "model.SpectralClass", "dynamics.DeviationCurve",
+    "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
+    "model.ito_j", "model.canonical_ccr",
+}
+
+I2 = np.eye(2)
+CCR = canonical_ccr(1)
+W = Weighting(I2)
+MOM = MomentData(I2, CCR)
+BIG_CCR = CcrMatrix(0.5e10 * J2)
+
+# A = a I and B = sqrt(a) I with e^{2a} ~ 0.75e308: at t = 1 the signal and
+# the noise summand of Delta are each ~1.5e308, so each is finite and their
+# sum is not.
+_A_EDGE = 0.5 * np.log(0.75e308)
+EDGE = (_A_EDGE * I2, np.sqrt(_A_EDGE) * I2)
+
+
+def _sub(coupling, internal):
+    return SubsystemParams(ccr=CCR, energy=np.zeros((2, 2)), coupling_external=coupling * I2,
+                           coupling_internal=internal * I2, selector=I2)
+
+
+def _coupled_weighting_moments():
+    """4 x 4 Sigma and P whose (1, 2) blocks are nonzero (the CG path of optimal_r12)."""
+    theta = CcrMatrix(np.kron(I2, 0.5 * J2))
+    off = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.2 * I2)
+    return Weighting(np.eye(4) + off), MomentData(np.eye(4) + off, theta)
+
+
+def _evaluator(a, b):
+    return DeviationEvaluator(a, b, W, MOM)
+
+
+ROWS = {
+    # model
+    "model.CcrMatrix": lambda: CcrMatrix(1e308 * np.ones((2, 2))),
+    "model.OqhoParams": lambda: OqhoParams(CCR, np.zeros((2, 2)), I2, 1e200 * I2),
+    "model.build_realization": lambda: model.build_realization(OqhoParams(CCR, 1e308 * I2, 1e200 * I2, I2)),
+    "model.check_physical_realizability": lambda: model.check_physical_realizability(1e200 * I2, 1e200 * I2, CCR),
+    "model.classify_spectrum": lambda: model.classify_spectrum(1e308 * np.ones((2, 2))),
+    "model.Realization.from_matrices": lambda: Realization.from_matrices(1e308 * I2, 1e308 * I2),
+    # numerics
+    "numerics.matrix_exp": lambda: numerics.matrix_exp(1e200 * I2, 1e200),
+    "numerics.solve_lyapunov": lambda: numerics.solve_lyapunov(-1e200 * I2, 1e300 * I2),
+    "numerics.solve_sylvester": lambda: numerics.solve_sylvester(-1e200 * I2, 1e200 * I2, -1e200 * I2,
+                                                                 1e200 * I2, 1e300 * I2),
+    "numerics.solve_symmetric_constrained": lambda: numerics.solve_symmetric_constrained(
+        lambda x: -1e200 * x, 1e300 * I2),
+    "numerics.sqrt_psd": (lambda: numerics.sqrt_psd(1e308 * I2), lambda: numerics.sqrt_psd(5e-324 * I2)),
+    "numerics.eigh_definite": lambda: numerics.eigh_definite(1e300 * I2, 1e-300 * I2),
+    # dynamics
+    "dynamics.MomentData": (lambda: MomentData(1e308 * np.ones((2, 2)), CCR),
+                            lambda: MomentData(5e-324 * I2, CCR)),
+    "dynamics.Weighting": lambda: Weighting(1e200 * I2),
+    "dynamics.Weighting.from_sigma": (lambda: Weighting.from_sigma(1e308 * I2),
+                                      lambda: Weighting.from_sigma(1e-320 * I2)),  # 4^-k overflows
+    "dynamics.DeviationEvaluator": lambda: _evaluator(-I2, 1e200 * I2),
+    "dynamics.DeviationEvaluator.terms": lambda: _evaluator(800.0 * I2, I2).terms(1.0),
+    "dynamics.DeviationEvaluator.delta": lambda: _evaluator(*EDGE).delta(1.0),
+    "dynamics.DeviationEvaluator.hurwitz_limit": lambda: _evaluator(-1e-8 * I2, 1e152 * I2).hurwitz_limit(),
+    "dynamics.gramian": lambda: dynamics.gramian(-1e-200 * I2, 1e200 * I2, 1.0),
+    "dynamics.delta": lambda: dynamics.delta(-I2, 1e200 * I2, W, MOM, 1.0),
+    "dynamics.delta_derivatives": lambda: dynamics.delta_derivatives(1e200 * I2, 1e200 * I2, W, MOM),
+    "dynamics.hurwitz_limit": lambda: dynamics.hurwitz_limit(-I2, 1e200 * I2, W, MOM),
+    "dynamics.asymptotic_rate": lambda: dynamics.asymptotic_rate(1e200 * J2, 1e200 * I2),
+    "dynamics.time_scale": lambda: dynamics.time_scale(1e300 * np.ones((2, 2))),
+    "dynamics.default_time_grid": lambda: dynamics.default_time_grid(1e300 * np.ones((2, 2))),
+    "dynamics.compute_deviation_curve": lambda: dynamics.compute_deviation_curve(
+        -I2, 1e200 * I2, W, MOM, [0.0, 1.0]),
+    # decoherence
+    "decoherence.decoherence_time": lambda: decoherence.decoherence_time((-I2, 1e200 * I2), W, MOM, 0.1),
+    "decoherence.tau_prime": lambda: decoherence.tau_prime(1e200 * I2, W, MOM),
+    "decoherence.tau_second": lambda: decoherence.tau_second((-I2, 1e200 * I2), W, MOM),
+    "decoherence.tau_hat": lambda: decoherence.tau_hat((-I2, 1e200 * I2), W, MOM, 0.1),
+    # design
+    "design.k_matrix": lambda: design.k_matrix(CCR, W, 1e200 * I2, 1e200 * I2, MOM),
+    # K = 0, but Theta Sigma Theta overflows.
+    "design.optimal_energy_matrix": lambda: design.optimal_energy_matrix(
+        BIG_CCR, Weighting(3e148 * I2), np.zeros((2, 2)), MomentData(1e10 * I2, BIG_CCR)),
+    # K ~ 4e307 is finite, -8 K is not.
+    "design.grad_ddot_delta_wrt_energy": lambda: design.grad_ddot_delta_wrt_energy(
+        CCR, W, Realization.from_matrices(8e307 * np.diag([1.0, -1.0]), np.zeros((2, 2))), MOM),
+    # K ~ 1e308 is finite, 4 ||K|| is not.
+    "design.zero_hamiltonian_condition": lambda: design.zero_hamiltonian_condition(
+        CCR, Weighting(np.sqrt(18.75) * I2), np.sqrt(0.8e308) * I2, MomentData(np.diag([0.6, 0.5]), CCR)),
+    "design.a_hat_minimizer": lambda: design.a_hat_minimizer(1e200 * I2, MOM),
+    "design.ddot_delta_of_state": lambda: design.ddot_delta_of_state(1e200 * I2, 1e200 * I2, W, MOM),
+    "design.ddot_delta_of_energy": lambda: design.ddot_delta_of_energy(1e200 * I2, CCR, W, 1e200 * I2, MOM),
+    "design.ddot_delta_quad_form": lambda: design.ddot_delta_quad_form(1e200 * I2, I2, W, MOM),
+    # network
+    "network.SubsystemParams": lambda: _sub(1e200, 1e200),
+    "network.assemble": lambda: network.assemble(_sub(1e200, 1e200), _sub(1e200, 1e200), 1e308 * I2),
+    "network.zero_hamiltonian_r12": lambda: network.zero_hamiltonian_r12(_sub(1e200, 1e200), _sub(1e200, 1e200)),
+    "network.q_matrix": lambda: network.q_matrix(
+        network.assemble(_sub(1e150, 1e150), _sub(1e150, 1e150), np.zeros((2, 2))),
+        *_coupled_weighting_moments()),
+    "network.optimal_r12": (
+        lambda: network.optimal_r12(_sub(1e150, 1e150), _sub(1e150, 1e150), *_coupled_weighting_moments()),
+        lambda: network.optimal_r12(_sub(0.0, 0.0), _sub(0.0, 0.0), Weighting(1e154 * np.eye(4)),
+                                    _coupled_weighting_moments()[1])),
+}
+
+
+def _public_callables():
+    names = {f"{m.__name__.rsplit('.', 1)[1]}.{name}"
+             for m in MODULES for name in m.__all__ if callable(getattr(m, name))}
+    return names | {"dynamics.DeviationEvaluator.terms", "dynamics.DeviationEvaluator.delta",
+                    "dynamics.DeviationEvaluator.hurwitz_limit", "dynamics.Weighting.from_sigma",
+                    "model.Realization.from_matrices"}
+
+
+def test_table_is_complete():
+    assert not set(ROWS) & EXEMPT
+    assert set(ROWS) | EXEMPT == _public_callables()
+
+
+def _finite(value):
+    """True unless value is a float, an array or a tuple holding an inf or nan;
+    records and strings are not looked into."""
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    if isinstance(value, (float, np.ndarray)):
+        return bool(np.all(np.isfinite(value)))
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_overflowing_input_is_finite_or_typed_error(name):
+    calls = ROWS[name] if isinstance(ROWS[name], tuple) else (ROWS[name],)
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call()
+            except OqhoError:
+                continue
+        assert _finite(result), (name, result)

@@ -131,6 +131,14 @@ class TestWeighting:
         w = Weighting.from_sigma(sigma)
         np.testing.assert_allclose(w.sigma, sigma, atol=1e-10)
 
+    def test_from_sigma_drops_tiny_eigenvalues(self):
+        # Eigenvalues at most 1e-12 times the largest are dropped; there is no
+        # tolerance argument.
+        w = Weighting.from_sigma(np.diag([1.0, 1e-13, 0.5]))
+        assert w.s == 2
+        with pytest.raises(TypeError):
+            Weighting.from_sigma(np.eye(2), tol=1e-12)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValidationError):
             Weighting(np.zeros((2, 3)))

@@ -101,6 +101,21 @@ class TestValidation:
             OqhoParams(ccr=theta, energy=np.zeros((2, 2)), coupling=np.eye(2),
                        selector=2.0 * np.eye(2))
 
+    # A norm test such as ||R - R^T|| > tol is false for nan, so each
+    # validator rejects entries that are not finite before its other tests.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ccr_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CcrMatrix(np.array([[0.0, bad], [-0.5, 0.0]]))
+
+    @pytest.mark.parametrize("field", ["energy", "coupling", "selector"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, field, bad):
+        matrices = {"energy": np.zeros((2, 2)), "coupling": np.eye(2), "selector": np.eye(2)}
+        matrices[field][1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            OqhoParams(ccr=canonical_ccr(1), **matrices)
+
     def test_selector_must_keep_conjugate_pairs(self):
         # Picking channels 1 and 3 from m=4 mixes two different pairs.
         theta = canonical_ccr(1)

@@ -4,8 +4,8 @@ import scipy.linalg
 
 from oqho_memory.design import ddot_delta_of_state
 from oqho_memory.dynamics import MomentData, Weighting
-from oqho_memory.errors import DimensionError
-from oqho_memory.model import CcrMatrix, canonical_ccr, check_physical_realizability
+from oqho_memory.errors import DimensionError, NumericalError, ValidationError
+from oqho_memory.model import J2, CcrMatrix, canonical_ccr, check_physical_realizability
 from oqho_memory.network import (
     SubsystemParams,
     assemble,
@@ -94,6 +94,22 @@ class TestAssemble:
         sub1, sub2 = make_pair(rng)
         with pytest.raises(DimensionError):
             assemble(sub1, sub2, np.zeros((2, 3)))
+
+    def test_overflowing_block_fails_consistency(self):
+        # With Theta = 0.5e-10 J the blocks 2 Theta (R + N^T J N) overflow inside
+        # the sum while the reference 2 Theta R + 2 Theta N^T J N does not, so the
+        # residual is nan; a test `residual > bound` lets nan through.
+        sub = SubsystemParams(ccr=CcrMatrix(0.5e-10 * J2), energy=np.array([[0.0, 1.5e308], [1.5e308, 0.0]]),
+                              coupling_external=np.sqrt(0.5e308) * np.eye(2),
+                              coupling_internal=np.zeros((2, 2)), selector=np.eye(2))
+        with pytest.raises(NumericalError, match="inconsistent"):
+            assemble(sub, sub, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_internal_coupling_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SubsystemParams(ccr=canonical_ccr(1), energy=np.zeros((2, 2)), coupling_external=np.eye(2),
+                            coupling_internal=np.array([[bad, 0.0], [0.0, 1.0]]), selector=np.eye(2))
 
 
 class TestZeroHamiltonianR12:

@@ -91,6 +91,12 @@ class TestSolveLyapunov:
             assert res <= 1e-10 * (np.linalg.norm(q) + np.linalg.norm(m) * np.linalg.norm(x) + 1)
             assert np.linalg.norm(x - x.T) <= 1e-12 * max(np.linalg.norm(x), 1.0)
 
+    def test_non_finite_residual_rejected(self):
+        # The solution diag(5e312, 2.5e312) overflows; LAPACK returns a scaled-down
+        # X, whose residual ~1e308 I has an infinite norm, as has the bound.
+        with pytest.raises(NumericalError):
+            solve_lyapunov(-1e-5 * np.diag([1.0, 2.0]), 1e308 * np.eye(2))
+
 
 def _psd(rng, n, rank):
     g = rng.standard_normal((n, rank))
@@ -123,6 +129,12 @@ class TestSolveSylvester:
     def test_indefinite_p_rejected(self):
         with pytest.raises(NumericalError):
             solve_sylvester(-np.eye(2), np.diag([1.0, -1.0]), -np.eye(2), np.eye(2), np.eye(2))
+
+    def test_infinite_residual_rejected(self):
+        # X = Q / 2 is finite, S X P is not: residual and bound are both inf.
+        big = 1e200 * np.eye(2)
+        with pytest.raises(NumericalError):
+            solve_sylvester(-big, big, -big, big, 1e300 * np.eye(2))
 
     def test_positive_s_rejected(self):
         # S1 = I, S2 = -I would make lam1 + lam2 = 0 everywhere.
@@ -172,6 +184,13 @@ class TestSymmetricConstrained:
     def test_inconsistent_equation_rejected(self):
         with pytest.raises(NumericalError):
             solve_symmetric_constrained(lambda x: np.zeros((2, 2)), np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e-300, np.nan])
+    def test_non_finite_residual_rejected(self, scale):
+        # The solution 1e300 / scale overflows (or the operator is nan), so the
+        # residual is not finite; a test `residual > bound` lets it through.
+        with pytest.raises(NumericalError):
+            solve_symmetric_constrained(lambda x: -scale * x, 1e300 * np.eye(2))
 
 
 class TestEighDefinite:
