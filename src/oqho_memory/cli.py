@@ -9,7 +9,10 @@ only the flags it reads besides --scenario: --tolerance for check; --out,
 --grid-points and --horizon for delta-curve and tau.  A flag given to any
 other command is a usage error.  The argument parser is built once per
 process, so repeated in-process calls of main pay only for their scenario
-and its linear algebra.
+and its linear algebra.  A scenario file is UTF-8 JSON, parsed by orjson;
+only what orjson rejects goes to the stdlib parser, which reads NaN,
+Infinity, numbers beyond the double range and lone surrogates and words
+every other parse error.
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 I/O
 failure, 4 numerical failure.
@@ -26,6 +29,7 @@ import sys
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from . import decoherence, design, dynamics, model, network
 from .errors import (
@@ -108,12 +112,37 @@ def _load_subsystem(data, location):
     )
 
 
-def load_scenario(path):
+def _int_or_inf(text):
+    """A JSON integer as an int, or as +-inf (as 1e400 reads) when no double holds it."""
+    value = float(text)
+    return int(text) if math.isfinite(value) else value
+
+
+def _parse_json(raw):
+    """The JSON value in raw, the bytes of a UTF-8 file.
+
+    orjson parses standard JSON with correctly rounded floats, as the stdlib
+    parser does.  What it rejects goes to the stdlib parser, which reads
+    NaN, Infinity, numbers beyond the double range (so these fail later,
+    against their field, as non-finite entries) and lone surrogates.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(raw.decode("utf-8"), parse_int=_int_or_inf)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"not UTF-8: {exc}", "/") from None
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON: {exc}", "/") from None
+    except RecursionError:
+        raise ScenarioParseError("invalid JSON: nested too deeply", "/") from None
+
+
+def load_scenario(path):
+    with open(path, "rb") as fh:
+        data = _parse_json(fh.read())
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario root must be an object", "/")
 

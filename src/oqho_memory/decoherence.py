@@ -20,7 +20,6 @@ counts the Delta evaluations up to the crossing.  The expansion coefficients are
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .dynamics import (
     DeviationEvaluator,
     _SCAN_BLOCK,
+    _check_grid_points,
     _check_horizon,
     _check_system,
     _overflow,
@@ -160,7 +160,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     """Decoherence time tau(eps) with a crossing or no-crossing certificate.
 
     system may be a Realization (or anything with .a/.b) or an (A, B) pair.
-    The scan evaluates Delta on a hybrid log/linear grid over [0, horizon],
+    The scan evaluates Delta on a hybrid log/linear grid of grid_points (at
+    most MAX_GRID_POINTS, else PreconditionError) points over [0, horizon],
     in blocks of _SCAN_BLOCK points; Brent's method refines the interval
     before the first point above the threshold to a few ulps (NumericalError
     if it takes more than _MAX_REFINEMENTS steps).  A summand that is not
@@ -175,8 +176,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
     if horizon is not None:
         _check_horizon(horizon)
-    if not isinstance(grid_points, numbers.Integral) or isinstance(grid_points, bool) or grid_points <= 0:
-        raise PreconditionError(f"grid_points must be a positive integer, got {grid_points!r}")
+    _check_grid_points(grid_points, "grid_points")
     evaluator = DeviationEvaluator(a, b, weighting, moments)
     fsp, tp, ts = _expansion((a, b), weighting, moments)
     threshold = float(epsilon * fsp)

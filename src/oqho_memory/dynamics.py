@@ -37,6 +37,7 @@ times, so memory stays O(n _SCAN_BLOCK) for any grid.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "DeviationEvaluator",
     "SPECTRAL",
     "VAN_LOAN",
+    "MAX_GRID_POINTS",
     "gramian",
     "delta",
     "delta_derivatives",
@@ -192,6 +194,11 @@ _NEAR_RESONANT = 1e-3
 # costs less per point than blocks of 16 or of the whole grid; a scan that
 # stops at a crossing wastes at most _SCAN_BLOCK - 1 points.
 _SCAN_BLOCK = 64
+
+# A time grid is held whole, and delta-curve keeps one output row a point: at
+# 1e6 points `oqho tau` peaks near 90 MB and `oqho delta-curve` near 400 MB
+# (an 83 MB CSV), 500 times decoherence_time's default grid.
+MAX_GRID_POINTS = 10**6
 
 SPECTRAL = "spectral"
 VAN_LOAN = "van_loan"
@@ -531,8 +538,18 @@ def _check_horizon(horizon):
         raise PreconditionError(f"horizon must be finite and at least {tiny:.6g}, got {horizon!r}")
 
 
+def _check_grid_points(points, name):
+    """PreconditionError unless points is an integer in [1, MAX_GRID_POINTS]."""
+    if (not isinstance(points, numbers.Integral) or isinstance(points, bool)
+            or not 0 < points <= MAX_GRID_POINTS):
+        raise PreconditionError(f"{name} must be a positive integer at most {MAX_GRID_POINTS}, "
+                                f"got {points!r}")
+
+
 def default_time_grid(a, t_ref=None, points=400):
-    """Log-spaced grid from 1e-4 * t_ref to t_ref with t_ref = 10 time_scale(A)."""
+    """Log-spaced grid of points (at most MAX_GRID_POINTS) from 1e-4 * t_ref to
+    t_ref with t_ref = 10 time_scale(A)."""
+    _check_grid_points(points, "points")
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)
     _check_horizon(t_ref)

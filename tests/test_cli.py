@@ -11,10 +11,11 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqho_memory import cli, decoherence, design, dynamics, model, network
@@ -124,6 +125,8 @@ class TestCheck:
         ("energy", [[float("nan"), 0.0], [0.0, 0.0]]),
         ("moments_p", [[1.0, 0.0], [0.0, float("nan")]]),
         ("subsystems", [1, 2]),
+        ("energy", [[float("inf"), 0.0], [0.0, 0.0]]),
+        ("moments_p", [[1.0, 0.0], [0.0, -float("inf")]]),
     ])
     def test_invalid_field_is_parse_error(self, tmp_path, capsys, field, value):
         data = interconnection_scenario() if field == "subsystems" else single_mode_scenario()
@@ -132,6 +135,49 @@ class TestCheck:
         assert cli.main(["tau", "--scenario", path]) == 2
         err = capsys.readouterr().err
         assert f"/{field}" in err
+        assert "Traceback" not in err
+
+    # Files json.dumps does not write.  Numbers beyond the double range read
+    # as +-inf and fail against their field, as NaN and Infinity do; bytes
+    # that are not UTF-8 and nesting deeper than the interpreter's recursion
+    # limit fail at the root.
+    @pytest.mark.parametrize("text, location", [
+        (json.dumps(single_mode_scenario()).replace('"energy": [[0.0', '"energy": [[1e400'), "/energy"),
+        (json.dumps(single_mode_scenario()).replace('"energy": [[0.0', '"energy": [[-' + "1" * 400), "/energy"),
+        (json.dumps(single_mode_scenario()).replace('"epsilon": [0.01', '"epsilon": [' + "9" * 5000),
+         "/epsilon"),
+        ('{"schema_version": 1, "mode": "single\xff"}', "/"),
+        ("[" * 100_000, "/"),
+    ], ids=["1e400", "long-integer", "over-4300-digits", "not-utf-8", "deep-nesting"])
+    def test_raw_file_is_parse_error(self, tmp_path, capsys, text, location):
+        path = tmp_path / "s.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert cli.main(["tau", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and f"{location}: " in err
+        assert "Traceback" not in err
+
+    # A grid too large to hold is refused before it is allocated, from the
+    # scenario key and from the flag alike.
+    @pytest.mark.parametrize("command", ["tau", "delta-curve"])
+    @pytest.mark.parametrize("source", ["key", "flag"])
+    def test_huge_grid_is_validation_error(self, tmp_path, capsys, command, source):
+        data = single_mode_scenario(grid_points=10**12) if source == "key" else single_mode_scenario()
+        flag = ["--grid-points", str(10**12)] if source == "flag" else []
+        path = write_scenario(tmp_path, "s.json", data)
+        assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out"), *flag]) == 1
+        err = capsys.readouterr().err
+        assert f"must be a positive integer at most {dynamics.MAX_GRID_POINTS}" in err
+        assert "Traceback" not in err
+
+    def test_grid_beyond_64_bits_is_refused(self, tmp_path, capsys):
+        # orjson reads an integer of 2^64 or more as a float (a parse error
+        # here) or rejects it for the stdlib parser to read as an int (then a
+        # validation error): either way the run ends with a message.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(grid_points=10**30))
+        assert cli.main(["tau", "--scenario", path]) in (1, 2)
+        err = capsys.readouterr().err
+        assert "grid_points must be a positive integer" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["check", "tau", "optimize-energy"])
@@ -491,6 +537,28 @@ def test_matrix_lines_format():
     back = [[float(v) for v in line.strip()[1:-1].split(",")] for line in text.splitlines()]
     assert [[(x, math.copysign(1.0, x)) for x in row] for row in back] == \
         [[(x, math.copysign(1.0, x)) for x in row] for row in m.tolist()]
+
+
+# Every finite double, subnormals, the largest and -0.0 among them.
+finite_matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=cols, max_size=cols),
+    min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(finite_matrices)
+@example([[5e-324, -5e-324, 2.2250738585072014e-308],
+          [1.7976931348623157e308, -1.7976931348623157e308, -0.0]])
+def test_scenario_matrix_is_bit_identical_to_stdlib_json(matrix):
+    # orjson reads every matrix json.dumps writes to the same doubles as the
+    # stdlib parser, which is not called for it.
+    text = json.dumps(dict(interconnection_scenario(), r12=matrix))
+    want = np.array(json.loads(text)["r12"], dtype=float)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli.json, "loads", side_effect=AssertionError):
+        path = Path(tmp) / "s.json"
+        path.write_text(text)
+        got = cli.load_scenario(str(path)).r12
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --- seeded fuzzing of the README scenario ------------------------------------

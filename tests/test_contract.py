@@ -2,10 +2,11 @@
 
 Each row calls one callable of the library's public surface (or several
 times) with finite inputs whose entries, 1e150 to 1e308 or subnormal, make an
-intermediate result overflow.  Under warnings-as-errors each call must either
-return finite values or raise an OqhoError; a RuntimeWarning, a raw numpy
-error or a silent inf or nan fails the row.  The table must name every
-callable of the modules' __all__.
+intermediate result overflow, or with a grid too large to allocate.  Under
+warnings-as-errors each call must either return finite values or raise an
+OqhoError; a RuntimeWarning, a raw numpy error, a MemoryError or a silent inf
+or nan fails the row.  The table must name every callable of the modules'
+__all__.
 """
 
 import warnings
@@ -91,11 +92,14 @@ ROWS = {
     "dynamics.hurwitz_limit": lambda: dynamics.hurwitz_limit(-I2, 1e200 * I2, W, MOM),
     "dynamics.asymptotic_rate": lambda: dynamics.asymptotic_rate(1e200 * J2, 1e200 * I2),
     "dynamics.time_scale": lambda: dynamics.time_scale(1e300 * np.ones((2, 2))),
-    "dynamics.default_time_grid": lambda: dynamics.default_time_grid(1e300 * np.ones((2, 2))),
+    "dynamics.default_time_grid": (lambda: dynamics.default_time_grid(1e300 * np.ones((2, 2))),
+                                   lambda: dynamics.default_time_grid(-I2, points=10**12)),
     "dynamics.compute_deviation_curve": lambda: dynamics.compute_deviation_curve(
         -I2, 1e200 * I2, W, MOM, [0.0, 1.0]),
     # decoherence
-    "decoherence.decoherence_time": lambda: decoherence.decoherence_time((-I2, 1e200 * I2), W, MOM, 0.1),
+    "decoherence.decoherence_time": (
+        lambda: decoherence.decoherence_time((-I2, 1e200 * I2), W, MOM, 0.1),
+        lambda: decoherence.decoherence_time((-I2, I2), W, MOM, 0.1, grid_points=10**12)),
     "decoherence.tau_prime": lambda: decoherence.tau_prime(1e200 * I2, W, MOM),
     "decoherence.tau_second": lambda: decoherence.tau_second((-I2, 1e200 * I2), W, MOM),
     "decoherence.tau_hat": lambda: decoherence.tau_hat((-I2, 1e200 * I2), W, MOM, 0.1),

@@ -359,7 +359,7 @@ class TestDecoherenceTime:
         with pytest.raises(PreconditionError, match=name):
             decoherence_time(real, w, mo, **args)
 
-    @pytest.mark.parametrize("grid_points", [0, -5, 2.5, True])
+    @pytest.mark.parametrize("grid_points", [0, -5, 2.5, True, dynamics.MAX_GRID_POINTS + 1])
     def test_invalid_grid_points(self, grid_points):
         real, w, mo = single_mode()
         with pytest.raises(PreconditionError, match="grid_points"):
