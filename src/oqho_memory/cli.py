@@ -19,12 +19,11 @@ failure, 4 numerical failure.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
-import logging
 import math
-import os
 import sys
 from typing import Optional
 
@@ -32,15 +31,8 @@ import numpy as np
 import orjson
 
 from . import decoherence, design, dynamics, model, network
-from .errors import (
-    DimensionError,
-    OqhoError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import DimensionError, OqhoError, PreconditionError, ValidationError
 from .numerics import _guarded
-
-log = logging.getLogger("oqho")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -49,6 +41,8 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _FMT = "%.17g"
+_CSV_ROW = ",".join([_FMT] * 4) + "\n"
+_CSV_BLOCK = 4096  # delta-curve rows formatted per write
 
 
 class ScenarioParseError(Exception):
@@ -78,19 +72,18 @@ def _require(data, key, location):
 
 
 def _matrix(data, key, location, required=True):
-    if key not in data:
-        if required:
-            raise ScenarioParseError(f"missing required field '{key}'", location)
+    if key not in data and not required:
         return None
+    value = _require(data, key, location)
+    where = f"{location.rstrip('/')}/{key}"
     try:
-        m = np.array(data[key], dtype=float)
+        m = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"field '{key}' is not a numeric matrix: {exc}",
-                                 f"{location}/{key}") from None
+        raise ScenarioParseError(f"field '{key}' is not a numeric matrix: {exc}", where) from None
     if m.ndim != 2:
-        raise ScenarioParseError(f"field '{key}' must be a 2-D array", f"{location}/{key}")
+        raise ScenarioParseError(f"field '{key}' must be a 2-D array", where)
     if not np.all(np.isfinite(m)):
-        raise ScenarioParseError(f"field '{key}' has non-finite entries", f"{location}/{key}")
+        raise ScenarioParseError(f"field '{key}' has non-finite entries", where)
     return m
 
 
@@ -212,12 +205,14 @@ def _matrix_lines(m, indent="  "):
                       for row in np.atleast_2d(m).tolist())
 
 
-def _write_text(path, text):
+@contextlib.contextmanager
+def _output(path):
+    """The stream --out names: stdout for None or '-', else the file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        yield fh
 
 
 @_guarded("the scale of the PR residual")
@@ -258,11 +253,12 @@ def cmd_delta_curve(scenario, args):
     times = dynamics.default_time_grid(real.a, t_ref=horizon, points=grid_points)
     curve = dynamics.compute_deviation_curve(real.a, real.b, scenario.weighting,
                                              scenario.moments, times=np.concatenate([[0.0], times]))
-    lines = ["t,delta,signal_term,noise_term"]
-    for k in range(len(curve.times)):
-        lines.append(",".join(_fmt(v) for v in (
-            curve.times[k], curve.delta_values[k], curve.signal_term[k], curve.noise_term[k])))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    columns = (curve.times, curve.delta_values, curve.signal_term, curve.noise_term)
+    with _output(args.out) as out:  # block by block: memory stays O(_CSV_BLOCK) beyond the curve
+        out.write("t,delta,signal_term,noise_term\n")
+        for k in range(0, len(curve.times), _CSV_BLOCK):
+            rows = zip(*(c[k:k + _CSV_BLOCK].tolist() for c in columns))
+            out.write("".join(_CSV_ROW % row for row in rows))
     return EXIT_OK
 
 
@@ -287,30 +283,22 @@ def cmd_tau(scenario, args):
         reports.append(rep)
         print(f"epsilon={_fmt(eps)}: tau={_fmt(rep.tau)} tau'={_fmt(rep.tau_prime)} "
               f"tau''={_fmt(rep.tau_second)} tau_hat={_fmt(rep.tau_hat)} [{rep.certificate}]")
-    payload = json.dumps([_report_to_dict(r) for r in reports], indent=2)
-    _write_text(args.out, payload + "\n")
+    with _output(args.out) as out:
+        out.write(json.dumps([_report_to_dict(r) for r in reports], indent=2) + "\n")
     return EXIT_OK
 
 
 def _print_comparison(scenario, header, before, after, name, optimum):
     """Print header, ddot(Delta) before and after, the optimum, and tau_hat
-    before and after for every epsilon from one expansion of each system."""
-    weighting, moments = scenario.weighting, scenario.moments
-    derivatives = [dynamics.delta_derivatives(s.a, s.b, weighting, moments) for s in (before, after)]
+    before and after for every epsilon (nan when F B = 0), all read from one
+    expansion of each system."""
+    expansions = [decoherence._expansion(s, scenario.weighting, scenario.moments) for s in (before, after)]
     print("\n".join(header))
-    print(f"ddot_delta before: {_fmt(derivatives[0][1])}  after: {_fmt(derivatives[1][1])}")
+    print(f"ddot_delta before: {_fmt(expansions[0].ddot)}  after: {_fmt(expansions[1].ddot)}")
     print(f"{name}:")
     print(_matrix_lines(optimum))
-    if not scenario.epsilon:  # nothing reads the expansion, so its errors must not end the run
-        return EXIT_OK
-    try:
-        series = [decoherence._series(s, weighting, moments, d) for s, d in zip((before, after), derivatives)]
-    except PreconditionError as exc:
-        for eps in scenario.epsilon:
-            print(f"epsilon={_fmt(eps)}: tau_hat unavailable ({exc})")
-        return EXIT_OK
     for eps in scenario.epsilon:
-        th_before, th_after = (decoherence._quadratic(*s, eps) for s in series)
+        th_before, th_after = (e.tau_hat(eps) for e in expansions)
         print(f"epsilon={_fmt(eps)}: tau_hat before={_fmt(th_before)} after={_fmt(th_after)}")
     return EXIT_OK
 
@@ -404,13 +392,10 @@ def build_parser():
 
 @_guarded()  # numpy's floating-point warnings never reach stderr
 def main(argv=None):
-    level = os.environ.get("OQHO_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioParseError as exc:
-        log.error("parse error: %s", exc)
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OqhoError as exc:

@@ -1,7 +1,7 @@
 """Memory decoherence time and its small-fidelity expansion.
 
 tau(eps) is the first time the deviation Delta(t) exceeds the relative
-threshold eps * ||F sqrt(P)||^2 (inf over an empty set is +inf).  tau is
+threshold eps tr(F P F^T) (inf over an empty set is +inf).  tau is
 located by a dense grid scan, and Brent's method (Brent 1973, Algorithms for
 Minimization without Derivatives, ch. 4) refines the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
@@ -14,9 +14,11 @@ stops at the first block that holds a point above the threshold; Brent's
 method evaluates a block of one per step.  The report names the path and
 counts the Delta evaluations up to the crossing.  The expansion coefficients are
 
-    tau'  = ||F sqrt(P)||^2 / ||F B||^2,
+    tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
-    tau_hat(eps) = tau' eps + (1/2) tau'' eps^2.
+    tau_hat(eps) = tau' eps + (1/2) tau'' eps^2,
+
+each formed by _Expansion only and checked there.
 """
 
 import math
@@ -24,16 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DeviationEvaluator,
-    _SCAN_BLOCK,
-    _check_grid_points,
-    _check_horizon,
-    _check_system,
-    _overflow,
-    delta_derivatives,
-    time_scale,
-)
+from .dynamics import (DeviationEvaluator, _SCAN_BLOCK, _check_grid_points, _check_horizon, _check_system,
+                       _overflow, _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .numerics import _guarded
 
@@ -85,65 +79,72 @@ def _system_matrices(system):
     return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
 
-def _tau_prime(b, weighting, moments):
-    """(||F sqrt(P)||^2, tau'): the threshold scale and tau' from one pass."""
-    _, b = _check_system(moments.sqrt_p.shape[0], None, b, weighting.f)
-    num = np.linalg.norm(weighting.f @ moments.sqrt_p) ** 2
-    if num == 0.0:
-        raise PreconditionError("F sqrt(P) = 0: decoherence time undefined")
-    den = np.linalg.norm(weighting.f @ b) ** 2
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise NumericalError(f"||F sqrt(P)||^2 = {num} or ||F B||^2 = {den} overflows")
-    return float(num), (math.inf if den == 0.0 else float(num / den))
+@dataclass(frozen=True)
+class _Expansion:
+    """What the small-eps expansion of tau reads for one system: the threshold
+    scale tr(F P F^T) and (dot, ddot) = delta_derivatives, dot = ||F B||^2.
+    tau', tau'' and tau_hat are formed here only, and checked where formed."""
+
+    scale: float
+    dot: float
+    ddot: float = 0.0  # tau' reads no ddot
+
+    def coefficients(self):
+        """(tau', tau''), or (inf, nan) when F B = 0.  PreconditionError when
+        the scale is 0, NumericalError when a value is not finite."""
+        if self.scale == 0.0:
+            raise PreconditionError("F P F^T = 0: decoherence time undefined")
+        tp = self.scale / self.dot if self.dot else math.inf
+        ts = -self.ddot * tp * tp / self.dot if self.dot else math.nan
+        checked = (self.scale, self.dot, tp, ts) if self.dot else (self.scale, self.dot)
+        if not all(map(math.isfinite, checked)):
+            raise NumericalError(f"tau' = {tp} or tau'' = {ts} is not finite "
+                                 f"(tr(F P F^T) = {self.scale}, ||F B||^2 = {self.dot})")
+        return tp, ts
+
+    def tau_hat(self, epsilon):
+        """tau' eps + (1/2) tau'' eps^2: nan when F B = 0, else finite or NumericalError."""
+        tp, ts = self.coefficients()
+        value = tp * epsilon + 0.5 * ts * epsilon * epsilon
+        if self.dot and not math.isfinite(value):
+            raise NumericalError(f"tau_hat at eps = {epsilon:.6g} is not finite ({value})")
+        return value
 
 
-@_guarded()  # tau' = inf is a result; _tau_prime raises when a norm overflows
+def _expansion(system, weighting, moments, applicable=False):
+    """The _Expansion of a Realization or (A, B) pair, from one delta_derivatives
+    call; with applicable, PreconditionError when F B = 0."""
+    a, b = _system_matrices(system)
+    dot, ddot = delta_derivatives(a, b, weighting, moments)
+    if applicable and dot == 0.0:
+        raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
+    return _Expansion(_weighted_trace(weighting.f, moments.p), dot, ddot)
+
+
+@_guarded()  # tau' = inf is a result; _Expansion raises when a value overflows
 def tau_prime(b, weighting, moments):
-    """Signal-to-noise-like ratio ||F sqrt(P)||^2 / ||F B||^2 (time units).
+    """Signal-to-noise-like ratio tr(F P F^T) / ||F B||^2 (time units).
 
     Returns +inf when F B = 0, in which case the small-eps expansion of tau
-    does not apply.  Raises NumericalError when either squared norm
-    overflows.
+    does not apply.  Raises NumericalError when either overflows.
     """
-    return _tau_prime(b, weighting, moments)[1]
+    _, b = _check_system(moments.p.shape[0], None, b, weighting.f)
+    dot = float(np.linalg.norm(weighting.f @ b) ** 2)
+    return _Expansion(_weighted_trace(weighting.f, moments.p), dot).coefficients()[0]
 
 
-def _expansion(system, weighting, moments, derivatives=None):
-    """(||F sqrt(P)||^2, tau', tau'') from one _tau_prime pass and one
-    delta_derivatives call; none when derivatives holds its result, or when
-    F B = 0, which makes tau' = inf and tau'' = nan."""
-    a, b = _system_matrices(system)
-    fsp, tp = _tau_prime(b, weighting, moments)
-    if not math.isfinite(tp):
-        return fsp, tp, math.nan
-    # tau' is finite, so dot = ||F B||^2 is not zero.
-    dot, ddot = derivatives or delta_derivatives(a, b, weighting, moments)
-    return fsp, tp, float(-ddot * tp * tp / dot)
-
-
-def _series(system, weighting, moments, derivatives=None):
-    """(tau', tau'') of _expansion; PreconditionError when F B = 0."""
-    _, tp, ts = _expansion(system, weighting, moments, derivatives)
-    if not math.isfinite(tp):
-        raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
-    return tp, ts
-
-
-def _quadratic(tp, ts, epsilon):
-    """tau_hat(eps) = tau' eps + (1/2) tau'' eps^2; nan when F B = 0."""
-    return float(tp * epsilon + 0.5 * ts * epsilon * epsilon)
-
-
-@_guarded("tau''")
+@_guarded()  # _Expansion checks what it forms
 def tau_second(system, weighting, moments):
-    """Second derivative of tau in eps at 0: -ddot(Delta) tau'^2 / dot(Delta)."""
-    return _series(system, weighting, moments)[1]
+    """Second derivative of tau in eps at 0: -ddot(Delta) tau'^2 / dot(Delta);
+    PreconditionError when F B = 0."""
+    return _expansion(system, weighting, moments, applicable=True).coefficients()[1]
 
 
-@_guarded("tau_hat")
+@_guarded()  # _Expansion checks what it forms
 def tau_hat(system, weighting, moments, epsilon):
-    """Quadratic approximation tau' eps + (1/2) tau'' eps^2."""
-    return _quadratic(*_series(system, weighting, moments), epsilon)
+    """Quadratic approximation tau' eps + (1/2) tau'' eps^2; PreconditionError
+    when F B = 0."""
+    return _expansion(system, weighting, moments, applicable=True).tau_hat(epsilon)
 
 
 def _hybrid_grid(horizon, points):
@@ -178,9 +179,11 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         _check_horizon(horizon)
     _check_grid_points(grid_points, "grid_points")
     evaluator = DeviationEvaluator(a, b, weighting, moments)
-    fsp, tp, ts = _expansion((a, b), weighting, moments)
-    threshold = float(epsilon * fsp)
+    expansion = _expansion((a, b), weighting, moments)
+    tp, ts = expansion.coefficients()
     expansion_valid = math.isfinite(tp)
+    hat = expansion.tau_hat(epsilon)
+    threshold = float(epsilon * expansion.scale)
 
     if horizon is None:
         horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
@@ -192,7 +195,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             tau=tau,
             tau_prime=tp,
             tau_second=ts,
-            tau_hat=_quadratic(tp, ts, epsilon),
+            tau_hat=hat,
             horizon_used=float(horizon),
             certificate=certificate,
             grid_points=grid_points,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import delta_derivatives
+from .dynamics import _weighted_trace, delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, OqhoParams
 from .numerics import _guarded, solve_sylvester
@@ -133,13 +133,10 @@ def a_hat_minimizer(b, moments):
 
 @_guarded("ddot(Delta) in completed-square form")
 def ddot_delta_quad_form(a, b, weighting, moments):
-    """Completed-square form 2||F(A - Ahat)sqrt(P)||^2 - 1/2||F B B^T P^{-1/2}||^2;
-    NumericalError when it overflows."""
+    """Completed-square form 2 tr(F (A - Ahat) P (A - Ahat)^T F^T)
+    - 1/2 tr(F B B^T P^-1 B B^T F^T); NumericalError when it overflows."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    f = weighting.f
-    sqrt_p = moments.sqrt_p
-    a_hat = a_hat_minimizer(b, moments)
-    quad = 2.0 * np.linalg.norm(f @ (a - a_hat) @ sqrt_p) ** 2
-    const = 0.5 * np.linalg.norm(f @ b @ b.T @ np.linalg.inv(sqrt_p)) ** 2
+    quad = 2.0 * _weighted_trace(weighting.f @ (a - a_hat_minimizer(b, moments)), moments.p)
+    const = 0.5 * _weighted_trace(weighting.f @ b @ b.T, np.linalg.inv(moments.p))
     return float(quad - const)

@@ -2,7 +2,7 @@
 
 The central quantity is the weighted mean-square deviation
 
-    Delta(t) = ||F (e^{tA} - I) sqrt(P)||^2 + <Sigma, Re V(t)>,
+    Delta(t) = <Sigma, E P E^T> + <Sigma, Re V(t)>,   E = e^{tA} - I,
 
 where V(t) = int_0^t e^{sA} B Omega B^T e^{sA^T} ds is the finite-horizon
 noise Gramian and Sigma = F^T F the weighting matrix.
@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _SPECTRAL_TOL, ito_j
-from .numerics import _asymmetric, _guarded, _scaled_eigh, matrix_exp, solve_lyapunov, sqrt_psd
+from .numerics import _asymmetric, _check_psd, _guarded, _scaled_eigh, matrix_exp, solve_lyapunov
 
 __all__ = [
     "MomentData",
@@ -94,11 +94,10 @@ class MomentData:
             raise InvalidMomentMatrixError(
                 f"P + i Theta has negative eigenvalue {pi_min:.3e}; moments are not Heisenberg-admissible"
             )
-        object.__setattr__(self, "_sqrt_p", sqrt_psd(p))
-
-    @property
-    def sqrt_p(self):
-        return self._sqrt_p
+        # The Heisenberg test bounds P below only by -1e-10, absolutely; with a
+        # small Theta, a small P can pass it and still not be PSD.
+        w, _, k = _scaled_eigh(p, vectors=False)
+        _check_psd(w, k, "P")
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class Weighting:
     @_guarded()  # 4^-k is inf only for a subnormal Sigma, which passes the PSD test
     def from_sigma(cls, sigma):
         """Factor a symmetric PSD Sigma as F^T F with F of full row rank; Sigma
-        is scaled as in sqrt_psd, so a huge finite Sigma gives a finite F."""
+        is scaled as in numerics.sqrt_psd, so a huge finite Sigma gives a finite F."""
         sigma = np.asarray(sigma, dtype=float)
         w, v, k = _scaled_eigh(sigma)
         if np.min(w) < -1e-10 * max(np.max(np.abs(w), initial=0.0), np.ldexp(1.0, -2 * k)):
@@ -195,9 +194,9 @@ _NEAR_RESONANT = 1e-3
 # stops at a crossing wastes at most _SCAN_BLOCK - 1 points.
 _SCAN_BLOCK = 64
 
-# A time grid is held whole, and delta-curve keeps one output row a point: at
-# 1e6 points `oqho tau` peaks near 90 MB and `oqho delta-curve` near 400 MB
-# (an 83 MB CSV), 500 times decoherence_time's default grid.
+# A time grid and a deviation curve are held whole: at 1e6 points, 500 times
+# decoherence_time's default grid, `oqho tau` and `oqho delta-curve` (an
+# 83 MB CSV) each peak near 100 MB.
 MAX_GRID_POINTS = 10**6
 
 SPECTRAL = "spectral"
@@ -219,6 +218,12 @@ def _check_system(n, a, b, f=None):
     if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
         raise ValidationError("A and B must be finite")
     return a, b
+
+
+def _weighted_trace(f, x):
+    """tr(F X F^T) = <Sigma, X>, formed without Sigma = F^T F, which can
+    overflow where the trace does not."""
+    return float(np.sum((f @ x) * f))
 
 
 # U = V T relates the complex eigenbasis to the real modal basis V of
@@ -354,8 +359,8 @@ class DeviationEvaluator:
     @_guarded()  # an overflow here makes every point non-finite, which terms reports
     def __init__(self, a, b, weighting, moments):
         a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
-        self._a, self._bbt, self._p = a, b @ b.T, moments.p
-        self._f, self._sqrt_p, self._sigma = weighting.f, moments.sqrt_p, weighting.sigma
+        self._a, self._bbt, self._p, self._sigma = a, b @ b.T, moments.p, weighting.sigma
+        self._scale = _weighted_trace(weighting.f, moments.p)  # the signal term at t = inf
         lam, basis = _modal_basis(a)
         self._lam = lam
         self.path = VAN_LOAN if basis is None else SPECTRAL
@@ -406,7 +411,8 @@ class DeviationEvaluator:
             sig, noise = np.empty(len(t)), np.empty(len(t))
             for j, s in enumerate(t):
                 e, v = _propagate(self._a, self._bbt, s)
-                sig[j] = np.linalg.norm(self._f @ (e - np.eye(len(e))) @ self._sqrt_p) ** 2
+                e = e - np.eye(len(e))
+                sig[j] = np.sum(self._sigma * (e @ self._p @ e.T))
                 noise[j] = np.sum(self._sigma * v)
             return sig, noise
         # theta is K x n: one row per point.
@@ -448,7 +454,7 @@ class DeviationEvaluator:
 
     @_guarded("the t -> inf limit of Delta")
     def hurwitz_limit(self):
-        """lim Delta(t) as t -> inf: <Sigma, P + P_inf>, A P_inf + P_inf A^T + B B^T = 0.
+        """lim Delta(t) as t -> inf: tr(F P F^T) + <Sigma, P_inf>, A P_inf + P_inf A^T + B B^T = 0.
 
         An O(n^2) read of M and the near terms on the spectral path, a
         Lyapunov solve on the Van Loan path.  PreconditionError unless every
@@ -459,11 +465,10 @@ class DeviationEvaluator:
         if not re_max < -_SPECTRAL_TOL:
             raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {re_max:.3e}")
         if self.path == VAN_LOAN:
-            limit = np.sum(self._sigma * (self._p + solve_lyapunov(self._a, self._bbt)))
+            noise = np.sum(self._sigma * solve_lyapunov(self._a, self._bbt))
         else:
             noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
-            limit = np.sum(self._sigma * self._p) + noise
-        return float(limit)
+        return float(self._scale + noise)
 
 
 def _overflow(t, sig, noise):
@@ -496,7 +501,7 @@ def delta_derivatives(a, b, weighting, moments):
 
 
 def hurwitz_limit(a, b, weighting, moments):
-    """Infinite-horizon value ||F sqrt(P + P_inf)||^2 for Hurwitz A."""
+    """Infinite-horizon value tr(F (P + P_inf) F^T) for Hurwitz A."""
     return DeviationEvaluator(a, b, weighting, moments).hurwitz_limit()
 
 

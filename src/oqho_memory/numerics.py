@@ -51,7 +51,7 @@ _CG_MAX_ITER_PER_UNKNOWN = 2
 # _SYLVESTER_RTOL (||Q|| + ||op|| ||X||).
 _NULL_RTOL = 1e-12
 _SYLVESTER_RTOL = 1e-10
-_PSD_NEG_RTOL = 1e-8  # sqrt_psd: least eigenvalue allowed, relative to the largest
+_PSD_NEG_RTOL = 1e-8  # _check_psd: least eigenvalue allowed, relative to the largest
 
 
 def _guarded(what=None):
@@ -202,13 +202,26 @@ def _asymmetric(p):
     return np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0 / s)
 
 
-def _scaled_eigh(p):
-    """(w, V, k) with sym(P) = 4^k V diag(w) V^T; P is scaled by 4^-k ~ 1 / max|P|
-    first, which is exact and keeps every step finite for a finite P."""
+def _scaled_eigh(p, vectors=True):
+    """(w, V, k) with sym(P) = 4^k V diag(w) V^T (V is None without vectors);
+    P is scaled by 4^-k ~ 1 / max|P| first, which is exact and keeps every
+    step finite for a finite P."""
     k = np.frexp(np.max(np.abs(p), initial=0.0))[1] // 2
     q = np.ldexp(p, -2 * k)
-    w, v = np.linalg.eigh(0.5 * (q + q.T))
+    q = 0.5 * (q + q.T)
+    if not vectors:
+        return np.linalg.eigvalsh(q), None, k
+    w, v = np.linalg.eigh(q)
     return w, v, k
+
+
+def _check_psd(w, k, what):
+    """InvalidMomentMatrixError naming what unless 4^k diag(w), the eigenvalues
+    of _scaled_eigh, has none below -_PSD_NEG_RTOL times the largest |w|."""
+    if np.min(w) < -_PSD_NEG_RTOL * max(np.max(np.abs(w), initial=0.0), 1e-300):
+        raise InvalidMomentMatrixError(
+            f"{what} has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
+        )
 
 
 @_guarded()  # 1 / max|P| in _asymmetric overflows for a subnormal P
@@ -220,11 +233,7 @@ def sqrt_psd(p):
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
     w, v, k = _scaled_eigh(p)  # sqrt(P) = 2^k sqrt(P / 4^k)
-    scale = max(np.max(np.abs(w), initial=0.0), 1e-300)
-    if np.min(w) < -_PSD_NEG_RTOL * scale:
-        raise InvalidMomentMatrixError(
-            f"matrix has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
-        )
+    _check_psd(w, k, "matrix")
     w = np.clip(w, 0.0, None)
     return np.ldexp((v * np.sqrt(w)) @ v.T, k)
 

@@ -157,6 +157,16 @@ class TestCheck:
         assert err.startswith("parse error: ") and f"{location}: " in err
         assert "Traceback" not in err
 
+    # A field is located by its JSON pointer, one slash per level.
+    @pytest.mark.parametrize("mode, location", [("single", "/energy"),
+                                                ("interconnection", "/subsystems/0/energy")])
+    def test_field_location_is_exact(self, tmp_path, capsys, mode, location):
+        data = json.loads(json.dumps(single_mode_scenario() if mode == "single" else interconnection_scenario()))
+        (data if mode == "single" else data["subsystems"][0])["energy"][0][0] = float("nan")
+        path = write_scenario(tmp_path, "s.json", data)
+        assert cli.main(["check", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"parse error: {location}: field 'energy' has non-finite entries\n"
+
     # A grid too large to hold is refused before it is allocated, from the
     # scenario key and from the flag alike.
     @pytest.mark.parametrize("command", ["tau", "delta-curve"])
@@ -298,6 +308,22 @@ class TestDeltaCurve:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_written_in_blocks(self, tmp_path, monkeypatch):
+        # Rows are formatted block by block; the file is the same as one
+        # joined string of %.17g rows.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        out = tmp_path / "d.csv"
+        assert cli.main(["delta-curve", "--scenario", path, "--out", str(out), "--grid-points", "10"]) == 0
+        scenario = cli.load_scenario(path)
+        real = model.build_realization(scenario.params)
+        times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=10)])
+        curve = dynamics.compute_deviation_curve(real.a, real.b, scenario.weighting, scenario.moments,
+                                                 times=times)
+        rows = zip(curve.times, curve.delta_values, curve.signal_term, curve.noise_term)
+        want = "t,delta,signal_term,noise_term\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+        assert out.read_text() == want
+
     def test_zero_coupling_curve_is_flat(self, tmp_path):
         data = single_mode_scenario(coupling=[[0.0, 0.0], [0.0, 0.0]])
         path = write_scenario(tmp_path, "s.json", data)
@@ -398,7 +424,7 @@ class TestOptimize:
 
     # The before/after comparison expands each system once: delta_derivatives
     # once per system (plus once at R* inside optimal_energy_matrix) and one
-    # _tau_prime pass per system, however many epsilon there are.
+    # threshold scale tr(F P F^T) per system, however many epsilon there are.
     @pytest.mark.parametrize("epsilon", [[0.01, 0.1], [0.01, 0.02, 0.05, 0.1]])
     @pytest.mark.parametrize("command, data, derivative_calls", [
         ("optimize-energy", single_mode_scenario(), 3),
@@ -409,12 +435,12 @@ class TestOptimize:
         path = write_scenario(tmp_path, "s.json", dict(data, epsilon=epsilon))
         calls = collections.Counter()
         for module, name in [(dynamics, "delta_derivatives"), (design, "delta_derivatives"),
-                             (decoherence, "delta_derivatives"), (decoherence, "_tau_prime")]:
+                             (decoherence, "delta_derivatives"), (decoherence, "_weighted_trace")]:
             original = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
         assert cli.main([command, "--scenario", path]) == 0
-        assert calls == {"delta_derivatives": derivative_calls, "_tau_prime": 2}
+        assert calls == {"delta_derivatives": derivative_calls, "_weighted_trace": 2}
         assert capsys.readouterr().out.count("tau_hat before=") == len(epsilon)
 
     def test_mode_mismatch(self, tmp_path, capsys):
@@ -494,16 +520,54 @@ class TestInterconnectionAnalysis:
             [curve.times, curve.delta_values, curve.signal_term, curve.noise_term]))
 
 
+def run_oqho(*args):
+    """Run python -m oqho_memory.cli as a user would, on this checkout's source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "oqho_memory.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_module_entry_point(tmp_path):
     # python -m oqho_memory.cli runs main and exits with its code.
     path = write_scenario(tmp_path, "s.json", single_mode_scenario(epsilon=[0.01, 0.1]))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "oqho_memory.cli", "tau", "--scenario", path],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_oqho("tau", "--scenario", path)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("epsilon=")]
     assert len(lines) == 2 and all(line.endswith("[crossing_found]") for line in lines)
+
+
+def test_parse_error_is_printed_once(tmp_path):
+    # In process, pytest's log capture would hide a second line written by
+    # the logging module, so this reads a real process's stderr.
+    data = single_mode_scenario(energy=[[float("nan"), 0.0], [0.0, 0.0]])
+    proc = run_oqho("check", "--scenario", write_scenario(tmp_path, "s.json", data))
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines() if "parse error" in line] == [
+        "parse error: /energy: field 'energy' has non-finite entries"]
+
+
+# The README scenario with R = diag(1, 2): tau' = 1 and tau'' = -5, so
+# tau_hat(1e300) overflows.  That is a numerical error, never "-inf" on
+# stdout with exit 0.
+@pytest.mark.parametrize("command", ["optimize-energy", "tau"])
+def test_overflowing_tau_hat_is_numerical_error(tmp_path, capsys, command):
+    data = single_mode_scenario(energy=[[1.0, 0.0], [0.0, 2.0]], epsilon=[1e300])
+    path = write_scenario(tmp_path, "s.json", data)
+    assert cli.main([command, "--scenario", path, *out_flag(command, tmp_path / "out")]) == 4
+    out, err = capsys.readouterr()
+    assert "inf" not in out
+    assert err == "numerical error: tau_hat at eps = 1e+300 is not finite (-inf)\n"
+
+
+def test_tau_hat_is_nan_without_noise(tmp_path, capsys):
+    # N = 0: B = 0, so F B = 0 and the expansion does not apply.
+    path = write_scenario(tmp_path, "s.json", single_mode_scenario(coupling=[[0.0, 0.0], [0.0, 0.0]],
+                                                                   epsilon=[0.01, 0.1]))
+    assert cli.main(["optimize-energy", "--scenario", path]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "tau_hat" in line]
+    assert lines == ["epsilon=0.01: tau_hat before=nan after=nan",
+                     "epsilon=0.10000000000000001: tau_hat before=nan after=nan"]
 
 
 def big_coupling_scenario():
@@ -519,11 +583,7 @@ def big_coupling_scenario():
 def test_overflow_warnings_never_reach_stderr(tmp_path, command):
     # pytest's -W error does not reach a subprocess, so this runs the command
     # as a user would and reads its stderr.
-    path = write_scenario(tmp_path, "big.json", big_coupling_scenario())
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "oqho_memory.cli", command, "--scenario", path],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_oqho(command, "--scenario", write_scenario(tmp_path, "big.json", big_coupling_scenario()))
     assert proc.returncode in (0, 1, 2, 3, 4), proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 

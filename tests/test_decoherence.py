@@ -21,7 +21,7 @@ from oqho_memory.decoherence import (
 )
 from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting, delta, hurwitz_limit
 from oqho_memory.errors import NumericalError, PreconditionError
-from oqho_memory.model import J2, Realization, build_realization, canonical_ccr
+from oqho_memory.model import J2, OqhoParams, Realization, build_realization, canonical_ccr
 
 from oracles import (
     random_damped_realization,
@@ -62,7 +62,7 @@ class TestTauPrime:
 
     def test_zero_weighted_moments_rejected(self):
         # A Heisenberg-admissible P is positive definite (it dominates the
-        # nonsingular Theta), so F sqrt(P) = 0 can only arise from degenerate
+        # nonsingular Theta), so F P F^T = 0 can only arise from degenerate
         # moment stubs; the precondition must still be enforced.
         w = Weighting(np.eye(2))
         with pytest.raises(PreconditionError):
@@ -70,7 +70,7 @@ class TestTauPrime:
 
 
 class _ZeroMoments:
-    sqrt_p = np.zeros((2, 2))
+    p = np.zeros((2, 2))
 
 
 class TestTauSecond:
@@ -109,6 +109,47 @@ class TestTauHat:
     def test_zero_epsilon(self):
         real, w, mo = single_mode()
         assert tau_hat(real, w, mo, 0.0) == 0.0
+
+
+class TestTauHatChecked:
+    """tau_hat is finite or a NumericalError on every path: the public
+    tau_hat, the decoherence_time report and (in test_cli) the CLI.  It is
+    nan only when F B = 0, where the expansion does not apply."""
+
+    # The README system with R = diag(1, 2): tau' = 1 and tau'' = -5, so
+    # tau_hat(1e300) = 1e300 - 2.5e600 overflows, while tau is certified
+    # infinite (the limit of Delta is below the threshold).
+    def readme_energy(self):
+        real = build_realization(OqhoParams(ccr=THETA1, energy=np.diag([1.0, 2.0]),
+                                            coupling=np.eye(2), selector=np.eye(2)))
+        return real, Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
+
+    @pytest.mark.parametrize("call", [tau_hat, decoherence_time])
+    def test_overflow_is_numerical_error(self, call):
+        real, w, mo = self.readme_energy()
+        assert abs(tau_second(real, w, mo) + 5.0) <= 1e-14
+        with pytest.raises(NumericalError, match="tau_hat at eps = 1e\\+300 is not finite"):
+            call(real, w, mo, 1e300)
+
+    def test_tau_hat_overflow_is_numerical_error(self):
+        # The unstable system of TestDecoherenceTime with B = 0.1 I: the
+        # scan would cross near t = 6.7, but tau_hat(1e290) overflows first.
+        w, mo = Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
+        with pytest.raises(NumericalError, match="tau_hat"):
+            decoherence_time((50.0 * np.eye(2), 0.1 * np.eye(2)), w, mo, 1e290)
+
+    def test_finite_below_overflow(self):
+        real, w, mo = self.readme_energy()
+        rep = decoherence_time(real, w, mo, 1e150)
+        assert rep.tau_hat == tau_hat(real, w, mo, 1e150)
+        assert abs(rep.tau_hat / -2.5e300 - 1.0) <= 1e-14
+
+    def test_nan_only_without_noise(self):
+        _, w, mo = single_mode()
+        rep = decoherence_time((J2, np.zeros((2, 2))), w, mo, 1e300)
+        assert not rep.expansion_valid and math.isnan(rep.tau_hat)
+        with pytest.raises(PreconditionError, match="F B = 0"):
+            tau_hat((J2, np.zeros((2, 2))), w, mo, 0.01)
 
 
 # _brent is scipy.optimize.brentq written out, because importing
@@ -174,20 +215,22 @@ class TestDecoherenceTime:
         assert rep.delta_evaluations == scanned + rep.bisection_iterations
         assert rep.delta_path == dynamics.SPECTRAL
 
-    # One tau takes ||F sqrt(P)||^2 and tau' from one _tau_prime pass and the
-    # derivatives at t = 0 from one delta_derivatives call; so does tau_hat.
+    # One tau takes the threshold scale tr(F P F^T) from one _weighted_trace
+    # call and the derivatives at t = 0 from one delta_derivatives call; so
+    # does tau_hat.  (The evaluator reads the scale through dynamics' own
+    # binding, which is not counted.)
     def test_one_expansion_pass(self, monkeypatch):
         real, w, mo = single_mode()
         calls = collections.Counter()
-        for name in ("_tau_prime", "delta_derivatives"):
+        for name in ("_weighted_trace", "delta_derivatives"):
             original = getattr(decoherence, name)
             monkeypatch.setattr(decoherence, name,
                                 lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
         rep = decoherence_time(real, w, mo, 0.01)
-        assert calls == {"_tau_prime": 1, "delta_derivatives": 1}
+        assert calls == {"_weighted_trace": 1, "delta_derivatives": 1}
         calls.clear()
         assert tau_hat(real, w, mo, 0.01) == rep.tau_hat
-        assert calls == {"_tau_prime": 1, "delta_derivatives": 1}
+        assert calls == {"_weighted_trace": 1, "delta_derivatives": 1}
         assert (rep.tau_prime, rep.tau_second) == (tau_prime(real.b, w, mo), tau_second(real, w, mo))
 
     def test_same_scan_as_van_loan(self, monkeypatch):
@@ -237,21 +280,23 @@ class TestDecoherenceTime:
         with pytest.raises(PreconditionError, match="horizon"):
             decoherence_time(real, w, mo, 0.01, horizon=1e-320)
 
-    # A = 50 I, B = 0.1 I, F = P = I: Delta = 2 (x - 1)^2 + 2e-4 (x^2 - 1) with
-    # x = e^{50 t}, so Delta reaches eps ||F sqrt(P)||^2 = 2e290 at
-    # t = ln(1e290 / (1 + 1e-4)) / 100 to double precision, and overflows
-    # from t ~ 7.1 on.
+    # A = 50 I, B = 0, F = P = I: Delta = 2 (x - 1)^2 with x = e^{50 t}, so
+    # Delta reaches eps tr(F P F^T) = 2e290 at t = 290 ln(10) / 100 to double
+    # precision, and overflows from t ~ 7.1 on.  B is 0 because with noise
+    # tau_hat = tau' eps + (1/2) tau'' eps^2 overflows at eps = 1e290, which
+    # is a NumericalError of its own (test_tau_hat_overflow_is_numerical_error).
+    # The horizon is the one that B = 0.1 I gave, 50 tau' = 5000.
     def unstable(self):
         w, mo = Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
-        return (50.0 * np.eye(2), 0.1 * np.eye(2)), w, mo
+        return (50.0 * np.eye(2), np.zeros((2, 2))), w, mo
 
     def test_crossing_before_overflow(self):
         # The grid points after the crossing overflow, some in the same
         # block as the crossing; only the crossing counts.
         system, w, mo = self.unstable()
-        rep = decoherence_time(system, w, mo, 1e290)
+        rep = decoherence_time(system, w, mo, 1e290, horizon=5000.0)
         assert rep.certificate == CERT_CROSSING
-        want = (290.0 * math.log(10.0) - math.log1p(1e-4)) / 100.0
+        want = 290.0 * math.log(10.0) / 100.0
         assert abs(rep.tau - want) <= 1e-12 * want
         grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
         assert rep.delta_evaluations == int(np.sum(grid <= rep.tau)) + 1 + rep.bisection_iterations

@@ -29,7 +29,8 @@ from oqho_memory.errors import (
     PreconditionError,
     ValidationError,
 )
-from oqho_memory.model import HURWITZ, J2, build_realization, canonical_ccr, classify_spectrum
+from oqho_memory.model import HURWITZ, J2, CcrMatrix, build_realization, canonical_ccr, classify_spectrum
+from oqho_memory.numerics import sqrt_psd
 
 from oracles import (
     kron_solve_lyapunov,
@@ -63,7 +64,8 @@ def identity_weighting_moments(n=2, theta=None):
 def van_loan_terms(a, b, w, mo, t):
     """(signal, noise) from one Van Loan block exponential, the fallback path."""
     e, v = _propagate(a, b @ b.T, t)
-    return np.linalg.norm(w.f @ (e - np.eye(len(a))) @ mo.sqrt_p) ** 2, np.sum(w.sigma * v)
+    e = e - np.eye(len(a))
+    return np.sum(w.sigma * (e @ mo.p @ e.T)), np.sum(w.sigma * v)
 
 
 def modal_system(rng, n, pairs, zero=False, b_scale=0.3):
@@ -92,11 +94,18 @@ class TestMomentData:
 
     def test_vacuum_scale_accepted(self):
         mo = MomentData(0.5 * np.eye(2), THETA1)
-        np.testing.assert_allclose(mo.sqrt_p @ mo.sqrt_p, 0.5 * np.eye(2), atol=1e-12)
+        np.testing.assert_array_equal(mo.p, 0.5 * np.eye(2))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
             MomentData(np.array([[1.0, 0.5], [0.0, 1.0]]), THETA1)
+
+    def test_small_indefinite_p_rejected(self):
+        # With Theta = 1e-20 J2 / 2, P + i Theta has least eigenvalue ~ -5e-11,
+        # which the Heisenberg test's absolute -1e-10 passes; the relative PSD
+        # test of P itself rejects it.
+        with pytest.raises(InvalidMomentMatrixError, match="P has a significantly negative eigenvalue"):
+            MomentData(np.diag([1e-12, -5e-11]), CcrMatrix(0.5e-20 * J2))
 
     def test_asymmetric_rejected_when_norm_overflows(self):
         # ||P|| = inf must not make the symmetry bound inf.
@@ -114,7 +123,8 @@ class TestMomentData:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             mo = MomentData(np.diag([1e308, 1e308]), THETA1)
-        np.testing.assert_allclose(mo.sqrt_p, 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
+        # MomentData keeps no square root; numerics.sqrt_psd still takes it.
+        np.testing.assert_allclose(sqrt_psd(mo.p), 1e154 * np.eye(2), rtol=1e-15, atol=0.0)
 
 
 class TestWeighting:
