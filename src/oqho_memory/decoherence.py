@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DeviationEvaluator, _SCAN_BLOCK, _check_grid_points, _check_horizon, _check_system,
-                       _overflow, _weighted_trace, delta_derivatives, time_scale)
+                       _dot_delta, _overflow, _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .numerics import _guarded
 
@@ -129,8 +129,7 @@ def tau_prime(b, weighting, moments):
     does not apply.  Raises NumericalError when either overflows.
     """
     _, b = _check_system(moments.p.shape[0], None, b, weighting.f)
-    dot = float(np.linalg.norm(weighting.f @ b) ** 2)
-    return _Expansion(_weighted_trace(weighting.f, moments.p), dot).coefficients()[0]
+    return _Expansion(_weighted_trace(weighting.f, moments.p), _dot_delta(weighting.f, b)).coefficients()[0]
 
 
 @_guarded()  # _Expansion checks what it forms
@@ -221,7 +220,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             break
         last = times[-1], d[-1]
     else:
-        if np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0:  # Delta = 0
+        if not (a.any() or b.any()):  # Delta = 0
             return make_report(math.inf, CERT_DELTA_ZERO, len(grid), 0)
         try:
             below = evaluator.hurwitz_limit() <= threshold

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import _weighted_trace, delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, OqhoParams
-from .numerics import _guarded, solve_sylvester
+from .numerics import _guarded, _norm, solve_sylvester
 
 __all__ = [
     "EnergyOptimum",
@@ -118,7 +118,7 @@ def zero_hamiltonian_condition(ccr, weighting, coupling_n, moments):
     """Residual 4 ||K(Atilde)|| whose vanishing certifies that R = 0 is optimal;
     NumericalError when it overflows."""
     real = _realization(ccr, coupling_n)
-    return 4.0 * float(np.linalg.norm(k_matrix(ccr, weighting, real.b, real.a_tilde, moments)))
+    return 4.0 * float(_norm(k_matrix(ccr, weighting, real.b, real.a_tilde, moments)))
 
 
 @_guarded("Ahat")

@@ -49,8 +49,9 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .model import _SPECTRAL_TOL, ito_j
-from .numerics import _asymmetric, _check_psd, _guarded, _scaled_eigh, matrix_exp, solve_lyapunov
+from .model import ito_j
+from .numerics import (_asymmetric, _check_psd, _guarded, _norm, _on_axis, _scaled_eigh, matrix_exp,
+                       solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -89,15 +90,14 @@ class MomentData:
             raise InvalidMomentMatrixError("P has an entry that is not finite")
         if _asymmetric(p):
             raise InvalidMomentMatrixError("P not symmetric")
+        w, _, k = _scaled_eigh(p, vectors=False)
+        _check_psd(w, k, "P")
+        # Heisenberg, relative to Theta's scale 2 max|Theta_ij| (1 for the canonical CCR)
         pi_min = np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta))
-        if pi_min < -1e-10:
+        if pi_min < -1e-10 * 2.0 * np.max(np.abs(self.ccr.theta)):
             raise InvalidMomentMatrixError(
                 f"P + i Theta has negative eigenvalue {pi_min:.3e}; moments are not Heisenberg-admissible"
             )
-        # The Heisenberg test bounds P below only by -1e-10, absolutely; with a
-        # small Theta, a small P can pass it and still not be PSD.
-        w, _, k = _scaled_eigh(p, vectors=False)
-        _check_psd(w, k, "P")
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,8 @@ class Weighting:
         is scaled as in numerics.sqrt_psd, so a huge finite Sigma gives a finite F."""
         sigma = np.asarray(sigma, dtype=float)
         w, v, k = _scaled_eigh(sigma)
-        if np.min(w) < -1e-10 * max(np.max(np.abs(w), initial=0.0), np.ldexp(1.0, -2 * k)):
-            raise InvalidMomentMatrixError("Sigma is not positive semi-definite")
-        keep = w > _RANK_RTOL * max(np.max(w, initial=0.0), 1e-300)
+        _check_psd(w, k, "Sigma")
+        keep = w > _RANK_RTOL * np.max(w)
         return cls(np.ldexp(np.sqrt(w[keep])[:, None] * v[:, keep].T, k))
 
     @property
@@ -180,7 +179,7 @@ def _propagate(a, q, t):
 # a defective A (cond(U) ~ 1/eps), Delta and the Gramian take the Van Loan path.
 _SPECTRAL_COND_LIMIT = 1e3
 
-# asymptotic_rate reads |Re lam| and eigenvalue gaps <= _RATE_TOL max(|lam|, 1) as 0.
+# asymptotic_rate reads eigenvalue gaps <= _RATE_TOL max|lam| as 0.
 _RATE_TOL = 1e-7
 _RANK_RTOL = 1e-12  # Weighting.from_sigma drops eigenvalues of Sigma <= _RANK_RTOL max(eig)
 
@@ -218,6 +217,11 @@ def _check_system(n, a, b, f=None):
     if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
         raise ValidationError("A and B must be finite")
     return a, b
+
+
+def _dot_delta(f, b):
+    """||F B||^2, dot(Delta) at t = 0."""
+    return float(np.linalg.norm(f @ b) ** 2)
 
 
 def _weighted_trace(f, x):
@@ -457,13 +461,12 @@ class DeviationEvaluator:
         """lim Delta(t) as t -> inf: tr(F P F^T) + <Sigma, P_inf>, A P_inf + P_inf A^T + B B^T = 0.
 
         An O(n^2) read of M and the near terms on the spectral path, a
-        Lyapunov solve on the Van Loan path.  PreconditionError unless every
-        Re lam < -_SPECTRAL_TOL (classify_spectrum's Hurwitz test),
-        NumericalError when the limit overflows.
+        Lyapunov solve on the Van Loan path.  PreconditionError unless A is
+        Hurwitz by numerics._on_axis, as in classify_spectrum; NumericalError
+        when the limit overflows.
         """
-        re_max = self._lam.real.max()
-        if not re_max < -_SPECTRAL_TOL:
-            raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {re_max:.3e}")
+        if not np.all((self._lam.real < 0) & ~_on_axis(self._lam, self._a)):
+            raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {self._lam.real.max():.3e}")
         if self.path == VAN_LOAN:
             noise = np.sum(self._sigma * solve_lyapunov(self._a, self._bbt))
         else:
@@ -495,7 +498,7 @@ def delta_derivatives(a, b, weighting, moments):
     """
     a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
     bbt = b @ b.T
-    dot = float(np.linalg.norm(weighting.f @ b) ** 2)
+    dot = _dot_delta(weighting.f, b)
     ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
     return dot, ddot
 
@@ -513,12 +516,11 @@ def asymptotic_rate(a, b):
     gramian's spectral congruence with the identity as weight.  Raises
     PreconditionError also when cond(U) is above _SPECTRAL_COND_LIMIT.
     """
-    _, q, lam, basis = _noise_system(a, b)
-    scale = max(np.max(np.abs(lam), initial=0.0), 1.0)
-    if np.max(np.abs(lam.real)) > _RATE_TOL * scale:
+    a, q, lam, basis = _noise_system(a, b)
+    if not np.all(_on_axis(lam, a)):
         raise PreconditionError("spectrum of A is not purely imaginary")
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
-    if np.min(gaps) <= _RATE_TOL * scale:
+    if np.min(gaps) <= _RATE_TOL * np.max(np.abs(lam)):
         raise PreconditionError("extended eigenfrequencies of A are not pairwise distinct")
     if basis is None:
         raise PreconditionError(f"A is defective or cond(U) > {_SPECTRAL_COND_LIMIT:g}")
@@ -526,13 +528,13 @@ def asymptotic_rate(a, b):
     return 0.5 * (rate + rate.conj().T)
 
 
-@_guarded()
+@_guarded("the time scale 1 / ||A||_F")
 def time_scale(a):
-    """1 / max(||A||_F, 1); raises NumericalError when ||A||_F overflows."""
-    norm = np.linalg.norm(np.asarray(a, dtype=float))
-    if not math.isfinite(norm):
+    """1 / ||A||_F (1 for A = 0); NumericalError when ||A||_F or its inverse overflows."""
+    norm = _norm(np.asarray(a, dtype=float))
+    if norm == math.inf:
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
-    return 1.0 / max(norm, 1.0)
+    return float(1.0 / norm) if norm else 1.0
 
 
 def _check_horizon(horizon):

@@ -15,10 +15,9 @@ automatically satisfies the physical-realizability identity
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericalError, ValidationError
-from .numerics import _guarded
+from .numerics import _asymmetric, _guarded, _norm, _on_axis
 
 __all__ = [
     "J2",
@@ -43,9 +42,7 @@ HURWITZ = "Hurwitz"
 MARGINALLY_STABLE = "MarginallyStable"
 UNSTABLE = "Unstable"
 
-_ANTISYM_TOL = 1e-12
 _SINGULAR_TOL = 1e-10  # Theta is singular when sigma_min <= _SINGULAR_TOL sigma_max
-_SPECTRAL_TOL = 1e-9  # |Re lambda| <= _SPECTRAL_TOL is on the imaginary axis
 
 
 def ito_j(m):
@@ -81,7 +78,7 @@ class CcrMatrix:
             raise ValidationError(f"CCR matrix order must be even and positive, got {n}")
         if not np.isfinite(theta).all():
             raise ValidationError("CCR matrix must be finite")
-        if np.linalg.norm(theta + theta.T) > _ANTISYM_TOL:
+        if _asymmetric(theta, anti=True):
             raise ValidationError("CCR matrix is not antisymmetric")
         sv = np.linalg.svd(theta, compute_uv=False)
         if sv[-1] <= _SINGULAR_TOL * sv[0]:
@@ -119,7 +116,7 @@ class OqhoParams:
             raise DimensionError(
                 f"energy matrix shape {r_mat.shape} does not match CCR order {n}"
             )
-        if np.linalg.norm(r_mat - r_mat.T) > _ANTISYM_TOL:
+        if _asymmetric(r_mat):
             raise ValidationError("energy matrix not symmetric")
         if n_mat.ndim != 2 or n_mat.shape[1] != n:
             raise DimensionError(
@@ -219,7 +216,7 @@ def check_physical_realizability(a, b, ccr):
     if b.ndim != 2 or b.shape[0] != n:
         raise DimensionError(f"B shape {b.shape} does not match CCR order {n}")
     j = ito_j(b.shape[1])
-    return float(np.linalg.norm(a @ theta + theta @ a.T + b @ j @ b.T))
+    return float(_norm(a @ theta + theta @ a.T + b @ j @ b.T))
 
 
 @dataclass(frozen=True)
@@ -236,25 +233,29 @@ class SpectralClass:
     on_bisectors: bool
 
 
+@_guarded()  # eigvals and ||A|| of a huge A: the eigenvalues are checked
 def classify_spectrum(a):
-    """Stability classification of a real square matrix by its eigenvalues."""
+    """Stability classification of a real square matrix by its eigenvalues (numpy's: scipy
+    1.17 shrinks those of an A above ~1.5e138 to that size), each on the axis or not by
+    numerics._on_axis."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix must be finite")
     try:
-        eigs = scipy.linalg.eigvals(a)
-    except scipy.linalg.LinAlgError as exc:
+        eigs = np.linalg.eigvals(a).astype(complex)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigenvalue computation failed (cond(A) ~ {np.linalg.cond(a):.3e}): {exc}"
         ) from exc
-    re = eigs.real
-    if np.max(re) > _SPECTRAL_TOL:
+    if not np.isfinite(eigs).all():
+        raise NumericalError("an eigenvalue of A overflows")
+    on_axis = _on_axis(eigs, a)
+    if np.any((eigs.real > 0) & ~on_axis):
         category = UNSTABLE
-    elif np.max(re) >= -_SPECTRAL_TOL:
+    elif on_axis.any():
         category = MARGINALLY_STABLE
     else:
         category = HURWITZ
-    on_bisectors = bool(np.any(np.abs(re) <= _SPECTRAL_TOL))
-    return SpectralClass(eigenvalues=eigs, category=category, on_bisectors=on_bisectors)
+    return SpectralClass(eigenvalues=eigs, category=category, on_bisectors=bool(on_axis.any()))

@@ -23,7 +23,7 @@ import numpy as np
 from .design import k_matrix
 from .errors import DimensionError, NumericalError, ValidationError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
-from .numerics import _guarded, solve_sylvester, solve_symmetric_constrained
+from .numerics import _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "SubsystemParams",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _CONSISTENCY_TOL = 1e-10
+_DECOUPLED_RTOL = 1e-14  # optimal_r12: Sigma12 or P12 this small, relative to Sigma or P, is 0
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,8 @@ def assemble(sub1, sub2, r12):
         coupling=closed_n,
         selector=np.eye(closed_n.shape[0]),
     ))
-    residual = max(
-        float(np.linalg.norm(ref.a - a_closed)),
-        float(np.linalg.norm(ref.b - b_closed)),
-    )
-    scale = max(np.linalg.norm(a_closed), np.linalg.norm(b_closed), 1.0)
+    residual = float(max(_norm(ref.a - a_closed), _norm(ref.b - b_closed)))
+    scale = max(_norm(a_closed), _norm(b_closed))
     if not (np.isfinite(residual) and residual <= _CONSISTENCY_TOL * scale):
         raise NumericalError(
             f"closed-loop assembly inconsistent with PR construction (residual {residual:.3e}, "
@@ -206,7 +204,7 @@ def zero_hamiltonian_r12(sub1, sub2):
     _check_internal_dims(sub1, sub2)
     r12 = -_field_cross_term(sub1, sub2)
     warning = None
-    if np.linalg.norm(sub1.energy) > 0 or np.linalg.norm(sub2.energy) > 0:
+    if sub1.energy.any() or sub2.energy.any():
         warning = "R1 or R2 nonzero: closed-loop energy matrix will not vanish"
     return r12, warning
 
@@ -258,10 +256,10 @@ def optimal_r12(sub1, sub2, weighting, moments):
     q = q_matrix(base, weighting, moments)
     op, (s11, s22, s12, p11, p22, p12) = _rase12_operator(sub1, sub2, weighting, moments)
 
-    decoupled = np.linalg.norm(s12) <= 1e-14 * max(np.linalg.norm(weighting.sigma), 1.0) \
-        or np.linalg.norm(p12) <= 1e-14 * max(np.linalg.norm(moments.p), 1.0)
-    if decoupled:
+    n1 = sub1.n
+    if (_norm(weighting.sigma[:n1, n1:]) <= _DECOUPLED_RTOL * _norm(weighting.sigma)
+            or _norm(p12) <= _DECOUPLED_RTOL * _norm(moments.p)):
         x, _ = solve_sylvester(s11, p11, s22, p22, q)
-        return x, float(np.linalg.norm(op(x) + q)), "Sylvester"
+        return x, float(_norm(op(x) + q)), "Sylvester"
     x, residual = solve_symmetric_constrained(op, q)
     return x, residual, "LeastSquares"

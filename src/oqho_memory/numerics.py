@@ -12,10 +12,12 @@ gradients (Hestenes & Stiefel 1952) on a self-adjoint positive-semidefinite
 operator, at one operator application (O(n^3)) per iteration.  Both return
 the minimum-norm solution.
 
-_guarded is the one home of the library's floating-point policy.
+_guarded is the one home of the library's floating-point policy, _norm of its
+tolerance policy: every decision is relative to the _norm of its own inputs.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -52,6 +54,21 @@ _CG_MAX_ITER_PER_UNKNOWN = 2
 _NULL_RTOL = 1e-12
 _SYLVESTER_RTOL = 1e-10
 _PSD_NEG_RTOL = 1e-8  # _check_psd: least eigenvalue allowed, relative to the largest
+_SYM_RTOL = 1e-10  # _asymmetric
+_SPECTRAL_RTOL = 1e-9  # _on_axis
+_LYAPUNOV_RTOL = 1e-10  # solve_lyapunov: resonant eigenvalue sums and the residual, relative
+_NORM_TINY = 1e-150  # _norm rescales a plain norm below this or inf, where squares may under- or overflow
+
+
+def _norm(x):
+    """Frobenius norm that over- or underflows only when the norm itself does
+    (Blue 1978, ACM TOMS 4:15): np.linalg.norm, taken again of 2^-e x ~ x / max|x|
+    only when that is inf or below _NORM_TINY.  Callers run it under _guarded."""
+    norm = np.linalg.norm(x)
+    if _NORM_TINY <= norm < math.inf:
+        return norm
+    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]  # 0 for x = 0, inf or nan
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
 def _guarded(what=None):
@@ -95,16 +112,18 @@ def solve_lyapunov(m, q):
     eigs = np.linalg.eigvals(m)
     sums = np.abs(eigs[:, None] + eigs[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    if sums[i, j] <= 1e-10 * max(np.max(np.abs(eigs)), 1.0):
+    m_norm = _norm(m)
+    if sums[i, j] <= _LYAPUNOV_RTOL * m_norm:
         raise ResonanceError(
-            f"resonant spectra: eigenvalues {eigs[i]:.6g} and {eigs[j]:.6g} sum to {eigs[i] + eigs[j]:.3e}",
+            f"resonant spectra: eigenvalues {eigs[i]:.6g} and {eigs[j]:.6g} sum to {eigs[i] + eigs[j]:.3e} "
+            f"(||M|| = {m_norm:.3e})",
             eig_pair=(eigs[i], eigs[j]),
         )
     x = scipy.linalg.solve_continuous_lyapunov(m, -q)
-    if np.linalg.norm(q - q.T) <= 1e-12 * max(np.linalg.norm(q), 1.0):
+    if not _asymmetric(q):
         x = 0.5 * (x + x.T)
-    res = np.linalg.norm(m @ x + x @ m.T + q)
-    bound = 1e-10 * (np.linalg.norm(q) + np.linalg.norm(m) * np.linalg.norm(x) + 1.0)
+    res = _norm(m @ x + x @ m.T + q)
+    bound = _LYAPUNOV_RTOL * (_norm(q) + m_norm * _norm(x))
     if not (np.isfinite(res) and res <= bound):
         raise NumericalError(f"Lyapunov residual {res:.3e} exceeds bound {bound:.3e}")
     return x
@@ -142,9 +161,9 @@ def solve_sylvester(s1, p1, s2, p2, q):
     v10, v20 = v1[:, null1], v2[:, null2]
     x -= (v10 @ np.linalg.inv(v10.T @ v10) @ (v10.T @ x @ v20)
           @ np.linalg.inv(v20.T @ v20) @ v20.T)
-    residual = float(np.linalg.norm(s1 @ x @ p2 + p1 @ x @ s2 + q))
-    op_norm = np.linalg.norm(s1) * np.linalg.norm(p2) + np.linalg.norm(p1) * np.linalg.norm(s2)
-    bound = _SYLVESTER_RTOL * (np.linalg.norm(q) + op_norm * np.linalg.norm(x))
+    residual = float(_norm(s1 @ x @ p2 + p1 @ x @ s2 + q))
+    x_norm = _norm(x)  # each term's norms multiplied in its own order, so that none overflows early
+    bound = _SYLVESTER_RTOL * (_norm(q) + _norm(s1) * x_norm * _norm(p2) + _norm(p1) * x_norm * _norm(s2))
     if not (np.isfinite(residual) and residual <= bound):
         raise NumericalError(f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e}")
     return x, residual
@@ -194,12 +213,20 @@ def solve_symmetric_constrained(operator, q):
     return x, residual
 
 
-def _asymmetric(p):
-    """||P - P^T|| > 1e-10 max(||P||, 1), both norms taken of P / max|P| so
-    that neither overflows for huge finite entries."""
-    s = np.max(np.abs(p), initial=0.0) or 1.0
-    q = p / s
-    return np.linalg.norm(q - q.T) > 1e-10 * max(np.linalg.norm(q), 1.0 / s)
+def _asymmetric(p, anti=False):
+    """||P -+ P^T|| > _SYM_RTOL ||P||: P is not symmetric or, with anti, not antisymmetric."""
+    d = p + p.T if anti else p - p.T
+    if not d.any():
+        return False
+    norm = _norm(p)
+    if norm == math.inf:  # compare 2^-e P ~ P / max|P|, whose norm is finite
+        return _asymmetric(np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1]), anti)
+    return _norm(d) > _SYM_RTOL * norm
+
+
+def _on_axis(lam, a):
+    """|Re lam| <= _SPECTRAL_RTOL ||A||: which eigenvalues lam of A lie on the imaginary axis."""
+    return np.abs(lam.real) <= _SPECTRAL_RTOL * _norm(a)
 
 
 def _scaled_eigh(p, vectors=True):
@@ -218,13 +245,13 @@ def _scaled_eigh(p, vectors=True):
 def _check_psd(w, k, what):
     """InvalidMomentMatrixError naming what unless 4^k diag(w), the eigenvalues
     of _scaled_eigh, has none below -_PSD_NEG_RTOL times the largest |w|."""
-    if np.min(w) < -_PSD_NEG_RTOL * max(np.max(np.abs(w), initial=0.0), 1e-300):
+    if np.min(w) < -_PSD_NEG_RTOL * np.max(np.abs(w)):
         raise InvalidMomentMatrixError(
             f"{what} has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
         )
 
 
-@_guarded()  # 1 / max|P| in _asymmetric overflows for a subnormal P
+@_guarded()  # a norm in _asymmetric may overflow for a huge P
 def sqrt_psd(p):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
     p = np.asarray(p, dtype=float)

@@ -238,12 +238,11 @@ class TestCheck:
     @pytest.mark.parametrize("command, field, value", [
         ("check", "coupling", [[1e200, 0.0], [0.0, 1e200]]),
         ("spectrum", "coupling", [[1e200, 0.0], [0.0, 1e200]]),
-        ("delta-curve", "energy", [[1e308, 0.0], [0.0, 1e308]]),
+        # ||A||_F = 2.1e308 overflows (at 1e308 it is finite, and so is the curve).
+        ("delta-curve", "energy", [[1.5e308, 0.0], [0.0, 1.5e308]]),
         ("tau", "energy", [[1e308, 0.0], [0.0, 1e308]]),
         ("optimize-energy", "weight_f", [[1e200, 0.0], [0.0, 1e200]]),
         ("optimize-energy", "energy", [[1e308, 1e308], [1e308, 1e308]]),
-        # The PR residual is 0, its scale ||A|| ||Theta|| + ||B||^2 is not finite.
-        ("check", "coupling", [[1e100, 0.0], [0.0, 1e100]]),
     ])
     def test_overflow_is_numerical_error(self, tmp_path, capsys, command, field, value):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario(**{field: value}))
@@ -251,6 +250,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "numerical error:" in err
         assert "Traceback" not in err
+
+    # The PR residual (0, or ~1e184 of rounding) and its scale
+    # ||A|| ||Theta|| + ||B||^2 ~ 1e200 are finite, although numpy's norms of
+    # them overflow.
+    @pytest.mark.parametrize("coupling", [[[1e100, 0.0], [0.0, 1e100]], [[1e100, 3e99], [2e99, 1e100]]])
+    def test_huge_coupling_passes(self, tmp_path, capsys, coupling):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(coupling=coupling))
+        assert cli.main(["check", "--scenario", path]) == 0
+        assert "check: PASS" in capsys.readouterr().out
 
     # A realizable system passes at any scale of its energy matrix: the PR
     # residual is rounding, bounded relative to ||A|| ||Theta|| + ||B||^2.

@@ -194,6 +194,14 @@ class TestDecoherenceTime:
         assert rep.delta_path == dynamics.SPECTRAL
         assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
 
+    def test_tiny_decay_is_not_identically_zero(self):
+        # A = -1e-200 I, B = 0: Delta tends to tr(P) = 2 above the threshold
+        # 0.2, but stays below it up to t = 50; ||A||_F underflows to 0.
+        _, w, mo = single_mode()
+        rep = decoherence_time((-1e-200 * np.eye(2), np.zeros((2, 2))), w, mo, 0.1, horizon=50.0)
+        assert rep.tau == math.inf
+        assert rep.certificate == CERT_INCONCLUSIVE
+
     def test_undamped_below_threshold_is_inconclusive(self):
         # A = J2 rotates, B = 0: Delta(t) = ||e^{t J2} - I||^2 = 4 (1 - cos t) <= 8
         # stays below the threshold 5 ||F sqrt(P)||^2 = 10, and A is not Hurwitz,

@@ -170,7 +170,7 @@ class TestWeighting:
 
     def test_from_sigma_not_psd_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
-            Weighting.from_sigma(np.diag([1e308, -1e300]))
+            Weighting.from_sigma(np.diag([1e308, -1e301]))
 
     # The rank tolerance is scaled so that it cannot overflow: full-row-rank
     # factors near the overflow threshold are accepted without a warning
@@ -758,9 +758,9 @@ def test_rest_of_layer_raises_typed_error(entry, case):
 
 
 def test_time_scale_of_overflowing_norm():
-    # Every entry is finite, but ||A||_F overflows.
+    # Every entry is finite, but ||A||_F = 3e308 is not.
     with pytest.raises(NumericalError):
-        time_scale(np.full((2, 2), 1e300))
+        time_scale(np.full((2, 2), 1.5e308))
 
 
 class TestDeviationCurve:

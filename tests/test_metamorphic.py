@@ -8,7 +8,10 @@ so three transformations of a system change its results in a known way:
   1 / kappa^2 times those of (R, N) when the horizon is scaled alike;
 - change of variables x -> S x: Theta' = S Theta S^T, R' = S^-T R S^-1,
   N' = N S^-1, F' = F S^-1 and P' = S P S^T give A' = S A S^-1 and B' = S B,
-  so Delta and tau are unchanged, and R* maps to S^-T R* S^-1;
+  so Delta and tau are unchanged, and R* maps to S^-T R* S^-1; on a feedback
+  loop of two oscillators S = diag(S1, S2) (L_k' = L_k S_k^-1 as well) maps
+  R12* to S1^-T R12* S2^-1, on the Sylvester path and on the
+  conjugate-gradient path alike;
 - F -> Q F with Q orthogonal leaves Sigma = F^T F, so nothing changes.
 
 Each comparison is bounded by first-order rounding: gamma_k = k u / (1 - k u)
@@ -21,12 +24,15 @@ cond(S)^2.
 """
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqho_memory import decoherence, design
+from oqho_memory import decoherence, design, network
 from oqho_memory.dynamics import MomentData, Weighting, delta, delta_derivatives
 from oqho_memory.model import CcrMatrix, OqhoParams, build_realization, canonical_ccr, ito_j
+from oqho_memory.numerics import _CG_RTOL
 
 from oracles import random_spd
 
@@ -182,3 +188,86 @@ def test_orthogonal_weighting(seed, nu):
     r0, r1 = s0.r_star(), s1.r_star()
     tol = gamma(8 * s0.order) * (s0.cond_r_star() + 2.0 * s1.cond_r_star())
     assert np.linalg.norm(r1 - r0) <= tol * np.linalg.norm(r0)
+
+
+class Loop:
+    """Two oscillators in a feedback loop with weighting F and moments P of
+    the closed loop, and R12* with its method and condition number."""
+
+    def __init__(self, subs, f, p):
+        self.subs, self.f, self.p = subs, f, p
+        theta = scipy.linalg.block_diag(*(sub.ccr.theta for sub in subs))
+        self.w, self.mo = Weighting(f), MomentData(p, CcrMatrix(theta))
+        self.r12, _, self.method = network.optimal_r12(*subs, self.w, self.mo)
+        self.order = len(theta)
+
+    def cond_op(self):
+        """cond of the stationarity operator X -> op(X), as a matrix."""
+        op = network._rase12_operator(*self.subs, self.w, self.mo)[0]
+        shape = self.r12.shape
+        basis = np.eye(self.r12.size).reshape(-1, *shape)
+        return np.linalg.cond(np.array([op(e).ravel() for e in basis]).T)
+
+    def cond_r12(self):
+        """cond_op times the condition of Q, the (1, 2) block of
+        K = (1/2) sym(Theta Sigma (B B^T + 2 Abreve P)), under entrywise
+        relative perturbations of the closed loop's (Theta, R, N), F and P."""
+        inter = network.assemble(*self.subs, np.zeros(self.r12.shape))
+        closed = System(inter.closed_theta.theta, inter.closed_r, inter.closed_n, self.f, self.p)
+        a, b = closed.abs_ab()
+        f = np.abs(self.f)
+        k_abs = np.abs(closed.theta) @ f.T @ f @ (b @ b.T + 2.0 * a @ np.abs(self.p))
+        n1 = len(self.r12)
+        q_abs = 0.25 * (k_abs + k_abs.T)[:n1, n1:]
+        q = network.q_matrix(inter, self.w, self.mo)
+        return self.cond_op() * np.linalg.norm(q_abs) / np.linalg.norm(q)
+
+    def error_bound(self):
+        """Relative error of R12*: rounding, and the conjugate gradients' stopping residual."""
+        cg = _CG_RTOL * self.cond_op() if self.method == "LeastSquares" else 0.0
+        return gamma(8 * self.order) * self.cond_r12() + cg
+
+
+def random_subsystem(rng, nu):
+    """An oscillator of order 2 nu with R > 0, N and L of two channels each."""
+    n = 2 * nu
+    return network.SubsystemParams(
+        ccr=canonical_ccr(nu), energy=random_spd(rng, n, shift=1.0, scale=1.0 / np.sqrt(n)),
+        coupling_external=rng.standard_normal((2, n)), coupling_internal=0.5 * rng.standard_normal((2, n)),
+        selector=np.eye(2))
+
+
+def transformed_subsystem(sub, s):
+    """sub in the variables S x."""
+    s_inv = np.linalg.inv(s)
+    theta = s @ sub.ccr.theta @ s.T
+    return network.SubsystemParams(
+        ccr=CcrMatrix(0.5 * (theta - theta.T)), energy=sym(s_inv.T @ sub.energy @ s_inv),
+        coupling_external=sub.coupling_external @ s_inv, coupling_internal=sub.coupling_internal @ s_inv,
+        selector=sub.selector)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(seed=SEEDS, nu1=st.integers(1, 2), nu2=st.integers(1, 2))
+def test_block_change_of_variables_on_r12(seed, nu1, nu2, coupled):
+    rng = np.random.default_rng(seed)
+    subs = (random_subsystem(rng, nu1), random_subsystem(rng, nu2))
+    n1, n2 = 2 * nu1, 2 * nu2
+    # Sigma with (1, 2) blocks takes conjugate gradients, block-diagonal Sigma the Sylvester path.
+    f_blocks = [np.eye(k) + 0.3 / np.sqrt(k) * rng.standard_normal((k, k)) for k in (n1, n2)]
+    f = scipy.linalg.block_diag(*f_blocks)
+    if coupled:
+        f = f + 0.3 / np.sqrt(n1 + n2) * rng.standard_normal(f.shape)
+    loop0 = Loop(subs, f, random_spd(rng, n1 + n2, scale=1.0 / np.sqrt(n1 + n2)))
+    assert loop0.method == ("LeastSquares" if coupled else "Sylvester")
+    s_blocks = [np.eye(k) + 0.3 / np.sqrt(k) * rng.standard_normal((k, k)) for k in (n1, n2)]
+    s = scipy.linalg.block_diag(*s_blocks)
+    loop1 = Loop(tuple(transformed_subsystem(sub, sk) for sub, sk in zip(subs, s_blocks)),
+                 loop0.f @ np.linalg.inv(s), sym(s @ loop0.p @ s.T))
+    assert loop1.method == loop0.method
+    inv1, inv2 = (np.linalg.inv(sk) for sk in s_blocks)
+    mapped = inv1.T @ loop0.r12 @ inv2
+    c_in = np.linalg.cond(s) ** 2
+    tol = c_in * loop0.error_bound() + loop1.error_bound() + gamma(8 * loop0.order) * c_in * loop1.cond_r12()
+    assert np.linalg.norm(loop1.r12 - mapped) <= tol * np.linalg.norm(mapped)

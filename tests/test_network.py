@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -144,6 +146,13 @@ class TestZeroHamiltonianR12:
     def test_warns_on_nonzero_subsystem_energy(self):
         rng = np.random.default_rng(68)
         sub1, sub2 = make_pair(rng)
+        _, warning = zero_hamiltonian_r12(sub1, sub2)
+        assert warning is not None
+
+    def test_warns_on_tiny_subsystem_energy(self):
+        # ||1e-200 I||_F underflows to 0; the entries do not.
+        rng = np.random.default_rng(68)
+        sub1, sub2 = (dataclasses.replace(s, energy=1e-200 * np.eye(2)) for s in make_pair(rng))
         _, warning = zero_hamiltonian_r12(sub1, sub2)
         assert warning is not None
 

@@ -131,10 +131,19 @@ class TestSolveSylvester:
             solve_sylvester(-np.eye(2), np.diag([1.0, -1.0]), -np.eye(2), np.eye(2), np.eye(2))
 
     def test_infinite_residual_rejected(self):
-        # X = Q / 2 is finite, S X P is not: residual and bound are both inf.
-        big = 1e200 * np.eye(2)
+        # S = -P = -1e-200 I gives X = 0.5e400 I, which overflows.
+        tiny = 1e-200 * np.eye(2)
         with pytest.raises(NumericalError):
-            solve_sylvester(-big, big, -big, big, 1e300 * np.eye(2))
+            solve_sylvester(-tiny, tiny, -tiny, tiny, np.eye(2))
+
+    def test_bound_does_not_overflow(self):
+        # X = 0.5e-100 I.  The residual (~1e284, rounding) and its bound
+        # (~3e290) are finite, although numpy's norm of the residual overflows
+        # and so does ||S|| ||P|| = 2e400.
+        big = 1e200 * np.eye(2)
+        x, res = solve_sylvester(-big, big, -big, big, 1e300 * np.eye(2))
+        np.testing.assert_allclose(x, 0.5e-100 * np.eye(2), rtol=1e-15, atol=0.0)
+        assert res <= 1e-15 * 1e300
 
     def test_positive_s_rejected(self):
         # S1 = I, S2 = -I would make lam1 + lam2 = 0 everywhere.
