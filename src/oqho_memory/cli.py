@@ -32,7 +32,7 @@ import orjson
 
 from . import decoherence, design, dynamics, model, network
 from .errors import DimensionError, OqhoError, PreconditionError, ValidationError
-from .numerics import _guarded, _norm
+from .numerics import _as_matrix, _guarded, _norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,11 +77,11 @@ def _matrix(data, key, location, required=True):
     value = _require(data, key, location)
     where = f"{location.rstrip('/')}/{key}"
     try:
-        m = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"field '{key}' is not a numeric matrix: {exc}", where) from None
-    if m.ndim != 2:
-        raise ScenarioParseError(f"field '{key}' must be a 2-D array", where)
+        m = _as_matrix(value, key)
+    except ValidationError:
+        raise ScenarioParseError(f"field '{key}' is not a numeric matrix", where) from None
+    except DimensionError:
+        raise ScenarioParseError(f"field '{key}' must be a 2-D array", where) from None
     if not np.all(np.isfinite(m)):
         raise ScenarioParseError(f"field '{key}' has non-finite entries", where)
     return m
@@ -178,8 +178,7 @@ def load_scenario(path):
             r12 = np.zeros((sub1.n, sub2.n))
         theta = model.CcrMatrix(network._blocks(sub1.ccr.theta, sub2.ccr.theta))
         system = {"sub1": sub1, "sub2": sub2, "r12": r12}
-    if f_mat.shape[1] != theta.n:
-        raise DimensionError(f"weight_f has {f_mat.shape[1]} columns but the system order is {theta.n}")
+    _as_matrix(f_mat, "weight_f", cols=theta.n)
     return Scenario(mode=mode, weighting=dynamics.Weighting(f_mat),
                     moments=dynamics.MomentData(p=p_mat, ccr=theta),
                     epsilon=[float(e) for e in epsilon],

@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import (DeviationEvaluator, _SCAN_BLOCK, _check_grid_points, _check_horizon, _check_system,
                        _dot_delta, _overflow, _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
-from .numerics import _guarded
+from .numerics import _as_matrix, _guarded
 
 __all__ = [
     "DecoherenceReport",
@@ -73,10 +73,11 @@ class DecoherenceReport:
 
 
 def _system_matrices(system):
-    if hasattr(system, "a") and hasattr(system, "b"):
-        return np.asarray(system.a, dtype=float), np.asarray(system.b, dtype=float)
-    a, b = system
-    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """(A, B) of a Realization (anything with .a and .b) or of an (A, B) pair,
+    through numerics._as_matrix as a square and a matrix of as many rows."""
+    a, b = (system.a, system.b) if hasattr(system, "a") and hasattr(system, "b") else system
+    a = _as_matrix(a, "A", square=True)
+    return a, _as_matrix(b, "B", rows=len(a))
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ class _Expansion:
 def _expansion(system, weighting, moments, applicable=False):
     """The _Expansion of a Realization or (A, B) pair, from one delta_derivatives
     call; with applicable, PreconditionError when F B = 0."""
-    a, b = _system_matrices(system)
-    dot, ddot = delta_derivatives(a, b, weighting, moments)
+    dot, ddot = delta_derivatives(*_system_matrices(system), weighting, moments)
     if applicable and dot == 0.0:
         raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
     return _Expansion(_weighted_trace(weighting.f, moments.p), dot, ddot)

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import _weighted_trace, delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, OqhoParams
-from .numerics import _guarded, _norm, solve_sylvester
+from .numerics import _as_matrix, _guarded, _norm, solve_sylvester
 
 __all__ = [
     "EnergyOptimum",
@@ -57,7 +57,7 @@ def _sym(x):
 
 def _realization(ccr, coupling_n, r=None):
     """build_realization for energy R (None: 0) and coupling N; B, Atilde do not depend on R."""
-    coupling_n = np.asarray(coupling_n, dtype=float)
+    coupling_n = _as_matrix(coupling_n, "coupling N", cols=ccr.n)
     return build_realization(OqhoParams(ccr=ccr, energy=np.zeros((ccr.n, ccr.n)) if r is None else r,
                                         coupling=coupling_n, selector=np.eye(coupling_n.shape[0])))
 
@@ -76,8 +76,11 @@ def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
 @_guarded("the stationarity constant K")
 def k_matrix(ccr, weighting, b, a_tilde, moments):
     """K = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)) of the stationarity
-    equation; NumericalError when it overflows."""
-    b, a_tilde = np.asarray(b, dtype=float), np.asarray(a_tilde, dtype=float)
+    equation; NumericalError when it overflows.  F, B, Atilde and P must fit Theta's order n."""
+    n = ccr.n
+    _as_matrix(weighting.f, "F", cols=n)
+    _as_matrix(moments.p, "P", n, n)
+    b, a_tilde = _as_matrix(b, "B", rows=n), _as_matrix(a_tilde, "Atilde", n, n)
     return 0.5 * _sym(ccr.theta @ weighting.sigma @ (b @ b.T + 2.0 * a_tilde @ moments.p))
 
 
@@ -124,8 +127,8 @@ def zero_hamiltonian_condition(ccr, weighting, coupling_n, moments):
 @_guarded("Ahat")
 def a_hat_minimizer(b, moments):
     """Unconstrained minimizer Ahat = -1/2 B B^T P^{-1} of ddot(Delta) over A."""
-    b = np.asarray(b, dtype=float)
     p = moments.p
+    b = _as_matrix(b, "B", rows=len(p))
     if np.min(np.linalg.eigvalsh(p)) <= 0:
         raise PreconditionError("P must be positive definite for the completed square")
     return -0.5 * b @ b.T @ np.linalg.inv(p)
@@ -135,8 +138,9 @@ def a_hat_minimizer(b, moments):
 def ddot_delta_quad_form(a, b, weighting, moments):
     """Completed-square form 2 tr(F (A - Ahat) P (A - Ahat)^T F^T)
     - 1/2 tr(F B B^T P^-1 B B^T F^T); NumericalError when it overflows."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    n = len(moments.p)
+    a, b = _as_matrix(a, "A", n, n), _as_matrix(b, "B", rows=n)
+    _as_matrix(weighting.f, "F", cols=n)
     quad = 2.0 * _weighted_trace(weighting.f @ (a - a_hat_minimizer(b, moments)), moments.p)
     const = 0.5 * _weighted_trace(weighting.f @ b @ b.T, np.linalg.inv(moments.p))
     return float(quad - const)

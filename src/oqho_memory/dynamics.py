@@ -43,15 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError,
     InvalidMomentMatrixError,
     NumericalError,
     PreconditionError,
     ValidationError,
 )
 from .model import ito_j
-from .numerics import (_asymmetric, _check_psd, _guarded, _norm, _on_axis, _scaled_eigh, matrix_exp,
-                       solve_lyapunov)
+from .numerics import (_as_matrix, _asymmetric, _check_psd, _guarded, _norm, _on_axis, _scaled_eigh,
+                       matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -81,11 +80,8 @@ class MomentData:
 
     @_guarded()  # huge finite P: no RuntimeWarning
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
+        p = _as_matrix(self.p, "P", self.ccr.n, self.ccr.n).copy()
         object.__setattr__(self, "p", p)
-        n = self.ccr.n
-        if p.shape != (n, n):
-            raise DimensionError(f"P shape {p.shape} does not match CCR order {n}")
         if not np.all(np.isfinite(p)):
             raise InvalidMomentMatrixError("P has an entry that is not finite")
         if _asymmetric(p):
@@ -108,10 +104,8 @@ class Weighting:
 
     @_guarded()  # Sigma may overflow for a finite F; its users raise on the result
     def __post_init__(self):
-        f = np.array(self.f, dtype=float)
+        f = _as_matrix(self.f, "F").copy()
         object.__setattr__(self, "f", f)
-        if f.ndim != 2:
-            raise DimensionError("F must be a matrix")
         if not np.all(np.isfinite(f)):
             raise ValidationError("F must be finite")
         # Full row rank: a row or more, one singular value per row, none below
@@ -129,7 +123,9 @@ class Weighting:
     def from_sigma(cls, sigma):
         """Factor a symmetric PSD Sigma as F^T F with F of full row rank; Sigma
         is scaled as in numerics.sqrt_psd, so a huge finite Sigma gives a finite F."""
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = _as_matrix(sigma, "Sigma", square=True)
+        if _asymmetric(sigma):
+            raise InvalidMomentMatrixError("Sigma not symmetric")
         w, v, k = _scaled_eigh(sigma)
         _check_psd(w, k, "Sigma")
         keep = w > _RANK_RTOL * np.max(w)
@@ -203,17 +199,13 @@ VAN_LOAN = "van_loan"
 
 
 def _check_system(n, a, b, f=None):
-    """(A, B) as float arrays; DimensionError unless A is n x n, B is an n-row
-    matrix and F has n columns, ValidationError unless A and B are finite.  A
-    or F given as None is not checked.  O(n^2), cheap beside any use of them."""
-    a = None if a is None else np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a is not None and a.shape != (n, n):
-        raise DimensionError(f"A shape {a.shape} does not match the system order {n}")
-    if b.ndim != 2 or b.shape[0] != n:
-        raise DimensionError(f"B shape {b.shape} does not match the system order {n}")
-    if f is not None and f.shape[1] != n:
-        raise DimensionError(f"F has {f.shape[1]} columns but the system order is {n}")
+    """(A, B) through numerics._as_matrix as n x n and n-row matrices, with F
+    checked for n columns; ValidationError unless A and B are finite.  A or F
+    given as None is not checked.  O(n^2), cheap beside any use of them."""
+    a = None if a is None else _as_matrix(a, "A", n, n)
+    b = _as_matrix(b, "B", rows=n)
+    if f is not None:
+        _as_matrix(f, "F", cols=n)
     if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
         raise ValidationError("A and B must be finite")
     return a, b
@@ -298,7 +290,8 @@ def _phi(z, t):
 def _noise_system(a, b):
     """(A, Q, lam, basis): A from _check_system, Q = B (I + i J) B^T as
     (Re Q, Im Q), and lam and basis from _modal_basis."""
-    a, b = _check_system(len(a) if np.ndim(a) else 0, a, b)
+    a = _as_matrix(a, "A", square=True)
+    a, b = _check_system(len(a), a, b)
     q = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
     return (a, q) + _modal_basis(a)
 
@@ -531,7 +524,7 @@ def asymptotic_rate(a, b):
 @_guarded("the time scale 1 / ||A||_F")
 def time_scale(a):
     """1 / ||A||_F (1 for A = 0); NumericalError when ||A||_F or its inverse overflows."""
-    norm = _norm(np.asarray(a, dtype=float))
+    norm = _norm(_as_matrix(a, "A", square=True))
     if norm == math.inf:
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
     return float(1.0 / norm) if norm else 1.0
@@ -556,6 +549,7 @@ def _check_grid_points(points, name):
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid of points (at most MAX_GRID_POINTS) from 1e-4 * t_ref to
     t_ref with t_ref = 10 time_scale(A)."""
+    a = _as_matrix(a, "A", square=True)
     _check_grid_points(points, "points")
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)

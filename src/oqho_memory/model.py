@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ValidationError
-from .numerics import _asymmetric, _guarded, _norm, _on_axis
+from .errors import NumericalError, ValidationError
+from .numerics import _as_matrix, _asymmetric, _guarded, _norm, _on_axis
 
 __all__ = [
     "J2",
@@ -69,10 +69,8 @@ class CcrMatrix:
 
     @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
+        theta = _as_matrix(self.theta, "Theta", square=True).copy()
         object.__setattr__(self, "theta", theta)
-        if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-            raise DimensionError(f"CCR matrix must be square, got shape {theta.shape}")
         n = theta.shape[0]
         if n % 2 != 0 or n == 0:
             raise ValidationError(f"CCR matrix order must be even and positive, got {n}")
@@ -103,32 +101,19 @@ class OqhoParams:
     @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
         n = self.ccr.n
-        r_mat = np.array(self.energy, dtype=float)
-        n_mat = np.array(self.coupling, dtype=float)
-        d_mat = np.array(self.selector, dtype=float)
+        r_mat = _as_matrix(self.energy, "energy R", n, n).copy()
+        n_mat = _as_matrix(self.coupling, "coupling N", cols=n).copy()
+        m = n_mat.shape[0]
+        d_mat = _as_matrix(self.selector, "selector D", cols=m).copy()
         object.__setattr__(self, "energy", r_mat)
         object.__setattr__(self, "coupling", n_mat)
         object.__setattr__(self, "selector", d_mat)
         if not (np.isfinite(r_mat).all() and np.isfinite(n_mat).all() and np.isfinite(d_mat).all()):
             raise ValidationError("energy, coupling and selector must be finite")
-
-        if r_mat.shape != (n, n):
-            raise DimensionError(
-                f"energy matrix shape {r_mat.shape} does not match CCR order {n}"
-            )
         if _asymmetric(r_mat):
             raise ValidationError("energy matrix not symmetric")
-        if n_mat.ndim != 2 or n_mat.shape[1] != n:
-            raise DimensionError(
-                f"coupling matrix shape {n_mat.shape} incompatible with n={n}"
-            )
-        m = n_mat.shape[0]
         if m % 2 != 0:
             raise ValidationError(f"number of field channels must be even, got {m}")
-        if d_mat.ndim != 2 or d_mat.shape[1] != m:
-            raise DimensionError(
-                f"selector shape {d_mat.shape} incompatible with m={m}"
-            )
         r = d_mat.shape[0]
         if r % 2 != 0 or r > m:
             raise ValidationError(f"selector must have an even number r <= m of rows, got r={r}")
@@ -165,13 +150,8 @@ class Realization:
     @classmethod
     def from_matrices(cls, a, b, c=None, d=None):
         """Wrap raw (A, B) for analysis without a physical parameterization."""
-        a = np.array(a, dtype=float)
-        b = np.array(b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"A must be square, got {a.shape}")
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise DimensionError(f"B shape {b.shape} incompatible with A shape {a.shape}")
-        return cls(a=a, b=b, c=c, d=d)
+        a = _as_matrix(a, "A", square=True).copy()
+        return cls(a=a, b=_as_matrix(b, "B", rows=len(a)).copy(), c=c, d=d)
 
     @property
     def n(self):
@@ -207,14 +187,9 @@ def build_realization(params):
 @_guarded("the physical-realizability residual")
 def check_physical_realizability(a, b, ccr):
     """Frobenius residual of A Theta + Theta A^T + B J B^T = 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     theta = ccr.theta
-    n = theta.shape[0]
-    if a.shape != (n, n):
-        raise DimensionError(f"A shape {a.shape} does not match CCR order {n}")
-    if b.ndim != 2 or b.shape[0] != n:
-        raise DimensionError(f"B shape {b.shape} does not match CCR order {n}")
+    a = _as_matrix(a, "A", *theta.shape)
+    b = _as_matrix(b, "B", rows=len(theta))
     j = ito_j(b.shape[1])
     return float(_norm(a @ theta + theta @ a.T + b @ j @ b.T))
 
@@ -238,9 +213,7 @@ def classify_spectrum(a):
     """Stability classification of a real square matrix by its eigenvalues (numpy's: scipy
     1.17 shrinks those of an A above ~1.5e138 to that size), each on the axis or not by
     numerics._on_axis."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
+    a = _as_matrix(a, "A", square=True)
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix must be finite")
     try:

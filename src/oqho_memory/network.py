@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import k_matrix
-from .errors import DimensionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
-from .numerics import _guarded, _norm, solve_sylvester, solve_symmetric_constrained
+from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "SubsystemParams",
@@ -53,18 +53,15 @@ class SubsystemParams:
     selector: np.ndarray
 
     def __post_init__(self):
-        # Reuse single-oscillator validation for (Theta, R, N, D).
-        OqhoParams(ccr=self.ccr, energy=self.energy, coupling=self.coupling_external,
-                   selector=self.selector)
-        object.__setattr__(self, "energy", np.array(self.energy, dtype=float))
-        object.__setattr__(self, "coupling_external", np.array(self.coupling_external, dtype=float))
-        object.__setattr__(self, "coupling_internal", np.array(self.coupling_internal, dtype=float))
-        object.__setattr__(self, "selector", np.array(self.selector, dtype=float))
-        if self.coupling_internal.ndim != 2 or self.coupling_internal.shape[1] != self.ccr.n:
-            raise DimensionError(
-                f"internal coupling shape {self.coupling_internal.shape} incompatible with n={self.ccr.n}"
-            )
-        if not np.isfinite(self.coupling_internal).all():
+        # Reuse single-oscillator validation for (Theta, R, N, D), and its copies.
+        params = OqhoParams(ccr=self.ccr, energy=self.energy, coupling=self.coupling_external,
+                            selector=self.selector)
+        object.__setattr__(self, "energy", params.energy)
+        object.__setattr__(self, "coupling_external", params.coupling)
+        object.__setattr__(self, "selector", params.selector)
+        internal = _as_matrix(self.coupling_internal, "internal coupling L", cols=self.ccr.n).copy()
+        object.__setattr__(self, "coupling_internal", internal)
+        if not np.isfinite(internal).all():
             raise ValidationError("internal coupling must be finite")
 
     @property
@@ -92,17 +89,6 @@ class Interconnection:
     consistency_residual: float
 
 
-def _check_internal_dims(sub1, sub2):
-    if sub1.coupling_internal.shape[0] != sub2.r:
-        raise DimensionError(
-            f"L1 has {sub1.coupling_internal.shape[0]} rows but subsystem 2 selects r2={sub2.r} outputs"
-        )
-    if sub2.coupling_internal.shape[0] != sub1.r:
-        raise DimensionError(
-            f"L2 has {sub2.coupling_internal.shape[0]} rows but subsystem 1 selects r1={sub1.r} outputs"
-        )
-
-
 def _blocks(diag1, diag2, upper=None, lower=None):
     """[[diag1, upper], [lower, diag2]] filled into one preallocated array.
 
@@ -122,18 +108,19 @@ def _blocks(diag1, diag2, upper=None, lower=None):
 
 def _field_cross_term(sub1, sub2):
     """Rtilde12 = L1^T D2 J_2 N2 - N1^T J_1 D1^T L2, the (1, 2) block of the
-    closed-loop energy matrix that the exchanged fields contribute."""
-    return (sub1.coupling_internal.T @ sub2.selector @ ito_j(sub2.m) @ sub2.coupling_external
-            - sub1.coupling_external.T @ ito_j(sub1.m) @ sub1.selector.T @ sub2.coupling_internal)
+    closed-loop energy matrix that the exchanged fields contribute.  L_k couples
+    to the other subsystem's selected outputs, so it must have r_{3-k} rows."""
+    l1 = _as_matrix(sub1.coupling_internal, "L1", rows=sub2.r)
+    l2 = _as_matrix(sub2.coupling_internal, "L2", rows=sub1.r)
+    return (l1.T @ sub2.selector @ ito_j(sub2.m) @ sub2.coupling_external
+            - sub1.coupling_external.T @ ito_j(sub1.m) @ sub1.selector.T @ l2)
 
 
 @_guarded()  # the closed loop is a record; overflow fails the consistency test
 def assemble(sub1, sub2, r12):
     """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
-    _check_internal_dims(sub1, sub2)
-    r12 = np.asarray(r12, dtype=float)
-    if r12.shape != (sub1.n, sub2.n):
-        raise DimensionError(f"R12 shape {r12.shape} must be ({sub1.n}, {sub2.n})")
+    r12 = _as_matrix(r12, "R12", sub1.n, sub2.n)
+    r12_closed = r12 + _field_cross_term(sub1, sub2)
 
     subs = (sub1, sub2)
     thetas = [s.ccr.theta for s in subs]
@@ -158,7 +145,6 @@ def assemble(sub1, sub2, r12):
                        e_blk[0] @ subs[1].selector, e_blk[1] @ subs[0].selector)
 
     # Closed-loop physical parameters.
-    r12_closed = r12 + _field_cross_term(sub1, sub2)
     closed_r = _blocks(sub1.energy, sub2.energy, r12_closed, r12_closed.T)
     closed_n = _blocks(sub1.coupling_external, sub2.coupling_external,
                        sub1.selector.T @ sub2.coupling_internal, sub2.selector.T @ sub1.coupling_internal)
@@ -201,7 +187,6 @@ def zero_hamiltonian_r12(sub1, sub2):
     Returns (R12, warning) where warning is set when R1 or R2 is nonzero, in
     which case the closed-loop energy matrix cannot vanish.
     """
-    _check_internal_dims(sub1, sub2)
     r12 = -_field_cross_term(sub1, sub2)
     warning = None
     if sub1.energy.any() or sub2.energy.any():

@@ -12,8 +12,10 @@ gradients (Hestenes & Stiefel 1952) on a self-adjoint positive-semidefinite
 operator, at one operator application (O(n^3)) per iteration.  Both return
 the minimum-norm solution.
 
-_guarded is the one home of the library's floating-point policy, _norm of its
-tolerance policy: every decision is relative to the _norm of its own inputs.
+The library's policies have one home each, here: _guarded for results (what
+it names must be finite), _norm for tolerances (every decision is relative to
+the _norm of its own inputs) and _as_matrix for inputs (every matrix argument
+is converted and shape-checked by it).
 """
 
 import functools
@@ -28,6 +30,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
     ResonanceError,
+    ValidationError,
 )
 
 __all__ = [
@@ -58,6 +61,34 @@ _SYM_RTOL = 1e-10  # _asymmetric
 _SPECTRAL_RTOL = 1e-9  # _on_axis
 _LYAPUNOV_RTOL = 1e-10  # solve_lyapunov: resonant eigenvalue sums and the residual, relative
 _NORM_TINY = 1e-150  # _norm rescales a plain norm below this or inf, where squares may under- or overflow
+_FLOAT64 = np.dtype(float)  # _as_matrix returns an ndarray of this dtype as it is
+
+
+def _as_matrix(x, name, rows=None, cols=None, square=False):
+    """x as a real float64 matrix, the library's one input gate: a float64 ndarray costs a
+    type check and the shape comparisons, anything else is converted.  ValidationError naming
+    name unless x is a rectangular array of real numbers, DimensionError unless it is 2-D with
+    rows rows and cols columns (None: any), square with square.  Finiteness is the caller's."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        try:
+            x = np.asarray(x)
+        except ValueError:  # a ragged nested list
+            x = None
+        if x is None or x.dtype.kind not in "biuf":  # bool, integer or float
+            raise ValidationError(f"{name} must be a rectangular array of real numbers")
+        x = x.astype(float, copy=False)
+    shape = x.shape
+    if (len(shape) != 2 or (rows is not None and shape[0] != rows) or (cols is not None and shape[1] != cols)
+            or (square and shape[0] != shape[1])):
+        want = "square" if square else f"({'*' if rows is None else rows}, {'*' if cols is None else cols})"
+        raise DimensionError(f"{name} has shape {shape}, not {want}")
+    return x
+
+
+def _exponent(x):
+    """e with 2^(e-1) <= max|x| < 2^e, so that 2^-e x ~ x / max|x| (exact);
+    0 for x = 0 or not finite."""
+    return int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
 
 
 def _norm(x):
@@ -67,7 +98,7 @@ def _norm(x):
     norm = np.linalg.norm(x)
     if _NORM_TINY <= norm < math.inf:
         return norm
-    e = np.frexp(np.max(np.abs(x), initial=0.0))[1]  # 0 for x = 0, inf or nan
+    e = _exponent(x)
     return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
@@ -91,9 +122,7 @@ def _guarded(what=None):
 @_guarded("the matrix exponential")
 def matrix_exp(a, t=1.0):
     """exp(t*A) by scaling-and-squaring with Pade approximation."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
+    a = _as_matrix(a, "A", square=True)
     if not np.all(np.isfinite(a)) or not np.isfinite(t):
         raise NumericalError("matrix_exp requires finite entries")
     return scipy.linalg.expm(t * a)
@@ -105,10 +134,8 @@ def solve_lyapunov(m, q):
 
     Raises ResonanceError when the spectra of M and -M^T intersect.
     """
-    m = np.asarray(m, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if m.shape != q.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"incompatible shapes M {m.shape}, Q {q.shape}")
+    m = _as_matrix(m, "M", square=True)
+    q = _as_matrix(q, "Q", *m.shape)
     eigs = np.linalg.eigvals(m)
     sums = np.abs(eigs[:, None] + eigs[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
@@ -140,14 +167,14 @@ def solve_sylvester(s1, p1, s2, p2, q):
     projection onto the homogeneous solutions V10 Z V20^T is subtracted.  A
     pair passed as the same objects on both sides is factored once.  Returns
     (X, residual); raises PreconditionError when an S_k is not negative
-    semidefinite, NumericalError when a P_k is not positive definite or the
-    residual bound is not met (e.g. Q inconsistent on the kernel).
+    semidefinite or not symmetric, or a P_k not symmetric, NumericalError
+    when a P_k is not positive definite or the residual bound is not met
+    (e.g. Q inconsistent on the kernel).
     """
     same_pair = s2 is s1 and p2 is p1
-    s1, p1, s2, p2, q = (np.asarray(m, dtype=float) for m in (s1, p1, s2, p2, q))
-    if s1.shape != p1.shape or s2.shape != p2.shape or q.shape != (len(s1), len(s2)):
-        raise DimensionError(f"incompatible shapes S1 {s1.shape}, P1 {p1.shape}, "
-                             f"S2 {s2.shape}, P2 {p2.shape}, Q {q.shape}")
+    s1, s2 = _as_matrix(s1, "S1", square=True), _as_matrix(s2, "S2", square=True)
+    p1, p2 = _as_matrix(p1, "P1", *s1.shape), _as_matrix(p2, "P2", *s2.shape)
+    q = _as_matrix(q, "Q", len(s1), len(s2))
     lam1, v1 = eigh_definite(-s1, p1)
     lam2, v2 = (lam1, v1) if same_pair else eigh_definite(-s2, p2)
     scale = max(np.max(np.abs(lam1), initial=0.0), np.max(np.abs(lam2), initial=0.0))
@@ -169,7 +196,7 @@ def solve_sylvester(s1, p1, s2, p2, q):
     return x, residual
 
 
-@_guarded()  # the accept test below requires a finite residual
+@_guarded("the solution of op(X) + Q = 0")
 def solve_symmetric_constrained(operator, q):
     """Minimum-norm solution of op(X) + Q = 0 by conjugate gradients.
 
@@ -178,39 +205,51 @@ def solve_symmetric_constrained(operator, q):
     the stationarity condition of a convex quadratic that is bounded below.
     Started at X = 0, every iterate lies in the range of op, so the limit is
     the minimum-norm solution.  op is applied matrix-free, once per
-    iteration.  Returns (X, residual) with residual = ||op(X) + Q||_F; raises
-    NumericalError when the residual bound is not met within a small
-    multiple of the number of unknowns.
+    iteration; the first application, op(Q), also sets its scale: Q and op
+    are each scaled by a power of two to about 1 (exact), so no sum of
+    squares over- or underflows for a finite X.  Returns (X, residual) with
+    residual = ||op(X) + Q||_F; raises NumericalError when the residual
+    bound is not met within a small multiple of the number of unknowns.
     """
-    q = np.asarray(q, dtype=float)
-    q_norm = np.linalg.norm(q)
+    q = _as_matrix(q, "Q")
+    eq = _exponent(q)
+    q = np.ldexp(q, -eq)
+    op_q = _as_matrix(operator(q), "op(X)", *q.shape)
+    eo = max(_exponent(op_q), -1022)  # 2^-eo is finite even when op(Q) is subnormal
+    factor = -np.ldexp(1.0, -eo)
+
+    def minus_op(x):  # -op scaled by 2^-eo, exactly
+        return operator(x) * factor
+
+    q_norm = _norm(q)
     x = np.zeros_like(q)
     r = q.copy()  # Q + op(X), the residual of -op(X) = Q
-    d = r.copy()
+    d, ad = r.copy(), op_q * factor  # the search direction and -op(d)
     rr = float(np.sum(r * r))
     op_norm = 0.0  # running lower estimate of ||op||
     for _ in range(_CG_MAX_ITER_PER_UNKNOWN * q.size):
-        if np.sqrt(rr) <= _CG_RTOL * q_norm:
-            break
-        ad = -operator(d)
         dad = float(np.sum(d * ad))
         if dad <= 0.0:
-            break  # d has no component in the range: Q is not in the range
+            break  # d has no component in the range: Q is 0 or not in the range
         op_norm = max(op_norm, np.linalg.norm(ad) / np.linalg.norm(d))
         alpha = rr / dad
         x += alpha * d
         r -= alpha * ad
         rr_next = float(np.sum(r * r))
+        if np.sqrt(rr_next) <= _CG_RTOL * q_norm:
+            break
         d = r + (rr_next / rr) * d
+        ad = minus_op(d)
         rr = rr_next
-    residual = float(np.linalg.norm(operator(x) + q))
-    bound = _CG_ACCEPT * (q_norm + op_norm * np.linalg.norm(x))
+    residual = _norm(q - minus_op(x))
+    bound = _CG_ACCEPT * (q_norm + op_norm * _norm(x))
     if not (np.isfinite(residual) and residual <= bound):
         raise NumericalError(
-            f"conjugate gradients stopped at residual {residual:.3e} (bound {bound:.3e}); "
-            "the equation is inconsistent or -op is not positive semidefinite"
+            f"conjugate gradients stopped at residual {np.ldexp(residual, eq):.3e} "
+            f"(bound {np.ldexp(bound, eq):.3e}); the equation is inconsistent or -op is not "
+            "positive semidefinite"
         )
-    return x, residual
+    return np.ldexp(x, eq - eo), float(np.ldexp(residual, eq))
 
 
 def _asymmetric(p, anti=False):
@@ -220,7 +259,7 @@ def _asymmetric(p, anti=False):
         return False
     norm = _norm(p)
     if norm == math.inf:  # compare 2^-e P ~ P / max|P|, whose norm is finite
-        return _asymmetric(np.ldexp(p, -np.frexp(np.max(np.abs(p)))[1]), anti)
+        return _asymmetric(np.ldexp(p, -_exponent(p)), anti)
     return _norm(d) > _SYM_RTOL * norm
 
 
@@ -233,7 +272,7 @@ def _scaled_eigh(p, vectors=True):
     """(w, V, k) with sym(P) = 4^k V diag(w) V^T (V is None without vectors);
     P is scaled by 4^-k ~ 1 / max|P| first, which is exact and keeps every
     step finite for a finite P."""
-    k = np.frexp(np.max(np.abs(p), initial=0.0))[1] // 2
+    k = _exponent(p) // 2
     q = np.ldexp(p, -2 * k)
     q = 0.5 * (q + q.T)
     if not vectors:
@@ -254,9 +293,7 @@ def _check_psd(w, k, what):
 @_guarded()  # a norm in _asymmetric may overflow for a huge P
 def sqrt_psd(p):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimensionError(f"matrix must be square, got {p.shape}")
+    p = _as_matrix(p, "P", square=True)
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
     w, v, k = _scaled_eigh(p)  # sqrt(P) = 2^k sqrt(P / 4^k)
@@ -271,10 +308,15 @@ def eigh_definite(a, b):
 
     Returns (lam, V) with ascending lam and V^T B V = I.  Raises
     NumericalError when A or B is not finite (e.g. an overflowed product) or
-    B is not numerically positive definite.
+    B is not numerically positive definite, PreconditionError when A or B is
+    not symmetric (numerics._asymmetric).
     """
+    a = _as_matrix(a, "A", square=True)
+    b = _as_matrix(b, "B", *a.shape)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NumericalError("generalized eigenproblem needs finite matrices")
+    if _asymmetric(a) or _asymmetric(b):
+        raise PreconditionError("generalized eigenproblem needs symmetric A and B")
     try:
         return scipy.linalg.eigh(a, b)
     except scipy.linalg.LinAlgError as exc:

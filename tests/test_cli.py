@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -739,3 +740,33 @@ def test_fuzzed_interconnection_keeps_exit_code_contract(change):
     data = copy.deepcopy(INTERCONNECTION_SCENARIO)
     change(data)
     _check_exit_code_contract(data, NETWORK_FUZZ_COMMANDS)
+
+
+# --- the README's examples, run as written ---------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_block(language):
+    """The one fenced block of the README in language."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", README, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, (language, len(blocks))
+    return blocks[0]
+
+
+def test_readme_quick_start_runs():
+    # The library quick start, under warnings-as-errors.
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("error")
+        exec(compile(_readme_block("python"), "README.md", "exec"), {})
+    assert "crossing_found" in out.getvalue()
+
+
+def test_readme_scenario_finds_crossings(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(_readme_block("json"), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["tau", "--scenario", str(scenario), "--out", str(tmp_path / "tau.json")]) == cli.EXIT_OK
+    reports = json.loads((tmp_path / "tau.json").read_text())
+    assert len(reports) == len(json.loads(_readme_block("json"))["epsilon"]) == 2
+    assert all(r["certificate"] == "crossing_found" for r in reports)

@@ -1,12 +1,17 @@
-"""Every public callable keeps the floating-point contract on overflowing input.
+"""Every public callable keeps the floating-point and the input contract.
 
-Each row calls one callable of the library's public surface (or several
-times) with finite inputs whose entries, 1e150 to 1e308 or subnormal, make an
-intermediate result overflow, or with a grid too large to allocate.  Under
-warnings-as-errors each call must either return finite values or raise an
-OqhoError; a RuntimeWarning, a raw numpy error, a MemoryError or a silent inf
-or nan fails the row.  The table must name every callable of the modules'
-__all__.
+Each row of ROWS calls one callable of the library's public surface (or
+several times) with finite inputs whose entries, 1e150 to 1e308 or subnormal,
+make an intermediate result overflow, or with a grid too large to allocate.
+Under warnings-as-errors each call must either return finite values or raise
+an OqhoError; a RuntimeWarning, a raw numpy error, a MemoryError or a silent
+inf or nan fails the row.
+
+Each row of MALFORMED calls a callable that takes a matrix with one matrix
+argument of the wrong shape, one complex and one ragged nested list.  Each
+call must raise DimensionError, ValidationError and ValidationError, under
+warnings-as-errors (numpy's ComplexWarning would drop an imaginary part).
+Both tables must name every callable of the modules' __all__.
 """
 
 import warnings
@@ -16,7 +21,7 @@ import pytest
 
 from oqho_memory import decoherence, design, dynamics, model, network, numerics
 from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting
-from oqho_memory.errors import OqhoError
+from oqho_memory.errors import DimensionError, OqhoError, ValidationError
 from oqho_memory.model import J2, CcrMatrix, OqhoParams, Realization, canonical_ccr
 from oqho_memory.network import SubsystemParams
 
@@ -166,3 +171,119 @@ def test_overflowing_input_is_finite_or_typed_error(name):
             except OqhoError:
                 continue
         assert _finite(result), (name, result)
+
+
+# --- malformed input ---------------------------------------------------------
+
+# Records, the two count-taking constructors, the two callables that take
+# only validated records, and the evaluator's methods, which take times or
+# nothing (times keep their PreconditionError).
+MALFORMED_EXEMPT = {
+    "model.Realization", "model.SpectralClass", "dynamics.DeviationCurve",
+    "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
+    "model.ito_j", "model.canonical_ccr", "model.build_realization", "network.zero_hamiltonian_r12",
+    "dynamics.DeviationEvaluator.terms", "dynamics.DeviationEvaluator.delta",
+    "dynamics.DeviationEvaluator.hurwitz_limit",
+}
+
+CPLX = (1.0 + 1.0j) * I2  # any complex array: its imaginary part must not be dropped
+RAGGED = [[1.0, 0.0], [0.0]]
+ORDER3 = np.eye(3)  # square, of the wrong order
+WIDE = np.ones((2, 3))  # not square
+VECTOR = np.ones(2)  # not a matrix
+
+
+def _bad(call, wrong):
+    """The malformed calls of call(X): ((X = wrong,), X = CPLX, X = RAGGED)."""
+    return (lambda: call(wrong),), lambda: call(CPLX), lambda: call(RAGGED)
+
+
+def _closed_loop():
+    return network.assemble(_sub(1.0, 1.0), _sub(1.0, 1.0), np.zeros((2, 2)))
+
+
+# name: (calls that must raise DimensionError, complex call, ragged call).
+# One matrix argument is malformed, the others are those of the single-mode
+# system (A = -I, B = I, F = P = I).  q_matrix and optimal_r12 take records
+# only, so their rows are a weighting too narrow for the closed loop alone.
+MALFORMED = {
+    # model
+    "model.CcrMatrix": _bad(CcrMatrix, WIDE),
+    "model.OqhoParams": _bad(lambda x: OqhoParams(CCR, x, I2, I2), ORDER3),
+    "model.check_physical_realizability": _bad(lambda x: model.check_physical_realizability(x, I2, CCR), ORDER3),
+    "model.classify_spectrum": _bad(model.classify_spectrum, WIDE),
+    "model.Realization.from_matrices": _bad(lambda x: Realization.from_matrices(-I2, x), ORDER3),
+    # numerics
+    "numerics.matrix_exp": _bad(numerics.matrix_exp, WIDE),
+    "numerics.solve_lyapunov": _bad(lambda x: numerics.solve_lyapunov(-I2, x), ORDER3),
+    "numerics.solve_sylvester": _bad(lambda x: numerics.solve_sylvester(-I2, I2, -I2, I2, x), WIDE),
+    "numerics.solve_symmetric_constrained": (
+        (lambda: numerics.solve_symmetric_constrained(lambda x: -x, VECTOR),
+         lambda: numerics.solve_symmetric_constrained(lambda x: -x[:1], I2)),  # op(X) of the wrong shape
+        lambda: numerics.solve_symmetric_constrained(lambda x: -x, CPLX),
+        lambda: numerics.solve_symmetric_constrained(lambda x: -x, RAGGED)),
+    "numerics.sqrt_psd": _bad(numerics.sqrt_psd, WIDE),
+    "numerics.eigh_definite": _bad(lambda x: numerics.eigh_definite(I2, x), ORDER3),
+    # dynamics
+    "dynamics.MomentData": _bad(lambda x: MomentData(x, CCR), ORDER3),
+    "dynamics.Weighting": _bad(Weighting, VECTOR),
+    "dynamics.Weighting.from_sigma": _bad(Weighting.from_sigma, WIDE),
+    "dynamics.DeviationEvaluator": _bad(lambda x: DeviationEvaluator(x, I2, W, MOM), ORDER3),
+    "dynamics.gramian": _bad(lambda x: dynamics.gramian(-I2, x, 1.0), ORDER3),
+    "dynamics.delta": _bad(lambda x: dynamics.delta(x, I2, W, MOM, 1.0), ORDER3),
+    "dynamics.delta_derivatives": _bad(lambda x: dynamics.delta_derivatives(-I2, x, W, MOM), ORDER3),
+    "dynamics.hurwitz_limit": _bad(lambda x: dynamics.hurwitz_limit(x, I2, W, MOM), ORDER3),
+    "dynamics.asymptotic_rate": _bad(lambda x: dynamics.asymptotic_rate(J2, x), ORDER3),
+    "dynamics.time_scale": _bad(dynamics.time_scale, VECTOR),
+    "dynamics.default_time_grid": _bad(dynamics.default_time_grid, VECTOR),
+    "dynamics.compute_deviation_curve": _bad(
+        lambda x: dynamics.compute_deviation_curve(x, I2, W, MOM, [0.0, 1.0]), ORDER3),
+    # decoherence
+    "decoherence.decoherence_time": _bad(lambda x: decoherence.decoherence_time((x, I2), W, MOM, 0.1), VECTOR),
+    "decoherence.tau_prime": _bad(lambda x: decoherence.tau_prime(x, W, MOM), ORDER3),
+    "decoherence.tau_second": _bad(lambda x: decoherence.tau_second((-I2, x), W, MOM), ORDER3),
+    "decoherence.tau_hat": _bad(lambda x: decoherence.tau_hat((-I2, x), W, MOM, 0.1), ORDER3),
+    # design
+    "design.k_matrix": _bad(lambda x: design.k_matrix(CCR, W, I2, x, MOM), ORDER3),
+    "design.optimal_energy_matrix": (
+        (lambda: design.optimal_energy_matrix(CCR, Weighting(np.eye(3)), I2, MOM),),
+        lambda: design.optimal_energy_matrix(CCR, W, CPLX, MOM),
+        lambda: design.optimal_energy_matrix(CCR, W, RAGGED, MOM)),
+    "design.grad_ddot_delta_wrt_energy": _bad(
+        lambda x: design.grad_ddot_delta_wrt_energy(CCR, W, Realization(a=x, b=I2, c=None, d=None), MOM), ORDER3),
+    "design.zero_hamiltonian_condition": (
+        (lambda: design.zero_hamiltonian_condition(CCR, Weighting(np.eye(3)), I2, MOM),),
+        lambda: design.zero_hamiltonian_condition(CCR, W, CPLX, MOM),
+        lambda: design.zero_hamiltonian_condition(CCR, W, RAGGED, MOM)),
+    "design.a_hat_minimizer": _bad(lambda x: design.a_hat_minimizer(x, MOM), ORDER3),
+    "design.ddot_delta_of_state": _bad(lambda x: design.ddot_delta_of_state(-I2, x, W, MOM), ORDER3),
+    "design.ddot_delta_of_energy": _bad(lambda x: design.ddot_delta_of_energy(x, CCR, W, I2, MOM), ORDER3),
+    "design.ddot_delta_quad_form": _bad(lambda x: design.ddot_delta_quad_form(x, I2, W, MOM), ORDER3),
+    # network
+    "network.SubsystemParams": _bad(lambda x: SubsystemParams(CCR, np.zeros((2, 2)), I2, x, I2), WIDE),
+    "network.assemble": _bad(lambda x: network.assemble(_sub(1.0, 1.0), _sub(1.0, 1.0), x), ORDER3),
+    "network.q_matrix": ((lambda: network.q_matrix(_closed_loop(), W, _coupled_weighting_moments()[1]),),),
+    "network.optimal_r12": ((lambda: network.optimal_r12(_sub(1.0, 1.0), _sub(1.0, 1.0), W,
+                                                         _coupled_weighting_moments()[1]),),),
+}
+
+
+def test_malformed_table_is_complete():
+    assert not set(MALFORMED) & MALFORMED_EXEMPT
+    assert set(MALFORMED) | MALFORMED_EXEMPT == _public_callables()
+
+
+def _malformed_cases():
+    for name, (shape, *rest) in sorted(MALFORMED.items()):
+        for k, call in enumerate(shape):
+            yield pytest.param(DimensionError, call, id=f"{name}-shape{k}")
+        for kind, call in zip(("complex", "ragged"), rest):
+            yield pytest.param(ValidationError, call, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("error, call", _malformed_cases())
+def test_malformed_input_is_typed_error(error, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()

@@ -168,6 +168,13 @@ class TestWeighting:
         np.testing.assert_allclose(w.f, 1e154 * np.eye(2), rtol=1e-15)
         np.testing.assert_allclose(w.sigma, np.diag([1e308, 1e308]), rtol=1e-15)
 
+    # Sigma is read whole: a triangle alone would give [[1, .5], [.5, 1]].
+    @pytest.mark.parametrize("sigma", [[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]],
+                             ids=["upper", "lower"])
+    def test_from_sigma_asymmetric_rejected(self, sigma):
+        with pytest.raises(InvalidMomentMatrixError, match="not symmetric"):
+            Weighting.from_sigma(sigma)
+
     def test_from_sigma_not_psd_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
             Weighting.from_sigma(np.diag([1e308, -1e301]))

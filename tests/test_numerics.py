@@ -194,6 +194,14 @@ class TestSymmetricConstrained:
         with pytest.raises(NumericalError):
             solve_symmetric_constrained(lambda x: np.zeros((2, 2)), np.eye(2))
 
+    # Q and op are scaled to about 1 before the iteration, so no sum of
+    # squares over- or underflows: X = Q / c solves -c X + Q = 0, also for a
+    # subnormal c.
+    @pytest.mark.parametrize("c, scale", [(1.0, 1e160), (1.0, 1e-300), (1e-310, 1e-300)])
+    def test_scale_free(self, c, scale):
+        x, _ = solve_symmetric_constrained(lambda x: -c * x, scale * np.eye(2))
+        np.testing.assert_allclose(x, scale / c * np.eye(2), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("scale", [1e-300, np.nan])
     def test_non_finite_residual_rejected(self, scale):
         # The solution 1e300 / scale overflows (or the operator is nan), so the
@@ -213,6 +221,15 @@ class TestEighDefinite:
     def test_indefinite_b_rejected(self):
         with pytest.raises(NumericalError):
             eigh_definite(np.eye(2), np.diag([1.0, -1.0]))
+
+    # LAPACK reads one triangle: [[1, 2], [0, 1]] against I would give
+    # eigenvalues (1, 1) and its transpose (-1, 3).
+    @pytest.mark.parametrize("m", [np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [2.0, 1.0]])],
+                             ids=["upper", "lower"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_asymmetric_rejected(self, m, side):
+        with pytest.raises(PreconditionError, match="symmetric"):
+            eigh_definite(m, np.eye(2)) if side == "a" else eigh_definite(np.eye(2), m + np.eye(2))
 
     @pytest.mark.parametrize("a, b", [
         (np.diag([np.inf, 1.0]), np.eye(2)),  # e.g. an overflowed Theta Sigma Theta

@@ -154,3 +154,42 @@ class TestSolvers:
             x, _, method = optimal_r12(*subs, Weighting(np.ldexp(f, k)), mo)
             assert method == method0
             assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+# F -> 2^k F scales Sigma, both stationarity equations and every norm their
+# solvers take by 4^k, exactly, so R12* must come out bit for bit the same on
+# either path, far past where a plain sum of squares over- or underflows.
+# R* goes through LAPACK's eigh, which rescales out-of-range input by a factor
+# that is not a power of two, so it agrees to rounding.
+SCALES = (-500, -400, -200, 200, 300, 500)
+
+
+def _r12_case(coupled):
+    theta = CcrMatrix(np.kron(I2, 0.5 * J2))
+    off = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.2 * I2)
+    rng = np.random.default_rng(0)
+    subs = [SubsystemParams(canonical_ccr(1), random_spd(rng, 2, shift=1.0), rng.standard_normal((2, 2)),
+                            rng.standard_normal((2, 2)), I2) for _ in range(2)]
+    return subs, np.eye(4) + off if coupled else np.eye(4), MomentData(np.eye(4) + off, theta)
+
+
+@pytest.mark.parametrize("coupled, path", [(True, "LeastSquares"), (False, "Sylvester")])
+def test_optimal_r12_bit_identical_under_scaled_f(coupled, path):
+    subs, f, mo = _r12_case(coupled)
+    x0, res0, method = optimal_r12(*subs, Weighting(f), mo)
+    assert method == path
+    for k in SCALES:
+        x, res, method = optimal_r12(*subs, Weighting(np.ldexp(f, k)), mo)
+        assert method == path and np.array_equal(x, x0), k
+        assert res <= 1e-10 * np.ldexp(1.0, 2 * k), k
+
+
+def test_optimal_energy_matrix_under_scaled_f():
+    rng = np.random.default_rng(0)
+    ccr, n_mat = canonical_ccr(2), rng.standard_normal((4, 4))
+    mo = MomentData(random_spd(rng, 4, shift=2.0, scale=0.3), ccr)
+    f = np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    r0 = design.optimal_energy_matrix(ccr, Weighting(f), n_mat, mo).r_star
+    for k in SCALES:
+        r = design.optimal_energy_matrix(ccr, Weighting(np.ldexp(f, k)), n_mat, mo).r_star
+        assert np.max(np.abs(r - r0)) <= 1e-13 * np.max(np.abs(r0)), k
