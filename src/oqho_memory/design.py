@@ -4,19 +4,20 @@ For fixed coupling N, the quadratic coefficient ddot(Delta) of the
 deviation is convex in the symmetric energy matrix R, and R maximizes the
 quadratic decoherence-time approximation iff
 
-    Theta Sigma Theta R P + P R Theta Sigma Theta + K = 0,
+    L(R) + K = 0,  L(R) = Theta Sigma Theta R P + P R Theta Sigma Theta,
     K = K(Atilde) = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)),
 
 B and Atilde from model.build_realization.  k_matrix is the one formula for
 K: the gradient of ddot(Delta) in R is -8 K(A), and the zero-Hamiltonian
 residual, which vanishes iff R = 0 is optimal, is 4 ||K(Atilde)||.
 
-This algebraic Lyapunov equation is the congruence equation of
-numerics.solve_sylvester with the pair (Theta Sigma Theta, P) on both sides,
-solved for every Sigma >= 0 by one simultaneous diagonalization at O(n^3)
-cost.  Admissible moments force P > 0; when Sigma is singular the solution
-is unique only up to the kernel of Theta Sigma Theta, and the minimum-norm
-solution is returned.
+R* and R12* solve it restricted to a subspace S of symmetric matrices,
+P_S(L(X) + Q) = 0, by one solver, _stationary_point.  On every symmetric
+matrix (R*, Q = K) it is the congruence equation of numerics.solve_sylvester
+with the pair (Theta Sigma Theta, P) on both sides, solved for every
+Sigma >= 0 by one simultaneous diagonalization at O(n^3) cost.  Admissible
+moments force P > 0; when Sigma is singular the solution is unique only up
+to the kernel of Theta Sigma Theta, and the minimum-norm solution is returned.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ import numpy as np
 from .dynamics import _weighted_trace, delta_derivatives
 from .errors import PreconditionError
 from .model import build_realization, OqhoParams
-from .numerics import _as_matrix, _guarded, _norm, solve_sylvester
+from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "EnergyOptimum",
@@ -39,6 +40,8 @@ __all__ = [
     "ddot_delta_of_energy",
     "ddot_delta_quad_form",
 ]
+
+_DECOUPLED_RTOL = 1e-14  # _stationary_point: Sigma12 or P12 this small, relative to Sigma or P, is 0
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,7 @@ def ddot_delta_of_state(a, b, weighting, moments):
 
 def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
     """ddot(Delta) as a function of the energy matrix for fixed coupling."""
+    _as_matrix(moments.p, "P", ccr.n, ccr.n)
     real = _realization(ccr, coupling_n, r)
     return ddot_delta_of_state(real.a, real.b, weighting, moments)
 
@@ -90,7 +94,40 @@ def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
     return -8.0 * k_matrix(ccr, weighting, system.b, system.a, moments)
 
 
-@_guarded()  # solve_sylvester rejects a non-finite S
+def _stationarity_operator(theta, weighting, moments, n1=None):
+    """(op, Theta Sigma Theta): op(X) = P_S L(X) for X in S, every symmetric matrix (n1 None)
+    or the off-diagonal blocks [[0, X], [X^T, 0]] at the split n1, X then the (1, 2) block."""
+    tst = theta @ weighting.sigma @ theta
+    rows, cols = (slice(None),) * 2 if n1 is None else (slice(n1), slice(n1, None))
+    r = np.zeros_like(tst)
+
+    def op(x):
+        r[rows, cols], r[cols, rows] = x, x.T
+        m = tst @ r @ moments.p  # L(R) = M + M^T for a symmetric R
+        return m[rows, cols] + m[cols, rows].T
+
+    return op, tst
+
+
+@_guarded("the stationary point")
+def _stationary_point(theta, weighting, moments, q, n1=None):
+    """Minimum-norm X in S with P_S(L(X) + Q) = 0, as (X, ||P_S(L(X) + Q)||, method).  It is the
+    congruence equation of numerics.solve_sylvester on every symmetric matrix ("ALE") and, with
+    Sigma12 or P12 zero, on the off-diagonal blocks ("Sylvester"); else conjugate gradients solve
+    it, -P_S L P_S being self-adjoint and positive semidefinite ("LeastSquares")."""
+    op, tst = _stationarity_operator(theta, weighting, moments, n1)
+    p = moments.p
+    if n1 is None:
+        x, method = _sym(solve_sylvester(tst, p, tst, p, q)[0]), "ALE"
+    elif (_norm(weighting.sigma[:n1, n1:]) <= _DECOUPLED_RTOL * _norm(weighting.sigma)
+            or _norm(p[:n1, n1:]) <= _DECOUPLED_RTOL * _norm(p)):
+        x, method = solve_sylvester(tst[:n1, :n1], p[:n1, :n1], tst[n1:, n1:], p[n1:, n1:], q)[0], "Sylvester"
+    else:
+        x, method = solve_symmetric_constrained(op, q)[0], "LeastSquares"
+    return x, float(_norm(op(x) + q)), method
+
+
+@_guarded()  # _stationary_point checks R* and its residual
 def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     """Energy matrix maximizing the quadratic decoherence-time approximation.
 
@@ -101,9 +138,7 @@ def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
     """
     real = _realization(ccr, coupling_n)
     k = k_matrix(ccr, weighting, real.b, real.a_tilde, moments)
-    tst = ccr.theta @ weighting.sigma @ ccr.theta
-    r_star, residual = solve_sylvester(tst, moments.p, tst, moments.p, k)
-    r_star = _sym(r_star)
+    r_star, residual, method = _stationary_point(ccr.theta, weighting, moments, k)
     ddot_at_opt = ddot_delta_of_energy(r_star, ccr, weighting, coupling_n, moments)
     n_null = ccr.n - weighting.s  # dim ker(Theta Sigma Theta); F has full row rank
     return EnergyOptimum(
@@ -111,7 +146,7 @@ def optimal_energy_matrix(ccr, weighting, coupling_n, moments):
         k_matrix=k,
         stationarity_residual=residual,
         ddot_delta_at_opt=ddot_at_opt,
-        method="ALE",
+        method=method,
         null_space_dim=n_null * (n_null + 1) // 2,
     )
 

@@ -7,23 +7,19 @@ state-space assembly must coincide with the realization built from the
 closed-loop (Theta, R, N), which is the module's central consistency
 identity, and the closed loop's C and A0 are read from that realization.
 The fields add Rtilde12 to the energy cross-term; the zero-Hamiltonian R12
-is -Rtilde12.  optimal_r12 solves the closed-loop stationarity equation for
-the direct coupling matrix, whose constant Q is the (1, 2) block of
-design.k_matrix.  When Sigma or P is block-diagonal the equation
-decouples into S11 R12 P22 + P11 R12 S22 + Q = 0, the same congruence
-equation as the energy optimum, and numerics.solve_sylvester solves it;
-otherwise matrix-free conjugate gradients solve the coupled equation.  Both
-return the minimum-norm solution.
+is -Rtilde12.  optimal_r12 solves the closed-loop stationarity equation of
+design for the direct coupling matrix, restricted to the off-diagonal
+blocks, with the constant Q = q_matrix, the (1, 2) block of design.k_matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import k_matrix
+from .design import _stationary_point, k_matrix
 from .errors import NumericalError, ValidationError
 from .model import CcrMatrix, OqhoParams, Realization, build_realization, ito_j
-from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
+from .numerics import _as_matrix, _guarded, _norm
 
 __all__ = [
     "SubsystemParams",
@@ -35,7 +31,6 @@ __all__ = [
 ]
 
 _CONSISTENCY_TOL = 1e-10
-_DECOUPLED_RTOL = 1e-14  # optimal_r12: Sigma12 or P12 this small, relative to Sigma or P, is 0
 
 
 @dataclass(frozen=True)
@@ -210,41 +205,10 @@ def q_matrix(interconnection, weighting, moments):
     return k[:n1, n1:]
 
 
-def _rase12_operator(sub1, sub2, weighting, moments):
-    n1, n2 = sub1.n, sub2.n
-    t1, t2 = sub1.ccr.theta, sub2.ccr.theta
-    sigma = weighting.sigma
-    p = moments.p
-    s11 = t1 @ sigma[:n1, :n1] @ t1
-    s22 = t2 @ sigma[n1:, n1:] @ t2
-    s12 = t1 @ sigma[:n1, n1:] @ t2
-    p11, p22, p12 = p[:n1, :n1], p[n1:, n1:], p[:n1, n1:]
-
-    def op(x):
-        return (s11 @ x @ p22 + p11 @ x @ s22
-                + s12 @ x.T @ p12 + p12 @ x.T @ s12)
-
-    return op, (s11, s22, s12, p11, p22, p12)
-
-
-@_guarded("R12*")
+@_guarded()  # _stationary_point checks R12* and its residual
 def optimal_r12(sub1, sub2, weighting, moments):
-    """Direct-coupling matrix solving the closed-loop stationarity equation.
-
-    Returns (r12, residual, method), residual = ||op(R12) + Q||_F over the
-    full operator.  With block-diagonal Sigma or P the equation decouples and
-    numerics.solve_sylvester solves it ("Sylvester"); otherwise conjugate
-    gradients solve the full n1*n2 system, whose negative is self-adjoint
-    positive semidefinite ("LeastSquares").  Both give the minimum-norm R12.
-    """
+    """(R12, residual, method): the minimum-norm direct coupling solving the
+    closed-loop stationarity equation, from design._stationary_point."""
     base = assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)))
-    q = q_matrix(base, weighting, moments)
-    op, (s11, s22, s12, p11, p22, p12) = _rase12_operator(sub1, sub2, weighting, moments)
-
-    n1 = sub1.n
-    if (_norm(weighting.sigma[:n1, n1:]) <= _DECOUPLED_RTOL * _norm(weighting.sigma)
-            or _norm(p12) <= _DECOUPLED_RTOL * _norm(moments.p)):
-        x, _ = solve_sylvester(s11, p11, s22, p22, q)
-        return x, float(_norm(op(x) + q)), "Sylvester"
-    x, residual = solve_symmetric_constrained(op, q)
-    return x, residual, "LeastSquares"
+    return _stationary_point(base.closed_theta.theta, weighting, moments,
+                             q_matrix(base, weighting, moments), sub1.n)

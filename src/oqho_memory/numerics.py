@@ -165,8 +165,10 @@ def solve_sylvester(s1, p1, s2, p2, q):
     X = V1 Y V2^T the equation reads (lam1_i + lam2_j) Y_ij = (V1^T Q V2)_ij;
     Y_ij = 0 where both eigenvalues lie in the kernel, and the Frobenius
     projection onto the homogeneous solutions V10 Z V20^T is subtracted.  A
-    pair passed as the same objects on both sides is factored once.  Returns
-    (X, residual); raises PreconditionError when an S_k is not negative
+    pair passed as the same objects on both sides is factored once.  S1, S2
+    and Q are first scaled by 2^-e ~ 1 / max|S| (exact; the equation is
+    homogeneous in (S, Q)), so X is bit for bit the same under (S, Q) -> 2^k (S, Q).
+    Returns (X, residual); raises PreconditionError when an S_k is not negative
     semidefinite or not symmetric, or a P_k not symmetric, NumericalError
     when a P_k is not positive definite or the residual bound is not met
     (e.g. Q inconsistent on the kernel).
@@ -175,6 +177,9 @@ def solve_sylvester(s1, p1, s2, p2, q):
     s1, s2 = _as_matrix(s1, "S1", square=True), _as_matrix(s2, "S2", square=True)
     p1, p2 = _as_matrix(p1, "P1", *s1.shape), _as_matrix(p2, "P2", *s2.shape)
     q = _as_matrix(q, "Q", len(s1), len(s2))
+    e = max(_exponent(s1), _exponent(s2))
+    s1, q = np.ldexp(s1, -e), np.ldexp(q, -e)
+    s2 = s1 if same_pair else np.ldexp(s2, -e)
     lam1, v1 = eigh_definite(-s1, p1)
     lam2, v2 = (lam1, v1) if same_pair else eigh_definite(-s2, p2)
     scale = max(np.max(np.abs(lam1), initial=0.0), np.max(np.abs(lam2), initial=0.0))
@@ -192,8 +197,9 @@ def solve_sylvester(s1, p1, s2, p2, q):
     x_norm = _norm(x)  # each term's norms multiplied in its own order, so that none overflows early
     bound = _SYLVESTER_RTOL * (_norm(q) + _norm(s1) * x_norm * _norm(p2) + _norm(p1) * x_norm * _norm(s2))
     if not (np.isfinite(residual) and residual <= bound):
-        raise NumericalError(f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e}")
-    return x, residual
+        raise NumericalError(f"Sylvester residual {np.ldexp(residual, e):.3e} exceeds bound "
+                             f"{np.ldexp(bound, e):.3e}")
+    return x, float(np.ldexp(residual, e))
 
 
 @_guarded("the solution of op(X) + Q = 0")

@@ -423,13 +423,25 @@ class TestOptimize:
         zh = float(out.split("zero-Hamiltonian condition residual:")[1].splitlines()[0])
         assert zh <= 1e-12
 
-    def test_r12(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, "i.json", interconnection_scenario())
+    # Block-diagonal F and P take the Sylvester path, coupled ones conjugate
+    # gradients; R12_star is printed with %.17g, so it parses back exactly.
+    @pytest.mark.parametrize("f, p, method", [
+        (np.kron(np.eye(2), [[1.0, 0.3], [0.3, 1.0]]), np.diag([1.0, 2.0, 1.5, 1.0]), "Sylvester"),
+        (np.eye(4) + np.kron([[0.0, 1.0], [1.0, 0.0]], 0.2 * np.eye(2)),
+         np.eye(4) + np.kron([[0.0, 1.0], [1.0, 0.0]], 0.2 * np.eye(2)), "LeastSquares"),
+    ], ids=["block-diagonal", "coupled"])
+    def test_r12(self, tmp_path, capsys, f, p, method):
+        path = write_scenario(tmp_path, "i.json",
+                              dict(interconnection_scenario(), weight_f=f.tolist(), moments_p=p.tolist()))
         assert cli.main(["optimize-r12", "--scenario", path]) == 0
         out = capsys.readouterr().out
-        assert "R12_star" in out
+        assert f"method: {method}\n" in out
         res = float(out.split("stationarity residual:")[1].splitlines()[0])
         assert res <= 1e-9
+        rows = out.split("R12_star:\n")[1].splitlines()[:2]
+        printed = np.array([[float(v) for v in row.strip()[1:-1].split(",")] for row in rows])
+        sc = cli.load_scenario(path)
+        assert np.array_equal(printed, network.optimal_r12(sc.sub1, sc.sub2, sc.weighting, sc.moments)[0])
 
     # The before/after comparison expands each system once: delta_derivatives
     # once per system (plus once at R* inside optimal_energy_matrix) and one

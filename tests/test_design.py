@@ -14,7 +14,7 @@ from oqho_memory.design import (
     zero_hamiltonian_condition,
 )
 from oqho_memory.dynamics import MomentData, Weighting
-from oqho_memory.errors import NumericalError, PreconditionError
+from oqho_memory.errors import DimensionError, NumericalError, PreconditionError
 from oqho_memory.model import J2, Realization, build_realization, canonical_ccr, ito_j, OqhoParams
 
 from oracles import fd_sym_gradient, kron_min_norm_solve, random_ccr, random_spd, random_sym
@@ -122,6 +122,12 @@ class TestOptimalEnergyMatrix:
             rhs = (lam * ddot_delta_of_energy(r1, theta, w, coupling, mo)
                    + (1 - lam) * ddot_delta_of_energy(r2, theta, w, coupling, mo))
             assert lhs <= rhs + 1e-9
+
+    def test_moments_of_another_order_named(self):
+        # P of order 4 against Theta of order 2: the error names P, not the A built from Theta.
+        w, _ = single_mode_setup()
+        with pytest.raises(DimensionError, match="^P has shape"):
+            ddot_delta_of_energy(np.zeros((2, 2)), THETA1, w, np.eye(2), MomentData(np.eye(4), THETA2))
 
 
 class TestGradient:

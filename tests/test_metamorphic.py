@@ -196,14 +196,14 @@ class Loop:
 
     def __init__(self, subs, f, p):
         self.subs, self.f, self.p = subs, f, p
-        theta = scipy.linalg.block_diag(*(sub.ccr.theta for sub in subs))
-        self.w, self.mo = Weighting(f), MomentData(p, CcrMatrix(theta))
+        self.theta = scipy.linalg.block_diag(*(sub.ccr.theta for sub in subs))
+        self.w, self.mo = Weighting(f), MomentData(p, CcrMatrix(self.theta))
         self.r12, _, self.method = network.optimal_r12(*subs, self.w, self.mo)
-        self.order = len(theta)
+        self.order = len(self.theta)
 
     def cond_op(self):
         """cond of the stationarity operator X -> op(X), as a matrix."""
-        op = network._rase12_operator(*self.subs, self.w, self.mo)[0]
+        op = design._stationarity_operator(self.theta, self.w, self.mo, len(self.r12))[0]
         shape = self.r12.shape
         basis = np.eye(self.r12.size).reshape(-1, *shape)
         return np.linalg.cond(np.array([op(e).ravel() for e in basis]).T)

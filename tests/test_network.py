@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oqho_memory.design import ddot_delta_of_state
+from oqho_memory.design import ddot_delta_of_state, grad_ddot_delta_wrt_energy, optimal_energy_matrix
 from oqho_memory.dynamics import MomentData, Weighting
 from oqho_memory.errors import DimensionError, NumericalError, ValidationError
-from oqho_memory.model import J2, CcrMatrix, canonical_ccr, check_physical_realizability
+from oqho_memory.model import (J2, CcrMatrix, OqhoParams, build_realization, canonical_ccr,
+                               check_physical_realizability)
 from oqho_memory.network import (
     SubsystemParams,
     assemble,
@@ -246,23 +247,44 @@ class TestOptimalR12:
         assert method == "Sylvester"
         assert residual <= 1e-9
 
-    def test_general_case_residual_and_optimality(self):
+    @pytest.mark.parametrize("path", ["ALE", "Sylvester", "LeastSquares"])
+    def test_general_case_residual_and_optimality(self, path):
+        # Each path's solution is stationary in its subspace S of energy
+        # matrices (the gradient of ddot(Delta) projected onto S vanishes) and
+        # no step inside S lowers ddot(Delta).  "ALE" is R* of the closed loop's
+        # Theta and N over every symmetric R; the other two are R12*, with the
+        # moments block-diagonal on the Sylvester path.
         rng = np.random.default_rng(72)
         sub1, sub2 = make_pair(rng)
         base = assemble(sub1, sub2, np.zeros((2, 2)))
-        w, mo = composite_weighting_moments(rng, 4, base.closed_theta)
-        x, residual, method = optimal_r12(sub1, sub2, w, mo)
+        theta, coupling = base.closed_theta, base.closed_n
+        w, mo = composite_weighting_moments(rng, 4, theta)
+        if path == "ALE":
+            opt = optimal_energy_matrix(theta, w, coupling, mo)
+            x, residual, method = opt.r_star, opt.stationarity_residual, opt.method
+            state = lambda r: build_realization(OqhoParams(theta, r, coupling, np.eye(len(coupling))))
+            project, step = (lambda g: g), (lambda: random_sym(rng, 4))
+        else:
+            if path == "Sylvester":
+                mo = MomentData(scipy.linalg.block_diag(random_spd(rng, 2, shift=2.0, scale=0.3),
+                                                        random_spd(rng, 2, shift=2.0, scale=0.3)), theta)
+            x, residual, method = optimal_r12(sub1, sub2, w, mo)
+            state = lambda r12: assemble(sub1, sub2, r12).closed_realization
+            project, step = (lambda g: g[:2, 2:]), (lambda: rng.standard_normal((2, 2)))
+        assert method == path
         assert residual <= 1e-9
 
-        def ddot_at(r12):
-            inter = assemble(sub1, sub2, r12)
-            return ddot_delta_of_state(inter.closed_realization.a,
-                                       inter.closed_realization.b, w, mo)
+        def grad(x):
+            return project(grad_ddot_delta_wrt_energy(theta, w, state(x), mo))
 
+        def ddot_at(x):
+            real = state(x)
+            return ddot_delta_of_state(real.a, real.b, w, mo)
+
+        assert np.linalg.norm(grad(x)) <= 1e-10 * np.linalg.norm(grad(np.zeros_like(x)))
         best = ddot_at(x)
         for _ in range(30):
-            probe = x + 1e-3 * rng.standard_normal((2, 2))
-            assert best <= ddot_at(probe) + 1e-8
+            assert best <= ddot_at(x + 1e-3 * step()) + 1e-8
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_general_case_matches_min_norm_oracle(self, nu):

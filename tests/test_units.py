@@ -157,10 +157,8 @@ class TestSolvers:
 
 
 # F -> 2^k F scales Sigma, both stationarity equations and every norm their
-# solvers take by 4^k, exactly, so R12* must come out bit for bit the same on
-# either path, far past where a plain sum of squares over- or underflows.
-# R* goes through LAPACK's eigh, which rescales out-of-range input by a factor
-# that is not a power of two, so it agrees to rounding.
+# solvers take by 4^k, exactly, so R* and R12* must come out bit for bit the
+# same on every path, far past where a plain sum of squares over- or underflows.
 SCALES = (-500, -400, -200, 200, 300, 500)
 
 
@@ -192,4 +190,4 @@ def test_optimal_energy_matrix_under_scaled_f():
     r0 = design.optimal_energy_matrix(ccr, Weighting(f), n_mat, mo).r_star
     for k in SCALES:
         r = design.optimal_energy_matrix(ccr, Weighting(np.ldexp(f, k)), n_mat, mo).r_star
-        assert np.max(np.abs(r - r0)) <= 1e-13 * np.max(np.abs(r0)), k
+        assert np.array_equal(r, r0), k
