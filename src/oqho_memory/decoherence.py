@@ -8,11 +8,10 @@ interval; a pure root-finder could miss early excursions of an oscillatory
 Delta.  Scan, refinement and the t -> inf limit behind the Hurwitz
 certificate share one dynamics.DeviationEvaluator, so A is factored once per
 tau and each point costs O(n^2) on its spectral path (the Van Loan path when
-A is defective or its eigenvectors ill-conditioned).  The scan evaluates
-the grid in blocks of _SCAN_BLOCK points, one matrix product per block, and
-stops at the first block that holds a point above the threshold; Brent's
-method evaluates a block of one per step.  The report names the path and
-counts the Delta evaluations up to the crossing.  The expansion coefficients are
+A is defective or its eigenvectors ill-conditioned).  The scan is one
+DeviationEvaluator.scan of the grid up to the first point above the
+threshold; Brent's method evaluates one point per step.  The report names
+the path and counts the Delta evaluations up to the crossing.  The expansion coefficients are
 
     tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DeviationEvaluator, _SCAN_BLOCK, _check_grid_points, _check_horizon, _check_system,
-                       _dot_delta, _overflow, _weighted_trace, delta_derivatives, time_scale)
+from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _check_system, _dot_delta,
+                       _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .numerics import _as_matrix, _guarded
 
@@ -40,6 +39,7 @@ __all__ = [
     "CERT_DELTA_ZERO",
     "CERT_HURWITZ",
     "CERT_INCONCLUSIVE",
+    "CERT_CROSSING",
 ]
 
 CERT_DELTA_ZERO = "delta_identically_zero"
@@ -66,8 +66,8 @@ class DecoherenceReport:
     expansion_valid: bool  # false when FB = 0 and the eps-expansion is inapplicable
     # Grid points up to and including the first one above the threshold, plus
     # the refinement's evaluations.  The scan evaluates whole blocks of
-    # _SCAN_BLOCK points, so up to _SCAN_BLOCK - 1 points after the crossing
-    # are computed but not counted.
+    # dynamics._SCAN_BLOCK points, so up to _SCAN_BLOCK - 1 points after the
+    # crossing are computed but not counted.
     delta_evaluations: int
     delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
@@ -161,8 +161,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
 
     system may be a Realization (or anything with .a/.b) or an (A, B) pair.
     The scan evaluates Delta on a hybrid log/linear grid of grid_points (at
-    most MAX_GRID_POINTS, else PreconditionError) points over [0, horizon],
-    in blocks of _SCAN_BLOCK points; Brent's method refines the interval
+    most MAX_GRID_POINTS, else PreconditionError) points over [0, horizon]
+    in one DeviationEvaluator.scan; Brent's method refines the interval
     before the first point above the threshold to a few ulps (NumericalError
     if it takes more than _MAX_REFINEMENTS steps).  A summand that is not
     finite at or before that point raises NumericalError; points after it
@@ -205,34 +205,22 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         )
 
     grid = _hybrid_grid(horizon, grid_points)
-    last = 0.0, 0.0  # (t, Delta(t)) at the last point scanned; Delta(0) = 0
-    for start in range(0, len(grid), _SCAN_BLOCK):
-        times = grid[start:start + _SCAN_BLOCK]
-        sig, noise = evaluator._terms(times)
-        # The scan stops at the first point that is above the threshold or
-        # not finite; points after it do not count.
-        d = sig + noise
-        stop = ~(d <= threshold)
-        if stop.any():
-            k = int(np.argmax(stop))
-            if not math.isfinite(d[k]):
-                raise _overflow(times[k], sig[k], noise[k])
-            break
-        last = times[-1], d[-1]
-    else:
+    k, sig, noise = evaluator.scan(grid, threshold)
+    if k == len(grid):
         if not (a.any() or b.any()):  # Delta = 0
-            return make_report(math.inf, CERT_DELTA_ZERO, len(grid), 0)
+            return make_report(math.inf, CERT_DELTA_ZERO, k, 0)
         try:
             below = evaluator.hurwitz_limit() <= threshold
         except PreconditionError:  # A is not Hurwitz
             below = False
-        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, len(grid), 0)
+        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, k, 0)
 
     # The bracket's end values come from the scan, so their signs are the scan's.
-    lo, d_lo = (times[k - 1], d[k - 1]) if k else last
+    d = sig + noise
+    lo, d_lo = (grid[k - 1], d[k - 1]) if k else (0.0, 0.0)  # Delta(0) = 0
     tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
-                        times[k], d[k] - threshold, 4.0 * np.spacing(times[k]))
-    return make_report(tau, CERT_CROSSING, start + k + 1, steps)
+                        grid[k], d[k] - threshold, 4.0 * np.spacing(grid[k]))
+    return make_report(tau, CERT_CROSSING, k + 1, steps)
 
 
 # A trial step that overflows or divides by 0 is inf or nan, fails the step

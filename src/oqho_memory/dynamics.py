@@ -29,11 +29,11 @@ the same two paths.  The t -> inf limits come from the same eigenbasis:
 Phi(inf) = -1 / Z gives DeviationEvaluator.hurwitz_limit, the diagonal of Q~
 asymptotic_rate.
 
-Every evaluation is a block evaluation: DeviationEvaluator.terms reads a
-1-D array of K times (a single time is an array of one) with one real
-K x n x (2n + 1) matrix product (the Van Loan path loops over them).  The tau
-scan and compute_deviation_curve walk their grids in blocks of _SCAN_BLOCK
-times, so memory stays O(n _SCAN_BLOCK) for any grid.
+Every evaluation goes through one walker, DeviationEvaluator.scan: times
+(a single time is an array of one) _SCAN_BLOCK at a time, one real
+K x n x (2n + 1) matrix product per block of K (the Van Loan path loops), up
+to the first point above a threshold; terms is the walk with none.  So memory
+stays O(n _SCAN_BLOCK) beside the values returned, for any number of times.
 """
 
 import math
@@ -381,29 +381,43 @@ class DeviationEvaluator:
         self._m, self._g_near, self._z_near = m, g[near], z[near]
 
     @_guarded()
-    def terms(self, t):
-        """(signal, noise) at a time t, or two arrays of them for a 1-D array t.
-
-        A single time is evaluated as a one-element array.  Raises
-        NumericalError naming the first time where a summand or their sum overflows.
-        """
-        times = np.array(t, dtype=float, ndmin=1)
+    def scan(self, times, threshold=math.inf):
+        """(k, signal, noise): times (a number or a 1-D array) walked through
+        _terms _SCAN_BLOCK at a time up to the first point whose Delta is above
+        threshold or not finite, its index k (len(times) if none), and the
+        summands up to and including it.  NumericalError naming that time
+        when Delta there is not finite."""
+        times = np.array(times, dtype=float, ndmin=1)
         if times.ndim != 1:
             raise PreconditionError(f"times must be a number or a 1-D array, got shape {times.shape}")
         if not np.all(times >= 0):
             raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
-        sig, noise = self._terms(times)
-        bad = ~np.isfinite(sig + noise)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise _overflow(times[k], sig[k], noise[k])
+        sig, noise = np.empty(len(times)), np.empty(len(times))
+        for start in range(0, len(times), _SCAN_BLOCK):
+            block = slice(start, start + _SCAN_BLOCK)
+            sig[block], noise[block] = self._terms(times[block])
+            d = sig[block] + noise[block]
+            stop = ~(np.isfinite(d) & (d <= threshold))  # inf <= inf holds
+            if stop.any():
+                k = start + int(np.argmax(stop))
+                if not math.isfinite(d[k - start]):
+                    raise NumericalError(f"deviation not finite at t = {times[k]:.6g}: "
+                                         f"signal {sig[k]}, noise {noise[k]}")
+                return k, sig[:k + 1], noise[:k + 1]
+        return len(times), sig, noise
+
+    def terms(self, t):
+        """(signal, noise) at a time t, or two arrays of them for a 1-D array t:
+        scan with no threshold, so NumericalError names the first time where
+        a summand or their sum overflows."""
+        _, sig, noise = self.scan(t)
         if np.ndim(t) == 0:
             return float(sig[0]), float(noise[0])
         return sig, noise
 
     def _terms(self, t):
         """terms(t) for a 1-D float array t >= 0, unchecked: a summand that
-        overflows comes back inf or nan.  Callers run it under _guarded."""
+        overflows comes back inf or nan.  scan runs it under _guarded."""
         if self.path == VAN_LOAN:
             sig, noise = np.empty(len(t)), np.empty(len(t))
             for j, s in enumerate(t):
@@ -465,11 +479,6 @@ class DeviationEvaluator:
         else:
             noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
         return float(self._scale + noise)
-
-
-def _overflow(t, sig, noise):
-    """The NumericalError for a summand of Delta that is not finite at t."""
-    return NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig}, noise {noise}")
 
 
 def delta(a, b, weighting, moments, t):
@@ -575,10 +584,7 @@ def compute_deviation_curve(a, b, weighting, moments, times=None):
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or np.any(times < 0):
         raise PreconditionError("time grid must be increasing and nonnegative")
-    sig = np.empty(len(times))
-    noise = np.empty(len(times))
-    for k in range(0, len(times), _SCAN_BLOCK):
-        sig[k:k + _SCAN_BLOCK], noise[k:k + _SCAN_BLOCK] = evaluator.terms(times[k:k + _SCAN_BLOCK])
+    sig, noise = evaluator.terms(times)
     return DeviationCurve(
         times=times,
         delta_values=sig + noise,

@@ -89,6 +89,7 @@ ROWS = {
                                       lambda: Weighting.from_sigma(1e-320 * I2)),  # 4^-k overflows
     "dynamics.DeviationEvaluator": lambda: _evaluator(-I2, 1e200 * I2),
     "dynamics.DeviationEvaluator.terms": lambda: _evaluator(800.0 * I2, I2).terms(1.0),
+    "dynamics.DeviationEvaluator.scan": lambda: _evaluator(800.0 * I2, I2).scan([0.0, 1.0], 1e300),
     "dynamics.DeviationEvaluator.delta": lambda: _evaluator(*EDGE).delta(1.0),
     "dynamics.DeviationEvaluator.hurwitz_limit": lambda: _evaluator(-1e-8 * I2, 1e152 * I2).hurwitz_limit(),
     "dynamics.gramian": lambda: dynamics.gramian(-1e-200 * I2, 1e200 * I2, 1.0),
@@ -140,7 +141,8 @@ ROWS = {
 def _public_callables():
     names = {f"{m.__name__.rsplit('.', 1)[1]}.{name}"
              for m in MODULES for name in m.__all__ if callable(getattr(m, name))}
-    return names | {"dynamics.DeviationEvaluator.terms", "dynamics.DeviationEvaluator.delta",
+    return names | {"dynamics.DeviationEvaluator.scan", "dynamics.DeviationEvaluator.terms",
+                    "dynamics.DeviationEvaluator.delta",
                     "dynamics.DeviationEvaluator.hurwitz_limit", "dynamics.Weighting.from_sigma",
                     "model.Realization.from_matrices"}
 
@@ -182,8 +184,8 @@ MALFORMED_EXEMPT = {
     "model.Realization", "model.SpectralClass", "dynamics.DeviationCurve",
     "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
     "model.ito_j", "model.canonical_ccr", "model.build_realization", "network.zero_hamiltonian_r12",
-    "dynamics.DeviationEvaluator.terms", "dynamics.DeviationEvaluator.delta",
-    "dynamics.DeviationEvaluator.hurwitz_limit",
+    "dynamics.DeviationEvaluator.scan", "dynamics.DeviationEvaluator.terms",
+    "dynamics.DeviationEvaluator.delta", "dynamics.DeviationEvaluator.hurwitz_limit",
 }
 
 CPLX = (1.0 + 1.0j) * I2  # any complex array: its imaginary part must not be dropped

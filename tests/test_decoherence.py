@@ -327,7 +327,7 @@ class TestDecoherenceTime:
         mo = MomentData(random_spd(rng, 16), params.ccr)
         for system in (real, random_marginal_modes(rng, 8)):
             ref = decoherence_time(system, w, mo, 0.05)
-            monkeypatch.setattr(decoherence, "_SCAN_BLOCK", block)
+            monkeypatch.setattr(dynamics, "_SCAN_BLOCK", block)
             rep = decoherence_time(system, w, mo, 0.05)
             monkeypatch.undo()
             assert rep.certificate == ref.certificate == CERT_CROSSING

@@ -698,6 +698,49 @@ class TestDeviationEvaluator:
         with pytest.raises(NumericalError, match="t = 8:"):
             ev.terms(np.arange(12.0))
 
+    # terms and delta walk any array through scan: _terms is never handed more
+    # than one block, so memory stays O(n _SCAN_BLOCK) for any number of times.
+    @pytest.mark.parametrize("kind", ["spectral", "van-loan"])
+    def test_array_of_times_evaluated_in_blocks(self, monkeypatch, kind):
+        a, b = single_mode_system()
+        w, mo = identity_weighting_moments()
+        if kind == "van-loan":
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        times = np.linspace(0.0, 5.0, 3 * dynamics._SCAN_BLOCK + 5)
+        ev = DeviationEvaluator(a, b, w, mo)
+        points = np.array([ev.terms(t) for t in times]).T
+        sizes = []
+        terms = DeviationEvaluator._terms
+        monkeypatch.setattr(DeviationEvaluator, "_terms",
+                            lambda self, t: sizes.append(np.size(t)) or terms(self, t))
+        np.testing.assert_allclose(ev.terms(times), points, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(delta(a, b, w, mo, times), points.sum(axis=0), rtol=1e-14, atol=0)
+        assert sizes == 2 * ([dynamics._SCAN_BLOCK] * 3 + [5])
+        assert ev.path == (VAN_LOAN if kind == "van-loan" else SPECTRAL)
+
+    def test_scan_stops_at_first_point_above_threshold(self):
+        # Delta = (1 - x)(3 - x), x = e^{-t}, increases to 3: the walk stops
+        # at the first time above 2.5, in its second block, and returns the
+        # summands up to it.
+        a, b = single_mode_system()
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(a, b, w, mo)
+        times = np.linspace(0.0, 5.0, 3 * dynamics._SCAN_BLOCK + 5)
+        want = int(np.argmax(closed_form_delta(times) > 2.5))
+        assert dynamics._SCAN_BLOCK < want < 2 * dynamics._SCAN_BLOCK
+        k, sig, noise = ev.scan(times, 2.5)
+        assert k == want
+        np.testing.assert_array_equal(sig + noise, ev.delta(times)[:k + 1])
+        assert ev.scan(times, np.inf)[0] == ev.scan(times, 10.0)[0] == len(times)
+
+    def test_scan_stops_at_overflow_under_infinite_threshold(self):
+        # inf <= inf: the walk must still stop at a Delta of +inf.
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(50.0 * np.eye(2), np.zeros((2, 2)), w, mo)
+        with pytest.raises(NumericalError, match="t = 8:"):
+            ev.scan(np.arange(12.0))
+        assert ev.scan(np.arange(12.0), 1.0)[0] == 1
+
     @pytest.mark.parametrize("times", [np.array([0.5, -1.0]), np.array([[0.5, 1.0]]), [np.nan]])
     def test_bad_array_of_times_rejected(self, times):
         a, b = single_mode_system()
@@ -790,8 +833,8 @@ class TestDeviationCurve:
         w, mo = identity_weighting_moments()
         times = np.linspace(0.0, 5.0, 3 * dynamics._SCAN_BLOCK + 5)
         sizes = []
-        terms = DeviationEvaluator.terms
-        monkeypatch.setattr(DeviationEvaluator, "terms",
+        terms = DeviationEvaluator._terms
+        monkeypatch.setattr(DeviationEvaluator, "_terms",
                             lambda self, t: sizes.append(np.size(t)) or terms(self, t))
         curve = compute_deviation_curve(a, b, w, mo, times=times)
         assert len(sizes) == 4
