@@ -147,9 +147,11 @@ def tau_hat(system, weighting, moments, epsilon):
 
 
 def _hybrid_grid(horizon, points):
-    """Log+linear hybrid grid on (0, horizon]; dense near 0 and uniform overall."""
+    """Log+linear hybrid grid of points distinct times on (0, horizon]; dense
+    near 0 and uniform overall.  A log part of two or more points ends at the
+    horizon too, so the linear part takes one point more."""
     n_log = points // 2
-    n_lin = points - n_log
+    n_lin = points - n_log + (n_log > 1)
     log_part = np.geomspace(horizon * 1e-8, horizon, n_log)
     lin_part = np.linspace(horizon / n_lin, horizon, n_lin)
     return np.unique(np.concatenate([log_part, lin_part]))

@@ -185,6 +185,17 @@ def test_brent_returns_a_zero_end():
     assert decoherence._brent(math.sin, -1.0, math.sin(-1.0), 0.0, 0.0, 1e-12) == (0.0, 0)
 
 
+# Both parts of the hybrid grid end at the horizon; the grid still holds
+# exactly the grid_points times the report names, distinct and increasing.
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 5, 2000, 2001])
+@pytest.mark.parametrize("horizon", [2.2250738585072014e-308, 0.3, 7.0, 1e300])
+def test_hybrid_grid_has_grid_points_times(points, horizon):
+    grid = _hybrid_grid(horizon, points)
+    assert len(grid) == points
+    assert grid[0] > 0.0 and grid[-1] == horizon
+    assert np.all(np.diff(grid) > 0.0)
+
+
 class TestDecoherenceTime:
     def test_isolated_zero_hamiltonian(self):
         _, w, mo = single_mode()
@@ -192,7 +203,7 @@ class TestDecoherenceTime:
         assert rep.tau == math.inf
         assert rep.certificate == CERT_DELTA_ZERO
         assert rep.delta_path == dynamics.SPECTRAL
-        assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
+        assert rep.delta_evaluations == rep.grid_points == 2000
 
     def test_tiny_decay_is_not_identically_zero(self):
         # A = -1e-200 I, B = 0: Delta tends to tr(P) = 2 above the threshold
