@@ -73,7 +73,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentData:
-    """Initial second moments: Pi = P + i Theta must be PSD (Heisenberg)."""
+    """Initial second moments: Pi = P + i Theta must be PSD (Heisenberg); pi_min = min eig(Pi)."""
 
     p: np.ndarray
     ccr: "CcrMatrix"
@@ -89,11 +89,12 @@ class MomentData:
         w, _, k = _scaled_eigh(p, vectors=False)
         _check_psd(w, k, "P")
         # Heisenberg, relative to Theta's scale 2 max|Theta_ij| (1 for the canonical CCR)
-        pi_min = np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta))
+        pi_min = float(np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta)))
         if pi_min < -1e-10 * 2.0 * np.max(np.abs(self.ccr.theta)):
             raise InvalidMomentMatrixError(
                 f"P + i Theta has negative eigenvalue {pi_min:.3e}; moments are not Heisenberg-admissible"
             )
+        object.__setattr__(self, "pi_min", pi_min)  # read-only and outside equality, like Weighting.sigma
 
 
 @dataclass(frozen=True)
@@ -408,8 +409,7 @@ class DeviationEvaluator:
 
     def terms(self, t):
         """(signal, noise) at a time t, or two arrays of them for a 1-D array t:
-        scan with no threshold, so NumericalError names the first time where
-        a summand or their sum overflows."""
+        the walk of scan with no threshold."""
         _, sig, noise = self.scan(t)
         if np.ndim(t) == 0:
             return float(sig[0]), float(noise[0])

@@ -148,10 +148,10 @@ class Realization:
     a_tilde: np.ndarray = None
 
     @classmethod
-    def from_matrices(cls, a, b, c=None, d=None):
-        """Wrap raw (A, B) for analysis without a physical parameterization."""
+    def from_matrices(cls, a, b):
+        """Wrap raw (A, B) for analysis without a physical parameterization (C = D = None)."""
         a = _as_matrix(a, "A", square=True).copy()
-        return cls(a=a, b=_as_matrix(b, "B", rows=len(a)).copy(), c=c, d=d)
+        return cls(a=a, b=_as_matrix(b, "B", rows=len(a)).copy(), c=None, d=None)
 
     @property
     def n(self):

@@ -154,7 +154,8 @@ class TestTauHatChecked:
 
 # _brent is scipy.optimize.brentq written out, because importing
 # scipy.optimize adds ~20 MB and ~0.2 s to every process that imports the
-# package.  It must take the same steps: the same root bit for bit, and two
+# package (test_imports.py checks that the package leaves it unloaded).
+# It must take the same steps: the same root bit for bit, and two
 # fewer calls of f, because it is given f at both ends.  The "huge" case
 # overflows the interpolation, which must then bisect without a warning.
 BRENT_CASES = {

@@ -96,6 +96,14 @@ class TestMomentData:
         mo = MomentData(0.5 * np.eye(2), THETA1)
         np.testing.assert_array_equal(mo.p, 0.5 * np.eye(2))
 
+    def test_heisenberg_margin_is_computed_once_and_read_only(self):
+        # min eig(P + i Theta) of P = I, Theta = J2 / 2 is 1 - 1/2.
+        mo = MomentData(np.eye(2), THETA1)
+        assert abs(mo.pi_min - 0.5) <= 1e-15
+        with pytest.raises(AttributeError):
+            mo.pi_min = 1.0
+        assert "pi_min" not in repr(mo)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidMomentMatrixError):
             MomentData(np.array([[1.0, 0.5], [0.0, 1.0]]), THETA1)
@@ -692,6 +700,8 @@ class TestDeviationEvaluator:
 
     def test_array_overflow_names_first_time(self):
         # Delta grows like e^{100 t}: it overflows between t = 7 and t = 8.
+        # terms walks with threshold inf, and inf <= inf: scan must stop at
+        # a Delta of +inf by itself.
         w, mo = identity_weighting_moments()
         ev = DeviationEvaluator(50.0 * np.eye(2), 0.1 * np.eye(2), w, mo)
         assert np.all(np.isfinite(ev.terms(np.arange(8.0))))
@@ -732,14 +742,6 @@ class TestDeviationEvaluator:
         assert k == want
         np.testing.assert_array_equal(sig + noise, ev.delta(times)[:k + 1])
         assert ev.scan(times, np.inf)[0] == ev.scan(times, 10.0)[0] == len(times)
-
-    def test_scan_stops_at_overflow_under_infinite_threshold(self):
-        # inf <= inf: the walk must still stop at a Delta of +inf.
-        w, mo = identity_weighting_moments()
-        ev = DeviationEvaluator(50.0 * np.eye(2), np.zeros((2, 2)), w, mo)
-        with pytest.raises(NumericalError, match="t = 8:"):
-            ev.scan(np.arange(12.0))
-        assert ev.scan(np.arange(12.0), 1.0)[0] == 1
 
     @pytest.mark.parametrize("times", [np.array([0.5, -1.0]), np.array([[0.5, 1.0]]), [np.nan]])
     def test_bad_array_of_times_rejected(self, times):

@@ -1,10 +1,14 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used in the module that imports it, and the
+package does not import scipy.optimize.
 
 An AST scan of src/, tests/ and bench/.  Package __init__.py files (which
 re-export) and names listed in a module's __all__ are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,3 +39,13 @@ def test_no_unused_imports():
     assert FILES
     unused = [entry for path in FILES for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# decoherence._brent writes out scipy.optimize.brentq because importing
+# scipy.optimize adds ~20 MB of resident memory to every process that imports
+# the package.  A fresh interpreter shows what an import loads.
+def test_package_does_not_load_scipy_optimize():
+    code = ("import sys, oqho_memory, oqho_memory.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
