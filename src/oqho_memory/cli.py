@@ -5,14 +5,13 @@ Single-oscillator scenarios carry theta/energy/coupling/selector plus the
 weighting factor F and initial moments P; interconnection scenarios carry
 two subsystem blocks and an optional R12.  Numbers are emitted with 17
 significant digits so output round-trips exactly.  Each command declares
-only the flags it reads besides --scenario: --tolerance for check; --out,
---grid-points and --horizon for delta-curve and tau.  A flag given to any
-other command is a usage error.  The argument parser is built once per
-process, so repeated in-process calls of main pay only for their scenario
-and its linear algebra.  A scenario file is UTF-8 JSON, parsed by orjson;
-only what orjson rejects goes to the stdlib parser, which reads NaN,
-Infinity, numbers beyond the double range and lone surrogates and words
-every other parse error.
+only the flags it reads besides --scenario: --out, --grid-points and
+--horizon for delta-curve and tau.  A flag given to any other command is a
+usage error.  The argument parser is built once per process, so repeated
+in-process calls of main pay only for their scenario and its linear algebra.
+A scenario file is UTF-8 JSON, parsed by orjson; only what orjson rejects
+goes to the stdlib parser, which reads NaN, Infinity, numbers beyond the
+double range and lone surrogates and words every other parse error.
 
 Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 I/O
 failure, 4 numerical failure.
@@ -216,7 +215,7 @@ def _output(path):
 
 @_guarded("the scale of the PR residual")
 def _pr_scale(real, theta):
-    """||A|| ||Theta|| + ||B||^2, the size of the PR residual's terms: --tolerance is relative to it."""
+    """||A|| ||Theta|| + ||B||^2, the size of the PR residual's terms: check passes at 1e-10 of it."""
     return float(_norm(real.a) * _norm(theta.theta) + _norm(real.b) ** 2)
 
 
@@ -229,7 +228,7 @@ def cmd_check(scenario, args):
     print(f"spectral class:     {spec.category}")
     print(f"imaginary-axis eig: {spec.on_bisectors}")
     print(f"min eig(P + iTheta): {_fmt(scenario.moments.pi_min)}")
-    ok = pr <= max(args.tolerance, 1e-10) * _pr_scale(real, theta)
+    ok = pr <= 1e-10 * _pr_scale(real, theta)
     print("check: PASS" if ok else "check: FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -378,10 +377,7 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to a JSON scenario file")
-        if name == "check":
-            p.add_argument("--tolerance", type=_positive(float), default=1e-10,
-                           help="bound on the PR residual relative to its scale (at least 1e-10)")
-        elif name in ("delta-curve", "tau"):
+        if name in ("delta-curve", "tau"):
             p.add_argument("--out", default=None, help="output path ('-' for stdout)")
             p.add_argument("--grid-points", type=_positive(int), default=None, dest="grid_points")
             p.add_argument("--horizon", type=_positive(float), default=None)

@@ -17,7 +17,8 @@ the path and counts the Delta evaluations up to the crossing.  The expansion coe
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
     tau_hat(eps) = tau' eps + (1/2) tau'' eps^2,
 
-each formed by _Expansion only and checked there.
+each formed by _Expansion only and checked there.  Every function that takes
+a system takes a Realization or an (A, B) pair, read by model._system.
 """
 
 import math
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _check_system, _dot_delta,
-                       _weighted_trace, delta_derivatives, time_scale)
+from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _dot_delta, _weighted_trace,
+                       delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
-from .numerics import _as_matrix, _guarded
+from .model import _system
+from .numerics import _guarded
 
 __all__ = [
     "DecoherenceReport",
@@ -72,14 +74,6 @@ class DecoherenceReport:
     delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
 
-def _system_matrices(system):
-    """(A, B) of a Realization (anything with .a and .b) or of an (A, B) pair,
-    through numerics._as_matrix as a square and a matrix of as many rows."""
-    a, b = (system.a, system.b) if hasattr(system, "a") and hasattr(system, "b") else system
-    a = _as_matrix(a, "A", square=True)
-    return a, _as_matrix(b, "B", rows=len(a))
-
-
 @dataclass(frozen=True)
 class _Expansion:
     """What the small-eps expansion of tau reads for one system: the threshold
@@ -115,7 +109,7 @@ class _Expansion:
 def _expansion(system, weighting, moments, applicable=False):
     """The _Expansion of a Realization or (A, B) pair, from one delta_derivatives
     call; with applicable, PreconditionError when F B = 0."""
-    dot, ddot = delta_derivatives(*_system_matrices(system), weighting, moments)
+    dot, ddot = delta_derivatives(*_system(system), weighting, moments)
     if applicable and dot == 0.0:
         raise PreconditionError("F B = 0: eps-expansion of tau inapplicable")
     return _Expansion(_weighted_trace(weighting.f, moments.p), dot, ddot)
@@ -128,7 +122,7 @@ def tau_prime(b, weighting, moments):
     Returns +inf when F B = 0, in which case the small-eps expansion of tau
     does not apply.  Raises NumericalError when either overflows.
     """
-    _, b = _check_system(moments.p.shape[0], None, b, weighting.f)
+    _, b = _system((None, b), moments.p.shape[0], weighting.f, b_only=True)
     return _Expansion(_weighted_trace(weighting.f, moments.p), _dot_delta(weighting.f, b)).coefficients()[0]
 
 
@@ -161,7 +155,6 @@ def _hybrid_grid(horizon, points):
 def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_points=2000):
     """Decoherence time tau(eps) with a crossing or no-crossing certificate.
 
-    system may be a Realization (or anything with .a/.b) or an (A, B) pair.
     The scan evaluates Delta on a hybrid log/linear grid of grid_points (at
     most MAX_GRID_POINTS, else PreconditionError) points over [0, horizon]
     in one DeviationEvaluator.scan; Brent's method refines the interval
@@ -173,7 +166,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     with its limit below the threshold; otherwise the horizon was exhausted
     and the result is inconclusive.
     """
-    a, b = _system_matrices(system)
+    a, b = _system(system)
     if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
         raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
     if horizon is not None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import _weighted_trace, delta_derivatives
 from .errors import PreconditionError
-from .model import build_realization, OqhoParams
+from .model import _system, build_realization, OqhoParams
 from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
@@ -90,8 +90,10 @@ def k_matrix(ccr, weighting, b, a_tilde, moments):
 
 @_guarded("the gradient of ddot(Delta)")
 def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
-    """Gradient of ddot(Delta) in R: -8 K(A), i.e. k_matrix with A for Atilde."""
-    return -8.0 * k_matrix(ccr, weighting, system.b, system.a, moments)
+    """Gradient of ddot(Delta) in R: -8 K(A), i.e. k_matrix with A for Atilde; system is a
+    Realization or an (A, B) pair (model._system)."""
+    a, b = _system(system, ccr.n)
+    return -8.0 * k_matrix(ccr, weighting, b, a, moments)
 
 
 def _stationarity_operator(theta, weighting, moments, n1=None):
@@ -163,7 +165,7 @@ def zero_hamiltonian_condition(ccr, weighting, coupling_n, moments):
 def a_hat_minimizer(b, moments):
     """Unconstrained minimizer Ahat = -1/2 B B^T P^{-1} of ddot(Delta) over A."""
     p = moments.p
-    b = _as_matrix(b, "B", rows=len(p))
+    _, b = _system((None, b), len(p), b_only=True)
     if np.min(np.linalg.eigvalsh(p)) <= 0:
         raise PreconditionError("P must be positive definite for the completed square")
     return -0.5 * b @ b.T @ np.linalg.inv(p)
@@ -173,9 +175,7 @@ def a_hat_minimizer(b, moments):
 def ddot_delta_quad_form(a, b, weighting, moments):
     """Completed-square form 2 tr(F (A - Ahat) P (A - Ahat)^T F^T)
     - 1/2 tr(F B B^T P^-1 B B^T F^T); NumericalError when it overflows."""
-    n = len(moments.p)
-    a, b = _as_matrix(a, "A", n, n), _as_matrix(b, "B", rows=n)
-    _as_matrix(weighting.f, "F", cols=n)
+    a, b = _system((a, b), len(moments.p), weighting.f)
     quad = 2.0 * _weighted_trace(weighting.f @ (a - a_hat_minimizer(b, moments)), moments.p)
     const = 0.5 * _weighted_trace(weighting.f @ b @ b.T, np.linalg.inv(moments.p))
     return float(quad - const)

@@ -34,6 +34,7 @@ Every evaluation goes through one walker, DeviationEvaluator.scan: times
 K x n x (2n + 1) matrix product per block of K (the Van Loan path loops), up
 to the first point above a threshold; terms is the walk with none.  So memory
 stays O(n _SCAN_BLOCK) beside the values returned, for any number of times.
+Every (A, B) is read by model._system, every time array by _times.
 """
 
 import math
@@ -48,9 +49,9 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .model import ito_j
-from .numerics import (_as_matrix, _asymmetric, _check_psd, _guarded, _norm, _on_axis, _scaled_eigh,
-                       matrix_exp, solve_lyapunov)
+from .model import _system, ito_j
+from .numerics import (_as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm, _on_axis,
+                       _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -199,17 +200,15 @@ SPECTRAL = "spectral"
 VAN_LOAN = "van_loan"
 
 
-def _check_system(n, a, b, f=None):
-    """(A, B) through numerics._as_matrix as n x n and n-row matrices, with F
-    checked for n columns; ValidationError unless A and B are finite.  A or F
-    given as None is not checked.  O(n^2), cheap beside any use of them."""
-    a = None if a is None else _as_matrix(a, "A", n, n)
-    b = _as_matrix(b, "B", rows=n)
-    if f is not None:
-        _as_matrix(f, "F", cols=n)
-    if not ((a is None or np.all(np.isfinite(a))) and np.all(np.isfinite(b))):
-        raise ValidationError("A and B must be finite")
-    return a, b
+def _times(times):
+    """times, a number or a 1-D array, as a 1-D float64 array: converted by numerics._as_real
+    as every matrix is (ValidationError), PreconditionError unless 1-D and nonnegative."""
+    times = _as_real(times, "times")
+    if times.ndim > 1:
+        raise PreconditionError(f"times must be a number or a 1-D array, got shape {times.shape}")
+    if not np.all(times >= 0):
+        raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
+    return times.reshape(-1)
 
 
 def _dot_delta(f, b):
@@ -289,10 +288,9 @@ def _phi(z, t):
 
 
 def _noise_system(a, b):
-    """(A, Q, lam, basis): A from _check_system, Q = B (I + i J) B^T as
+    """(A, Q, lam, basis): A from model._system, Q = B (I + i J) B^T as
     (Re Q, Im Q), and lam and basis from _modal_basis."""
-    a = _as_matrix(a, "A", square=True)
-    a, b = _check_system(len(a), a, b)
+    a, b = _system((a, b))
     q = b @ b.T, b @ ito_j(b.shape[1]) @ b.T
     return (a, q) + _modal_basis(a)
 
@@ -308,11 +306,13 @@ def _modal_congruence(basis, q, weight):
 
 @_guarded("the noise Gramian")
 def gramian(a, b, t):
-    """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega));
-    raises NumericalError when V(t) is not finite."""
+    """Complex Hermitian noise Gramian V(t) of the pair (A, B sqrt(Omega)) at one time t, read
+    by _times; raises NumericalError when V(t) is not finite."""
     a, q, lam, basis = _noise_system(a, b)
-    if not t >= 0:
-        raise PreconditionError(f"time must be nonnegative, got {t}")
+    t = _times(t)
+    if t.size != 1:
+        raise PreconditionError(f"gramian takes one time, got {t.size}")
+    t = t[0]
     if basis is None:
         v = _propagate(a, q[0], t)[1] + 1j * _propagate(a, q[1], t)[1]
     else:
@@ -356,7 +356,7 @@ class DeviationEvaluator:
 
     @_guarded()  # an overflow here makes every point non-finite, which terms reports
     def __init__(self, a, b, weighting, moments):
-        a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
+        a, b = _system((a, b), moments.p.shape[0], weighting.f)
         self._a, self._bbt, self._p, self._sigma = a, b @ b.T, moments.p, weighting.sigma
         self._scale = _weighted_trace(weighting.f, moments.p)  # the signal term at t = inf
         lam, basis = _modal_basis(a)
@@ -383,16 +383,12 @@ class DeviationEvaluator:
 
     @_guarded()
     def scan(self, times, threshold=math.inf):
-        """(k, signal, noise): times (a number or a 1-D array) walked through
-        _terms _SCAN_BLOCK at a time up to the first point whose Delta is above
-        threshold or not finite, its index k (len(times) if none), and the
-        summands up to and including it.  NumericalError naming that time
-        when Delta there is not finite."""
-        times = np.array(times, dtype=float, ndmin=1)
-        if times.ndim != 1:
-            raise PreconditionError(f"times must be a number or a 1-D array, got shape {times.shape}")
-        if not np.all(times >= 0):
-            raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
+        """(k, signal, noise): times (a number or a 1-D array, read by _times)
+        walked through _terms _SCAN_BLOCK at a time up to the first point whose
+        Delta is above threshold or not finite, its index k (len(times) if
+        none), and the summands up to and including it.  NumericalError naming
+        that time when Delta there is not finite."""
+        times = _times(times)
         sig, noise = np.empty(len(times)), np.empty(len(times))
         for start in range(0, len(times), _SCAN_BLOCK):
             block = slice(start, start + _SCAN_BLOCK)
@@ -498,7 +494,7 @@ def delta_derivatives(a, b, weighting, moments):
     ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T>; raises NumericalError
     when either overflows.
     """
-    a, b = _check_system(moments.p.shape[0], a, b, weighting.f)
+    a, b = _system((a, b), moments.p.shape[0], weighting.f)
     bbt = b @ b.T
     dot = _dot_delta(weighting.f, b)
     ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
@@ -577,14 +573,12 @@ class DeviationCurve:
 
 
 def compute_deviation_curve(a, b, weighting, moments, times=None):
-    """Evaluate Delta on a time grid through one DeviationEvaluator."""
+    """Delta on increasing times (read by _times; None: default_time_grid(A)) in one scan."""
     evaluator = DeviationEvaluator(a, b, weighting, moments)
-    if times is None:
-        times = default_time_grid(a)
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0) or np.any(times < 0):
-        raise PreconditionError("time grid must be increasing and nonnegative")
-    sig, noise = evaluator.terms(times)
+    times = default_time_grid(a) if times is None else _times(times)
+    if np.any(np.diff(times) <= 0):
+        raise PreconditionError("time grid must be increasing")
+    _, sig, noise = evaluator.scan(times)
     return DeviationCurve(
         times=times,
         delta_values=sig + noise,

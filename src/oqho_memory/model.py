@@ -10,6 +10,8 @@ r <= m output channels.  The induced state-space realization
 automatically satisfies the physical-realizability identity
 
     A Theta + Theta A^T + B J B^T = 0.
+
+A system is a Realization or an (A, B) pair, read in one place, _system.
 """
 
 from dataclasses import dataclass
@@ -136,9 +138,27 @@ class OqhoParams:
         return self.selector.shape[0]
 
 
+def _system(system, n=None, f=None, b_only=False):
+    """(A, B) of a Realization (anything with .a and .b) or an (A, B) pair, the library's one
+    reader of a system: by numerics._as_matrix A square (n x n given n; None allowed with b_only),
+    B with as many rows, F (if given) as many columns; ValidationError unless A and B are finite."""
+    if hasattr(system, "a") and hasattr(system, "b"):
+        system = system.a, system.b
+    if not isinstance(system, (tuple, list)) or len(system) != 2:
+        raise ValidationError(f"a system is a Realization or an (A, B) pair, got {type(system).__name__}")
+    a, b = system
+    a = None if b_only and a is None else _as_matrix(a, "A", n, n, square=n is None)
+    b = _as_matrix(b, "B", rows=n if a is None else len(a))
+    if f is not None:
+        _as_matrix(f, "F", cols=len(b))
+    if not ((a is None or np.isfinite(a).all()) and np.isfinite(b).all()):
+        raise ValidationError("A and B must be finite")
+    return a, b
+
+
 @dataclass(frozen=True)
 class Realization:
-    """State-space quadruple (A, B, C, D) with the Hamiltonian split of A."""
+    """State-space quadruple (A, B, C, D) with the Hamiltonian split of A; _system reads A and B."""
 
     a: np.ndarray
     b: np.ndarray
@@ -147,11 +167,10 @@ class Realization:
     a0: np.ndarray = None
     a_tilde: np.ndarray = None
 
-    @classmethod
-    def from_matrices(cls, a, b):
-        """Wrap raw (A, B) for analysis without a physical parameterization (C = D = None)."""
-        a = _as_matrix(a, "A", square=True).copy()
-        return cls(a=a, b=_as_matrix(b, "B", rows=len(a)).copy(), c=None, d=None)
+    def __post_init__(self):
+        a, b = _system(self)
+        object.__setattr__(self, "a", a.copy())
+        object.__setattr__(self, "b", b.copy())
 
     @property
     def n(self):
@@ -188,10 +207,8 @@ def build_realization(params):
 def check_physical_realizability(a, b, ccr):
     """Frobenius residual of A Theta + Theta A^T + B J B^T = 0."""
     theta = ccr.theta
-    a = _as_matrix(a, "A", *theta.shape)
-    b = _as_matrix(b, "B", rows=len(theta))
-    j = ito_j(b.shape[1])
-    return float(_norm(a @ theta + theta @ a.T + b @ j @ b.T))
+    a, b = _system((a, b), ccr.n)
+    return float(_norm(a @ theta + theta @ a.T + b @ ito_j(b.shape[1]) @ b.T))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ the minimum-norm solution.
 The library's policies have one home each, here: _guarded for results (what
 it names must be finite), _norm for tolerances (every decision is relative to
 the _norm of its own inputs) and _as_matrix for inputs (every matrix argument
-is converted and shape-checked by it).
+is converted by _as_real and shape-checked by it; time arrays share _as_real).
 """
 
 import functools
@@ -61,14 +61,12 @@ _SYM_RTOL = 1e-10  # _asymmetric
 _SPECTRAL_RTOL = 1e-9  # _on_axis
 _LYAPUNOV_RTOL = 1e-10  # solve_lyapunov: resonant eigenvalue sums and the residual, relative
 _NORM_TINY = 1e-150  # _norm rescales a plain norm below this or inf, where squares may under- or overflow
-_FLOAT64 = np.dtype(float)  # _as_matrix returns an ndarray of this dtype as it is
+_FLOAT64 = np.dtype(float)  # _as_real returns an ndarray of this dtype as it is
 
 
-def _as_matrix(x, name, rows=None, cols=None, square=False):
-    """x as a real float64 matrix, the library's one input gate: a float64 ndarray costs a
-    type check and the shape comparisons, anything else is converted.  ValidationError naming
-    name unless x is a rectangular array of real numbers, DimensionError unless it is 2-D with
-    rows rows and cols columns (None: any), square with square.  Finiteness is the caller's."""
+def _as_real(x, name):
+    """x as a float64 array (a float64 ndarray as it is), the conversion half of _as_matrix:
+    ValidationError naming name unless x is a number or a rectangular array of real numbers."""
     if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
         try:
             x = np.asarray(x)
@@ -77,6 +75,13 @@ def _as_matrix(x, name, rows=None, cols=None, square=False):
         if x is None or x.dtype.kind not in "biuf":  # bool, integer or float
             raise ValidationError(f"{name} must be a rectangular array of real numbers")
         x = x.astype(float, copy=False)
+    return x
+
+
+def _as_matrix(x, name, rows=None, cols=None, square=False):
+    """_as_real(x, name) as a matrix, the library's one input gate: DimensionError unless it is 2-D
+    with rows rows and cols columns (None: any), square with square.  Finiteness is the caller's."""
+    x = _as_real(x, name)
     shape = x.shape
     if (len(shape) != 2 or (rows is not None and shape[0] != rows) or (cols is not None and shape[1] != cols)
             or (square and shape[0] != shape[1])):

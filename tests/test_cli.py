@@ -47,8 +47,9 @@ def single_mode_scenario(**overrides):
 
 
 # The flags each command declares besides --scenario, with a valid value each.
+# check bounds the PR residual at a fixed 1e-10 of its scale and declares none.
 DECLARED_FLAGS = {
-    "check": {"--tolerance": "1e-9"},
+    "check": {},
     "spectrum": {},
     "delta-curve": {"--out": "-", "--grid-points": "5", "--horizon": "1.0"},
     "tau": {"--out": "-", "--grid-points": "5", "--horizon": "1.0"},
@@ -56,7 +57,9 @@ DECLARED_FLAGS = {
     "optimize-r12": {},
     "interconnect": {},
 }
+# --tolerance, declared by no command, must be refused by every one.
 ALL_FLAGS = {flag: value for flags in DECLARED_FLAGS.values() for flag, value in flags.items()}
+ALL_FLAGS["--tolerance"] = "1e-9"
 
 
 def out_flag(command, path):
@@ -200,14 +203,15 @@ class TestCheck:
         assert "weight_f" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "1e-9"])
     def test_invalid_tolerance_is_usage_error(self, tmp_path, capsys, value):
+        # check has no --tolerance: any value of it is a usage error.
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "--scenario", path, "--tolerance", value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --tolerance: must be positive, got {value}" in err
+        assert f"unrecognized arguments: --tolerance {value}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, flag", [(c, f) for c in DECLARED_FLAGS for f in ALL_FLAGS])
@@ -281,7 +285,7 @@ class TestCheck:
         # The parser is shared between calls; a failed parse must not spoil it.
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         with pytest.raises(SystemExit) as exc:
-            cli.main(["check", "--scenario", path, "--tolerance", "-1"])
+            cli.main(["check", "--scenario", path, "--horizon", "1.0"])
         assert exc.value.code == 2
         assert cli.main(["check", "--scenario", path]) == 0
 

@@ -27,10 +27,10 @@ from oqho_memory.network import SubsystemParams
 
 MODULES = (model, numerics, dynamics, decoherence, design, network)
 
-# Records (dataclasses that only hold values) and the two constructors whose
-# arguments are counts.
+# Records (dataclasses that only hold values; Realization reads its A and B
+# and is not one) and the two constructors whose arguments are counts.
 EXEMPT = {
-    "model.Realization", "model.SpectralClass", "dynamics.DeviationCurve",
+    "model.SpectralClass", "dynamics.DeviationCurve",
     "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
     "model.ito_j", "model.canonical_ccr",
 }
@@ -71,7 +71,7 @@ ROWS = {
     "model.build_realization": lambda: model.build_realization(OqhoParams(CCR, 1e308 * I2, 1e200 * I2, I2)),
     "model.check_physical_realizability": lambda: model.check_physical_realizability(1e200 * I2, 1e200 * I2, CCR),
     "model.classify_spectrum": lambda: model.classify_spectrum(1e308 * np.ones((2, 2))),
-    "model.Realization.from_matrices": lambda: Realization.from_matrices(1e308 * I2, 1e308 * I2),
+    "model.Realization": lambda: Realization(1e308 * I2, 1e308 * I2, None, None),
     # numerics
     "numerics.matrix_exp": lambda: numerics.matrix_exp(1e200 * I2, 1e200),
     "numerics.solve_lyapunov": lambda: numerics.solve_lyapunov(-1e200 * I2, 1e300 * I2),
@@ -116,7 +116,7 @@ ROWS = {
         BIG_CCR, Weighting(3e148 * I2), np.zeros((2, 2)), MomentData(1e10 * I2, BIG_CCR)),
     # K ~ 4e307 is finite, -8 K is not.
     "design.grad_ddot_delta_wrt_energy": lambda: design.grad_ddot_delta_wrt_energy(
-        CCR, W, Realization.from_matrices(8e307 * np.diag([1.0, -1.0]), np.zeros((2, 2))), MOM),
+        CCR, W, (8e307 * np.diag([1.0, -1.0]), np.zeros((2, 2))), MOM),
     # K ~ 1e308 is finite, 4 ||K|| is not.
     "design.zero_hamiltonian_condition": lambda: design.zero_hamiltonian_condition(
         CCR, Weighting(np.sqrt(18.75) * I2), np.sqrt(0.8e308) * I2, MomentData(np.diag([0.6, 0.5]), CCR)),
@@ -143,8 +143,7 @@ def _public_callables():
              for m in MODULES for name in m.__all__ if callable(getattr(m, name))}
     return names | {"dynamics.DeviationEvaluator.scan", "dynamics.DeviationEvaluator.terms",
                     "dynamics.DeviationEvaluator.delta",
-                    "dynamics.DeviationEvaluator.hurwitz_limit", "dynamics.Weighting.from_sigma",
-                    "model.Realization.from_matrices"}
+                    "dynamics.DeviationEvaluator.hurwitz_limit", "dynamics.Weighting.from_sigma"}
 
 
 def test_table_is_complete():
@@ -181,7 +180,7 @@ def test_overflowing_input_is_finite_or_typed_error(name):
 # only validated records, and the evaluator's methods, which take times or
 # nothing (times keep their PreconditionError).
 MALFORMED_EXEMPT = {
-    "model.Realization", "model.SpectralClass", "dynamics.DeviationCurve",
+    "model.SpectralClass", "dynamics.DeviationCurve",
     "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
     "model.ito_j", "model.canonical_ccr", "model.build_realization", "network.zero_hamiltonian_r12",
     "dynamics.DeviationEvaluator.scan", "dynamics.DeviationEvaluator.terms",
@@ -214,7 +213,7 @@ MALFORMED = {
     "model.OqhoParams": _bad(lambda x: OqhoParams(CCR, x, I2, I2), ORDER3),
     "model.check_physical_realizability": _bad(lambda x: model.check_physical_realizability(x, I2, CCR), ORDER3),
     "model.classify_spectrum": _bad(model.classify_spectrum, WIDE),
-    "model.Realization.from_matrices": _bad(lambda x: Realization.from_matrices(-I2, x), ORDER3),
+    "model.Realization": _bad(lambda x: Realization(-I2, x, None, None), ORDER3),
     # numerics
     "numerics.matrix_exp": _bad(numerics.matrix_exp, WIDE),
     "numerics.solve_lyapunov": _bad(lambda x: numerics.solve_lyapunov(-I2, x), ORDER3),
@@ -252,7 +251,7 @@ MALFORMED = {
         lambda: design.optimal_energy_matrix(CCR, W, CPLX, MOM),
         lambda: design.optimal_energy_matrix(CCR, W, RAGGED, MOM)),
     "design.grad_ddot_delta_wrt_energy": _bad(
-        lambda x: design.grad_ddot_delta_wrt_energy(CCR, W, Realization(a=x, b=I2, c=None, d=None), MOM), ORDER3),
+        lambda x: design.grad_ddot_delta_wrt_energy(CCR, W, (x, I2), MOM), ORDER3),
     "design.zero_hamiltonian_condition": (
         (lambda: design.zero_hamiltonian_condition(CCR, Weighting(np.eye(3)), I2, MOM),),
         lambda: design.zero_hamiltonian_condition(CCR, W, CPLX, MOM),
@@ -289,3 +288,57 @@ def test_malformed_input_is_typed_error(error, call):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+# --- systems -----------------------------------------------------------------
+
+# A system is a Realization or an (A, B) pair, read by one reader,
+# model._system: anything else is a ValidationError, and a pair gives what
+# the Realization of the same A and B gives.
+SYSTEM = (-I2, J2)
+NOT_SYSTEMS = {"triple": (-I2, J2, J2), "none": None, "number": 1.0}
+SYSTEM_TAKERS = {
+    "decoherence.decoherence_time": lambda s: decoherence.decoherence_time(s, W, MOM, 0.1).tau,
+    "decoherence.tau_second": lambda s: decoherence.tau_second(s, W, MOM),
+    "decoherence.tau_hat": lambda s: decoherence.tau_hat(s, W, MOM, 0.1),
+    "design.grad_ddot_delta_wrt_energy": lambda s: design.grad_ddot_delta_wrt_energy(CCR, W, s, MOM),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEM_TAKERS)
+def test_not_a_system_is_validation_error(name, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="a Realization or an"):
+            SYSTEM_TAKERS[name](NOT_SYSTEMS[kind])
+
+
+@pytest.mark.parametrize("name", SYSTEM_TAKERS)
+def test_pair_reads_as_its_realization(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        from_pair = SYSTEM_TAKERS[name](SYSTEM)
+        from_lists = SYSTEM_TAKERS[name]([x.tolist() for x in SYSTEM])
+        from_record = SYSTEM_TAKERS[name](Realization(*SYSTEM, None, None))
+    np.testing.assert_array_equal(from_pair, from_record)
+    np.testing.assert_array_equal(from_lists, from_record)
+
+
+# A nan in A is a ValidationError wherever A is read, as from delta.
+NAN_A = np.array([[np.nan, 0.0], [0.0, -1.0]])
+NAN_A_READERS = {
+    "dynamics.delta": lambda: dynamics.delta(NAN_A, J2, W, MOM, 1.0),
+    "model.check_physical_realizability": lambda: model.check_physical_realizability(NAN_A, J2, CCR),
+    "design.ddot_delta_quad_form": lambda: design.ddot_delta_quad_form(NAN_A, J2, W, MOM),
+    "design.grad_ddot_delta_wrt_energy": lambda: design.grad_ddot_delta_wrt_energy(CCR, W, (NAN_A, J2), MOM),
+    "model.Realization": lambda: Realization(NAN_A, J2, None, None),
+}
+
+
+@pytest.mark.parametrize("name", NAN_A_READERS)
+def test_nan_in_a_is_validation_error(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must be finite"):
+            NAN_A_READERS[name]()

@@ -37,7 +37,7 @@ THETA1 = canonical_ccr(1)
 
 def single_mode():
     """A = -I, B = J2 with identity weighting and moments."""
-    real = Realization.from_matrices(-np.eye(2), J2)
+    real = Realization(-np.eye(2), J2, None, None)
     return real, Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
 
 

@@ -15,7 +15,7 @@ from oqho_memory.design import (
 )
 from oqho_memory.dynamics import MomentData, Weighting
 from oqho_memory.errors import DimensionError, NumericalError, PreconditionError
-from oqho_memory.model import J2, Realization, build_realization, canonical_ccr, ito_j, OqhoParams
+from oqho_memory.model import J2, build_realization, canonical_ccr, ito_j, OqhoParams
 
 from oracles import fd_sym_gradient, kron_min_norm_solve, random_ccr, random_spd, random_sym
 
@@ -194,7 +194,7 @@ class TestOverflow:
         lambda w, mo: zero_hamiltonian_condition(THETA1, Weighting(1e60 * np.eye(2)), 1e100 * np.eye(2), mo),
         lambda w, mo: k_matrix(THETA1, w, 1e200 * np.eye(2), np.eye(2), mo),
         lambda w, mo: grad_ddot_delta_wrt_energy(
-            THETA1, w, Realization.from_matrices(1e200 * np.eye(2), 1e200 * np.eye(2)), mo),
+            THETA1, w, (1e200 * np.eye(2), 1e200 * np.eye(2)), mo),
         lambda w, mo: ddot_delta_quad_form(1e200 * np.eye(2), 1e200 * np.eye(2), w, mo),
         lambda w, mo: ddot_delta_quad_form(1e200 * np.eye(2), np.eye(2), w, mo),
         lambda w, mo: optimal_energy_matrix(THETA1, w, 1e200 * np.eye(2), mo),

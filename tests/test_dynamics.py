@@ -751,6 +751,58 @@ class TestDeviationEvaluator:
             DeviationEvaluator(a, b, w, mo).terms(times)
 
 
+# Times follow the matrix rule (numerics._as_real): input that is not real
+# numbers is a ValidationError, more than one dimension or a negative or nan
+# time a PreconditionError.  Each call runs under warnings-as-errors, where
+# numpy's ComplexWarning would otherwise drop an imaginary part.
+BAD_TIMES = {
+    "text": (ValidationError, ["1.5"]),
+    "complex": (ValidationError, np.array([1.0 + 2.0j])),
+    "none": (ValidationError, None),
+    "ragged": (ValidationError, [[1.0], [1.0, 2.0]]),
+    "2-d": (PreconditionError, [[0.5, 1.0]]),
+    "negative": (PreconditionError, [0.5, -1.0]),
+    "nan": (PreconditionError, [np.nan]),
+}
+TIME_READERS = {
+    "scan": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).scan(t),
+    "terms": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).terms(t),
+    "DeviationEvaluator.delta": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).delta(t),
+    "dynamics.delta": delta,
+    "compute_deviation_curve": compute_deviation_curve,
+    "gramian": lambda a, b, w, mo, t: gramian(a, b, t),
+}
+
+
+# compute_deviation_curve reads times=None as its default grid.
+@pytest.mark.parametrize("entry, case", [(e, c) for e in TIME_READERS for c in BAD_TIMES
+                                         if (e, c) != ("compute_deviation_curve", "none")])
+def test_bad_times_raise_typed_error(entry, case):
+    error, times = BAD_TIMES[case]
+    w, mo = identity_weighting_moments()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            TIME_READERS[entry](*single_mode_system(), w, mo, times)
+
+
+def test_curve_of_one_time():
+    # A number is one time, for the curve as for scan.
+    a, b = single_mode_system()
+    w, mo = identity_weighting_moments()
+    curve = compute_deviation_curve(a, b, w, mo, times=1.0)
+    _, sig, noise = DeviationEvaluator(a, b, w, mo).scan(1.0)
+    np.testing.assert_array_equal(curve.times, [1.0])
+    np.testing.assert_array_equal(curve.delta_values, sig + noise)
+
+
+@pytest.mark.parametrize("t", [[1.0, 2.0], np.array([])])
+def test_gramian_takes_one_time(t):
+    with pytest.raises(PreconditionError, match="one time"):
+        gramian(*single_mode_system(), t)
+    np.testing.assert_array_equal(gramian(*single_mode_system(), [1.0]), gramian(*single_mode_system(), 1.0))
+
+
 # Each input breaks the single-mode system (A = -I, B = J2, F = P = I) in one
 # way; every entry point of the Delta layer must raise the typed error, not
 # numpy's ValueError from a matmul or a nan that reaches a later check.

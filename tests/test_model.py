@@ -10,6 +10,7 @@ from oqho_memory.model import (
     MARGINALLY_STABLE,
     CcrMatrix,
     OqhoParams,
+    Realization,
     build_realization,
     canonical_ccr,
     check_physical_realizability,
@@ -74,6 +75,33 @@ class TestBuildRealization:
         with warnings.catch_warnings(), pytest.raises(NumericalError):
             warnings.simplefilter("error")
             build_realization(single_mode_params(coupling=np.diag([1e200, 1e200])))
+
+
+class TestRealization:
+    # A and B are read by model._system, as every (A, B) pair is, and copied.
+    def test_reads_nested_lists_and_keeps_copies(self):
+        b = np.eye(2)
+        real = Realization(a=[[0, 1], [-1, 0]], b=b, c=None, d=None)
+        b[0, 0] = 5.0
+        assert (real.n, real.m) == (2, 2)
+        assert real.a.dtype == np.float64
+        np.testing.assert_array_equal(real.a, J2)
+        np.testing.assert_array_equal(real.b, np.eye(2))
+
+    @pytest.mark.parametrize("a, b, error", [
+        (None, np.eye(2), ValidationError),
+        (np.eye(2), None, ValidationError),
+        ("A", np.eye(2), ValidationError),
+        (np.eye(2), np.array([[0.0, np.inf], [0.0, 1.0]]), ValidationError),
+        (1.0, np.eye(2), DimensionError),  # a number where a matrix belongs
+        (np.ones((2, 3)), np.eye(2), DimensionError),
+        (np.eye(2), np.eye(3), DimensionError),
+    ])
+    def test_malformed_a_or_b_is_typed_error(self, a, b, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                Realization(a, b, None, None)
 
 
 class TestValidation:
