@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _weighted_trace, delta_derivatives
-from .errors import PreconditionError
+from .errors import PreconditionError, ValidationError
 from .model import _system, build_realization, OqhoParams
 from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
@@ -80,11 +80,14 @@ def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
 @_guarded("the stationarity constant K")
 def k_matrix(ccr, weighting, b, a_tilde, moments):
     """K = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)) of the stationarity
-    equation; NumericalError when it overflows.  F, B, Atilde and P must fit Theta's order n."""
+    equation; NumericalError when it overflows.  F, B, Atilde and P must fit Theta's order n,
+    and B and Atilde be finite (ValidationError)."""
     n = ccr.n
     _as_matrix(weighting.f, "F", cols=n)
     _as_matrix(moments.p, "P", n, n)
     b, a_tilde = _as_matrix(b, "B", rows=n), _as_matrix(a_tilde, "Atilde", n, n)
+    if not (np.isfinite(b).all() and np.isfinite(a_tilde).all()):
+        raise ValidationError("B and Atilde must be finite")
     return 0.5 * _sym(ccr.theta @ weighting.sigma @ (b @ b.T + 2.0 * a_tilde @ moments.p))
 
 

@@ -17,11 +17,16 @@ e^{Z_ij t} = e_i conj(e_j) with e = 1 + d (Van Loan 1978; Moler & Van Loan
 |Z_ij| <= _NEAR_RESONANT max(|lam_i|, |lam_j|), where that form would cancel,
 take Phi_ij directly.  A is real, so the evaluator works in its real modal
 basis V (the real and imaginary parts of each conjugate pair of
-eigenvectors, U = V T with T unitary and block diagonal): the congruences,
-the inverse and the condition check are real n^3 work, the eigenbasis is
-reached by an O(n^2) block transform, and the forms become real n x n
-matrices in the n real numbers theta(t), Re and Im of expm1(lam t) for each
-pair and expm1(lam t) for each real eigenvalue.  When A is defective or
+eigenvectors, U = V T with T unitary and block diagonal): its n^3 work
+after eig is one real inverse and three real congruences, and the
+condition check reads the bound ||V||_F ||V^-1||_F, taking an SVD only
+when that bound is above the limit.  Every matrix formed in the eigenbasis
+is held in pair form, by the rows of the first eigenvalue of each conjugate
+pair and of each real eigenvalue (the other rows are their conjugates), so
+its O(n^2) work computes each conjugate pair of entries once and builds no
+complex n x n array.  The forms become real n x n matrices in the n real
+numbers theta(t), Re and Im of expm1(lam t) for each pair and expm1(lam t)
+for each real eigenvalue.  When A is defective or
 cond(U) exceeds _SPECTRAL_COND_LIMIT, each point instead takes e^{tA} and
 V(t) from one Van Loan block exponential over h = t / 2^k, extended to t by k
 doublings, so its cost grows with log(t ||A||), not with t.  gramian takes
@@ -222,13 +227,6 @@ def _weighted_trace(f, x):
     return float(np.sum((f @ x) * f))
 
 
-# U = V T relates the complex eigenbasis to the real modal basis V of
-# _modal_basis.  T is block diagonal: _PAIR_T / sqrt(2), which is unitary, on
-# each conjugate pair and 1 on each real eigenvalue.
-_PAIR_T = np.array([[1.0, 1.0], [1j, -1j]])
-_PAIR_T_UNITARY = math.sqrt(0.5) * _PAIR_T
-
-
 def _modal_basis(a):
     """(lam, basis): the eigenvalues of A and its real modal basis (k, V, V^-1).
 
@@ -236,10 +234,14 @@ def _modal_basis(a):
     other, Im lam > 0 first, with conjugate eigenvectors.  lam is reordered
     so that the k pairs come first, (lam, conj(lam)) each, then the real
     eigenvalues.  V has columns sqrt(2) Re u and sqrt(2) Im u for a pair's
-    eigenvector u, and u for a real eigenvalue, so U = V T with T unitary
-    (see _PAIR_T): cond_2(V) = cond_2(U), and every n^3 product in this basis
-    is real.  basis is None (lam in LAPACK order) when A is defective or
-    cond(U) exceeds _SPECTRAL_COND_LIMIT.  NumericalError if eig fails.
+    eigenvector u, and u for a real eigenvalue, so U = V T with T block
+    diagonal and unitary, (1, i) / sqrt(2) and (1, -i) / sqrt(2) on each
+    pair: cond_2(V) = cond_2(U), and every n^3 product in this basis is real.
+    basis is None (lam in LAPACK order) when A is defective or cond(U)
+    exceeds _SPECTRAL_COND_LIMIT.  That is decided without an SVD wherever
+    the bound cond_2(V) <= ||V||_F ||V^-1||_F (Golub & Van Loan, Matrix
+    Computations, 2.3) is within the limit; only above it does np.linalg.cond
+    decide.  NumericalError if eig fails.
     """
     try:
         lam, u = np.linalg.eig(a)
@@ -252,31 +254,72 @@ def _modal_basis(a):
     v[:, 1:2 * k:2] = u[:, pairs].imag
     v[:, :2 * k] *= math.sqrt(2.0)
     v[:, 2 * k:] = u[:, reals].real
-    if not np.linalg.cond(v) <= _SPECTRAL_COND_LIMIT:
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # V is singular: A is defective
+        return lam, None
+    limit = _SPECTRAL_COND_LIMIT
+    if not (np.linalg.norm(v) * np.linalg.norm(v_inv) <= limit or np.linalg.cond(v) <= limit):
         return lam, None
     lam = np.concatenate([np.stack([lam[pairs], lam[pairs].conj()], axis=1).ravel(), lam[reals]])
-    return lam, (k, v, np.linalg.inv(v))
+    return lam, (k, v, v_inv)
 
 
-def _pair_rows(x, k, m):
-    """L x for L block diagonal: the 2 x 2 block m on rows (2j, 2j + 1) for
-    each of the k pairs, 1 on the rows after them.  O(n^2) for an n x n x."""
-    y = x.astype(complex)
+# The pair form.  A is real, so every matrix Y the spectral path forms in
+# the eigenbasis satisfies Y[pi i, pi j] = conj Y[i, j], where pi swaps the
+# two eigenvalues of each pair and fixes the real ones: Y is held by its kept
+# rows, the first of each pair and every real one (_kept), an
+# (n - k) x n array.  Sums, Hadamard products and quotients of such Y keep
+# the form, and _to_pairs and _from_pairs map into and out of it.
+
+def _kept(lam, k):
+    """(kept, Z): the indices of the kept rows and Z_ij = lam_i + conj(lam_j) on them."""
+    kept = np.r_[0:2 * k:2, 2 * k:len(lam)]
+    return kept, lam[kept][:, None] + lam.conj()[None, :]
+
+
+def _to_pairs(x, k):
+    """T^H x T in pair form, for a real x congruent through V (V^T X V or
+    V^-1 X V^-T) and U = V T: with x's 2 x 2 block [[p, q], [r, s]] on two
+    pairs, the kept row holds alpha = ((p + s) + i (q - r)) / 2 and
+    beta = ((p - s) - i (q + r)) / 2; with [a; b] on a pair and a real
+    eigenvalue, gamma = (a - i b) / sqrt(2); with [a, b], delta and
+    conj(delta), delta = (a + i b) / sqrt(2).  x itself when there is no pair."""
+    if not k:
+        return x
+    n, h = len(x), math.sqrt(0.5)
     top, bottom = x[0:2 * k:2], x[1:2 * k:2]
-    y[0:2 * k:2] = m[0, 0] * top + m[0, 1] * bottom
-    y[1:2 * k:2] = m[1, 0] * top + m[1, 1] * bottom
+    p, q, r, s = top[:, 0:2 * k:2], top[:, 1:2 * k:2], bottom[:, 0:2 * k:2], bottom[:, 1:2 * k:2]
+    y = np.empty((n - k, n), complex)
+    y[:k, 0:2 * k:2] = 0.5 * (p + s) + 0.5j * (q - r)
+    y[:k, 1:2 * k:2] = 0.5 * (p - s) - 0.5j * (q + r)
+    y[:k, 2 * k:] = h * (top[:, 2 * k:] - 1j * bottom[:, 2 * k:])
+    delta = h * (x[2 * k:, 0:2 * k:2] + 1j * x[2 * k:, 1:2 * k:2])
+    y[k:, 0:2 * k:2], y[k:, 1:2 * k:2] = delta, delta.conj()
+    y[k:, 2 * k:] = x[2 * k:, 2 * k:]
     return y
 
 
-def _pair_congruence(x, k, m):
-    """L x L^H for the L of _pair_rows."""
-    return _pair_rows(_pair_rows(x, k, m).T, k, m.conj()).T
-
-
-def _to_eigenbasis(x, k):
-    """T^H x T: a matrix congruent through V (V^T x V or V^-1 x V^-T) taken on
-    to the eigenbasis U = V T."""
-    return _pair_congruence(x, k, _PAIR_T_UNITARY.conj().T)
+def _from_pairs(y, k):
+    """The real n x n matrix L Y L^H of a Y in pair form, L block diagonal
+    with [[1, 1], [i, -i]] (sqrt(2) T) on each pair and 1 on each real
+    eigenvalue: in the notation of _to_pairs, 2 [[Re (alpha + beta),
+    Im (alpha - beta)], [-Im (alpha + beta), Re (alpha - beta)]] on two pairs,
+    2 [Re gamma; -Im gamma], 2 [Re delta, Im delta] and Re Y on two reals."""
+    n = y.shape[1]
+    re, im = y.real, y.imag
+    xs, ys, rs = slice(0, 2 * k, 2), slice(1, 2 * k, 2), slice(2 * k, n)
+    out = np.empty((n, n))
+    out[xs, xs] = 2.0 * (re[:k, xs] + re[:k, ys])
+    out[xs, ys] = 2.0 * (im[:k, xs] - im[:k, ys])
+    out[ys, xs] = -2.0 * (im[:k, xs] + im[:k, ys])
+    out[ys, ys] = 2.0 * (re[:k, xs] - re[:k, ys])
+    out[xs, rs] = 2.0 * re[:k, rs]
+    out[ys, rs] = -2.0 * im[:k, rs]
+    out[rs, xs] = 2.0 * re[k:, xs]
+    out[rs, ys] = 2.0 * im[k:, xs]
+    out[rs, rs] = re[k:, rs]
+    return out
 
 
 def _phi(z, t):
@@ -297,11 +340,15 @@ def _noise_system(a, b):
 
 def _modal_congruence(basis, q, weight):
     """U (Q~ o weight) U^H with Q~ = U^-1 Q U^-H, for U = V T and the real
-    modal basis (k, V, V^-1) of _modal_basis; Q = q[0] + i q[1]."""
+    modal basis (k, V, V^-1) of _modal_basis; Q = q[0] + i q[1], weight in
+    pair form.  Q~ o weight is the sum of two pair forms, of q[0] and of
+    i q[1], and U = W L with W = V / sqrt(2) on the pair columns and the L
+    of _from_pairs, so each part is a real congruence."""
     k, v, v_inv = basis
-    q_t = _to_eigenbasis(v_inv @ q[0] @ v_inv.T + 1j * (v_inv @ q[1] @ v_inv.T), k)
-    y = _pair_congruence(q_t * weight, k, _PAIR_T_UNITARY)
-    return v @ y.real @ v.T + 1j * (v @ y.imag @ v.T)
+    w = v.copy()
+    w[:, :2 * k] *= math.sqrt(0.5)
+    re, im = (w @ _from_pairs(_to_pairs(v_inv @ x @ v_inv.T, k) * weight, k) @ w.T for x in q)
+    return re + 1j * im
 
 
 @_guarded("the noise Gramian")
@@ -316,7 +363,7 @@ def gramian(a, b, t):
     if basis is None:
         v = _propagate(a, q[0], t)[1] + 1j * _propagate(a, q[1], t)[1]
     else:
-        v = _modal_congruence(basis, q, _phi(lam[:, None] + lam.conj()[None, :], t))
+        v = _modal_congruence(basis, q, _phi(_kept(lam, basis[0])[1], t))
     return 0.5 * (v + v.conj().T)
 
 
@@ -335,23 +382,27 @@ class DeviationEvaluator:
     e^{Z_ij t} - 1 = d_i conj(d_j) + d_i + conj(d_j).  Where Z_ij is near
     resonant, |Z_ij| <= _NEAR_RESONANT * max(|lam_i|, |lam_j|) (Z = 0
     included), the form would cancel to ~eps / _NEAR_RESONANT relative, so M
-    is zero there and those few entries add Re G_ij _phi(Z_ij, t) directly.
+    is zero there and those few entries add Re G_ij _phi(Z_ij, t) directly,
+    each conjugate pair of them off the real rows once, with weight 2.
 
     A is real, so the forms are evaluated in real arithmetic.  The congruences
-    run through the real modal basis V of _modal_basis and reach the
-    eigenbasis by an O(n^2) block transform.  d is linear in n real numbers
+    run through the real modal basis V of _modal_basis; _to_pairs takes each
+    to the eigenbasis in pair form, where S^T = conj(S) (S is Hermitian), H,
+    G, Z and M are formed entry by entry.  d is linear in n real numbers
     theta: for a pair lam = alpha +- i beta, d_k and d_{k+1} = x +- i y with
 
         x = Re expm1(lam t) = expm1(alpha t) cos(beta t) - 2 sin^2(beta t / 2),
         y = Im expm1(lam t) = e^{alpha t} sin(beta t),
 
-    and d_j = expm1(lam_j t) for a real lam_j.  So the forms become the real
-    n x n matrices H_theta = Re T H T^H and M_theta = Re T M T^H and the real
-    vector c_theta = Re conj(T) c (T = _PAIR_T per pair), stacked once as
-    [H_theta; M_theta; c_theta^T].  K points cost one expm1 value per pair
-    and per real eigenvalue each and one real K x n x (2n + 1) product.  On
-    the Van Loan path each point takes one _propagate.  path names the one
-    taken.
+    and d_j = expm1(lam_j t) for a real lam_j, i.e. d = L^T theta for the L
+    of _from_pairs.  So the forms become the real n x n matrices
+    H_theta = L H L^H and M_theta = L M L^H from _from_pairs and the real
+    vector c_theta = M_theta e + M_theta^T e, e = 1 at the kept indices of
+    _kept and 0 elsewhere (1 = L^T e = L^H e), stacked once as
+    [H_theta; M_theta; c_theta^T]; hurwitz_limit reads
+    Re sum(M) = e^T c_theta / 2.  K points cost one expm1 value per pair and
+    per real eigenvalue each and one real K x n x (2n + 1) product.  On the
+    Van Loan path each point takes one _propagate.  path names the one taken.
     """
 
     @_guarded()  # an overflow here makes every point non-finite, which terms reports
@@ -365,21 +416,20 @@ class DeviationEvaluator:
         if basis is None:
             return
         k, v, v_inv = basis
-        z = lam[:, None] + lam.conj()[None, :]
-        s_t = _to_eigenbasis(v.T @ self._sigma @ v, k).T
-        g = s_t * _to_eigenbasis(v_inv @ self._bbt @ v_inv.T, k)
-        h = s_t * _to_eigenbasis(v_inv @ moments.p @ v_inv.T, k)
-        scale = np.abs(lam)
-        near = np.abs(z) <= _NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
-        m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
-        c = m.sum(axis=1).conj() + m.sum(axis=0)
-        self._hmc = np.vstack([_pair_congruence(h, k, _PAIR_T).real,
-                               _pair_congruence(m, k, _PAIR_T).real,
-                               _pair_rows(c, k, _PAIR_T.conj()).real])
+        kept, z = _kept(lam, k)
+        s_t = _to_pairs(v.T @ self._sigma @ v, k).conj()  # S^T = conj(S): S is Hermitian
+        g = s_t * _to_pairs(v_inv @ self._bbt @ v_inv.T, k)
+        h = s_t * _to_pairs(v_inv @ moments.p @ v_inv.T, k)
+        near = np.abs(z) <= _NEAR_RESONANT * np.maximum(np.abs(lam[kept])[:, None], np.abs(lam)[None, :])
+        m_theta = _from_pairs(np.where(near, 0.0, g) / np.where(near, 1.0, z), k)
+        self._hmc = np.vstack([_from_pairs(h, k), m_theta,
+                               m_theta[:, kept].sum(axis=1) + m_theta[kept].sum(axis=0)])
+        g[:k] *= 2.0  # a pair's row stands for its conjugate row too, which adds the same real part
+        self._g_near, self._z_near = g[near], z[near]
         # alpha for one mode per pair (Im lam > 0) and per real eigenvalue.
-        self._alpha = np.concatenate([lam[0:2 * k:2], lam[2 * k:]]).real
+        self._alpha = lam[kept].real
         self._half_freq = 0.5 * lam[0:2 * k:2].imag
-        self._m, self._g_near, self._z_near = m, g[near], z[near]
+        self._kept = kept
 
     @_guarded()
     def scan(self, times, threshold=math.inf):
@@ -473,7 +523,7 @@ class DeviationEvaluator:
         if self.path == VAN_LOAN:
             noise = np.sum(self._sigma * solve_lyapunov(self._a, self._bbt))
         else:
-            noise = -(self._m.sum() + np.sum(self._g_near / self._z_near)).real
+            noise = -(0.5 * self._hmc[-1, self._kept].sum() + np.sum(self._g_near / self._z_near).real)
         return float(self._scale + noise)
 
 
@@ -522,14 +572,24 @@ def asymptotic_rate(a, b):
         raise PreconditionError("extended eigenfrequencies of A are not pairwise distinct")
     if basis is None:
         raise PreconditionError(f"A is defective or cond(U) > {_SPECTRAL_COND_LIMIT:g}")
-    rate = _modal_congruence(basis, q, np.eye(len(lam)))
+    kept = _kept(lam, basis[0])[0]
+    rate = _modal_congruence(basis, q, kept[:, None] == np.arange(len(lam)))
     return 0.5 * (rate + rate.conj().T)
+
+
+def _square_finite(a):
+    """A square by numerics._as_matrix; ValidationError unless it is finite, as from model._system."""
+    a = _as_matrix(a, "A", square=True)
+    if not np.isfinite(a).all():
+        raise ValidationError("A must be finite")
+    return a
 
 
 @_guarded("the time scale 1 / ||A||_F")
 def time_scale(a):
-    """1 / ||A||_F (1 for A = 0); NumericalError when ||A||_F or its inverse overflows."""
-    norm = _norm(_as_matrix(a, "A", square=True))
+    """1 / ||A||_F (1 for A = 0); ValidationError unless A is finite, NumericalError when
+    ||A||_F or its inverse overflows."""
+    norm = _norm(_square_finite(a))
     if norm == math.inf:
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
     return float(1.0 / norm) if norm else 1.0
@@ -553,8 +613,8 @@ def _check_grid_points(points, name):
 
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid of points (at most MAX_GRID_POINTS) from 1e-4 * t_ref to
-    t_ref with t_ref = 10 time_scale(A)."""
-    a = _as_matrix(a, "A", square=True)
+    t_ref with t_ref = 10 time_scale(A); ValidationError unless A is finite."""
+    a = _square_finite(a)
     _check_grid_points(points, "points")
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)

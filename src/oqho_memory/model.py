@@ -156,9 +156,24 @@ def _system(system, n=None, f=None, b_only=False):
     return a, b
 
 
+def _optional_matrix(x, name, rows=None, cols=None):
+    """None for None, else a copy of x read by numerics._as_matrix; ValidationError unless finite."""
+    if x is None:
+        return None
+    x = _as_matrix(x, name, rows, cols)
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must be finite")
+    return x.copy()
+
+
 @dataclass(frozen=True)
 class Realization:
-    """State-space quadruple (A, B, C, D) with the Hamiltonian split of A; _system reads A and B."""
+    """State-space quadruple (A, B, C, D) with the Hamiltonian split A = A0 + Atilde.
+
+    _system reads A and B.  C (n columns), D (C's rows, m columns), A0 and
+    Atilde (n x n) may each be None; _optional_matrix reads the others.
+    Every matrix is stored as a copy.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -169,8 +184,13 @@ class Realization:
 
     def __post_init__(self):
         a, b = _system(self)
-        object.__setattr__(self, "a", a.copy())
-        object.__setattr__(self, "b", b.copy())
+        n, m = b.shape
+        c = _optional_matrix(self.c, "C", cols=n)
+        d = _optional_matrix(self.d, "D", None if c is None else len(c), m)
+        a0 = _optional_matrix(self.a0, "A0", n, n)
+        a_tilde = _optional_matrix(self.a_tilde, "Atilde", n, n)
+        for name, x in zip(("a", "b", "c", "d", "a0", "a_tilde"), (a.copy(), b.copy(), c, d, a0, a_tilde)):
+            object.__setattr__(self, name, x)
 
     @property
     def n(self):

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own solver paths:
 Lyapunov/Sylvester equations are solved by dense Kronecker vectorization,
-Gramians by adaptive quadrature, gradients by central differences, and
+Gramians by adaptive quadrature, the spectral forms of Delta and the
+Gramian in the complex eigenbasis, gradients by central differences, and
 minimizers by plain steepest descent.  Agreement between these and the
 library is the point of the tests.
 """
@@ -77,6 +78,60 @@ def quad_gramian(a, b, t, epsabs=1e-12, epsrel=1e-12):
 
     val, _ = scipy.integrate.quad_vec(integrand, 0.0, t, epsabs=epsabs, epsrel=epsrel)
     return val
+
+
+# --- Complex eigenbasis -------------------------------------------------------
+#
+# The textbook form of the spectral path, in A's complex eigenbasis
+# A = U diag(lam) U^-1 from np.linalg.eig: no real modal basis, no
+# conjugate-pair blocks.  Z_ij = lam_i + conj(lam_j) and
+# Phi_ij(t) = int_0^t e^{Z_ij s} ds.
+
+NEAR_RESONANT = 1e-3  # |Z_ij| <= NEAR_RESONANT max(|lam_i|, |lam_j|) takes Phi_ij directly
+
+
+def complex_eigenbasis(a):
+    """(lam, U, U^-1, Z) as complex arrays."""
+    lam, u = np.linalg.eig(a)
+    lam, u = lam.astype(complex), u.astype(complex)
+    return lam, u, np.linalg.inv(u), lam[:, None] + lam.conj()[None, :]
+
+
+def phi(z, t):
+    """Phi(z, t) = expm1(z t) / z elementwise, t where z = 0."""
+    zero = z == 0
+    return np.where(zero, t, np.expm1(z * t) / np.where(zero, 1.0, z))
+
+
+def complex_modal_terms(a, b, sigma, p, t):
+    """(signal, noise) of Delta(t) as quadratic forms in d = expm1(lam t):
+    signal = Re d^T H conj(d) and noise = Re [d^T M conj(d) + d^T M 1 +
+    1^T M conj(d)] + sum over the near entries of Re G_ij Phi_ij(t), with
+    S = U^H Sigma U, H = S^T o (U^-1 P U^-H), G = S^T o (U^-1 B B^T U^-H) and
+    M = G / Z off the near entries, 0 on them."""
+    lam, u, u_inv, z = complex_eigenbasis(a)
+    s_t = (u.conj().T @ sigma @ u).T
+    h = s_t * (u_inv @ p @ u_inv.conj().T)
+    g = s_t * (u_inv @ b @ b.T @ u_inv.conj().T)
+    scale = np.abs(lam)
+    near = np.abs(z) <= NEAR_RESONANT * np.maximum(scale[:, None], scale[None, :])
+    m = np.where(near, 0.0, g) / np.where(near, 1.0, z)
+    d = np.expm1(lam * t)
+    ones = np.ones(len(lam))
+    signal = (d @ h @ d.conj()).real
+    noise = (d @ m @ d.conj() + d @ m @ ones + ones @ m @ d.conj() + np.sum(g[near] * phi(z[near], t))).real
+    return float(signal), float(noise)
+
+
+def complex_modal_congruence(a, b, t=None):
+    """U (Q~ o W) U^H, symmetrized, with Q~ = U^-1 B (I + iJ) B^T U^-H and
+    W = Phi(t): the noise Gramian V(t); t None takes W = I, the rate
+    lim V(t) / t of a distinct imaginary spectrum."""
+    lam, u, u_inv, z = complex_eigenbasis(a)
+    q = b @ (np.eye(b.shape[1]) + 1j * ito_j(b.shape[1])) @ b.T
+    w = np.eye(len(lam)) if t is None else phi(z, t)
+    v = u @ ((u_inv @ q @ u_inv.conj().T) * w) @ u.conj().T
+    return 0.5 * (v + v.conj().T)
 
 
 # --- Finite-difference gradients ----------------------------------------------

@@ -213,7 +213,15 @@ MALFORMED = {
     "model.OqhoParams": _bad(lambda x: OqhoParams(CCR, x, I2, I2), ORDER3),
     "model.check_physical_realizability": _bad(lambda x: model.check_physical_realizability(x, I2, CCR), ORDER3),
     "model.classify_spectrum": _bad(model.classify_spectrum, WIDE),
-    "model.Realization": _bad(lambda x: Realization(-I2, x, None, None), ORDER3),
+    "model.Realization": (
+        (lambda: Realization(-I2, ORDER3, None, None),
+         lambda: Realization(-I2, I2, WIDE, None),  # C with n columns
+         lambda: Realization(-I2, I2, I2, ORDER3[:, :2]),  # D with C's rows and m columns
+         lambda: Realization(-I2, I2, None, WIDE),
+         lambda: Realization(-I2, I2, None, None, a0=WIDE),
+         lambda: Realization(-I2, I2, None, None, a_tilde=ORDER3)),
+        lambda: Realization(-I2, CPLX, None, None),
+        lambda: Realization(-I2, RAGGED, None, None)),
     # numerics
     "numerics.matrix_exp": _bad(numerics.matrix_exp, WIDE),
     "numerics.solve_lyapunov": _bad(lambda x: numerics.solve_lyapunov(-I2, x), ORDER3),
@@ -329,6 +337,10 @@ def test_pair_reads_as_its_realization(name):
 NAN_A = np.array([[np.nan, 0.0], [0.0, -1.0]])
 NAN_A_READERS = {
     "dynamics.delta": lambda: dynamics.delta(NAN_A, J2, W, MOM, 1.0),
+    "dynamics.time_scale": lambda: dynamics.time_scale(NAN_A),
+    "dynamics.default_time_grid": lambda: dynamics.default_time_grid(NAN_A),
+    "dynamics.default_time_grid-t_ref": lambda: dynamics.default_time_grid(NAN_A, t_ref=1.0),
+    "design.k_matrix": lambda: design.k_matrix(CCR, W, J2, NAN_A, MOM),
     "model.check_physical_realizability": lambda: model.check_physical_realizability(NAN_A, J2, CCR),
     "design.ddot_delta_quad_form": lambda: design.ddot_delta_quad_form(NAN_A, J2, W, MOM),
     "design.grad_ddot_delta_wrt_energy": lambda: design.grad_ddot_delta_wrt_energy(CCR, W, (NAN_A, J2), MOM),
@@ -342,3 +354,30 @@ def test_nan_in_a_is_validation_error(name):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="must be finite"):
             NAN_A_READERS[name]()
+
+
+# Realization reads C, D, A0 and Atilde as _system reads A and B: each is None
+# or a finite matrix of the right shape (numerics._as_matrix), stored as a copy.
+REALIZATION_MATRICES = {"c": I2, "d": I2, "a0": -I2, "a_tilde": np.zeros((2, 2))}
+NOT_MATRICES = {"complex": CPLX, "ragged": RAGGED, "string": "x", "nan": NAN_A}
+
+
+@pytest.mark.parametrize("kind", NOT_MATRICES)
+@pytest.mark.parametrize("field", REALIZATION_MATRICES)
+def test_realization_matrix_not_real_is_validation_error(field, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            Realization(-I2, J2, **(REALIZATION_MATRICES | {field: NOT_MATRICES[kind]}))
+
+
+def test_realization_stores_copies():
+    given = {name: x.copy() for name, x in REALIZATION_MATRICES.items()}
+    real = Realization(-I2, J2, **{name: x.tolist() for name, x in given.items()})
+    for name, x in given.items():
+        stored = getattr(real, name)
+        assert type(stored) is np.ndarray and stored.dtype == float
+        np.testing.assert_array_equal(stored, x)
+    real = Realization(-I2, J2, **given)
+    for name, x in given.items():
+        assert getattr(real, name) is not x

@@ -33,6 +33,8 @@ from oqho_memory.model import HURWITZ, J2, CcrMatrix, build_realization, canonic
 from oqho_memory.numerics import sqrt_psd
 
 from oracles import (
+    complex_modal_congruence,
+    complex_modal_terms,
     kron_solve_lyapunov,
     quad_gramian,
     random_ccr,
@@ -84,6 +86,45 @@ def modal_system(rng, n, pairs, zero=False, b_scale=0.3):
         a = scipy.linalg.block_diag(a, 0.0)
         a[-1, :-1] = rng.standard_normal(n - 1)
     return a, b_scale * rng.standard_normal((n, 2))
+
+
+# The families of the spectral path, as (kind, near_gap, phi_entries) with
+# ids.  near_gap is the relative frequency gap of a near-degenerate pair: 1e-4
+# is below _NEAR_RESONANT, so its four off-diagonal Z entries join the
+# diagonal on the _phi route; 1e-2 is above, so they stay in the form.  The
+# last three kinds reach the real modal basis with real eigenvalues: all of
+# them (numpy's eig is then real), mixed with conjugate pairs, and an exact
+# zero eigenvalue, whose diagonal Z entry takes _phi.  phi_entries(n) is the
+# exact number of near entries the evaluator lists: each conjugate pair of
+# them once, with weight 2, so n / 2 for the diagonal of an imaginary
+# spectrum and two more for the near-degenerate pair.
+FAMILIES = [
+    ("hurwitz", None, lambda n: 0),
+    ("marginal", None, lambda n: n // 2),
+    ("marginal", 1e-4, lambda n: n // 2 + 2),
+    ("marginal", 1e-2, lambda n: n // 2),
+    ("real", None, lambda n: 0),
+    ("mixed", None, lambda n: 0),
+    ("zero-eigenvalue", None, lambda n: 1),
+]
+FAMILY_IDS = ["hurwitz", "marginal", "marginal-gap-1e-4", "marginal-gap-1e-2", "real", "mixed", "zero-eigenvalue"]
+SYSTEMS = [f[:2] for f in FAMILIES]  # (kind, near_gap)
+
+
+def spectral_family(kind, near_gap, nu):
+    """(A, B, Weighting, MomentData) of one of FAMILIES at order n = 2 nu."""
+    rng = np.random.default_rng(32 + nu)
+    params, real = random_damped_realization(rng, nu)
+    n = 2 * nu
+    if kind == "hurwitz":
+        a, b = real.a, real.b
+    elif kind == "marginal":
+        a, b = random_marginal_modes(rng, nu, near_gap=near_gap)
+    else:
+        a, b = modal_system(rng, n, 0 if kind == "real" else nu // 2, zero=kind == "zero-eigenvalue")
+        assert (np.linalg.eigvals(a).dtype == float) == (kind == "real")
+    w = Weighting(rng.standard_normal((nu, n)))
+    return a, b, w, MomentData(random_spd(rng, n), params.ccr)
 
 
 class TestMomentData:
@@ -252,6 +293,13 @@ class TestGramian:
                 v = gramian(a, b, t)
                 v_ref = quad_gramian(a, b, t)
                 assert np.max(np.abs(v - v_ref)) <= 1e-8
+
+    @pytest.mark.parametrize("kind, near_gap", SYSTEMS, ids=FAMILY_IDS)
+    def test_matches_complex_eigenbasis(self, kind, near_gap):
+        a, b, _, _ = spectral_family(kind, near_gap, 16)
+        for t in (1e-3, 1.0, 1e3):
+            want = complex_modal_congruence(a, b, t)
+            assert np.max(np.abs(gramian(a, b, t) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_defective_matches_quadrature(self):
         # A Jordan block has no eigenbasis, so V(t) comes from Van Loan.
@@ -477,6 +525,12 @@ class TestAsymptoticRate:
         with pytest.raises(PreconditionError):
             asymptotic_rate(a, np.eye(2))
 
+    @pytest.mark.parametrize("kind, near_gap", SYSTEMS[1:4], ids=FAMILY_IDS[1:4])  # the marginal ones
+    def test_matches_complex_eigenbasis(self, kind, near_gap):
+        a, b, _, _ = spectral_family(kind, near_gap, 16)
+        want = complex_modal_congruence(a, b)
+        assert np.max(np.abs(asymptotic_rate(a, b) - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_matches_long_time_growth(self):
         rng = np.random.default_rng(30)
         a, b = random_marginal_system(rng)
@@ -518,47 +572,37 @@ class TestDeviationEvaluator:
             np.testing.assert_allclose(ev.terms(t), van_loan_terms(real.a, real.b, w, mo, t),
                                        rtol=1e-10, atol=0)
 
-    # near_gap is the relative frequency gap of a near-degenerate pair: 1e-4
-    # is below _NEAR_RESONANT, so its four off-diagonal Z entries join the
-    # diagonal on the _phi route; 1e-2 is above, so they stay in the form.
-    # The last three kinds reach the real modal basis with real eigenvalues:
-    # all of them (numpy's eig is then real), mixed with conjugate pairs, and
-    # an exact zero eigenvalue, whose diagonal Z entry takes _phi.
-    @pytest.mark.parametrize("kind, near_gap, phi_entries", [
-        ("hurwitz", None, lambda n: 0),
-        ("marginal", None, lambda n: n),
-        ("marginal", 1e-4, lambda n: n + 4),
-        ("marginal", 1e-2, lambda n: n),
-        ("real", None, lambda n: 0),
-        ("mixed", None, lambda n: 0),
-        ("zero-eigenvalue", None, lambda n: 1),
-    ], ids=["hurwitz", "marginal", "marginal-gap-1e-4", "marginal-gap-1e-2", "real", "mixed",
-            "zero-eigenvalue"])
+    @pytest.mark.parametrize("kind, near_gap, phi_entries", FAMILIES, ids=FAMILY_IDS)
     @pytest.mark.parametrize("nu", [4, 16])
     def test_agrees_with_van_loan(self, kind, near_gap, phi_entries, nu):
-        rng = np.random.default_rng(32 + nu)
-        params, real = random_damped_realization(rng, nu)
-        n = 2 * nu
-        if kind == "hurwitz":
-            a, b = real.a, real.b
-        elif kind == "marginal":
-            a, b = random_marginal_modes(rng, nu, near_gap=near_gap)
-        else:
-            a, b = modal_system(rng, n, 0 if kind == "real" else nu // 2, zero=kind == "zero-eigenvalue")
-            assert (np.linalg.eigvals(a).dtype == float) == (kind == "real")
-        w = Weighting(rng.standard_normal((nu, n)))
-        mo = MomentData(random_spd(rng, n), params.ccr)
+        a, b, w, mo = spectral_family(kind, near_gap, nu)
         ev = DeviationEvaluator(a, b, w, mo)
         assert ev.path == SPECTRAL
-        assert ev._z_near.size == phi_entries(n)
+        assert ev._z_near.size == phi_entries(2 * nu)
         for t in np.geomspace(1e-6, 1e4, 21):
             want = sum(van_loan_terms(a, b, w, mo, t))
             assert abs(ev.delta(t) - want) <= 1e-10 * want
 
+    # The evaluator builds its forms in conjugate-pair blocks of the real
+    # modal basis; the oracle builds the same forms in the complex
+    # eigenbasis.  Each summand must agree on its own.
+    @pytest.mark.parametrize("kind, near_gap", SYSTEMS, ids=FAMILY_IDS)
+    @pytest.mark.parametrize("nu", [4, 16])
+    def test_agrees_with_complex_eigenbasis(self, kind, near_gap, nu):
+        a, b, w, mo = spectral_family(kind, near_gap, nu)
+        ev = DeviationEvaluator(a, b, w, mo)
+        for t in np.geomspace(1e-6, 1e4, 21):
+            got, want = ev.terms(t), complex_modal_terms(a, b, w.sigma, mo.p, t)
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 1e-12 * abs(y), (t, got, want)
+
     # cond_2 of the real modal basis equals cond_2(U), so the spectral/Van
     # Loan decision is the one cond(U) would make, on both sides of the limit.
+    # It takes the SVD behind np.linalg.cond only when the bound
+    # ||V||_F ||V^-1||_F is above the limit: never for a basis as well
+    # conditioned as cond 10.
     @pytest.mark.parametrize("cond", [10.0, 500.0, 2000.0, 1e5])
-    def test_path_decided_by_eigenvector_condition(self, cond):
+    def test_path_decided_by_eigenvector_condition(self, monkeypatch, cond):
         rng = np.random.default_rng(36)
         n = 12
         d = scipy.linalg.block_diag(*[-0.5 * np.eye(2) + (1.0 + k) * J2 for k in range(4)],
@@ -566,11 +610,18 @@ class TestDeviationEvaluator:
         q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
         t = q1 @ np.diag(np.geomspace(1.0, cond, n)) @ q2.T
         a = t @ d @ np.linalg.inv(t)
-        cond_u = np.linalg.cond(np.linalg.eig(a)[1])
+        svd_cond = np.linalg.cond
+        cond_u = svd_cond(np.linalg.eig(a)[1])
         spectral = cond_u <= dynamics._SPECTRAL_COND_LIMIT
         assert spectral == (cond < 1e3)
+        calls = []
+        monkeypatch.setattr(np.linalg, "cond", lambda x, *args: calls.append(x) or svd_cond(x, *args))
+        basis = dynamics._modal_basis(a)[1]
+        assert (basis is not None) == spectral
+        if cond == 10.0:
+            assert calls == []
         if spectral:
-            assert abs(np.linalg.cond(dynamics._modal_basis(a)[1][1]) / cond_u - 1.0) <= 1e-12
+            assert abs(svd_cond(basis[1]) / cond_u - 1.0) <= 1e-12
         w, mo = identity_weighting_moments(n, canonical_ccr(n // 2))
         assert DeviationEvaluator(a, rng.standard_normal((n, 2)), w, mo).path == (SPECTRAL if spectral else VAN_LOAN)
 
@@ -630,13 +681,14 @@ class TestDeviationEvaluator:
         assert abs(noise - 2.0) <= 1e-12
 
     # Each point takes one expm1 value per conjugate pair of eigenvalues (all
-    # 16 are pairs here) and per real one, plus one per near-resonant entry:
-    # the diagonal when the spectrum is imaginary, and four more for a
-    # near-degenerate pair.  O(n^2) calls, or one per eigenvalue, would fail.
+    # 16 are pairs here) and per real one, plus one per conjugate pair of
+    # near-resonant entries: the 16 diagonal pairs when the spectrum is
+    # imaginary, and two more for a near-degenerate pair.  O(n^2) calls, or
+    # one per eigenvalue or per entry, would fail.
     @pytest.mark.parametrize("kind, values", [
         ("hurwitz", 16),
-        ("marginal", 16 + 32),
-        ("near-degenerate", 16 + 32 + 4),
+        ("marginal", 16 + 16),
+        ("near-degenerate", 16 + 16 + 2),
     ])
     def test_expm1_values_per_point(self, monkeypatch, kind, values):
         rng = np.random.default_rng(34)
@@ -678,7 +730,7 @@ class TestDeviationEvaluator:
         ev = DeviationEvaluator(a, b, w, mo)
         assert ev.path == (VAN_LOAN if kind == "van-loan" else SPECTRAL)
         if kind == "marginal-gap-1e-4":
-            assert ev._z_near.size == 32 + 4
+            assert ev._z_near.size == 16 + 2
         times = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
         sig, noise = ev.terms(times)
         assert sig.shape == noise.shape == times.shape
