@@ -106,6 +106,12 @@ class _Expansion:
         return value
 
 
+def _check_epsilon(epsilon):
+    """PreconditionError unless epsilon is a finite positive number (not a bool)."""
+    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
+        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
+
+
 def _expansion(system, weighting, moments, applicable=False):
     """The _Expansion of a Realization or (A, B) pair, from one delta_derivatives
     call; with applicable, PreconditionError when F B = 0."""
@@ -136,7 +142,8 @@ def tau_second(system, weighting, moments):
 @_guarded()  # _Expansion checks what it forms
 def tau_hat(system, weighting, moments, epsilon):
     """Quadratic approximation tau' eps + (1/2) tau'' eps^2; PreconditionError
-    when F B = 0."""
+    unless eps is finite and positive, or when F B = 0."""
+    _check_epsilon(epsilon)
     return _expansion(system, weighting, moments, applicable=True).tau_hat(epsilon)
 
 
@@ -166,9 +173,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     with its limit below the threshold; otherwise the horizon was exhausted
     and the result is inconclusive.
     """
+    _check_epsilon(epsilon)
     a, b = _system(system)
-    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon) and epsilon > 0):
-        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon!r}")
     if horizon is not None:
         _check_horizon(horizon)
     _check_grid_points(grid_points, "grid_points")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _weighted_trace, delta_derivatives
-from .errors import PreconditionError, ValidationError
+from .errors import NumericalError, PreconditionError
 from .model import _system, build_realization, OqhoParams
-from .numerics import _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
+from .numerics import _as_finite, _as_matrix, _guarded, _norm, solve_sylvester, solve_symmetric_constrained
 
 __all__ = [
     "EnergyOptimum",
@@ -81,13 +81,11 @@ def ddot_delta_of_energy(r, ccr, weighting, coupling_n, moments):
 def k_matrix(ccr, weighting, b, a_tilde, moments):
     """K = (1/2) sym(Theta Sigma (B B^T + 2 Atilde P)) of the stationarity
     equation; NumericalError when it overflows.  F, B, Atilde and P must fit Theta's order n,
-    and B and Atilde be finite (ValidationError)."""
+    and B and Atilde, read by numerics._as_finite, be finite (ValidationError)."""
     n = ccr.n
     _as_matrix(weighting.f, "F", cols=n)
     _as_matrix(moments.p, "P", n, n)
-    b, a_tilde = _as_matrix(b, "B", rows=n), _as_matrix(a_tilde, "Atilde", n, n)
-    if not (np.isfinite(b).all() and np.isfinite(a_tilde).all()):
-        raise ValidationError("B and Atilde must be finite")
+    b, a_tilde = _as_finite(b, "B", rows=n), _as_finite(a_tilde, "Atilde", n, n)
     return 0.5 * _sym(ccr.theta @ weighting.sigma @ (b @ b.T + 2.0 * a_tilde @ moments.p))
 
 
@@ -101,8 +99,11 @@ def grad_ddot_delta_wrt_energy(ccr, weighting, system, moments):
 
 def _stationarity_operator(theta, weighting, moments, n1=None):
     """(op, Theta Sigma Theta): op(X) = P_S L(X) for X in S, every symmetric matrix (n1 None)
-    or the off-diagonal blocks [[0, X], [X^T, 0]] at the split n1, X then the (1, 2) block."""
+    or the off-diagonal blocks [[0, X], [X^T, 0]] at the split n1, X then the (1, 2) block.
+    NumericalError when Theta Sigma Theta overflows."""
     tst = theta @ weighting.sigma @ theta
+    if not np.isfinite(tst).all():
+        raise NumericalError("Theta Sigma Theta is not finite")
     rows, cols = (slice(None),) * 2 if n1 is None else (slice(n1), slice(n1, None))
     r = np.zeros_like(tst)
 

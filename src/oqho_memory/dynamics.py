@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _system, ito_j
-from .numerics import (_as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm, _on_axis,
+from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm, _on_axis,
                        _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
@@ -111,10 +111,8 @@ class Weighting:
 
     @_guarded()  # Sigma may overflow for a finite F; its users raise on the result
     def __post_init__(self):
-        f = _as_matrix(self.f, "F").copy()
+        f = _as_finite(self.f, "F").copy()
         object.__setattr__(self, "f", f)
-        if not np.all(np.isfinite(f)):
-            raise ValidationError("F must be finite")
         # Full row rank: a row or more, one singular value per row, none below
         # numpy's default rank tolerance (scaled last, so it cannot overflow).
         sv = np.linalg.svd(f, compute_uv=False)
@@ -130,7 +128,7 @@ class Weighting:
     def from_sigma(cls, sigma):
         """Factor a symmetric PSD Sigma as F^T F with F of full row rank; Sigma
         is scaled as in numerics.sqrt_psd, so a huge finite Sigma gives a finite F."""
-        sigma = _as_matrix(sigma, "Sigma", square=True)
+        sigma = _as_finite(sigma, "Sigma", square=True)
         if _asymmetric(sigma):
             raise InvalidMomentMatrixError("Sigma not symmetric")
         w, v, k = _scaled_eigh(sigma)
@@ -160,7 +158,10 @@ def _propagate(a, q, t):
     Exponentiates the block [[A, Q], [0, -A^T]] once, over h = t / 2^k with
     h sqrt(||A||_1 ||A||_inf) <= _MAX_STEP_NORM (a bound on h ||A||_2), then
     doubles k times: E(2h) = E(h)^2, V(2h) = V(h) + E(h) V(h) E(h)^T.
+    NumericalError when Q, formed by the caller from B, overflowed.
     """
+    if not np.isfinite(q).all():
+        raise NumericalError("the source term Q, formed from B, is not finite")
     n = a.shape[0]
     steps = t * math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) / _MAX_STEP_NORM
     k = math.frexp(steps)[1] if steps > 1.0 else 0  # 2^(k-1) <= steps < 2^k
@@ -521,6 +522,8 @@ class DeviationEvaluator:
         if not np.all((self._lam.real < 0) & ~_on_axis(self._lam, self._a)):
             raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {self._lam.real.max():.3e}")
         if self.path == VAN_LOAN:
+            if not np.isfinite(self._bbt).all():
+                raise NumericalError("B B^T is not finite")
             noise = np.sum(self._sigma * solve_lyapunov(self._a, self._bbt))
         else:
             noise = -(0.5 * self._hmc[-1, self._kept].sum() + np.sum(self._g_near / self._z_near).real)
@@ -541,13 +544,12 @@ def delta_derivatives(a, b, weighting, moments):
     """Small-time derivatives of Delta at t = 0.
 
     Returns (dot, ddot) with dot = ||F B||^2 and
-    ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T>; raises NumericalError
-    when either overflows.
+    ddot = <Sigma, A B B^T + B B^T A^T + 2 A P A^T> = 2 <Sigma A, B B^T + A P>
+    (Sigma, B B^T and P are symmetric); raises NumericalError when either overflows.
     """
     a, b = _system((a, b), moments.p.shape[0], weighting.f)
-    bbt = b @ b.T
     dot = _dot_delta(weighting.f, b)
-    ddot = float(np.sum(weighting.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ moments.p @ a.T)))
+    ddot = 2.0 * float(np.sum((weighting.sigma @ a) * (b @ b.T + a @ moments.p)))
     return dot, ddot
 
 
@@ -577,19 +579,11 @@ def asymptotic_rate(a, b):
     return 0.5 * (rate + rate.conj().T)
 
 
-def _square_finite(a):
-    """A square by numerics._as_matrix; ValidationError unless it is finite, as from model._system."""
-    a = _as_matrix(a, "A", square=True)
-    if not np.isfinite(a).all():
-        raise ValidationError("A must be finite")
-    return a
-
-
 @_guarded("the time scale 1 / ||A||_F")
 def time_scale(a):
     """1 / ||A||_F (1 for A = 0); ValidationError unless A is finite, NumericalError when
     ||A||_F or its inverse overflows."""
-    norm = _norm(_square_finite(a))
+    norm = _norm(_as_finite(a, "A", square=True))
     if norm == math.inf:
         raise NumericalError(f"||A|| is not finite ({norm}): A is too large to set a time scale")
     return float(1.0 / norm) if norm else 1.0
@@ -614,7 +608,7 @@ def _check_grid_points(points, name):
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid of points (at most MAX_GRID_POINTS) from 1e-4 * t_ref to
     t_ref with t_ref = 10 time_scale(A); ValidationError unless A is finite."""
-    a = _square_finite(a)
+    a = _as_finite(a, "A", square=True)
     _check_grid_points(points, "points")
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)

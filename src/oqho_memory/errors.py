@@ -25,8 +25,8 @@ class ResonanceError(OqhoError):
         self.eig_pair = eig_pair
 
 
-class InvalidMomentMatrixError(OqhoError, ValueError):
-    """A claimed second-moment matrix fails positive semi-definiteness."""
+class InvalidMomentMatrixError(ValidationError):
+    """P is not finite, P or Sigma not symmetric or PSD, or P fails the Heisenberg condition."""
 
 
 class NumericalError(OqhoError):

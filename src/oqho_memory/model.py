@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import _as_matrix, _asymmetric, _guarded, _norm, _on_axis
+from .numerics import _as_finite, _as_matrix, _asymmetric, _guarded, _norm, _on_axis
 
 __all__ = [
     "J2",
@@ -71,13 +71,11 @@ class CcrMatrix:
 
     @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
-        theta = _as_matrix(self.theta, "Theta", square=True).copy()
+        theta = _as_finite(self.theta, "Theta", square=True).copy()
         object.__setattr__(self, "theta", theta)
         n = theta.shape[0]
         if n % 2 != 0 or n == 0:
             raise ValidationError(f"CCR matrix order must be even and positive, got {n}")
-        if not np.isfinite(theta).all():
-            raise ValidationError("CCR matrix must be finite")
         if _asymmetric(theta, anti=True):
             raise ValidationError("CCR matrix is not antisymmetric")
         sv = np.linalg.svd(theta, compute_uv=False)
@@ -103,15 +101,13 @@ class OqhoParams:
     @_guarded()  # an overflowing norm fails its check
     def __post_init__(self):
         n = self.ccr.n
-        r_mat = _as_matrix(self.energy, "energy R", n, n).copy()
-        n_mat = _as_matrix(self.coupling, "coupling N", cols=n).copy()
+        r_mat = _as_finite(self.energy, "energy R", n, n).copy()
+        n_mat = _as_finite(self.coupling, "coupling N", cols=n).copy()
         m = n_mat.shape[0]
-        d_mat = _as_matrix(self.selector, "selector D", cols=m).copy()
+        d_mat = _as_finite(self.selector, "selector D", cols=m).copy()
         object.__setattr__(self, "energy", r_mat)
         object.__setattr__(self, "coupling", n_mat)
         object.__setattr__(self, "selector", d_mat)
-        if not (np.isfinite(r_mat).all() and np.isfinite(n_mat).all() and np.isfinite(d_mat).all()):
-            raise ValidationError("energy, coupling and selector must be finite")
         if _asymmetric(r_mat):
             raise ValidationError("energy matrix not symmetric")
         if m % 2 != 0:
@@ -140,30 +136,23 @@ class OqhoParams:
 
 def _system(system, n=None, f=None, b_only=False):
     """(A, B) of a Realization (anything with .a and .b) or an (A, B) pair, the library's one
-    reader of a system: by numerics._as_matrix A square (n x n given n; None allowed with b_only),
-    B with as many rows, F (if given) as many columns; ValidationError unless A and B are finite."""
+    reader of a system: by numerics._as_finite A square (n x n given n; None allowed with b_only)
+    and B with as many rows; F (if given, a Weighting's) has as many columns (_as_matrix)."""
     if hasattr(system, "a") and hasattr(system, "b"):
         system = system.a, system.b
     if not isinstance(system, (tuple, list)) or len(system) != 2:
         raise ValidationError(f"a system is a Realization or an (A, B) pair, got {type(system).__name__}")
     a, b = system
-    a = None if b_only and a is None else _as_matrix(a, "A", n, n, square=n is None)
-    b = _as_matrix(b, "B", rows=n if a is None else len(a))
+    a = None if b_only and a is None else _as_finite(a, "A", n, n, square=n is None)
+    b = _as_finite(b, "B", rows=n if a is None else len(a))
     if f is not None:
         _as_matrix(f, "F", cols=len(b))
-    if not ((a is None or np.isfinite(a).all()) and np.isfinite(b).all()):
-        raise ValidationError("A and B must be finite")
     return a, b
 
 
 def _optional_matrix(x, name, rows=None, cols=None):
-    """None for None, else a copy of x read by numerics._as_matrix; ValidationError unless finite."""
-    if x is None:
-        return None
-    x = _as_matrix(x, name, rows, cols)
-    if not np.isfinite(x).all():
-        raise ValidationError(f"{name} must be finite")
-    return x.copy()
+    """None for None, else a copy of x read by numerics._as_finite."""
+    return None if x is None else _as_finite(x, name, rows, cols).copy()
 
 
 @dataclass(frozen=True)
@@ -250,9 +239,7 @@ def classify_spectrum(a):
     """Stability classification of a real square matrix by its eigenvalues (numpy's: scipy
     1.17 shrinks those of an A above ~1.5e138 to that size), each on the axis or not by
     numerics._on_axis."""
-    a = _as_matrix(a, "A", square=True)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix must be finite")
+    a = _as_finite(a, "A", square=True)
     try:
         eigs = np.linalg.eigvals(a).astype(complex)
     except np.linalg.LinAlgError as exc:

@@ -14,8 +14,10 @@ the minimum-norm solution.
 
 The library's policies have one home each, here: _guarded for results (what
 it names must be finite), _norm for tolerances (every decision is relative to
-the _norm of its own inputs) and _as_matrix for inputs (every matrix argument
-is converted by _as_real and shape-checked by it; time arrays share _as_real).
+the _norm of its own inputs) and _as_finite for inputs (every matrix argument
+is converted by _as_real, shape-checked by _as_matrix and must be finite, else
+a ValidationError naming it; time arrays share _as_real).  A matrix the library
+forms is checked where it is formed: NumericalError when it overflowed.
 """
 
 import functools
@@ -79,14 +81,24 @@ def _as_real(x, name):
 
 
 def _as_matrix(x, name, rows=None, cols=None, square=False):
-    """_as_real(x, name) as a matrix, the library's one input gate: DimensionError unless it is 2-D
-    with rows rows and cols columns (None: any), square with square.  Finiteness is the caller's."""
+    """_as_real(x, name) as a matrix, the shape half of _as_finite: DimensionError unless it is 2-D
+    with rows rows and cols columns (None: any), square with square.  Alone it re-reads matrices
+    the library holds (F and P of a Weighting and MomentData, L of SubsystemParams), and op(X)."""
     x = _as_real(x, name)
     shape = x.shape
     if (len(shape) != 2 or (rows is not None and shape[0] != rows) or (cols is not None and shape[1] != cols)
             or (square and shape[0] != shape[1])):
         want = "square" if square else f"({'*' if rows is None else rows}, {'*' if cols is None else cols})"
         raise DimensionError(f"{name} has shape {shape}, not {want}")
+    return x
+
+
+def _as_finite(x, name, rows=None, cols=None, square=False):
+    """_as_matrix(x, name, rows, cols, square) with every entry finite, the library's one input
+    gate: ValidationError naming name otherwise."""
+    x = _as_matrix(x, name, rows, cols, square)
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must be finite")
     return x
 
 
@@ -126,10 +138,11 @@ def _guarded(what=None):
 
 @_guarded("the matrix exponential")
 def matrix_exp(a, t=1.0):
-    """exp(t*A) by scaling-and-squaring with Pade approximation."""
-    a = _as_matrix(a, "A", square=True)
-    if not np.all(np.isfinite(a)) or not np.isfinite(t):
-        raise NumericalError("matrix_exp requires finite entries")
+    """exp(t*A) by scaling-and-squaring with Pade approximation; A is read by _as_finite,
+    NumericalError when t is not finite."""
+    a = _as_finite(a, "A", square=True)
+    if not np.isfinite(t):
+        raise NumericalError("matrix_exp requires a finite t")
     return scipy.linalg.expm(t * a)
 
 
@@ -139,8 +152,8 @@ def solve_lyapunov(m, q):
 
     Raises ResonanceError when the spectra of M and -M^T intersect.
     """
-    m = _as_matrix(m, "M", square=True)
-    q = _as_matrix(q, "Q", *m.shape)
+    m = _as_finite(m, "M", square=True)
+    q = _as_finite(q, "Q", *m.shape)
     eigs = np.linalg.eigvals(m)
     sums = np.abs(eigs[:, None] + eigs[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
@@ -179,9 +192,9 @@ def solve_sylvester(s1, p1, s2, p2, q):
     (e.g. Q inconsistent on the kernel).
     """
     same_pair = s2 is s1 and p2 is p1
-    s1, s2 = _as_matrix(s1, "S1", square=True), _as_matrix(s2, "S2", square=True)
-    p1, p2 = _as_matrix(p1, "P1", *s1.shape), _as_matrix(p2, "P2", *s2.shape)
-    q = _as_matrix(q, "Q", len(s1), len(s2))
+    s1, s2 = _as_finite(s1, "S1", square=True), _as_finite(s2, "S2", square=True)
+    p1, p2 = _as_finite(p1, "P1", *s1.shape), _as_finite(p2, "P2", *s2.shape)
+    q = _as_finite(q, "Q", len(s1), len(s2))
     e = max(_exponent(s1), _exponent(s2))
     s1, q = np.ldexp(s1, -e), np.ldexp(q, -e)
     s2 = s1 if same_pair else np.ldexp(s2, -e)
@@ -222,7 +235,7 @@ def solve_symmetric_constrained(operator, q):
     residual = ||op(X) + Q||_F; raises NumericalError when the residual
     bound is not met within a small multiple of the number of unknowns.
     """
-    q = _as_matrix(q, "Q")
+    q = _as_finite(q, "Q")
     eq = _exponent(q)
     q = np.ldexp(q, -eq)
     op_q = _as_matrix(operator(q), "op(X)", *q.shape)
@@ -304,7 +317,7 @@ def _check_psd(w, k, what):
 @_guarded()  # a norm in _asymmetric may overflow for a huge P
 def sqrt_psd(p):
     """Unique PSD square root of a symmetric PSD matrix via eigendecomposition."""
-    p = _as_matrix(p, "P", square=True)
+    p = _as_finite(p, "P", square=True)
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
     w, v, k = _scaled_eigh(p)  # sqrt(P) = 2^k sqrt(P / 4^k)
@@ -317,15 +330,13 @@ def sqrt_psd(p):
 def eigh_definite(a, b):
     """Generalized symmetric-definite eigenproblem A V = B V diag(lam).
 
-    Returns (lam, V) with ascending lam and V^T B V = I.  Raises
-    NumericalError when A or B is not finite (e.g. an overflowed product) or
-    B is not numerically positive definite, PreconditionError when A or B is
-    not symmetric (numerics._asymmetric).
+    Returns (lam, V) with ascending lam and V^T B V = I.  A and B are read
+    by _as_finite (ValidationError unless finite).  Raises NumericalError
+    when B is not numerically positive definite, PreconditionError when A or
+    B is not symmetric (numerics._asymmetric).
     """
-    a = _as_matrix(a, "A", square=True)
-    b = _as_matrix(b, "B", *a.shape)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NumericalError("generalized eigenproblem needs finite matrices")
+    a = _as_finite(a, "A", square=True)
+    b = _as_finite(b, "B", *a.shape)
     if _asymmetric(a) or _asymmetric(b):
         raise PreconditionError("generalized eigenproblem needs symmetric A and B")
     try:

@@ -7,11 +7,16 @@ Under warnings-as-errors each call must either return finite values or raise
 an OqhoError; a RuntimeWarning, a raw numpy error, a MemoryError or a silent
 inf or nan fails the row.
 
+Each row of OVERFLOWED_INTERMEDIATES overflows an intermediate that the
+library forms from finite inputs and passes on to a kernel: it must raise
+NumericalError, never the ValidationError of the kernel that reads it.
+
 Each row of MALFORMED calls a callable that takes a matrix with one matrix
-argument of the wrong shape, one complex and one ragged nested list.  Each
-call must raise DimensionError, ValidationError and ValidationError, under
-warnings-as-errors (numpy's ComplexWarning would drop an imaginary part).
-Both tables must name every callable of the modules' __all__.
+argument of the wrong shape, one complex, one ragged nested list, and one
+matrix of the right shape with a nan and one with an inf entry.  Each call
+must raise DimensionError for the shape and ValidationError for the others,
+under warnings-as-errors (numpy's ComplexWarning would drop an imaginary
+part).  Both tables must name every callable of the modules' __all__.
 """
 
 import warnings
@@ -21,7 +26,7 @@ import pytest
 
 from oqho_memory import decoherence, design, dynamics, model, network, numerics
 from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting
-from oqho_memory.errors import DimensionError, OqhoError, ValidationError
+from oqho_memory.errors import DimensionError, NumericalError, OqhoError, ValidationError
 from oqho_memory.model import J2, CcrMatrix, OqhoParams, Realization, canonical_ccr
 from oqho_memory.network import SubsystemParams
 
@@ -174,6 +179,26 @@ def test_overflowing_input_is_finite_or_typed_error(name):
         assert _finite(result), (name, result)
 
 
+# A = [[-1, 1], [0, -1]] is defective, so Delta, the Gramian and the limit take
+# the Van Loan path, where B B^T = 1e400 I overflows before any kernel reads it.
+DEFECTIVE = np.array([[-1.0, 1.0], [0.0, -1.0]])
+OVERFLOWED_INTERMEDIATES = {
+    "design.optimal_energy_matrix": ROWS["design.optimal_energy_matrix"],  # Theta Sigma Theta
+    "dynamics.delta": lambda: dynamics.delta(DEFECTIVE, 1e200 * I2, W, MOM, 1.0),
+    "dynamics.gramian": lambda: dynamics.gramian(DEFECTIVE, 1e200 * I2, 1.0),
+    "dynamics.hurwitz_limit": lambda: dynamics.hurwitz_limit(DEFECTIVE, 1e200 * I2, W, MOM),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWED_INTERMEDIATES)
+def test_overflowed_intermediate_is_numerical_error(name):
+    assert _evaluator(DEFECTIVE, I2).path == dynamics.VAN_LOAN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            OVERFLOWED_INTERMEDIATES[name]()
+
+
 # --- malformed input ---------------------------------------------------------
 
 # Records, the two count-taking constructors, the two callables that take
@@ -192,18 +217,21 @@ RAGGED = [[1.0, 0.0], [0.0]]
 ORDER3 = np.eye(3)  # square, of the wrong order
 WIDE = np.ones((2, 3))  # not square
 VECTOR = np.ones(2)  # not a matrix
+NAN2 = np.diag([1.0, np.nan])  # the right shape, one entry not finite
+INF2 = np.diag([1.0, np.inf])
 
 
 def _bad(call, wrong):
-    """The malformed calls of call(X): ((X = wrong,), X = CPLX, X = RAGGED)."""
-    return (lambda: call(wrong),), lambda: call(CPLX), lambda: call(RAGGED)
+    """The malformed calls of call(X): ((X = wrong,), X = CPLX, X = RAGGED, X = NAN2, X = INF2)."""
+    return ((lambda: call(wrong),), lambda: call(CPLX), lambda: call(RAGGED),
+            lambda: call(NAN2), lambda: call(INF2))
 
 
 def _closed_loop():
     return network.assemble(_sub(1.0, 1.0), _sub(1.0, 1.0), np.zeros((2, 2)))
 
 
-# name: (calls that must raise DimensionError, complex call, ragged call).
+# name: (calls that must raise DimensionError, complex call, ragged call, nan call, inf call).
 # One matrix argument is malformed, the others are those of the single-mode
 # system (A = -I, B = I, F = P = I).  q_matrix and optimal_r12 take records
 # only, so their rows are a weighting too narrow for the closed loop alone.
@@ -221,7 +249,9 @@ MALFORMED = {
          lambda: Realization(-I2, I2, None, None, a0=WIDE),
          lambda: Realization(-I2, I2, None, None, a_tilde=ORDER3)),
         lambda: Realization(-I2, CPLX, None, None),
-        lambda: Realization(-I2, RAGGED, None, None)),
+        lambda: Realization(-I2, RAGGED, None, None),
+        lambda: Realization(-I2, NAN2, None, None),
+        lambda: Realization(-I2, INF2, None, None)),
     # numerics
     "numerics.matrix_exp": _bad(numerics.matrix_exp, WIDE),
     "numerics.solve_lyapunov": _bad(lambda x: numerics.solve_lyapunov(-I2, x), ORDER3),
@@ -230,7 +260,9 @@ MALFORMED = {
         (lambda: numerics.solve_symmetric_constrained(lambda x: -x, VECTOR),
          lambda: numerics.solve_symmetric_constrained(lambda x: -x[:1], I2)),  # op(X) of the wrong shape
         lambda: numerics.solve_symmetric_constrained(lambda x: -x, CPLX),
-        lambda: numerics.solve_symmetric_constrained(lambda x: -x, RAGGED)),
+        lambda: numerics.solve_symmetric_constrained(lambda x: -x, RAGGED),
+        lambda: numerics.solve_symmetric_constrained(lambda x: -x, NAN2),
+        lambda: numerics.solve_symmetric_constrained(lambda x: -x, INF2)),
     "numerics.sqrt_psd": _bad(numerics.sqrt_psd, WIDE),
     "numerics.eigh_definite": _bad(lambda x: numerics.eigh_definite(I2, x), ORDER3),
     # dynamics
@@ -257,13 +289,17 @@ MALFORMED = {
     "design.optimal_energy_matrix": (
         (lambda: design.optimal_energy_matrix(CCR, Weighting(np.eye(3)), I2, MOM),),
         lambda: design.optimal_energy_matrix(CCR, W, CPLX, MOM),
-        lambda: design.optimal_energy_matrix(CCR, W, RAGGED, MOM)),
+        lambda: design.optimal_energy_matrix(CCR, W, RAGGED, MOM),
+        lambda: design.optimal_energy_matrix(CCR, W, NAN2, MOM),
+        lambda: design.optimal_energy_matrix(CCR, W, INF2, MOM)),
     "design.grad_ddot_delta_wrt_energy": _bad(
         lambda x: design.grad_ddot_delta_wrt_energy(CCR, W, (x, I2), MOM), ORDER3),
     "design.zero_hamiltonian_condition": (
         (lambda: design.zero_hamiltonian_condition(CCR, Weighting(np.eye(3)), I2, MOM),),
         lambda: design.zero_hamiltonian_condition(CCR, W, CPLX, MOM),
-        lambda: design.zero_hamiltonian_condition(CCR, W, RAGGED, MOM)),
+        lambda: design.zero_hamiltonian_condition(CCR, W, RAGGED, MOM),
+        lambda: design.zero_hamiltonian_condition(CCR, W, NAN2, MOM),
+        lambda: design.zero_hamiltonian_condition(CCR, W, INF2, MOM)),
     "design.a_hat_minimizer": _bad(lambda x: design.a_hat_minimizer(x, MOM), ORDER3),
     "design.ddot_delta_of_state": _bad(lambda x: design.ddot_delta_of_state(-I2, x, W, MOM), ORDER3),
     "design.ddot_delta_of_energy": _bad(lambda x: design.ddot_delta_of_energy(x, CCR, W, I2, MOM), ORDER3),
@@ -286,7 +322,7 @@ def _malformed_cases():
     for name, (shape, *rest) in sorted(MALFORMED.items()):
         for k, call in enumerate(shape):
             yield pytest.param(DimensionError, call, id=f"{name}-shape{k}")
-        for kind, call in zip(("complex", "ragged"), rest):
+        for kind, call in zip(("complex", "ragged", "nan", "inf"), rest):
             yield pytest.param(ValidationError, call, id=f"{name}-{kind}")
 
 

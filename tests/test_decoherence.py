@@ -106,9 +106,17 @@ class TestTauHat:
         real, w, mo = single_mode()
         assert abs(tau_hat(real, w, mo, 0.01) - 0.01) <= 1e-14
 
-    def test_zero_epsilon(self):
-        real, w, mo = single_mode()
-        assert tau_hat(real, w, mo, 0.0) == 0.0
+
+# tau_hat checks epsilon as decoherence_time does, before A is factored.
+BAD_EPSILONS = {"zero": 0.0, "negative": -0.5, "nan": math.nan, "inf": math.inf, "bool": True}
+
+
+@pytest.mark.parametrize("kind", BAD_EPSILONS)
+@pytest.mark.parametrize("call", [tau_hat, decoherence_time], ids=["tau_hat", "decoherence_time"])
+def test_bad_epsilon_is_precondition_error(call, kind):
+    real, w, mo = single_mode()
+    with pytest.raises(PreconditionError, match="epsilon must be finite and positive"):
+        call(real, w, mo, BAD_EPSILONS[kind])
 
 
 class TestTauHatChecked:

@@ -395,6 +395,19 @@ class TestDeltaDerivatives:
         assert dot == 0.0
         assert ddot >= 0.0
 
+    def test_matches_four_product_form(self):
+        # ddot is formed as 2 <Sigma A, B B^T + A P>; the reference sums the
+        # four terms of <Sigma, A B B^T + B B^T A^T + 2 A P A^T> as written.
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            a, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+            w = Weighting(rng.standard_normal((3, 4)))
+            mo = MomentData(random_spd(rng, 4), canonical_ccr(2))
+            bbt = b @ b.T
+            terms = w.sigma * (a @ bbt + bbt @ a.T + 2.0 * a @ mo.p @ a.T)
+            ddot = delta_derivatives(a, b, w, mo)[1]
+            assert abs(ddot - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(28)
         w, mo = identity_weighting_moments()

@@ -8,6 +8,7 @@ from oqho_memory.errors import (
     NumericalError,
     PreconditionError,
     ResonanceError,
+    ValidationError,
 )
 from oqho_memory.model import J2
 from oqho_memory.numerics import (
@@ -231,12 +232,14 @@ class TestEighDefinite:
         with pytest.raises(PreconditionError, match="symmetric"):
             eigh_definite(m, np.eye(2)) if side == "a" else eigh_definite(np.eye(2), m + np.eye(2))
 
+    # A non-finite argument is a ValidationError, as in every kernel; an
+    # overflowed Theta Sigma Theta is a NumericalError where design forms it.
     @pytest.mark.parametrize("a, b", [
-        (np.diag([np.inf, 1.0]), np.eye(2)),  # e.g. an overflowed Theta Sigma Theta
+        (np.diag([np.inf, 1.0]), np.eye(2)),
         (np.eye(2), np.diag([1.0, np.nan])),
     ])
     def test_non_finite_rejected(self, a, b):
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValidationError, match="must be finite"):
             eigh_definite(a, b)
 
 
