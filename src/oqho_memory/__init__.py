@@ -18,11 +18,9 @@ from .model import (
     classify_spectrum,
 )
 from .dynamics import (
-    DeviationCurve,
     DeviationEvaluator,
     MomentData,
     Weighting,
-    compute_deviation_curve,
     delta,
     delta_derivatives,
     gramian,

@@ -247,13 +247,13 @@ def cmd_delta_curve(scenario, args):
     real = _scenario_system(scenario)
     grid_points = args.grid_points or scenario.grid_points
     horizon = args.horizon or scenario.horizon
-    times = dynamics.default_time_grid(real.a, t_ref=horizon, points=grid_points)
-    curve = dynamics.compute_deviation_curve(real.a, real.b, scenario.weighting,
-                                             scenario.moments, times=np.concatenate([[0.0], times]))
-    columns = (curve.times, curve.delta_values, curve.signal_term, curve.noise_term)
+    times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, t_ref=horizon, points=grid_points)])
+    evaluator = dynamics.DeviationEvaluator(real.a, real.b, scenario.weighting, scenario.moments)
+    sig, noise = evaluator.terms(times)  # the whole curve, before the output is opened
+    columns = (times, sig + noise, sig, noise)
     with _output(args.out) as out:  # block by block: memory stays O(_CSV_BLOCK) beyond the curve
         out.write("t,delta,signal_term,noise_term\n")
-        for k in range(0, len(curve.times), _CSV_BLOCK):
+        for k in range(0, len(times), _CSV_BLOCK):
             rows = zip(*(c[k:k + _CSV_BLOCK].tolist() for c in columns))
             out.write("".join(_CSV_ROW % row for row in rows))
     return EXIT_OK

@@ -30,7 +30,7 @@ from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _
                        delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .model import _system
-from .numerics import _guarded
+from .numerics import _as_finite, _as_matrix, _guarded
 
 __all__ = [
     "DecoherenceReport",
@@ -128,7 +128,9 @@ def tau_prime(b, weighting, moments):
     Returns +inf when F B = 0, in which case the small-eps expansion of tau
     does not apply.  Raises NumericalError when either overflows.
     """
-    _, b = _system((None, b), moments.p.shape[0], weighting.f, b_only=True)
+    n = moments.p.shape[0]
+    b = _as_finite(b, "B", rows=n)
+    _as_matrix(weighting.f, "F", cols=n)
     return _Expansion(_weighted_trace(weighting.f, moments.p), _dot_delta(weighting.f, b)).coefficients()[0]
 
 

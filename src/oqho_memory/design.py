@@ -169,7 +169,7 @@ def zero_hamiltonian_condition(ccr, weighting, coupling_n, moments):
 def a_hat_minimizer(b, moments):
     """Unconstrained minimizer Ahat = -1/2 B B^T P^{-1} of ddot(Delta) over A."""
     p = moments.p
-    _, b = _system((None, b), len(p), b_only=True)
+    b = _as_finite(b, "B", rows=len(p))
     if np.min(np.linalg.eigvalsh(p)) <= 0:
         raise PreconditionError("P must be positive definite for the completed square")
     return -0.5 * b @ b.T @ np.linalg.inv(p)

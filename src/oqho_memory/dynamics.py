@@ -39,7 +39,11 @@ Every evaluation goes through one walker, DeviationEvaluator.scan: times
 K x n x (2n + 1) matrix product per block of K (the Van Loan path loops), up
 to the first point above a threshold; terms is the walk with none.  So memory
 stays O(n _SCAN_BLOCK) beside the values returned, for any number of times.
-Every (A, B) is read by model._system, every time array by _times.
+A caller that needs Delta at many times, such as `oqho delta-curve`, holds
+one evaluator; delta and hurwitz_limit are one-call shortcuts that build one.
+Every (A, B) is read by model._system, every time array by _times: a time
+is finite and nonnegative on every path, and Delta at t = inf is
+hurwitz_limit.
 """
 
 import math
@@ -61,7 +65,6 @@ from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd
 __all__ = [
     "MomentData",
     "Weighting",
-    "DeviationCurve",
     "DeviationEvaluator",
     "SPECTRAL",
     "VAN_LOAN",
@@ -73,7 +76,6 @@ __all__ = [
     "asymptotic_rate",
     "time_scale",
     "default_time_grid",
-    "compute_deviation_curve",
 ]
 
 
@@ -208,13 +210,16 @@ VAN_LOAN = "van_loan"
 
 def _times(times):
     """times, a number or a 1-D array, as a 1-D float64 array: converted by numerics._as_real
-    as every matrix is (ValidationError), PreconditionError unless 1-D and nonnegative."""
+    as every matrix is (ValidationError), PreconditionError unless 1-D, finite and nonnegative
+    (the t -> inf limit is hurwitz_limit)."""
     times = _as_real(times, "times")
     if times.ndim > 1:
         raise PreconditionError(f"times must be a number or a 1-D array, got shape {times.shape}")
-    if not np.all(times >= 0):
-        raise PreconditionError(f"times must be nonnegative, got {np.min(times)}")
-    return times.reshape(-1)
+    times = times.reshape(-1)
+    bad = ~((times >= 0) & (times < math.inf))  # nan fails both
+    if bad.any():
+        raise PreconditionError(f"times must be finite and nonnegative, got {times[bad][0]}")
+    return times
 
 
 def _dot_delta(f, b):
@@ -607,35 +612,13 @@ def _check_grid_points(points, name):
 
 def default_time_grid(a, t_ref=None, points=400):
     """Log-spaced grid of points (at most MAX_GRID_POINTS) from 1e-4 * t_ref to
-    t_ref with t_ref = 10 time_scale(A); ValidationError unless A is finite."""
+    t_ref with t_ref = 10 time_scale(A), ending at t_ref (a grid of one point
+    is [t_ref]); ValidationError unless A is finite."""
     a = _as_finite(a, "A", square=True)
     _check_grid_points(points, "points")
     if t_ref is None:
         t_ref = 10.0 * time_scale(a)
     _check_horizon(t_ref)
-    return np.geomspace(1e-4 * t_ref, t_ref, points)
-
-
-@dataclass(frozen=True)
-class DeviationCurve:
-    """Sampled deviation Delta(t) with its signal/noise decomposition."""
-
-    times: np.ndarray
-    delta_values: np.ndarray
-    signal_term: np.ndarray
-    noise_term: np.ndarray
-
-
-def compute_deviation_curve(a, b, weighting, moments, times=None):
-    """Delta on increasing times (read by _times; None: default_time_grid(A)) in one scan."""
-    evaluator = DeviationEvaluator(a, b, weighting, moments)
-    times = default_time_grid(a) if times is None else _times(times)
-    if np.any(np.diff(times) <= 0):
-        raise PreconditionError("time grid must be increasing")
-    _, sig, noise = evaluator.scan(times)
-    return DeviationCurve(
-        times=times,
-        delta_values=sig + noise,
-        signal_term=sig,
-        noise_term=noise,
-    )
+    grid = np.geomspace(1e-4 * t_ref, t_ref, points)
+    grid[-1] = t_ref  # geomspace ends at t_ref only for two points or more
+    return grid

@@ -134,17 +134,17 @@ class OqhoParams:
         return self.selector.shape[0]
 
 
-def _system(system, n=None, f=None, b_only=False):
+def _system(system, n=None, f=None):
     """(A, B) of a Realization (anything with .a and .b) or an (A, B) pair, the library's one
-    reader of a system: by numerics._as_finite A square (n x n given n; None allowed with b_only)
-    and B with as many rows; F (if given, a Weighting's) has as many columns (_as_matrix)."""
+    reader of a system: by numerics._as_finite A square (n x n given n) and B with as many
+    rows; F (if given, a Weighting's) has as many columns (_as_matrix)."""
     if hasattr(system, "a") and hasattr(system, "b"):
         system = system.a, system.b
     if not isinstance(system, (tuple, list)) or len(system) != 2:
         raise ValidationError(f"a system is a Realization or an (A, B) pair, got {type(system).__name__}")
     a, b = system
-    a = None if b_only and a is None else _as_finite(a, "A", n, n, square=n is None)
-    b = _as_finite(b, "B", rows=n if a is None else len(a))
+    a = _as_finite(a, "A", n, n, square=n is None)
+    b = _as_finite(b, "B", rows=len(a))
     if f is not None:
         _as_matrix(f, "F", cols=len(b))
     return a, b

@@ -323,19 +323,33 @@ class TestDeltaCurve:
 
     def test_written_in_blocks(self, tmp_path, monkeypatch):
         # Rows are formatted block by block; the file is the same as one
-        # joined string of %.17g rows.
-        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        # joined string of %.17g rows of DeviationEvaluator.terms, on the
+        # spectral path and on the Van Loan path (energy [[1, 0], [0, 0]]
+        # makes A defective).
         monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
-        out = tmp_path / "d.csv"
-        assert cli.main(["delta-curve", "--scenario", path, "--out", str(out), "--grid-points", "10"]) == 0
-        scenario = cli.load_scenario(path)
-        real = model.build_realization(scenario.params)
-        times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=10)])
-        curve = dynamics.compute_deviation_curve(real.a, real.b, scenario.weighting, scenario.moments,
-                                                 times=times)
-        rows = zip(curve.times, curve.delta_values, curve.signal_term, curve.noise_term)
-        want = "t,delta,signal_term,noise_term\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
-        assert out.read_text() == want
+        for energy, delta_path in (([[0.0, 0.0], [0.0, 0.0]], dynamics.SPECTRAL),
+                                   ([[1.0, 0.0], [0.0, 0.0]], dynamics.VAN_LOAN)):
+            path = write_scenario(tmp_path, "s.json", single_mode_scenario(energy=energy))
+            out = tmp_path / "d.csv"
+            assert cli.main(["delta-curve", "--scenario", path, "--out", str(out), "--grid-points", "10"]) == 0
+            scenario = cli.load_scenario(path)
+            real = model.build_realization(scenario.params)
+            times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=10)])
+            evaluator = dynamics.DeviationEvaluator(real.a, real.b, scenario.weighting, scenario.moments)
+            assert evaluator.path == delta_path
+            sig, noise = evaluator.terms(times)
+            rows = zip(times, sig + noise, sig, noise)
+            want = ("t,delta,signal_term,noise_term\n"
+                    + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
+            assert out.read_text() == want
+
+    def test_one_point_grid_ends_at_horizon(self, tmp_path):
+        # The horizon is the end of the grid, for a grid of one point too.
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario())
+        out = tmp_path / "curve.csv"
+        assert cli.main(["delta-curve", "--scenario", path, "--out", str(out),
+                         "--grid-points", "1", "--horizon", "5"]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "5"]
 
     def test_zero_coupling_curve_is_flat(self, tmp_path):
         data = single_mode_scenario(coupling=[[0.0, 0.0], [0.0, 0.0]])
@@ -536,13 +550,18 @@ class TestInterconnectionAnalysis:
         assert rep == cli._report_to_dict(want)
         assert rep["certificate"] == "crossing_found"
 
-    def test_delta_curve(self, tmp_path, capsys):
-        out, (real, w, mo) = self.run(tmp_path, capsys, "delta-curve", "--grid-points", "20")
-        rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
-        times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=20)])
-        curve = dynamics.compute_deviation_curve(real.a, real.b, w, mo, times)
-        np.testing.assert_array_equal(rows, np.column_stack(
-            [curve.times, curve.delta_values, curve.signal_term, curve.noise_term]))
+    def test_delta_curve(self, tmp_path, capsys, monkeypatch):
+        # On the spectral path, then on the Van Loan path, which a
+        # condition limit of 0 forces on the same closed loop.
+        for limit, delta_path in ((dynamics._SPECTRAL_COND_LIMIT, dynamics.SPECTRAL), (0.0, dynamics.VAN_LOAN)):
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", limit)
+            out, (real, w, mo) = self.run(tmp_path, capsys, "delta-curve", "--grid-points", "20")
+            rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+            times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, points=20)])
+            evaluator = dynamics.DeviationEvaluator(real.a, real.b, w, mo)
+            assert evaluator.path == delta_path
+            sig, noise = evaluator.terms(times)
+            np.testing.assert_array_equal(rows, np.column_stack([times, sig + noise, sig, noise]))
 
 
 def run_oqho(*args):

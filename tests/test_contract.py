@@ -35,8 +35,8 @@ MODULES = (model, numerics, dynamics, decoherence, design, network)
 # Records (dataclasses that only hold values; Realization reads its A and B
 # and is not one) and the two constructors whose arguments are counts.
 EXEMPT = {
-    "model.SpectralClass", "dynamics.DeviationCurve",
-    "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
+    "model.SpectralClass", "decoherence.DecoherenceReport", "design.EnergyOptimum",
+    "network.Interconnection",
     "model.ito_j", "model.canonical_ccr",
 }
 
@@ -105,8 +105,6 @@ ROWS = {
     "dynamics.time_scale": lambda: dynamics.time_scale(1e300 * np.ones((2, 2))),
     "dynamics.default_time_grid": (lambda: dynamics.default_time_grid(1e300 * np.ones((2, 2))),
                                    lambda: dynamics.default_time_grid(-I2, points=10**12)),
-    "dynamics.compute_deviation_curve": lambda: dynamics.compute_deviation_curve(
-        -I2, 1e200 * I2, W, MOM, [0.0, 1.0]),
     # decoherence
     "decoherence.decoherence_time": (
         lambda: decoherence.decoherence_time((-I2, 1e200 * I2), W, MOM, 0.1),
@@ -205,8 +203,8 @@ def test_overflowed_intermediate_is_numerical_error(name):
 # only validated records, and the evaluator's methods, which take times or
 # nothing (times keep their PreconditionError).
 MALFORMED_EXEMPT = {
-    "model.SpectralClass", "dynamics.DeviationCurve",
-    "decoherence.DecoherenceReport", "design.EnergyOptimum", "network.Interconnection",
+    "model.SpectralClass", "decoherence.DecoherenceReport", "design.EnergyOptimum",
+    "network.Interconnection",
     "model.ito_j", "model.canonical_ccr", "model.build_realization", "network.zero_hamiltonian_r12",
     "dynamics.DeviationEvaluator.scan", "dynamics.DeviationEvaluator.terms",
     "dynamics.DeviationEvaluator.delta", "dynamics.DeviationEvaluator.hurwitz_limit",
@@ -277,8 +275,6 @@ MALFORMED = {
     "dynamics.asymptotic_rate": _bad(lambda x: dynamics.asymptotic_rate(J2, x), ORDER3),
     "dynamics.time_scale": _bad(dynamics.time_scale, VECTOR),
     "dynamics.default_time_grid": _bad(dynamics.default_time_grid, VECTOR),
-    "dynamics.compute_deviation_curve": _bad(
-        lambda x: dynamics.compute_deviation_curve(x, I2, W, MOM, [0.0, 1.0]), ORDER3),
     # decoherence
     "decoherence.decoherence_time": _bad(lambda x: decoherence.decoherence_time((x, I2), W, MOM, 0.1), VECTOR),
     "decoherence.tau_prime": _bad(lambda x: decoherence.tau_prime(x, W, MOM), ORDER3),

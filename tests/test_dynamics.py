@@ -14,7 +14,6 @@ from oqho_memory.dynamics import (
     Weighting,
     _propagate,
     asymptotic_rate,
-    compute_deviation_curve,
     default_time_grid,
     delta,
     delta_derivatives,
@@ -817,8 +816,8 @@ class TestDeviationEvaluator:
 
 
 # Times follow the matrix rule (numerics._as_real): input that is not real
-# numbers is a ValidationError, more than one dimension or a negative or nan
-# time a PreconditionError.  Each call runs under warnings-as-errors, where
+# numbers is a ValidationError, more than one dimension or a negative, nan or
+# infinite time a PreconditionError.  Each call runs under warnings-as-errors, where
 # numpy's ComplexWarning would otherwise drop an imaginary part.
 BAD_TIMES = {
     "text": (ValidationError, ["1.5"]),
@@ -828,20 +827,18 @@ BAD_TIMES = {
     "2-d": (PreconditionError, [[0.5, 1.0]]),
     "negative": (PreconditionError, [0.5, -1.0]),
     "nan": (PreconditionError, [np.nan]),
+    "inf": (PreconditionError, [1.0, np.inf]),
 }
 TIME_READERS = {
     "scan": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).scan(t),
     "terms": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).terms(t),
     "DeviationEvaluator.delta": lambda a, b, w, mo, t: DeviationEvaluator(a, b, w, mo).delta(t),
     "dynamics.delta": delta,
-    "compute_deviation_curve": compute_deviation_curve,
     "gramian": lambda a, b, w, mo, t: gramian(a, b, t),
 }
 
 
-# compute_deviation_curve reads times=None as its default grid.
-@pytest.mark.parametrize("entry, case", [(e, c) for e in TIME_READERS for c in BAD_TIMES
-                                         if (e, c) != ("compute_deviation_curve", "none")])
+@pytest.mark.parametrize("entry, case", [(e, c) for e in TIME_READERS for c in BAD_TIMES])
 def test_bad_times_raise_typed_error(entry, case):
     error, times = BAD_TIMES[case]
     w, mo = identity_weighting_moments()
@@ -852,13 +849,27 @@ def test_bad_times_raise_typed_error(entry, case):
 
 
 def test_curve_of_one_time():
-    # A number is one time, for the curve as for scan.
+    # A number is one time, for terms as for scan: a pair of floats.
     a, b = single_mode_system()
     w, mo = identity_weighting_moments()
-    curve = compute_deviation_curve(a, b, w, mo, times=1.0)
-    _, sig, noise = DeviationEvaluator(a, b, w, mo).scan(1.0)
-    np.testing.assert_array_equal(curve.times, [1.0])
-    np.testing.assert_array_equal(curve.delta_values, sig + noise)
+    ev = DeviationEvaluator(a, b, w, mo)
+    _, sig, noise = ev.scan(1.0)
+    assert ev.terms(1.0) == (sig[0], noise[0])
+    assert all(type(x) is float for x in ev.terms(1.0))
+
+
+# t = inf is a PreconditionError on every path, Hurwitz or not: the limit is
+# hurwitz_limit's, and a marginal A has none.
+@pytest.mark.parametrize("a, path", [(-np.eye(2), SPECTRAL), (np.array([[-1.0, 1.0], [0.0, -1.0]]), VAN_LOAN),
+                                     (J2, SPECTRAL)], ids=["spectral", "van-loan", "marginal"])
+def test_infinite_time_is_precondition_error(a, path):
+    w, mo = identity_weighting_moments()
+    ev = DeviationEvaluator(a, J2, w, mo)
+    assert ev.path == path
+    for call in (lambda: delta(a, J2, w, mo, np.inf), lambda: gramian(a, J2, np.inf),
+                 lambda: ev.terms(np.inf)):
+        with pytest.raises(PreconditionError, match="finite"):
+            call()
 
 
 @pytest.mark.parametrize("t", [[1.0, 2.0], np.array([])])
@@ -884,7 +895,6 @@ BAD_INPUTS = {
 DELTA_LAYER = {
     "DeviationEvaluator": DeviationEvaluator,
     "delta": lambda a, b, w, mo: delta(a, b, w, mo, 1.0),
-    "compute_deviation_curve": compute_deviation_curve,
     "decoherence_time": lambda a, b, w, mo: decoherence_time((a, b), w, mo, 0.01),
 }
 
@@ -933,17 +943,20 @@ def test_time_scale_of_overflowing_norm():
 
 
 class TestDeviationCurve:
+    """Delta on a grid of times, as `oqho delta-curve` reads it: one evaluator, one terms call."""
+
     def test_single_mode_curve(self):
         a, b = single_mode_system()
         w, mo = identity_weighting_moments()
         times = np.linspace(0.0, 5.0, 60)
-        curve = compute_deviation_curve(a, b, w, mo, times=times)
-        assert curve.delta_values[0] == 0.0
-        assert np.all(curve.delta_values >= 0)
-        np.testing.assert_allclose(curve.delta_values,
-                                   curve.signal_term + curve.noise_term, atol=1e-14)
+        ev = DeviationEvaluator(a, b, w, mo)
+        sig, noise = ev.terms(times)
+        values = ev.delta(times)
+        assert values[0] == 0.0
+        assert np.all(values >= 0)
+        np.testing.assert_allclose(values, sig + noise, atol=1e-14)
         # The noise term integrates a PSD integrand, so it never decreases.
-        assert np.all(np.diff(curve.noise_term) >= -1e-12)
+        assert np.all(np.diff(noise) >= -1e-12)
 
     def test_evaluated_in_blocks(self, monkeypatch):
         # More than three blocks of times: the evaluator must never be handed
@@ -955,19 +968,22 @@ class TestDeviationCurve:
         terms = DeviationEvaluator._terms
         monkeypatch.setattr(DeviationEvaluator, "_terms",
                             lambda self, t: sizes.append(np.size(t)) or terms(self, t))
-        curve = compute_deviation_curve(a, b, w, mo, times=times)
+        sig, noise = DeviationEvaluator(a, b, w, mo).terms(times)
         assert len(sizes) == 4
         assert max(sizes) <= dynamics._SCAN_BLOCK
         assert sum(sizes) == len(times)
-        np.testing.assert_allclose(curve.delta_values, closed_form_delta(times), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sig + noise, closed_form_delta(times), rtol=0, atol=1e-14)
 
     def test_default_grid(self):
         times = default_time_grid(-np.eye(2))
         assert len(times) == 400
         assert np.all(np.diff(times) > 0)
 
-    def test_decreasing_grid_rejected(self):
-        a, b = single_mode_system()
-        w, mo = identity_weighting_moments()
-        with pytest.raises(PreconditionError):
-            compute_deviation_curve(a, b, w, mo, times=np.array([1.0, 0.5]))
+    @pytest.mark.parametrize("points", [1, 2, 400])
+    def test_default_grid_ends_at_horizon(self, points):
+        # np.geomspace of one point returns its start, 1e-4 t_ref.
+        times = default_time_grid(-np.eye(2), t_ref=5.0, points=points)
+        assert len(times) == points
+        assert times[-1] == 5.0
+        if points > 1:
+            np.testing.assert_array_equal(times, np.geomspace(5e-4, 5.0, points))
