@@ -3,7 +3,10 @@
 A scenario is a JSON file with row-major nested arrays for all matrices.
 Single-oscillator scenarios carry theta/energy/coupling/selector plus the
 weighting factor F and initial moments P; interconnection scenarios carry
-two subsystem blocks and an optional R12.  Numbers are emitted with 17
+two subsystem blocks and an optional R12.  load_scenario builds the
+scenario's closed-loop system once, the oscillator's realization or the
+loop that network.assemble forms, and every command reads it; a system that
+cannot be built fails the load.  Numbers are emitted with 17
 significant digits so output round-trips exactly.  Each command declares
 only the flags it reads besides --scenario: --out, --grid-points and
 --horizon for delta-curve and tau.  A flag given to any other command is a
@@ -58,10 +61,9 @@ class Scenario:
     epsilon: list
     horizon: Optional[float]
     grid_points: int
+    system: model.Realization  # the closed loop of either mode
     params: Optional[model.OqhoParams] = None
-    sub1: Optional[network.SubsystemParams] = None
-    sub2: Optional[network.SubsystemParams] = None
-    r12: Optional[np.ndarray] = None
+    interconnection: Optional[network.Interconnection] = None
 
 
 def _require(data, key, location):
@@ -133,6 +135,14 @@ def _parse_json(raw):
 
 
 def load_scenario(path):
+    """The Scenario in the file at path, with its closed-loop system built.
+
+    A single oscillator's realization is built after F and P are read, so
+    their errors come first; an interconnection is assembled before P is
+    read, against the loop's Theta.  A closed loop that cannot be built
+    (a wrong shape, an overflow) raises its OqhoError here, before any
+    command runs.
+    """
     with open(path, "rb") as fh:
         data = _parse_json(fh.read())
     if not isinstance(data, dict):
@@ -158,14 +168,15 @@ def load_scenario(path):
     f_mat = _matrix(data, "weight_f", "/")
     p_mat = _matrix(data, "moments_p", "/")
 
+    params = inter = None
     if mode == "single":
-        theta = model.CcrMatrix(_matrix(data, "theta", "/"))
-        system = {"params": model.OqhoParams(
-            ccr=theta,
+        params = model.OqhoParams(
+            ccr=model.CcrMatrix(_matrix(data, "theta", "/")),
             energy=_matrix(data, "energy", "/"),
             coupling=_matrix(data, "coupling", "/"),
             selector=_matrix(data, "selector", "/"),
-        )}
+        )
+        theta = params.ccr
     else:
         subsystems = _require(data, "subsystems", "/")
         if not isinstance(subsystems, list) or len(subsystems) != 2:
@@ -173,23 +184,15 @@ def load_scenario(path):
         sub1 = _load_subsystem(subsystems[0], "/subsystems/0")
         sub2 = _load_subsystem(subsystems[1], "/subsystems/1")
         r12 = _matrix(data, "r12", "/", required=False)
-        if r12 is None:
-            r12 = np.zeros((sub1.n, sub2.n))
-        theta = model.CcrMatrix(network._blocks(sub1.ccr.theta, sub2.ccr.theta))
-        system = {"sub1": sub1, "sub2": sub2, "r12": r12}
+        inter = network.assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)) if r12 is None else r12)
+        theta = inter.closed_theta
     _as_matrix(f_mat, "weight_f", cols=theta.n)
-    return Scenario(mode=mode, weighting=dynamics.Weighting(f_mat),
-                    moments=dynamics.MomentData(p=p_mat, ccr=theta),
-                    epsilon=[float(e) for e in epsilon],
-                    horizon=horizon, grid_points=grid_points, **system)
-
-
-def _scenario_system(scenario):
-    """Closed (A, B) realization for either scenario mode."""
-    if scenario.mode == "single":
-        return model.build_realization(scenario.params)
-    inter = network.assemble(scenario.sub1, scenario.sub2, scenario.r12)
-    return inter.closed_realization
+    weighting = dynamics.Weighting(f_mat)
+    moments = dynamics.MomentData(p=p_mat, ccr=theta)
+    system = model.build_realization(params) if inter is None else inter.closed_realization
+    return Scenario(mode=mode, weighting=weighting, moments=moments,
+                    epsilon=[float(e) for e in epsilon], horizon=horizon, grid_points=grid_points,
+                    system=system, params=params, interconnection=inter)
 
 
 def _fmt(x):
@@ -220,7 +223,7 @@ def _pr_scale(real, theta):
 
 
 def cmd_check(scenario, args):
-    real = _scenario_system(scenario)
+    real = scenario.system
     theta = scenario.moments.ccr
     pr = model.check_physical_realizability(real.a, real.b, theta)
     spec = model.classify_spectrum(real.a)
@@ -234,7 +237,7 @@ def cmd_check(scenario, args):
 
 
 def cmd_spectrum(scenario, args):
-    real = _scenario_system(scenario)
+    real = scenario.system
     spec = model.classify_spectrum(real.a)
     print(f"category: {spec.category}")
     print(f"on_bisectors: {spec.on_bisectors}")
@@ -244,7 +247,7 @@ def cmd_spectrum(scenario, args):
 
 
 def cmd_delta_curve(scenario, args):
-    real = _scenario_system(scenario)
+    real = scenario.system
     grid_points = args.grid_points or scenario.grid_points
     horizon = args.horizon or scenario.horizon
     times = np.concatenate([[0.0], dynamics.default_time_grid(real.a, t_ref=horizon, points=grid_points)])
@@ -270,7 +273,7 @@ def _report_to_dict(rep):
 
 
 def cmd_tau(scenario, args):
-    real = _scenario_system(scenario)
+    real = scenario.system
     grid_points = args.grid_points or scenario.grid_points
     horizon = args.horizon or scenario.horizon
     reports = []
@@ -285,11 +288,12 @@ def cmd_tau(scenario, args):
     return EXIT_OK
 
 
-def _print_comparison(scenario, header, before, after, name, optimum):
-    """Print header, ddot(Delta) before and after, the optimum, and tau_hat
-    before and after for every epsilon (nan when F B = 0), all read from one
-    expansion of each system."""
-    expansions = [decoherence._expansion(s, scenario.weighting, scenario.moments) for s in (before, after)]
+def _print_comparison(scenario, header, after, name, optimum):
+    """Print header, ddot(Delta) before (the scenario's system) and after, the
+    optimum, and tau_hat before and after for every epsilon (nan when F B = 0),
+    all read from one expansion of each system."""
+    expansions = [decoherence._expansion(s, scenario.weighting, scenario.moments)
+                  for s in (scenario.system, after)]
     print("\n".join(header))
     print(f"ddot_delta before: {_fmt(expansions[0].ddot)}  after: {_fmt(expansions[1].ddot)}")
     print(f"{name}:")
@@ -305,35 +309,31 @@ def cmd_optimize_energy(scenario, args):
         raise ValidationError("optimize-energy requires a single-oscillator scenario")
     params = scenario.params
     weighting, moments = scenario.weighting, scenario.moments
-    before = model.build_realization(params)
     opt = design.optimal_energy_matrix(params.ccr, weighting, params.coupling, moments)
     after = model.build_realization(dataclasses.replace(params, energy=opt.r_star))
     zh = design.zero_hamiltonian_condition(params.ccr, weighting, params.coupling, moments)
     header = [f"method: {opt.method}",
               f"stationarity residual: {_fmt(opt.stationarity_residual)}",
               f"zero-Hamiltonian condition residual: {_fmt(zh)}"]
-    return _print_comparison(scenario, header, before, after, "R_star", opt.r_star)
+    return _print_comparison(scenario, header, after, "R_star", opt.r_star)
 
 
 def cmd_optimize_r12(scenario, args):
     if scenario.mode != "interconnection":
         raise ValidationError("optimize-r12 requires an interconnection scenario")
-    before = network.assemble(scenario.sub1, scenario.sub2, scenario.r12)
-    r12_star, residual, method = network.optimal_r12(scenario.sub1, scenario.sub2,
-                                                     scenario.weighting, scenario.moments)
-    after = network.assemble(scenario.sub1, scenario.sub2, r12_star)
+    subs = scenario.interconnection.sub1, scenario.interconnection.sub2
+    r12_star, residual, method = network.optimal_r12(*subs, scenario.weighting, scenario.moments)
+    after = network.assemble(*subs, r12_star)
     header = [f"method: {method}", f"stationarity residual: {_fmt(residual)}"]
-    return _print_comparison(scenario, header, before.closed_realization,
-                             after.closed_realization, "R12_star", r12_star)
+    return _print_comparison(scenario, header, after.closed_realization, "R12_star", r12_star)
 
 
 def cmd_interconnect(scenario, args):
     if scenario.mode != "interconnection":
         raise ValidationError("interconnect requires an interconnection scenario")
-    inter = network.assemble(scenario.sub1, scenario.sub2, scenario.r12)
-    pr = model.check_physical_realizability(inter.closed_realization.a,
-                                            inter.closed_realization.b, inter.closed_theta)
-    zh_r12, warning = network.zero_hamiltonian_r12(scenario.sub1, scenario.sub2)
+    inter, real = scenario.interconnection, scenario.system
+    pr = model.check_physical_realizability(real.a, real.b, inter.closed_theta)
+    zh_r12, warning = network.zero_hamiltonian_r12(inter.sub1, inter.sub2)
     print(f"consistency residual: {_fmt(inter.consistency_residual)}")
     print(f"PR residual: {_fmt(pr)}")
     print("closed-loop R:")
@@ -388,18 +388,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
+        return _COMMANDS[args.command](load_scenario(args.scenario), args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OqhoError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return _COMMANDS[args.command](scenario, args)
     except (ValidationError, DimensionError, PreconditionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -114,6 +114,9 @@ def assemble(sub1, sub2, r12):
     """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
     r12 = _as_finite(r12, "R12", sub1.n, sub2.n)
     r12_closed = r12 + _field_cross_term(sub1, sub2)
+    if not np.isfinite(r12_closed).all():
+        raise NumericalError("R12 plus the field cross-term Rtilde12 is not finite: the internal "
+                             "and external couplings are too large")
 
     subs = (sub1, sub2)
     thetas = [s.ccr.theta for s in subs]

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqho_memory import cli, decoherence, design, dynamics, model, network
+from oqho_memory.errors import DimensionError
 
 from oracles import random_damped_realization
 
@@ -459,7 +460,8 @@ class TestOptimize:
         rows = out.split("R12_star:\n")[1].splitlines()[:2]
         printed = np.array([[float(v) for v in row.strip()[1:-1].split(",")] for row in rows])
         sc = cli.load_scenario(path)
-        assert np.array_equal(printed, network.optimal_r12(sc.sub1, sc.sub2, sc.weighting, sc.moments)[0])
+        inter = sc.interconnection
+        assert np.array_equal(printed, network.optimal_r12(inter.sub1, inter.sub2, sc.weighting, sc.moments)[0])
 
     # The before/after comparison expands each system once: delta_derivatives
     # once per system (plus once at R* inside optimal_energy_matrix) and one
@@ -564,6 +566,105 @@ class TestInterconnectionAnalysis:
             np.testing.assert_array_equal(rows, np.column_stack([times, sig + noise, sig, noise]))
 
 
+
+def _matrix_after(text, header):
+    """The matrix printed under header, read as bench/workloads.py reads it:
+    the header line alone, then the lines after it that start with '  ['."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 1:]:
+        if not line.startswith("  ["):
+            break
+        rows.append([float(v) for v in line.strip()[1:-1].split(",")])
+    return np.array(rows)
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+class TestScrapedText:
+    """The text the benchmark reads from stdout: every matrix block is the
+    library's value bit for bit, and the verdict lines are exact."""
+
+    SINGLE = single_mode_scenario(energy=[[1.0, 0.0], [0.0, 2.0]], epsilon=[0.01, 0.1])
+    INTERCONNECTION = dict(interconnection_scenario(), r12=[[0.1, 0.2], [0.0, -0.3]])
+
+    @staticmethod
+    def loop(data):
+        """(sub1, sub2) and the Interconnection of an interconnection scenario, built with the library alone."""
+        subs = tuple(network.SubsystemParams(ccr=model.CcrMatrix(s["theta"]), energy=s["energy"],
+                                             coupling_external=s["coupling"],
+                                             coupling_internal=s["coupling_internal"], selector=s["selector"])
+                     for s in data["subsystems"])
+        return subs, network.assemble(*subs, data["r12"])
+
+    def run(self, tmp_path, capsys, command, data):
+        path = write_scenario(tmp_path, "s.json", data)
+        assert cli.main([command, "--scenario", path]) == 0
+        return capsys.readouterr().out
+
+    def test_r_star(self, tmp_path, capsys):
+        data = self.SINGLE
+        ccr = model.CcrMatrix(data["theta"])
+        want = design.optimal_energy_matrix(ccr, dynamics.Weighting(data["weight_f"]), data["coupling"],
+                                            dynamics.MomentData(data["moments_p"], ccr)).r_star
+        _assert_bits(_matrix_after(self.run(tmp_path, capsys, "optimize-energy", data), "R_star:"), want)
+
+    def test_r12_star(self, tmp_path, capsys):
+        data = self.INTERCONNECTION
+        subs, inter = self.loop(data)
+        want = network.optimal_r12(*subs, dynamics.Weighting(data["weight_f"]),
+                                   dynamics.MomentData(data["moments_p"], inter.closed_theta))[0]
+        _assert_bits(_matrix_after(self.run(tmp_path, capsys, "optimize-r12", data), "R12_star:"), want)
+
+    def test_interconnect(self, tmp_path, capsys):
+        subs, inter = self.loop(self.INTERCONNECTION)
+        out = self.run(tmp_path, capsys, "interconnect", self.INTERCONNECTION)
+        _assert_bits(_matrix_after(out, "closed-loop R:"), inter.closed_r)
+        _assert_bits(_matrix_after(out, "zero-Hamiltonian R12:"), network.zero_hamiltonian_r12(*subs)[0])
+
+    @pytest.mark.parametrize("mode", ["single", "interconnection"])
+    def test_verdict_lines(self, tmp_path, capsys, mode):
+        if mode == "single":
+            data = self.SINGLE
+            real = model.build_realization(model.OqhoParams(model.CcrMatrix(data["theta"]), data["energy"],
+                                                            data["coupling"], data["selector"]))
+        else:
+            data = self.INTERCONNECTION
+            real = self.loop(data)[1].closed_realization
+        assert "check: PASS" in self.run(tmp_path, capsys, "check", data).splitlines()
+        category = model.classify_spectrum(real.a).category
+        assert f"category: {category}" in self.run(tmp_path, capsys, "spectrum", data).splitlines()
+
+
+class TestClosedLoopAtLoad:
+    """load_scenario builds the closed loop, so a loop that cannot be built
+    fails every command alike, with the exit code of its error."""
+
+    @pytest.mark.parametrize("command", DECLARED_FLAGS)
+    def test_wrong_r12_shape_is_validation_error(self, tmp_path, capsys, command):
+        path = write_scenario(tmp_path, "i.json", dict(interconnection_scenario(), r12=np.ones((2, 3)).tolist()))
+        with pytest.raises(DimensionError, match=re.escape("R12 has shape (2, 3), not (2, 2)")):
+            cli.load_scenario(path)
+        assert cli.main([command, "--scenario", path, *out_flag(command, tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: R12 has shape (2, 3), not (2, 2)\n"
+
+    # Energies of 0 and couplings N = L = 1e160 I: each product of the field
+    # cross-term L1^T D2 J N2 - N1^T J D1^T L2 overflows, which is the
+    # library's intermediate, not an infinite energy in the file.
+    @pytest.mark.parametrize("command", DECLARED_FLAGS)
+    def test_overflowing_field_cross_term_is_numerical_error(self, tmp_path, capsys, command):
+        data = interconnection_scenario()
+        big = (1e160 * np.eye(2)).tolist()
+        data["subsystems"] = [dict(data["subsystems"][0], coupling=big, coupling_internal=big)] * 2
+        path = write_scenario(tmp_path, "i.json", data)
+        assert cli.main([command, "--scenario", path, *out_flag(command, tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "field cross-term" in err
+        assert "Traceback" not in err
+
 def run_oqho(*args):
     """Run python -m oqho_memory.cli as a user would, on this checkout's source."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -655,13 +756,12 @@ finite_matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
           [1.7976931348623157e308, -1.7976931348623157e308, -0.0]])
 def test_scenario_matrix_is_bit_identical_to_stdlib_json(matrix):
     # orjson reads every matrix json.dumps writes to the same doubles as the
-    # stdlib parser, which is not called for it.
+    # stdlib parser, which is not called for it.  The matrix is read as
+    # load_scenario reads a field, before any shape is checked.
     text = json.dumps(dict(interconnection_scenario(), r12=matrix))
     want = np.array(json.loads(text)["r12"], dtype=float)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli.json, "loads", side_effect=AssertionError):
-        path = Path(tmp) / "s.json"
-        path.write_text(text)
-        got = cli.load_scenario(str(path)).r12
+    with mock.patch.object(cli.json, "loads", side_effect=AssertionError):
+        got = cli._matrix(cli._parse_json(text.encode()), "r12", "/")
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -185,6 +185,11 @@ OVERFLOWED_INTERMEDIATES = {
     "dynamics.delta": lambda: dynamics.delta(DEFECTIVE, 1e200 * I2, W, MOM, 1.0),
     "dynamics.gramian": lambda: dynamics.gramian(DEFECTIVE, 1e200 * I2, 1.0),
     "dynamics.hurwitz_limit": lambda: dynamics.hurwitz_limit(DEFECTIVE, 1e200 * I2, W, MOM),
+    # Energies of 0 and couplings of 1e160: the field cross-term added to R12
+    # overflows before the closed loop's OqhoParams reads it as its energy.
+    "network.assemble": lambda: network.assemble(_sub(1e160, 1e160), _sub(1e160, 1e160), np.zeros((2, 2))),
+    "network.optimal_r12": lambda: network.optimal_r12(_sub(1e160, 1e160), _sub(1e160, 1e160),
+                                                       *_coupled_weighting_moments()),
 }
 
 
