@@ -3,7 +3,7 @@
 An oscillator with n system variables (n even) is described by an
 antisymmetric commutation matrix Theta, a symmetric energy matrix R, a
 coupling matrix N to m external field channels and a row-selector D picking
-r <= m output channels.  The induced state-space realization
+0 < r <= m output channels.  The induced state-space realization
 
     A = 2 Theta (R + N^T J N),   B = 2 Theta N^T,   C = 2 D J N
 
@@ -110,11 +110,11 @@ class OqhoParams:
         object.__setattr__(self, "selector", d_mat)
         if _asymmetric(r_mat):
             raise ValidationError("energy matrix not symmetric")
-        if m % 2 != 0:
-            raise ValidationError(f"number of field channels must be even, got {m}")
+        if m % 2 != 0 or m == 0:
+            raise ValidationError(f"number of field channels must be even and positive, got {m}")
         r = d_mat.shape[0]
-        if r % 2 != 0 or r > m:
-            raise ValidationError(f"selector must have an even number r <= m of rows, got r={r}")
+        if r % 2 != 0 or not 0 < r <= m:
+            raise ValidationError(f"selector D must have an even number 0 < r <= m of rows, got r={r}")
         j = ito_j(m)
         if np.linalg.norm(d_mat @ d_mat.T - np.eye(r)) > 1e-10:
             raise ValidationError("selector rows are not orthonormal (D D^T != I)")

@@ -2,14 +2,16 @@
 
 Two OQHOs are coupled directly through an energy cross-term R12 and
 indirectly through exchanged output fields (internal couplings L1, L2).
-The closed loop is again an OQHO over the stacked variables; its block
-state-space assembly must coincide with the realization built from the
-closed-loop (Theta, R, N), which is the module's central consistency
-identity, and the closed loop's C and A0 are read from that realization.
-The fields add Rtilde12 to the energy cross-term; the zero-Hamiltonian R12
-is -Rtilde12.  optimal_r12 solves the closed-loop stationarity equation of
+The closed loop is again an OQHO over the stacked variables, and _loop
+forms its (Theta, R, N, D) in one place; its realization is
+model.build_realization of those parameters.  The block state-space form,
+assembled from the subsystems alone, is only the check: it must coincide
+with that realization, the module's central consistency identity.  The
+fields add Rtilde12 to the energy cross-term; the zero-Hamiltonian R12 is
+-Rtilde12.  optimal_r12 solves the closed-loop stationarity equation of
 design for the direct coupling matrix, restricted to the off-diagonal
-blocks, with the constant Q = q_matrix, the (1, 2) block of design.k_matrix.
+blocks, with the constant Q = q_matrix, the (1, 2) block of design.k_matrix
+of the loop with R12 = 0; so Q does not depend on R12.
 """
 
 from dataclasses import dataclass
@@ -109,68 +111,59 @@ def _field_cross_term(sub1, sub2):
             - sub1.coupling_external.T @ ito_j(sub1.m) @ sub1.selector.T @ l2)
 
 
-@_guarded()  # the closed loop is a record; overflow fails the consistency test
-def assemble(sub1, sub2, r12):
-    """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
-    r12 = _as_finite(r12, "R12", sub1.n, sub2.n)
+def _loop(sub1, sub2, r12):
+    """OqhoParams of the closed loop over the stacked variables: Theta = blockdiag(Theta1,
+    Theta2), R = [[R1, R12 + Rtilde12], [., R2]], N = [[N1, D1^T L2], [D2^T L1, N2]] and
+    D = blockdiag(D1, D2).  NumericalError when R12 + Rtilde12 overflows."""
     r12_closed = r12 + _field_cross_term(sub1, sub2)
     if not np.isfinite(r12_closed).all():
         raise NumericalError("R12 plus the field cross-term Rtilde12 is not finite: the internal "
                              "and external couplings are too large")
+    return OqhoParams(
+        ccr=CcrMatrix(_blocks(sub1.ccr.theta, sub2.ccr.theta)),
+        energy=_blocks(sub1.energy, sub2.energy, r12_closed, r12_closed.T),
+        coupling=_blocks(sub1.coupling_external, sub2.coupling_external,
+                         sub1.selector.T @ sub2.coupling_internal, sub2.selector.T @ sub1.coupling_internal),
+        selector=_blocks(sub1.selector, sub2.selector),
+    )
 
+
+@_guarded()  # the closed loop is a record; overflow fails the consistency test
+def assemble(sub1, sub2, r12):
+    """Closed-loop OQHO of the two-oscillator coherent feedback loop."""
+    r12 = _as_finite(r12, "R12", sub1.n, sub2.n)
+    loop = _loop(sub1, sub2, r12)
+    realization = build_realization(loop)
+
+    # The block state-space form, from the subsystems alone, must reproduce it.
     subs = (sub1, sub2)
-    thetas = [s.ccr.theta for s in subs]
     js = [ito_j(s.m) for s in subs]
     jt = [s.selector @ ito_j(s.m) @ s.selector.T for s in subs]  # selected-output CCRs
-    r_cross = [r12, r12.T]
-
     a_blk, b_blk, c_blk, e_blk, f_blk = [], [], [], [], []
-    for k in range(2):
-        o = 1 - k
-        s = subs[k]
-        nk, lk, dk = s.coupling_external, s.coupling_internal, s.selector
-        a_blk.append(2.0 * thetas[k] @ (s.energy + nk.T @ js[k] @ nk + lk.T @ jt[o] @ lk))
-        b_blk.append(2.0 * thetas[k] @ nk.T)
-        c_blk.append(2.0 * dk @ js[k] @ nk)
-        e_blk.append(2.0 * thetas[k] @ lk.T)
-        f_blk.append(2.0 * thetas[k] @ r_cross[k])
-
+    for k, (s, r_cross) in enumerate(zip(subs, (r12, r12.T))):
+        theta, nk, lk = s.ccr.theta, s.coupling_external, s.coupling_internal
+        a_blk.append(2.0 * theta @ (s.energy + nk.T @ js[k] @ nk + lk.T @ jt[1 - k] @ lk))
+        b_blk.append(2.0 * theta @ nk.T)
+        c_blk.append(2.0 * s.selector @ js[k] @ nk)
+        e_blk.append(2.0 * theta @ lk.T)
+        f_blk.append(2.0 * theta @ r_cross)
     a_closed = _blocks(a_blk[0], a_blk[1],
                        f_blk[0] + e_blk[0] @ c_blk[1], f_blk[1] + e_blk[1] @ c_blk[0])
-    b_closed = _blocks(b_blk[0], b_blk[1],
-                       e_blk[0] @ subs[1].selector, e_blk[1] @ subs[0].selector)
-
-    # Closed-loop physical parameters.
-    closed_r = _blocks(sub1.energy, sub2.energy, r12_closed, r12_closed.T)
-    closed_n = _blocks(sub1.coupling_external, sub2.coupling_external,
-                       sub1.selector.T @ sub2.coupling_internal, sub2.selector.T @ sub1.coupling_internal)
-    closed_theta = CcrMatrix(_blocks(thetas[0], thetas[1]))
-
-    # The block assembly must reproduce the PR construction from (Theta, R, N).
-    ref = build_realization(OqhoParams(
-        ccr=closed_theta,
-        energy=closed_r,
-        coupling=closed_n,
-        selector=np.eye(closed_n.shape[0]),
-    ))
-    residual = float(max(_norm(ref.a - a_closed), _norm(ref.b - b_closed)))
+    b_closed = _blocks(b_blk[0], b_blk[1], e_blk[0] @ sub2.selector, e_blk[1] @ sub1.selector)
+    residual = float(max(_norm(realization.a - a_closed), _norm(realization.b - b_closed)))
     scale = max(_norm(a_closed), _norm(b_closed))
     if not (np.isfinite(residual) and residual <= _CONSISTENCY_TOL * scale):
         raise NumericalError(
             f"closed-loop assembly inconsistent with PR construction (residual {residual:.3e}, "
             f"scale {scale:.3e}): the closed loop overflows, or the implementation is wrong"
         )
-
-    d_closed = _blocks(sub1.selector, sub2.selector)
-    realization = Realization(a=a_closed, b=b_closed, c=d_closed @ ref.c, d=d_closed,
-                              a0=ref.a0, a_tilde=a_closed - ref.a0)
     return Interconnection(
         sub1=sub1,
         sub2=sub2,
         r12=r12,
-        closed_theta=closed_theta,
-        closed_r=closed_r,
-        closed_n=closed_n,
+        closed_theta=loop.ccr,
+        closed_r=loop.energy,
+        closed_n=loop.coupling,
         closed_realization=realization,
         consistency_residual=residual,
     )
@@ -190,26 +183,28 @@ def zero_hamiltonian_r12(sub1, sub2):
     return r12, warning
 
 
+def _q(sub1, sub2, weighting, moments):
+    """(Theta, Q) of the loop with R12 = 0, whose A is Abreve: Q is the (1, 2) block of
+    design.k_matrix with Atilde = Abreve, so it does not depend on R12."""
+    loop = _loop(sub1, sub2, np.zeros((sub1.n, sub2.n)))
+    real = build_realization(loop)
+    return loop.ccr, k_matrix(loop.ccr, weighting, real.b, real.a, moments)[:sub1.n, sub1.n:]
+
+
+@_guarded()  # _loop checks the field cross-term, k_matrix Q
 def q_matrix(interconnection, weighting, moments):
     """(1,2) block of the closed-loop stationarity constant K (design.k_matrix).
 
     K is taken with Atilde = Abreve, the closed-loop A with the direct
-    coupling R12 removed, A - 2 Theta [[0, R12], [R12^T, 0]], i.e. built from
-    blockdiag(R1, R2) + Rtilde + N^T J N.
+    coupling R12 removed, i.e. built from blockdiag(R1, R2) + Rtilde + N^T J N;
+    only the interconnection's subsystems are read.
     """
-    n1, n2 = interconnection.sub1.n, interconnection.sub2.n
-    r12 = interconnection.r12
-    direct = _blocks(np.zeros((n1, n1)), np.zeros((n2, n2)), r12, r12.T)
-    a_breve = interconnection.closed_realization.a - 2.0 * interconnection.closed_theta.theta @ direct
-    k = k_matrix(interconnection.closed_theta, weighting,
-                 interconnection.closed_realization.b, a_breve, moments)
-    return k[:n1, n1:]
+    return _q(interconnection.sub1, interconnection.sub2, weighting, moments)[1]
 
 
 @_guarded()  # _stationary_point checks R12* and its residual
 def optimal_r12(sub1, sub2, weighting, moments):
     """(R12, residual, method): the minimum-norm direct coupling solving the
     closed-loop stationarity equation, from design._stationary_point."""
-    base = assemble(sub1, sub2, np.zeros((sub1.n, sub2.n)))
-    return _stationary_point(base.closed_theta.theta, weighting, moments,
-                             q_matrix(base, weighting, moments), sub1.n)
+    ccr, q = _q(sub1, sub2, weighting, moments)
+    return _stationary_point(ccr.theta, weighting, moments, q, sub1.n)

@@ -144,6 +144,17 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             OqhoParams(ccr=canonical_ccr(1), **matrices)
 
+    def test_selector_without_rows_rejected(self):
+        # r = 0 is even and <= m; the coupling still has channels, so the
+        # selector is the matrix at fault.
+        with pytest.raises(ValidationError, match="selector D must have an even number 0 < r <= m of rows, got r=0"):
+            OqhoParams(ccr=canonical_ccr(1), energy=np.zeros((2, 2)), coupling=np.eye(2),
+                       selector=np.zeros((0, 2)))
+        # Without channels the coupling is at fault, not its empty selector.
+        with pytest.raises(ValidationError, match="field channels must be even and positive, got 0"):
+            OqhoParams(ccr=canonical_ccr(1), energy=np.zeros((2, 2)), coupling=np.zeros((0, 2)),
+                       selector=np.zeros((0, 0)))
+
     def test_selector_must_keep_conjugate_pairs(self):
         # Picking channels 1 and 3 from m=4 mixes two different pairs.
         theta = canonical_ccr(1)

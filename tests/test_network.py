@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oqho_memory import network
 from oqho_memory.design import ddot_delta_of_state, grad_ddot_delta_wrt_energy, optimal_energy_matrix
 from oqho_memory.dynamics import MomentData, Weighting
 from oqho_memory.errors import DimensionError, NumericalError, ValidationError
@@ -85,6 +86,19 @@ class TestAssemble:
             pr = check_physical_realizability(inter.closed_realization.a,
                                               inter.closed_realization.b, theta)
             assert pr <= 1e-12
+
+    def test_realization_is_that_of_the_loop_parameters(self):
+        # The closed loop's realization is build_realization of its own
+        # (Theta, R, N, D), field for field, not patched from the block form.
+        rng = np.random.default_rng(77)
+        for nu in (1, 2):
+            sub1, sub2 = make_pair(rng, nu=nu)
+            inter = assemble(sub1, sub2, rng.standard_normal((2 * nu, 2 * nu)))
+            want = build_realization(OqhoParams(inter.closed_theta, inter.closed_r, inter.closed_n,
+                                                scipy.linalg.block_diag(sub1.selector, sub2.selector)))
+            for field in ("a", "b", "c", "d", "a0", "a_tilde"):
+                np.testing.assert_array_equal(getattr(inter.closed_realization, field), getattr(want, field),
+                                              err_msg=field)
 
     def test_closed_theta_block_diagonal(self):
         rng = np.random.default_rng(63)
@@ -192,13 +206,14 @@ class TestQMatrix:
         assert np.linalg.norm(g - (-16.0) * q) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
     def test_independent_of_r12(self):
-        # Q is built from Abreve, the closed loop with the direct coupling removed.
+        # Q is built from Abreve, the A of the loop with R12 = 0, so the loops'
+        # Q are bit-equal: nothing depending on R12 is added and subtracted.
         rng = np.random.default_rng(76)
-        sub1, sub2 = make_pair(rng)
-        base = assemble(sub1, sub2, np.zeros((2, 2)))
-        w, mo = composite_weighting_moments(rng, 4, base.closed_theta)
-        coupled = assemble(sub1, sub2, rng.standard_normal((2, 2)))
-        np.testing.assert_allclose(q_matrix(coupled, w, mo), q_matrix(base, w, mo), atol=1e-12)
+        sub1, sub2 = make_pair(rng, nu=2)
+        base = assemble(sub1, sub2, np.zeros((4, 4)))
+        w, mo = composite_weighting_moments(rng, 8, base.closed_theta)
+        coupled = assemble(sub1, sub2, rng.standard_normal((4, 4)))
+        np.testing.assert_array_equal(q_matrix(coupled, w, mo), q_matrix(base, w, mo))
 
     def test_matches_composite_k_block(self):
         # Without internal couplings and with R1 = R2 = 0, the closed loop is
@@ -233,6 +248,16 @@ class TestOptimalR12:
         x, residual, method = optimal_r12(zero_sub, zero_sub, w, mo)
         assert np.linalg.norm(x) <= 1e-12
         assert residual <= 1e-12
+
+    def test_calls_no_assemble(self, monkeypatch):
+        # Q is read from the loop's parameters; no closed loop is assembled.
+        calls = []
+        monkeypatch.setattr(network, "assemble", lambda *args: calls.append(args) or assemble(*args))
+        rng = np.random.default_rng(78)
+        sub1, sub2 = make_pair(rng)
+        theta = CcrMatrix(scipy.linalg.block_diag(sub1.ccr.theta, sub2.ccr.theta))
+        optimal_r12(sub1, sub2, *composite_weighting_moments(rng, 4, theta))
+        assert calls == []
 
     def test_block_diagonal_case_sylvester(self):
         rng = np.random.default_rng(71)
