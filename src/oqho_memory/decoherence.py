@@ -6,8 +6,9 @@ located by a dense grid scan, and Brent's method (Brent 1973, Algorithms for
 Minimization without Derivatives, ch. 4) refines the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
 Delta.  Scan, refinement and the t -> inf limit behind the Hurwitz
-certificate share one dynamics.DeviationEvaluator, so A is factored once per
-tau and each point costs O(n^2) on its spectral path (the Van Loan path when
+certificate share one dynamics.DeviationEvaluator, and the factorization of A
+is memoized by A's value, so A is factored once per distinct A, not once per
+tau, and each point costs O(n^2) on its spectral path (the Van Loan path when
 A is defective or its eigenvectors ill-conditioned).  The scan is one
 DeviationEvaluator.scan of the grid up to the first point above the
 threshold; Brent's method evaluates one point per step.  The report names

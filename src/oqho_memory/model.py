@@ -116,9 +116,10 @@ class OqhoParams:
         if r % 2 != 0 or not 0 < r <= m:
             raise ValidationError(f"selector D must have an even number 0 < r <= m of rows, got r={r}")
         j = ito_j(m)
-        if np.linalg.norm(d_mat @ d_mat.T - np.eye(r)) > 1e-10:
+        # Per entry, so that a block-diagonal of valid selectors (a closed loop's) is valid.
+        if np.max(np.abs(d_mat @ d_mat.T - np.eye(r))) > 1e-10:
             raise ValidationError("selector rows are not orthonormal (D D^T != I)")
-        if np.linalg.norm(d_mat @ j @ d_mat.T - ito_j(r)) > 1e-10:
+        if np.max(np.abs(d_mat @ j @ d_mat.T - ito_j(r))) > 1e-10:
             raise ValidationError("selector rows do not form conjugate pairs (D J D^T invalid)")
 
     @property

@@ -377,16 +377,22 @@ class TestDecoherenceTime:
         assert rep.certificate == CERT_HURWITZ
 
     def test_one_eigendecomposition_on_no_crossing_path(self, monkeypatch):
-        # The scan, the Hurwitz test and the limit all read the evaluator's
-        # one factorization of A.
+        # The scan, the Hurwitz test and the limit all read one factorization
+        # of A, and so do a second tau, delta, hurwitz_limit and gramian on
+        # the same A: from an empty memo, eig runs once.
         real, w, mo = single_mode()
         calls = []
         for module, name in itertools.product((np.linalg, scipy.linalg), ("eig", "eigvals")):
             func = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, _func=func, **kw: calls.append(_func) or _func(*args, **kw))
+        dynamics._factor.cache_clear()
         rep = decoherence_time(real, w, mo, 1.6)
         assert rep.certificate == CERT_HURWITZ
+        assert decoherence_time(real, w, mo, 0.5).certificate == CERT_CROSSING
+        delta(real.a, real.b, w, mo, 0.3)
+        hurwitz_limit(real.a, real.b, w, mo)
+        dynamics.gramian(real.a, real.b, 0.3)
         assert len(calls) == 1
 
     def test_monotone_in_epsilon(self):

@@ -799,6 +799,50 @@ class TestDeviationEvaluator:
             DeviationEvaluator(a, b, w, mo).terms(times)
 
 
+# _modal_basis keeps the last factorization, keyed by A's value and the
+# condition limit: the library's one process-wide state.
+class TestModalBasisMemo:
+    # An A changed in place has other bytes, so it is factored again, and its
+    # Delta is the one an empty memo (as in a fresh process) gives.
+    def test_a_mutated_in_place_is_factored_again(self, monkeypatch):
+        a, b, w, mo = spectral_family("mixed", None, 3)
+        dynamics._factor.cache_clear()
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda x: calls.append(x) or eig(x))
+        before = delta(a, b, w, mo, 0.7)
+        a[0, 1] += 0.25
+        after = delta(a, b, w, mo, 0.7)
+        assert len(calls) == 2
+        assert after != before
+        dynamics._factor.cache_clear()
+        assert delta(a.copy(), b, w, mo, 0.7) == after
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("kind", ["mixed", "defective"])
+    def test_returned_arrays_are_read_only(self, kind):
+        a = spectral_family("mixed", None, 3)[0] if kind == "mixed" else np.array([[-1.0, 1.0], [0.0, -1.0]])
+        lam, basis = dynamics._modal_basis(a)
+        assert (basis is None) == (kind == "defective")
+        for x in [lam] + ([] if basis is None else list(basis[1:])):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
+        assert dynamics._modal_basis(a.copy())[0] is lam
+
+    # The limit is part of the key: lowering it switches an A already in the
+    # memo to the Van Loan path, and restoring it switches it back.
+    def test_cond_limit_switches_path_of_memoized_a(self, monkeypatch):
+        a, b, w, mo = spectral_family("mixed", None, 3)
+        basis = dynamics._modal_basis(a)[1]
+        assert basis is not None and dynamics._modal_basis(a)[1] is basis
+        limit = dynamics._SPECTRAL_COND_LIMIT
+        monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        assert dynamics._modal_basis(a)[1] is None
+        assert DeviationEvaluator(a, b, w, mo).path == VAN_LOAN
+        monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", limit)
+        assert DeviationEvaluator(a, b, w, mo).path == SPECTRAL
+
+
 # The maps into and out of pair form against dense T and L, block diagonal:
 # T has (1, i) / sqrt(2) and (1, -i) / sqrt(2) as the columns of each of the
 # k pairs and 1 on each of the n - 2k real eigenvalues, L is sqrt(2) T on the

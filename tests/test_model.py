@@ -155,6 +155,17 @@ class TestValidation:
             OqhoParams(ccr=canonical_ccr(1), energy=np.zeros((2, 2)), coupling=np.zeros((0, 2)),
                        selector=np.zeros((0, 0)))
 
+    # The bound is 1e-10 on each entry of D D^T - I: an entry off by 9e-11
+    # passes, one off by 2e-10 does not.
+    def test_selector_orthonormal_per_entry(self):
+        def params(stretch):
+            return OqhoParams(ccr=canonical_ccr(1), energy=np.zeros((2, 2)), coupling=np.eye(2),
+                              selector=np.diag([1.0, 1.0 + stretch]))
+
+        params(4.5e-11)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            params(1e-10)
+
     def test_selector_must_keep_conjugate_pairs(self):
         # Picking channels 1 and 3 from m=4 mixes two different pairs.
         theta = canonical_ccr(1)

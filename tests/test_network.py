@@ -100,6 +100,15 @@ class TestAssemble:
                 np.testing.assert_array_equal(getattr(inter.closed_realization, field), getattr(want, field),
                                               err_msg=field)
 
+    def test_loop_of_valid_selectors_is_valid(self):
+        # D = diag(1, 1 + 4.5e-11) is off by 9e-11 in one entry of D D^T - I,
+        # and so is blockdiag(D, D): the loop's selector is as valid as each.
+        rng = np.random.default_rng(78)
+        sub1, sub2 = (dataclasses.replace(sub, selector=np.diag([1.0, 1.0 + 4.5e-11])) for sub in make_pair(rng))
+        inter = assemble(sub1, sub2, np.zeros((2, 2)))
+        np.testing.assert_array_equal(inter.closed_realization.d,
+                                      scipy.linalg.block_diag(sub1.selector, sub2.selector))
+
     def test_closed_theta_block_diagonal(self):
         rng = np.random.default_rng(63)
         sub1, sub2 = make_pair(rng)
