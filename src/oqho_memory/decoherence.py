@@ -9,10 +9,24 @@ Delta.  Scan, refinement and the t -> inf limit behind the Hurwitz
 certificate share one dynamics.DeviationEvaluator, and the factorization of A
 is memoized by A's value, so A is factored once per distinct A, not once per
 tau, and each point costs O(n^2) on its spectral path (the Van Loan path when
-A is defective or its eigenvectors ill-conditioned).  The scan is one
-DeviationEvaluator.scan of the grid up to the first point above the
-threshold; Brent's method evaluates one point per step.  The report names
-the path and counts the Delta evaluations up to the crossing.  The expansion coefficients are
+A is defective or its eigenvectors ill-conditioned).
+
+The scan skips the grid's prefix where an a-priori bound certifies Delta
+below the threshold.  dynamics._delta_bound is nondecreasing in t,
+
+    Delta(t) <= phi^2 tr(P) expm1(alpha t)^2 + t (||F B||_F + phi ||B||_F expm1(alpha t))^2,
+
+with alpha >= ||A||_2 and phi >= ||F||_2 (||e^{tA} - I||_2 <= expm1(t ||A||_2),
+Moler & Van Loan 2003), and costs O(n^2) once and O(1) a grid point.  A point
+whose bound is at most half the threshold is decided without evaluating
+Delta; the margin of 1/2 leaves room for rounding in Delta and in the bound.
+The scan is one DeviationEvaluator.scan from the last such point (the
+bracket's lower end if the crossing comes next) up to the first point above
+the threshold, so the bracket, tau and the certificate are those of a scan
+from t = 0.  Should rounding put that first point above the threshold, the
+whole grid is scanned.  Brent's method evaluates one point per step.  The
+report names the path and counts the Delta evaluations made: the scanned
+points up to the crossing and Brent's steps.  The expansion coefficients are
 
     tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -27,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _dot_delta, _weighted_trace,
-                       delta_derivatives, time_scale)
+from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _delta_bound, _dot_delta,
+                       _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .model import _system
 from .numerics import _as_finite, _as_matrix, _guarded
@@ -67,10 +81,12 @@ class DecoherenceReport:
     grid_points: int
     bisection_iterations: int  # Delta evaluations of Brent's refinement (old name)
     expansion_valid: bool  # false when FB = 0 and the eps-expansion is inapplicable
-    # Grid points up to and including the first one above the threshold, plus
-    # the refinement's evaluations.  The scan evaluates whole blocks of
-    # dynamics._SCAN_BLOCK points, so up to _SCAN_BLOCK - 1 points after the
-    # crossing are computed but not counted.
+    # Delta evaluations made: the grid points scanned, from the last one whose
+    # a-priori bound (dynamics._delta_bound) is at most half the threshold up
+    # to and including the first one above the threshold, plus the
+    # refinement's evaluations; 0 when the bound certifies the whole grid.
+    # The scan evaluates whole blocks of dynamics._SCAN_BLOCK points, so up
+    # to _SCAN_BLOCK - 1 points after the crossing are computed but not counted.
     delta_evaluations: int
     delta_path: str  # dynamics.SPECTRAL or dynamics.VAN_LOAN
 
@@ -169,9 +185,14 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     most MAX_GRID_POINTS, else PreconditionError) points over [0, horizon]
     in one DeviationEvaluator.scan; Brent's method refines the interval
     before the first point above the threshold to a few ulps (NumericalError
-    if it takes more than _MAX_REFINEMENTS steps).  A summand that is not
-    finite at or before that point raises NumericalError; points after it
-    are not looked at.  +inf is returned
+    if it takes more than _MAX_REFINEMENTS steps).  Grid points where the
+    a-priori bound dynamics._delta_bound is at most half the threshold are
+    not evaluated: the scan starts at the last of them (and scans the whole
+    grid should that point be above the threshold), which leaves the
+    bracket, tau and the certificate as a scan from t = 0 finds them, and
+    delta_evaluations counts only the points evaluated.  A summand that is not
+    finite at a scanned point at or before the crossing raises
+    NumericalError; points after it are not looked at.  +inf is returned
     with a certificate: the deviation is identically zero, or A is Hurwitz
     with its limit below the threshold; otherwise the horizon was exhausted
     and the result is inconclusive.
@@ -209,8 +230,17 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         )
 
     grid = _hybrid_grid(horizon, grid_points)
-    k, sig, noise = evaluator.scan(grid, threshold)
-    if k == len(grid):
+    # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
+    # scan starts at its last point, the bracket's lower end if the crossing
+    # comes next, and skips the whole grid when every point is certified.
+    certified = _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid) <= 0.5 * threshold
+    start = len(grid) if certified.all() else max(int(np.argmin(certified)) - 1, 0)
+    times = grid[start:]
+    k, sig, noise = evaluator.scan(times, threshold)
+    if start and k == 0 < len(times):  # rounding put a certified point above the threshold
+        times = grid
+        k, sig, noise = evaluator.scan(times, threshold)
+    if k == len(times):
         if not (a.any() or b.any()):  # Delta = 0
             return make_report(math.inf, CERT_DELTA_ZERO, k, 0)
         try:
@@ -221,9 +251,9 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
 
     # The bracket's end values come from the scan, so their signs are the scan's.
     d = sig + noise
-    lo, d_lo = (grid[k - 1], d[k - 1]) if k else (0.0, 0.0)  # Delta(0) = 0
+    lo, d_lo = (times[k - 1], d[k - 1]) if k else (0.0, 0.0)  # Delta(0) = 0
     tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
-                        grid[k], d[k] - threshold, 4.0 * np.spacing(grid[k]))
+                        times[k], d[k] - threshold, 4.0 * np.spacing(times[k]))
     return make_report(tau, CERT_CROSSING, k + 1, steps)
 
 

@@ -243,6 +243,26 @@ def _weighted_trace(f, x):
     return float(np.sum((f @ x) * f))
 
 
+@_guarded()  # an overflow gives inf or nan, which no caller reads as below anything
+def _delta_bound(a, b, f, p, dot, times):
+    """An upper bound on Delta at each of times (a 1-D array), nondecreasing in t:
+
+        bound(t) = phi^2 tr(P) expm1(alpha t)^2 + t (sqrt(dot) + phi ||B||_F expm1(alpha t))^2
+
+    with alpha = sqrt(||A||_1 ||A||_inf) >= ||A||_2 (the bound _propagate
+    reads), phi = sqrt(||F||_1 ||F||_inf) >= ||F||_2 and dot = ||F B||_F^2.
+    E = e^{tA} - I has ||E||_2 <= expm1(t ||A||_2) (Moler & Van Loan 2003;
+    Higham, Functions of Matrices, 2008, ch. 10), so the signal term
+    ||F E P^{1/2}||_F^2 is at most phi^2 expm1(alpha t)^2 tr(P), and the noise
+    term is the integral over [0, t] of ||F e^{sA} B||_F^2, whose root is at
+    most ||F B||_F + phi ||B||_F expm1(alpha s).  O(n^2) once, O(1) a time.
+    """
+    alpha = math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
+    phi = math.sqrt(np.linalg.norm(f, 1) * np.linalg.norm(f, np.inf))
+    e = np.expm1(alpha * times)
+    return phi * phi * np.trace(p) * e * e + times * (math.sqrt(dot) + phi * np.linalg.norm(b) * e) ** 2
+
+
 def _modal_basis(a):
     """(lam, basis): the eigenvalues of A and its real modal basis
     (k, V, V^-1, kept, Z), for a float64 A read by model._system.

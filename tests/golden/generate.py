@@ -13,7 +13,11 @@ Before writing, the script checks that every scan's bracketing points, the
 last grid point at or below the threshold and the first above it, lie at
 least BRACKET_MARGIN relative from the threshold, and so does the Hurwitz
 limit that certifies a scan without a crossing: a change of rounding on
-another host cannot move the crossing to another grid point.
+another host cannot move the crossing to another grid point.  The crossing's
+index is read from the grid and tau.  The a-priori bound that sets where the
+scan starts (dynamics._delta_bound) is checked the same way at its last
+point at or below half the threshold and its first above: rounding cannot
+move the start either, so the counts of Delta evaluations are pinned.
 """
 
 import json
@@ -31,6 +35,8 @@ from oqho_memory.dynamics import (  # noqa: E402
     DeviationEvaluator,
     MomentData,
     Weighting,
+    _delta_bound,
+    _dot_delta,
     asymptotic_rate,
     gramian,
 )
@@ -94,19 +100,26 @@ def compute(name):
 
 
 def check_brackets(name, entry):
-    """AssertionError unless each scan decides BRACKET_MARGIN away from its threshold."""
+    """AssertionError unless each scan decides BRACKET_MARGIN away from its
+    threshold, and the a-priori bound that sets where the scan starts decides
+    BRACKET_MARGIN away from half the threshold."""
     a, b, w, mo = system(name)
     ev = DeviationEvaluator(a, b, w, mo)
     for r in entry["reports"]:
         grid = _hybrid_grid(r["horizon_used"], r["grid_points"])
-        scanned = r["delta_evaluations"] - r["bisection_iterations"]
-        d = ev.delta(grid[:scanned])
         if r["certificate"] == "crossing_found":
-            decided = list(d[-2:])  # Delta(0) = 0 exactly when the first point crosses
+            # tau lies in (grid[k - 1], grid[k]]; Delta(0) = 0 exactly when the first point crosses.
+            k = int(np.sum(grid < r["tau"]))
+            decided = list(ev.delta(grid[:k + 1])[-2:])
         else:
-            decided = [d.max()] + [entry["hurwitz_limit"]] * (r["certificate"] == "hurwitz_below_threshold")
+            certified = r["certificate"] == "hurwitz_below_threshold"
+            decided = [ev.delta(grid).max()] + [entry["hurwitz_limit"]] * certified
+        bound = _delta_bound(a, b, w.f, mo.p, _dot_delta(w.f, b), grid)
+        last = int(np.sum(bound <= 0.5 * r["threshold"])) - 1
         for x in decided:
             assert abs(x - r["threshold"]) >= BRACKET_MARGIN * r["threshold"], (name, r["epsilon"], x)
+        for x in bound[max(last, 0):last + 2]:
+            assert abs(x - 0.5 * r["threshold"]) >= BRACKET_MARGIN * r["threshold"], (name, r["epsilon"], x)
 
 
 def main():

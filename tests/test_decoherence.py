@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -23,6 +24,8 @@ from oqho_memory.dynamics import DeviationEvaluator, MomentData, Weighting, delt
 from oqho_memory.errors import NumericalError, PreconditionError
 from oqho_memory.model import J2, OqhoParams, Realization, build_realization, canonical_ccr
 
+from golden.generate import SYSTEMS as GOLDEN_SYSTEMS
+from golden.generate import system as golden_system
 from oracles import (
     random_damped_realization,
     random_hurwitz_realization,
@@ -212,7 +215,9 @@ class TestDecoherenceTime:
         assert rep.tau == math.inf
         assert rep.certificate == CERT_DELTA_ZERO
         assert rep.delta_path == dynamics.SPECTRAL
-        assert rep.delta_evaluations == rep.grid_points == 2000
+        # The a-priori bound is 0 at every point: no point is evaluated.
+        assert rep.grid_points == 2000
+        assert rep.delta_evaluations == 0
 
     def test_tiny_decay_is_not_identically_zero(self):
         # A = -1e-200 I, B = 0: Delta tends to tr(P) = 2 above the threshold
@@ -225,22 +230,33 @@ class TestDecoherenceTime:
     def test_undamped_below_threshold_is_inconclusive(self):
         # A = J2 rotates, B = 0: Delta(t) = ||e^{t J2} - I||^2 = 4 (1 - cos t) <= 8
         # stays below the threshold 5 ||F sqrt(P)||^2 = 10, and A is not Hurwitz,
-        # so no certificate applies.
+        # so no certificate applies.  The a-priori bound 2 expm1(t)^2 is at most
+        # half the threshold up to t = log1p(sqrt(2.5)); the scan runs from the
+        # last grid point there to the horizon.
         _, w, mo = single_mode()
         rep = decoherence_time((J2, np.zeros((2, 2))), w, mo, 5.0)
         assert rep.tau == math.inf
         assert rep.certificate == CERT_INCONCLUSIVE
         assert abs(rep.threshold - 10.0) <= 1e-14
         assert not rep.expansion_valid
-        assert rep.delta_evaluations == len(_hybrid_grid(rep.horizon_used, rep.grid_points))
+        grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
+        start = int(np.sum(grid <= math.log1p(math.sqrt(2.5)))) - 1
+        assert start > 0
+        assert rep.delta_evaluations == len(grid) - start
 
     def test_delta_evaluations_count(self):
+        # The scan runs from the last grid point whose a-priori bound
+        # 2 expm1(t)^2 + 2 t e^{2t} (alpha = phi = 1, tr(P) = ||F B||^2 = 2,
+        # ||B||_F^2 = 2) is at most half the threshold, up to the crossing.
         real, w, mo = single_mode()
         rep = decoherence_time(real, w, mo, 0.01)
         grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
-        scanned = int(np.argmax(closed_form_delta(grid) > rep.threshold)) + 1
+        bound = 2.0 * np.expm1(grid) ** 2 + 2.0 * grid * np.exp(2.0 * grid)
+        start = int(np.sum(bound <= 0.5 * rep.threshold)) - 1
+        crossing = int(np.argmax(closed_form_delta(grid) > rep.threshold))
+        assert 0 < start < crossing
         assert rep.bisection_iterations > 0
-        assert rep.delta_evaluations == scanned + rep.bisection_iterations
+        assert rep.delta_evaluations == crossing - start + 1 + rep.bisection_iterations
         assert rep.delta_path == dynamics.SPECTRAL
 
     # One tau takes the threshold scale tr(F P F^T) from one _weighted_trace
@@ -320,14 +336,20 @@ class TestDecoherenceTime:
 
     def test_crossing_before_overflow(self):
         # The grid points after the crossing overflow, some in the same
-        # block as the crossing; only the crossing counts.
+        # block as the crossing; only the crossing counts.  The a-priori
+        # bound is Delta itself here, at most half the threshold up to
+        # t = log1p(sqrt(5e289)) / 50, and the scan starts at the last grid
+        # point there.
         system, w, mo = self.unstable()
         rep = decoherence_time(system, w, mo, 1e290, horizon=5000.0)
         assert rep.certificate == CERT_CROSSING
         want = 290.0 * math.log(10.0) / 100.0
         assert abs(rep.tau - want) <= 1e-12 * want
         grid = _hybrid_grid(rep.horizon_used, rep.grid_points)
-        assert rep.delta_evaluations == int(np.sum(grid <= rep.tau)) + 1 + rep.bisection_iterations
+        start = int(np.sum(grid <= math.log1p(math.sqrt(5e289)) / 50.0)) - 1
+        crossing = int(np.sum(grid <= rep.tau))
+        assert 0 < start < crossing
+        assert rep.delta_evaluations == crossing - start + 1 + rep.bisection_iterations
 
     def test_overflow_before_crossing(self):
         # On a coarse grid the first point past the crossing is already
@@ -354,6 +376,46 @@ class TestDecoherenceTime:
             assert rep.delta_evaluations == ref.delta_evaluations
             assert rep.bisection_iterations == ref.bisection_iterations
             assert abs(rep.tau - ref.tau) <= 1e-14 * ref.tau
+
+    # The skipped prefix changes what is evaluated, not what is found.  With
+    # the a-priori bound patched to +inf the scan starts at t = 0, as the
+    # full scan does: every other field of the report is bit-identical, and
+    # delta_evaluations is never higher.  With the bound patched to certify
+    # the crossing's grid point too, the scan starts above the threshold and
+    # falls back to the full scan: the whole report is the full scan's.
+    @pytest.mark.parametrize("name, van_loan", [(name, False) for name in GOLDEN_SYSTEMS]
+                             + [(f"{kind}-{n}", van_loan) for kind in ("hurwitz", "marginal")
+                                for n in (8, 16) for van_loan in (False, True)])
+    def test_skipped_prefix_finds_what_the_full_scan_finds(self, monkeypatch, name, van_loan):
+        if name in GOLDEN_SYSTEMS:
+            a, b, w, mo = golden_system(name)
+        else:
+            kind, n = name.split("-")
+            rng = np.random.default_rng(44 + int(n))
+            params, real = random_damped_realization(rng, int(n) // 2)
+            a, b = (real.a, real.b) if kind == "hurwitz" else random_marginal_modes(rng, int(n) // 2)
+            w, mo = Weighting(rng.standard_normal((int(n), int(n)))), MomentData(random_spd(rng, int(n)), params.ccr)
+        if van_loan:
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+
+        def bits(rep):
+            return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rep)]
+
+        for eps in (0.01, 0.1, 1.0):
+            rep = decoherence_time((a, b), w, mo, eps)
+            assert rep.delta_path == (dynamics.VAN_LOAN if van_loan or name == "van-loan" else dynamics.SPECTRAL)
+            with monkeypatch.context() as m:
+                m.setattr(decoherence, "_delta_bound", lambda *args: np.full(len(args[-1]), np.inf))
+                ref = decoherence_time((a, b), w, mo, eps)
+            assert bits(dataclasses.replace(rep, delta_evaluations=ref.delta_evaluations)) == bits(ref), eps
+            assert rep.delta_evaluations <= ref.delta_evaluations
+            if ref.certificate != CERT_CROSSING:
+                continue
+            grid = _hybrid_grid(ref.horizon_used, ref.grid_points)
+            above = grid[np.sum(grid < ref.tau)]  # the crossing's grid point
+            with monkeypatch.context() as m:
+                m.setattr(decoherence, "_delta_bound", lambda *args: np.where(args[-1] <= above, 0.0, np.inf))
+                assert bits(decoherence_time((a, b), w, mo, eps)) == bits(ref), eps
 
     def test_single_mode_against_root_finder(self):
         real, w, mo = single_mode()

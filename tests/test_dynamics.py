@@ -1030,3 +1030,61 @@ class TestDefaultTimeGrid:
         assert times[-1] == 5.0
         if points > 1:
             np.testing.assert_array_equal(times, np.geomspace(5e-4, 5.0, points))
+
+
+# The a-priori bound behind decoherence_time's skipped grid prefix.  It is
+# Delta itself for A = 50 I, B = 0, F = 2 I, P = I (alpha and phi are then
+# exact norms) and for A = 0, where Delta = t ||F B||^2, so Delta may exceed
+# it by rounding.  The Van Loan path forms e^{tA} - I, which cancels to
+# ~eps / (t ||A||) relative at small t (3e-10 at t = 1e-8, A = 50 I), so
+# 1e-9 relative is allowed.
+BOUND_SYSTEMS = ("hurwitz", "marginal", "unstable", "unstable-noiseless", "diffusion", "few-rows",
+                 "defective")
+
+
+def bound_system(name):
+    """(A, B, Weighting, MomentData) of one of BOUND_SYSTEMS, n = 8 (2 for defective)."""
+    if name == "defective":
+        return np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2), *identity_weighting_moments()
+    rng = np.random.default_rng(33)
+    params, real = random_damped_realization(rng, 4)
+    a, b, n = real.a, real.b, len(real.a)
+    w, mo = Weighting(rng.standard_normal((n, n))), MomentData(random_spd(rng, n), params.ccr)
+    if name == "marginal":
+        a, b = random_marginal_modes(rng, 4)
+    elif name == "unstable":
+        a = 50.0 * np.eye(n)
+    elif name == "unstable-noiseless":
+        a, b, w, mo = 50.0 * np.eye(n), np.zeros((n, n)), Weighting(2.0 * np.eye(n)), MomentData(np.eye(n), params.ccr)
+    elif name == "diffusion":
+        a = np.zeros((n, n))
+    elif name == "few-rows":
+        w = Weighting(rng.standard_normal((2, n)))
+    return a, b, w, mo
+
+
+class TestDeltaBound:
+    @pytest.mark.parametrize("van_loan", [False, True])
+    @pytest.mark.parametrize("name", BOUND_SYSTEMS)
+    def test_bound_holds_and_grows(self, monkeypatch, name, van_loan):
+        a, b, w, mo = bound_system(name)
+        if van_loan:
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        times = np.unique(np.concatenate([np.geomspace(1e-8, 20.0, 400), np.linspace(0.0, 20.0, 401)]))
+        bound = dynamics._delta_bound(a, b, w.f, mo.p, dynamics._dot_delta(w.f, b), times)
+        finite = np.isfinite(bound)
+        assert finite.sum() >= 300
+        assert np.all(finite[:finite.sum()])  # it overflows only past every finite value
+        times, bound = times[finite], bound[finite]
+        ev = DeviationEvaluator(a, b, w, mo)
+        assert ev.path == (VAN_LOAN if van_loan or name == "defective" else SPECTRAL)
+        d = ev.delta(times)
+        assert np.all(d <= bound * (1.0 + 1e-9)), times[d > bound * (1.0 + 1e-9)]
+        assert np.all(np.diff(bound) >= 0.0)
+
+    def test_overflow_is_not_finite(self):
+        # A = 50 I, B = 0: the bound overflows from t ~ 7.1 on, quietly, to
+        # inf or, where 0 ||B||_F meets expm1 = inf, nan.
+        a, b, w, mo = bound_system("unstable-noiseless")
+        bound = dynamics._delta_bound(a, b, w.f, mo.p, 0.0, np.array([7.0, 7.2, 1e300]))
+        assert np.isfinite(bound[0]) and not np.isfinite(bound[1:]).any()

@@ -11,7 +11,8 @@ by up to 2.9e-15, the asymptotic rate of the near-degenerate marginal kind
 (conditioned like 1 / gap) by up to 3.1e-12, every other value by up to
 1.4e-14, and Brent's method by up to two steps.  The scanned counts never
 moved: the generator keeps every bracketing point 1e-9 relative from its
-threshold.  On the design and network table the same core types moved R* by
+threshold, and the a-priori bound that sets the scan's start 1e-9 relative
+from half of it.  On the design and network table the same core types moved R* by
 up to 2.2e-14 relative (the singular-Sigma pair at 8 + 8 modes), R12* by up
 to 4.1e-15, ddot(Delta) at R* by up to 2.7e-15, every other matrix and value
 by up to 5.5e-16, and each stationarity residual by up to 5.7e-16 of the
