@@ -24,9 +24,12 @@ The scan is one DeviationEvaluator.scan from the last such point (the
 bracket's lower end if the crossing comes next) up to the first point above
 the threshold, so the bracket, tau and the certificate are those of a scan
 from t = 0.  Should rounding put that first point above the threshold, the
-whole grid is scanned.  Brent's method evaluates one point per step.  The
-report names the path and counts the Delta evaluations made: the scanned
-points up to the crossing and Brent's steps.  The expansion coefficients are
+whole grid is scanned.  The bound's norms and products are formed so that
+it under- or overflows only where its value does.  Brent's method evaluates
+one point per step.  The report names the path and counts the Delta
+evaluations made: the scanned points up to the crossing and Brent's steps
+(and, on the fallback, the one point scanned before it).  The expansion
+coefficients are
 
     tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -85,6 +88,8 @@ class DecoherenceReport:
     # a-priori bound (dynamics._delta_bound) is at most half the threshold up
     # to and including the first one above the threshold, plus the
     # refinement's evaluations; 0 when the bound certifies the whole grid.
+    # Should the first point scanned be above the threshold, the whole grid
+    # is scanned again from t = 0, and that first point counts too.
     # The scan evaluates whole blocks of dynamics._SCAN_BLOCK points, so up
     # to _SCAN_BLOCK - 1 points after the crossing are computed but not counted.
     delta_evaluations: int
@@ -190,7 +195,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     not evaluated: the scan starts at the last of them (and scans the whole
     grid should that point be above the threshold), which leaves the
     bracket, tau and the certificate as a scan from t = 0 finds them, and
-    delta_evaluations counts only the points evaluated.  A summand that is not
+    delta_evaluations counts only the points evaluated (that point and the
+    full scan's on the fallback).  A summand that is not
     finite at a scanned point at or before the crossing raises
     NumericalError; points after it are not looked at.  +inf is returned
     with a certificate: the deviation is identically zero, or A is Hurwitz
@@ -212,7 +218,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if horizon is None:
         horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
 
-    def make_report(tau, certificate, scanned, iters):
+    def make_report(tau, certificate, scanned, iters):  # reads wasted, set by the scan below
         return DecoherenceReport(
             epsilon=float(epsilon),
             threshold=threshold,
@@ -225,7 +231,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
             grid_points=grid_points,
             bisection_iterations=iters,
             expansion_valid=expansion_valid,
-            delta_evaluations=scanned + iters,
+            delta_evaluations=wasted + scanned + iters,
             delta_path=evaluator.path,
         )
 
@@ -237,7 +243,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     start = len(grid) if certified.all() else max(int(np.argmin(certified)) - 1, 0)
     times = grid[start:]
     k, sig, noise = evaluator.scan(times, threshold)
-    if start and k == 0 < len(times):  # rounding put a certified point above the threshold
+    wasted = int(start > 0 and k == 0 < len(times))  # rounding put a certified point above the threshold
+    if wasted:  # grid[start] was evaluated; the full scan evaluates it again
         times = grid
         k, sig, noise = evaluator.scan(times, threshold)
     if k == len(times):

@@ -70,7 +70,7 @@ from .errors import (
 )
 from .model import _system, ito_j
 from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm, _on_axis,
-                       _scaled_eigh, matrix_exp, solve_lyapunov)
+                       _product, _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -164,18 +164,26 @@ class Weighting:
 _MAX_STEP_NORM = 5.0
 
 
+def _norm2_bound(x):
+    """sqrt(||X||_1 ||X||_inf) >= ||X||_2 (the largest column and row sums of
+    |X|), with each norm's root taken apart, so that it over- or underflows
+    only where the bound itself does."""
+    x = np.abs(x)
+    return math.sqrt(x.sum(axis=0).max(initial=0.0)) * math.sqrt(x.sum(axis=1).max(initial=0.0))
+
+
 def _propagate(a, q, t):
     """(e^{tA}, V(t)) with V(t) = int_0^t e^{sA} Q e^{sA^T} ds.
 
     Exponentiates the block [[A, Q], [0, -A^T]] once, over h = t / 2^k with
-    h sqrt(||A||_1 ||A||_inf) <= _MAX_STEP_NORM (a bound on h ||A||_2), then
+    h _norm2_bound(A) <= _MAX_STEP_NORM (a bound on h ||A||_2), then
     doubles k times: E(2h) = E(h)^2, V(2h) = V(h) + E(h) V(h) E(h)^T.
     NumericalError when Q, formed by the caller from B, overflowed.
     """
     if not np.isfinite(q).all():
         raise NumericalError("the source term Q, formed from B, is not finite")
     n = a.shape[0]
-    steps = t * math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)) / _MAX_STEP_NORM
+    steps = t * _norm2_bound(a) / _MAX_STEP_NORM
     k = math.frexp(steps)[1] if steps > 1.0 else 0  # 2^(k-1) <= steps < 2^k
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = a
@@ -247,20 +255,26 @@ def _weighted_trace(f, x):
 def _delta_bound(a, b, f, p, dot, times):
     """An upper bound on Delta at each of times (a 1-D array), nondecreasing in t:
 
-        bound(t) = phi^2 tr(P) expm1(alpha t)^2 + t (sqrt(dot) + phi ||B||_F expm1(alpha t))^2
+        bound(t) = (phi sqrt(tr P) expm1(alpha t))^2 + (sqrt(t) (g + phi ||B||_F expm1(alpha t)))^2
 
-    with alpha = sqrt(||A||_1 ||A||_inf) >= ||A||_2 (the bound _propagate
-    reads), phi = sqrt(||F||_1 ||F||_inf) >= ||F||_2 and dot = ||F B||_F^2.
-    E = e^{tA} - I has ||E||_2 <= expm1(t ||A||_2) (Moler & Van Loan 2003;
-    Higham, Functions of Matrices, 2008, ch. 10), so the signal term
-    ||F E P^{1/2}||_F^2 is at most phi^2 expm1(alpha t)^2 tr(P), and the noise
-    term is the integral over [0, t] of ||F e^{sA} B||_F^2, whose root is at
-    most ||F B||_F + phi ||B||_F expm1(alpha s).  O(n^2) once, O(1) a time.
+    with alpha = _norm2_bound(A) >= ||A||_2 (the bound _propagate reads),
+    phi = _norm2_bound(F) >= ||F||_2 and g = sqrt(dot) = ||F B||_F, dot as
+    _dot_delta forms it.  E = e^{tA} - I has ||E||_2 <= expm1(t ||A||_2)
+    (Moler & Van Loan 2003; Higham, Functions of Matrices, 2008, ch. 10), so
+    the signal term ||F E P^{1/2}||_F^2 is at most the first square, and the
+    noise term is the integral over [0, t] of ||F e^{sA} B||_F^2, whose root is
+    at most g + phi ||B||_F expm1(alpha s).  Each root is one _product, and
+    ||B||_F is numerics._norm, so the bound over- or underflows only where
+    its value does.  A dot below the normal range (||F B||_F^2 underflowed)
+    is read as g = sqrt(2 tiny), above what underflowed.  O(n^2) once, O(1)
+    a time.
     """
-    alpha = math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
-    phi = math.sqrt(np.linalg.norm(f, 1) * np.linalg.norm(f, np.inf))
-    e = np.expm1(alpha * times)
-    return phi * phi * np.trace(p) * e * e + times * (math.sqrt(dot) + phi * np.linalg.norm(b) * e) ** 2
+    phi = _norm2_bound(f)
+    e = np.expm1(_norm2_bound(a) * times)
+    g = math.sqrt(max(dot, 2.0 * np.finfo(float).tiny))
+    signal = _product(phi, math.sqrt(np.trace(p)), e)
+    noise = _product(np.sqrt(times), g + _product(phi, _norm(b), e))
+    return signal * signal + noise * noise
 
 
 def _modal_basis(a):

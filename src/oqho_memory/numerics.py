@@ -119,6 +119,18 @@ def _norm(x):
     return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
+def _product(*factors):
+    """The product of factors (numbers or arrays, broadcast) that over- or underflows
+    only where the product itself does: their mantissas (np.frexp, each in [1/2, 1))
+    are multiplied and their exponents added apart, and np.ldexp rounds once.
+    Callers run it under _guarded."""
+    mantissa, exponent = 1.0, 0
+    for x in factors:
+        m, e = np.frexp(x)
+        mantissa, exponent = mantissa * m, exponent + e
+    return np.ldexp(mantissa, exponent)
+
+
 def _guarded(what=None):
     """Run func with numpy's float warnings off (a fresh errstate per call); given what,
     raise NumericalError unless each float or array returned, alone or in a tuple, is finite."""

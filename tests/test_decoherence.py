@@ -44,6 +44,11 @@ def single_mode():
     return real, Weighting(np.eye(2)), MomentData(np.eye(2), THETA1)
 
 
+def bits(rep):
+    """A report's fields, each float as its hex string, so that nan equals nan."""
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rep)]
+
+
 def closed_form_delta(t):
     return 2.0 * (1.0 - np.exp(-t)) ** 2 + 1.0 - np.exp(-2.0 * t)
 
@@ -227,6 +232,24 @@ class TestDecoherenceTime:
         assert rep.tau == math.inf
         assert rep.certificate == CERT_INCONCLUSIVE
 
+    # A = s I with |s| = 1e-200, B = 0: Delta(t) = 2 expm1(s t)^2 reaches the
+    # threshold 2 eps where s t = log1p(+-sqrt(eps)), near 1e199, inside the
+    # default horizon 50 / ||A||_F ~ 3.5e201.  ||A||_1 ||A||_inf underflows,
+    # so the a-priori bound must not be formed from it: the report is the
+    # full scan's, but for the points the bound lets the scan skip.
+    @pytest.mark.parametrize("s", [1e-200, -1e-200])
+    def test_tiny_a_crosses_as_the_full_scan_does(self, monkeypatch, s):
+        _, w, mo = single_mode()
+        system = (s * np.eye(2), np.zeros((2, 2)))
+        rep = decoherence_time(system, w, mo, 0.1)
+        assert rep.certificate == CERT_CROSSING
+        want = math.log1p(math.copysign(math.sqrt(0.1), s)) / s
+        assert abs(rep.tau - want) <= 1e-12 * want
+        monkeypatch.setattr(decoherence, "_delta_bound", lambda *args: np.full(len(args[-1]), np.inf))
+        ref = decoherence_time(system, w, mo, 0.1)
+        assert bits(dataclasses.replace(rep, delta_evaluations=ref.delta_evaluations)) == bits(ref)
+        assert rep.delta_evaluations < ref.delta_evaluations
+
     def test_undamped_below_threshold_is_inconclusive(self):
         # A = J2 rotates, B = 0: Delta(t) = ||e^{t J2} - I||^2 = 4 (1 - cos t) <= 8
         # stays below the threshold 5 ||F sqrt(P)||^2 = 10, and A is not Hurwitz,
@@ -382,7 +405,8 @@ class TestDecoherenceTime:
     # full scan does: every other field of the report is bit-identical, and
     # delta_evaluations is never higher.  With the bound patched to certify
     # the crossing's grid point too, the scan starts above the threshold and
-    # falls back to the full scan: the whole report is the full scan's.
+    # falls back to the full scan: the report is the full scan's, with the
+    # one point evaluated before the fallback counted too.
     @pytest.mark.parametrize("name, van_loan", [(name, False) for name in GOLDEN_SYSTEMS]
                              + [(f"{kind}-{n}", van_loan) for kind in ("hurwitz", "marginal")
                                 for n in (8, 16) for van_loan in (False, True)])
@@ -398,9 +422,6 @@ class TestDecoherenceTime:
         if van_loan:
             monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
 
-        def bits(rep):
-            return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rep)]
-
         for eps in (0.01, 0.1, 1.0):
             rep = decoherence_time((a, b), w, mo, eps)
             assert rep.delta_path == (dynamics.VAN_LOAN if van_loan or name == "van-loan" else dynamics.SPECTRAL)
@@ -415,7 +436,8 @@ class TestDecoherenceTime:
             above = grid[np.sum(grid < ref.tau)]  # the crossing's grid point
             with monkeypatch.context() as m:
                 m.setattr(decoherence, "_delta_bound", lambda *args: np.where(args[-1] <= above, 0.0, np.inf))
-                assert bits(decoherence_time((a, b), w, mo, eps)) == bits(ref), eps
+                fallback = decoherence_time((a, b), w, mo, eps)
+            assert bits(fallback) == bits(dataclasses.replace(ref, delta_evaluations=ref.delta_evaluations + 1)), eps
 
     def test_single_mode_against_root_finder(self):
         real, w, mo = single_mode()

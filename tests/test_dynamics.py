@@ -1088,3 +1088,25 @@ class TestDeltaBound:
         a, b, w, mo = bound_system("unstable-noiseless")
         bound = dynamics._delta_bound(a, b, w.f, mo.p, 0.0, np.array([7.0, 7.2, 1e300]))
         assert np.isfinite(bound[0]) and not np.isfinite(bound[1:]).any()
+
+    # (s A, sqrt(s) b B, c F, p P) has Delta(t) = c^2 (p signal(s t) + b^2 noise(s t)),
+    # with the terms of (A, B, F, P), so the bound is checked at scales where a
+    # product of the norms in it, taken factor by factor, would under- or overflow.
+    # On the unstable system ||F e^{tA} B||_F grows, so the noise term's bound
+    # needs its ||B||_F part.
+    @pytest.mark.parametrize("name, s, b, c, p", [
+        ("hurwitz", 1e-200, 1.0, 1.0, 1.0),  # ||A||_1 ||A||_inf ~ 1e-400
+        ("hurwitz", 1.0, 1e125, 1e-200, 1e250),  # ||F||_1 ||F||_inf ~ 1e-400
+        ("unstable", 1.0, 1e-200, 1e200, 0.0),  # ||B||_F^2 ~ 1e-400, ||F||_1 ||F||_inf ~ 1e400
+        ("hurwitz", 1e-300, 1e-50, 1.0, 0.0),  # ||F B||_F^2 ~ 1e-400 underflows to dot = 0, at t ~ 1e300
+    ])
+    def test_bound_holds_at_extreme_scales(self, name, s, b, c, p):
+        a0, b0, w, mo = bound_system(name)
+        times = np.unique(np.concatenate([np.geomspace(1e-8, 6.0, 400), np.linspace(0.0, 6.0, 401)]))
+        sig, noise = DeviationEvaluator(a0, b0, w, mo).terms(times)  # finite up to t = 7 at A = 50 I
+        want = c * (c * p) * sig + (c * b) ** 2 * noise
+        bs, fs = np.sqrt(s) * b * b0, c * w.f
+        bound = dynamics._delta_bound(s * a0, bs, fs, p * mo.p, dynamics._dot_delta(fs, bs), times / s)
+        assert np.isfinite(bound).all()
+        assert np.all(want <= bound * (1.0 + 1e-9))
+        assert np.all(np.diff(bound) >= 0.0)
