@@ -23,13 +23,14 @@ Delta; the margin of 1/2 leaves room for rounding in Delta and in the bound.
 The scan is one DeviationEvaluator.scan from the last such point (the
 bracket's lower end if the crossing comes next) up to the first point above
 the threshold, so the bracket, tau and the certificate are those of a scan
-from t = 0.  Should rounding put that first point above the threshold, the
-whole grid is scanned.  The bound's norms and products are formed so that
-it under- or overflows only where its value does.  Brent's method evaluates
-one point per step.  The report names the path and counts the Delta
-evaluations made: the scanned points up to the crossing and Brent's steps
-(and, on the fallback, the one point scanned before it).  The expansion
-coefficients are
+from t = 0.  Should that first point be above the threshold, Delta there
+is off by more than half the threshold or the bound is wrong, and a
+NumericalError names the time, Delta and the bound.  The bound's norms and
+products are formed so that it under- or overflows only where its value
+does.  Brent's method evaluates one point per step; on the bracket
+[0, grid[0]] its tolerance is that of t = 0.  The report names the path and
+counts the Delta evaluations made: the scanned points up to and including
+the crossing, and Brent's steps.  The expansion coefficients are
 
     tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -88,8 +89,8 @@ class DecoherenceReport:
     # a-priori bound (dynamics._delta_bound) is at most half the threshold up
     # to and including the first one above the threshold, plus the
     # refinement's evaluations; 0 when the bound certifies the whole grid.
-    # Should the first point scanned be above the threshold, the whole grid
-    # is scanned again from t = 0, and that first point counts too.
+    # A first scanned point that the bound certifies but Delta puts above the
+    # threshold is a NumericalError, not a count.
     # The scan evaluates whole blocks of dynamics._SCAN_BLOCK points, so up
     # to _SCAN_BLOCK - 1 points after the crossing are computed but not counted.
     delta_evaluations: int
@@ -192,16 +193,17 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     before the first point above the threshold to a few ulps (NumericalError
     if it takes more than _MAX_REFINEMENTS steps).  Grid points where the
     a-priori bound dynamics._delta_bound is at most half the threshold are
-    not evaluated: the scan starts at the last of them (and scans the whole
-    grid should that point be above the threshold), which leaves the
+    not evaluated: the scan starts at the last of them, which leaves the
     bracket, tau and the certificate as a scan from t = 0 finds them, and
-    delta_evaluations counts only the points evaluated (that point and the
-    full scan's on the fallback).  A summand that is not
-    finite at a scanned point at or before the crossing raises
-    NumericalError; points after it are not looked at.  +inf is returned
-    with a certificate: the deviation is identically zero, or A is Hurwitz
-    with its limit below the threshold; otherwise the horizon was exhausted
-    and the result is inconclusive.
+    delta_evaluations counts the points scanned up to and including the
+    crossing plus Brent's steps.  Should that last certified point read above
+    the threshold, Delta or the bound is in error: NumericalError, naming the
+    time, Delta there and the bound.  A summand that is not finite at a
+    scanned point at or before the crossing raises NumericalError; points
+    after it are not looked at.  +inf is returned with a certificate: the
+    deviation is identically zero, or A is Hurwitz with its limit below the
+    threshold; otherwise the horizon was exhausted and the result is
+    inconclusive.
     """
     _check_epsilon(epsilon)
     a, b = _system(system)
@@ -218,50 +220,41 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     if horizon is None:
         horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
 
-    def make_report(tau, certificate, scanned, iters):  # reads wasted, set by the scan below
-        return DecoherenceReport(
-            epsilon=float(epsilon),
-            threshold=threshold,
-            tau=tau,
-            tau_prime=tp,
-            tau_second=ts,
-            tau_hat=hat,
-            horizon_used=float(horizon),
-            certificate=certificate,
-            grid_points=grid_points,
-            bisection_iterations=iters,
-            expansion_valid=expansion_valid,
-            delta_evaluations=wasted + scanned + iters,
-            delta_path=evaluator.path,
-        )
-
     grid = _hybrid_grid(horizon, grid_points)
     # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
     # scan starts at its last point, the bracket's lower end if the crossing
     # comes next, and skips the whole grid when every point is certified.
-    certified = _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid) <= 0.5 * threshold
+    bound = _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid)
+    certified = bound <= 0.5 * threshold
     start = len(grid) if certified.all() else max(int(np.argmin(certified)) - 1, 0)
     times = grid[start:]
     k, sig, noise = evaluator.scan(times, threshold)
-    wasted = int(start > 0 and k == 0 < len(times))  # rounding put a certified point above the threshold
-    if wasted:  # grid[start] was evaluated; the full scan evaluates it again
-        times = grid
-        k, sig, noise = evaluator.scan(times, threshold)
+    tau, steps = math.inf, 0
     if k == len(times):
         if not (a.any() or b.any()):  # Delta = 0
-            return make_report(math.inf, CERT_DELTA_ZERO, k, 0)
-        try:
-            below = evaluator.hurwitz_limit() <= threshold
-        except PreconditionError:  # A is not Hurwitz
-            below = False
-        return make_report(math.inf, CERT_HURWITZ if below else CERT_INCONCLUSIVE, k, 0)
-
-    # The bracket's end values come from the scan, so their signs are the scan's.
-    d = sig + noise
-    lo, d_lo = (times[k - 1], d[k - 1]) if k else (0.0, 0.0)  # Delta(0) = 0
-    tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
-                        times[k], d[k] - threshold, 4.0 * np.spacing(times[k]))
-    return make_report(tau, CERT_CROSSING, k + 1, steps)
+            certificate = CERT_DELTA_ZERO
+        else:
+            try:
+                below = evaluator.hurwitz_limit() <= threshold
+            except PreconditionError:  # A is not Hurwitz
+                below = False
+            certificate = CERT_HURWITZ if below else CERT_INCONCLUSIVE
+    elif start and not k:  # Delta is off by more than threshold / 2, or the bound is wrong
+        raise NumericalError(f"Delta at t = {times[0]:.6g} is {sig[0] + noise[0]:.6g}, above the threshold "
+                             f"{threshold:.6g}, where the a-priori bound {bound[start]:.6g} is at most half of it")
+    else:
+        # The bracket's end values come from the scan, so their signs are the
+        # scan's; at k = 0 the lower end is t = 0, where Delta = 0, and the
+        # tolerance is that end's, for a crossing far below grid[0].
+        certificate, d = CERT_CROSSING, sig + noise
+        lo, d_lo = (times[k - 1], d[k - 1]) if k else (0.0, 0.0)
+        tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
+                            times[k], d[k] - threshold, 4.0 * np.spacing(times[k] if k else 0.0))
+    return DecoherenceReport(
+        epsilon=float(epsilon), threshold=threshold, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
+        horizon_used=float(horizon), certificate=certificate, grid_points=grid_points,
+        bisection_iterations=steps, expansion_valid=expansion_valid,
+        delta_evaluations=min(k + 1, len(times)) + steps, delta_path=evaluator.path)
 
 
 # A trial step that overflows or divides by 0 is inf or nan, fails the step

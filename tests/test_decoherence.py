@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,20 @@ class TestDecoherenceTime:
         assert 0 < rep.bisection_iterations <= 10
         assert abs(rep.tau - want) <= 1e-14 * want
 
+    # A = -s I, B = s J2, F = P = I: tau' = 1 / s^2, and the crossing lies far
+    # before grid[0].  Brent's tolerance on the bracket [0, grid[0]] is that
+    # of t = 0, not of grid[0], which is far above the root and once returned
+    # tau = 0.
+    @pytest.mark.parametrize("s, eps", [(1e30, 0.01), (1e50, 0.01), (1e100, 0.01), (1.0, 1e-20), (1.0, 1e-100)])
+    def test_crossing_before_the_first_grid_point(self, s, eps):
+        _, w, mo = single_mode()
+        rep = decoherence_time((-s * np.eye(2), s * J2), w, mo, eps)
+        assert rep.certificate == CERT_CROSSING
+        assert 0.0 < rep.tau < _hybrid_grid(rep.horizon_used, rep.grid_points)[0]
+        assert abs(rep.tau - rep.tau_hat) <= 1e-12 * rep.tau_hat
+        assert abs(rep.tau_hat - eps / s**2) <= 1e-12 * rep.tau_hat
+        assert rep.bisection_iterations <= 5
+
     def test_refinement_failure_is_numerical_error(self, monkeypatch):
         real, w, mo = single_mode()
         monkeypatch.setattr(decoherence, "_MAX_REFINEMENTS", 1)
@@ -404,9 +419,8 @@ class TestDecoherenceTime:
     # the a-priori bound patched to +inf the scan starts at t = 0, as the
     # full scan does: every other field of the report is bit-identical, and
     # delta_evaluations is never higher.  With the bound patched to certify
-    # the crossing's grid point too, the scan starts above the threshold and
-    # falls back to the full scan: the report is the full scan's, with the
-    # one point evaluated before the fallback counted too.
+    # the crossing's grid point too, the scan starts above the threshold,
+    # which contradicts the bound: a NumericalError naming that point.
     @pytest.mark.parametrize("name, van_loan", [(name, False) for name in GOLDEN_SYSTEMS]
                              + [(f"{kind}-{n}", van_loan) for kind in ("hurwitz", "marginal")
                                 for n in (8, 16) for van_loan in (False, True)])
@@ -422,7 +436,7 @@ class TestDecoherenceTime:
         if van_loan:
             monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
 
-        for eps in (0.01, 0.1, 1.0):
+        for eps in (1e-12, 1e-6, 0.01, 0.1, 1.0):
             rep = decoherence_time((a, b), w, mo, eps)
             assert rep.delta_path == (dynamics.VAN_LOAN if van_loan or name == "van-loan" else dynamics.SPECTRAL)
             with monkeypatch.context() as m:
@@ -436,8 +450,11 @@ class TestDecoherenceTime:
             above = grid[np.sum(grid < ref.tau)]  # the crossing's grid point
             with monkeypatch.context() as m:
                 m.setattr(decoherence, "_delta_bound", lambda *args: np.where(args[-1] <= above, 0.0, np.inf))
-                fallback = decoherence_time((a, b), w, mo, eps)
-            assert bits(fallback) == bits(dataclasses.replace(ref, delta_evaluations=ref.delta_evaluations + 1)), eps
+                if above == grid[0]:  # the scan starts at t = 0 all the same
+                    assert bits(decoherence_time((a, b), w, mo, eps)) == bits(ref), eps
+                    continue
+                with pytest.raises(NumericalError, match=re.escape(f"Delta at t = {above:.6g} is ")):
+                    decoherence_time((a, b), w, mo, eps)
 
     def test_single_mode_against_root_finder(self):
         real, w, mo = single_mode()
