@@ -6,10 +6,20 @@ located by a dense grid scan, and Brent's method (Brent 1973, Algorithms for
 Minimization without Derivatives, ch. 4) refines the first bracketing
 interval; a pure root-finder could miss early excursions of an oscillatory
 Delta.  Scan, refinement and the t -> inf limit behind the Hurwitz
-certificate share one dynamics.DeviationEvaluator, and the factorization of A
-is memoized by A's value, so A is factored once per distinct A, not once per
-tau, and each point costs O(n^2) on its spectral path (the Van Loan path when
-A is defective or its eigenvectors ill-conditioned).
+certificate share one dynamics.DeviationEvaluator, and each point costs
+O(n^2) on its spectral path (the Van Loan path when A is defective or its
+eigenvectors ill-conditioned).
+
+A tau has two halves.  The per-system half, the evaluator and the _Expansion
+(one delta_derivatives), does not depend on eps; _set_up keeps the last one
+built, keyed by the system's value (dynamics._set_up_key: the shape and bytes
+of A, B, F and P and the two limits the set-up reads), so tau at several eps
+on one system builds it once, and a system changed in place is built again.
+The per-eps half runs on every call: the threshold, the grid, the a-priori
+bound, the scan, Brent's method and the report.  A set-up that raises is not
+memoized, and the inputs are checked on every call.  The factorization of A
+is memoized apart, by A's value (dynamics._modal_basis), so delta and the
+others on the same A share it.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
 below the threshold.  dynamics._delta_bound is nondecreasing in t,
@@ -46,10 +56,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _delta_bound, _dot_delta,
-                       _weighted_trace, delta_derivatives, time_scale)
+                       _set_up_key, _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .model import _system
-from .numerics import _as_finite, _as_matrix, _guarded
+from .numerics import _as_finite, _as_matrix, _guarded, _LastValue
 
 __all__ = [
     "DecoherenceReport",
@@ -172,6 +182,18 @@ def tau_hat(system, weighting, moments, epsilon):
     return _expansion(system, weighting, moments, applicable=True).tau_hat(epsilon)
 
 
+@_LastValue
+def _set_up(key, a, b, weighting, moments):
+    """(DeviationEvaluator, _Expansion): the eps-independent half of a tau, for
+    the system whose dynamics._set_up_key is key.  Memoized by that key, so tau
+    at several eps on one system builds them once; a system whose expansion
+    coefficients raise is not memoized."""
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
+    expansion = _expansion((a, b), weighting, moments)
+    expansion.coefficients()
+    return evaluator, expansion
+
+
 def _hybrid_grid(horizon, points):
     """Log+linear hybrid grid of points distinct times on (0, horizon]; dense
     near 0 and uniform overall.  A log part of two or more points ends at the
@@ -203,15 +225,15 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     after it are not looked at.  +inf is returned with a certificate: the
     deviation is identically zero, or A is Hurwitz with its limit below the
     threshold; otherwise the horizon was exhausted and the result is
-    inconclusive.
+    inconclusive.  The evaluator and the expansion, which eps does not
+    change, come from _set_up, memoized by the system's value.
     """
     _check_epsilon(epsilon)
     a, b = _system(system)
     if horizon is not None:
         _check_horizon(horizon)
     _check_grid_points(grid_points, "grid_points")
-    evaluator = DeviationEvaluator(a, b, weighting, moments)
-    expansion = _expansion((a, b), weighting, moments)
+    evaluator, expansion = _set_up(_set_up_key(a, b, weighting, moments), a, b, weighting, moments)
     tp, ts = expansion.coefficients()
     expansion_valid = math.isfinite(tp)
     hat = expansion.tau_hat(epsilon)

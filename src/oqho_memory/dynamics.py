@@ -51,11 +51,13 @@ the last factorization, keyed by A's value (its n, its bytes and
 _SPECTRAL_COND_LIMIT), so tau at several eps, delta, hurwitz_limit,
 gramian and asymptotic_rate on one A run eig once between them.  The one
 entry holds 4 to 5 n^2 doubles (the key, V, V^-1 and Z), 0.32 to 0.4 MB at
-n = 100 and 32 to 40 MB at n = 1000.  A process that asks one question of
-each A gains nothing from it.
+n = 100 and 32 to 40 MB at n = 1000.  decoherence.decoherence_time keeps a
+whole evaluator the same way, keyed by _set_up_key; the evaluator holds its
+own copies of A and P for it.  Both memos are numerics._LastValue: one entry,
+its key compared, not hashed, and no error stored.  A process that asks one
+question of each A gains nothing from them.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -69,8 +71,8 @@ from .errors import (
     ValidationError,
 )
 from .model import _system, ito_j
-from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm, _on_axis,
-                       _product, _scaled_eigh, matrix_exp, solve_lyapunov)
+from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _LastValue, _norm,
+                       _on_axis, _product, _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -281,20 +283,20 @@ def _modal_basis(a):
     """(lam, basis): the eigenvalues of A and its real modal basis
     (k, V, V^-1, kept, Z), for a float64 A read by model._system.
 
-    Memoized by A's value: _factor keeps the last factorization under the
-    key (n, A's bytes, _SPECTRAL_COND_LIMIT).  An A changed in place has
-    other bytes and is factored again; -0.0 against 0.0 is only a miss.
-    The entry holds the key, V and V^-1 (3 n^2 doubles) and Z ((n - k) n
-    complex numbers).  Every array returned is read-only, so no caller can
-    alter the memo.
+    Memoized by A's value: _factor (a numerics._LastValue) keeps the last
+    factorization under the key (n, A's bytes, _SPECTRAL_COND_LIMIT).  An A
+    changed in place has other bytes and is factored again; -0.0 against 0.0
+    is only a miss.  The entry holds the key, V and V^-1 (3 n^2 doubles) and
+    Z ((n - k) n complex numbers).  Every array returned is read-only, so no
+    caller can alter the memo.
     """
-    return _factor(len(a), a.tobytes(), _SPECTRAL_COND_LIMIT)
+    return _factor((len(a), a.tobytes(), _SPECTRAL_COND_LIMIT))
 
 
-@functools.lru_cache(maxsize=1)
-def _factor(n, data, limit):
-    """_modal_basis of the n x n A whose bytes are data, with limit for
-    _SPECTRAL_COND_LIMIT.
+@_LastValue
+def _factor(key):
+    """_modal_basis of the n x n A whose bytes are data, for the key
+    (n, data, limit), with limit for _SPECTRAL_COND_LIMIT.
 
     np.linalg.eig (LAPACK dgeev) lists each conjugate pair next to each
     other, Im lam > 0 first, with conjugate eigenvectors.  lam is reordered
@@ -311,6 +313,7 @@ def _factor(n, data, limit):
     2.3) is within the limit; only above it does np.linalg.cond decide.
     NumericalError if eig fails; an error is not memoized.
     """
+    n, data, limit = key
     a = np.frombuffer(data).reshape(n, n)
     try:
         lam, u = np.linalg.eig(a)
@@ -419,6 +422,15 @@ def gramian(a, b, t):
     return 0.5 * (v + v.conj().T)
 
 
+def _set_up_key(a, b, weighting, moments):
+    """What a DeviationEvaluator's set-up and delta_derivatives read, as a key
+    for a memo of them by value: the shape and bytes of A, B, F and P (Sigma is
+    F^T F, read-only in its Weighting), then _SPECTRAL_COND_LIMIT and
+    _NEAR_RESONANT as they are at the call."""
+    return tuple(x for m in (a, b, weighting.f, moments.p) for x in (m.shape, m.tobytes())) + (
+        _SPECTRAL_COND_LIMIT, _NEAR_RESONANT)
+
+
 class DeviationEvaluator:
     """(signal, noise) summands of Delta(t) at any t from one factorization of A.
 
@@ -462,7 +474,9 @@ class DeviationEvaluator:
     @_guarded()  # an overflow here makes every point non-finite, which terms reports
     def __init__(self, a, b, weighting, moments):
         a, b = _system((a, b), moments.p.shape[0], weighting.f)
-        self._a, self._bbt, self._p, self._sigma = a, b @ b.T, moments.p, weighting.sigma
+        # Copies of A and P: nothing a caller changes later reaches the evaluator
+        # (Sigma is read-only in its Weighting).
+        self._a, self._bbt, self._p, self._sigma = a.copy(), b @ b.T, moments.p.copy(), weighting.sigma
         self._scale = _weighted_trace(weighting.f, moments.p)  # the signal term at t = inf
         lam, basis = _modal_basis(a)
         self._lam = lam
@@ -588,8 +602,9 @@ def delta(a, b, weighting, moments, t):
     Each call builds a DeviationEvaluator.  The factorization of A is
     memoized by A's value (_modal_basis: one entry, 4 to 5 n^2 doubles), so
     a repeated call on the same A skips eig; the O(n^3) congruences of the
-    set-up still run per call, and a caller that needs Delta at many times
-    should hold one evaluator and call its delta.
+    set-up still run per call (only decoherence_time memoizes a set-up), and
+    a caller that needs Delta at many times should hold one evaluator and
+    call its delta.
     """
     return DeviationEvaluator(a, b, weighting, moments).delta(t)
 

@@ -17,7 +17,8 @@ it names must be finite), _norm for tolerances (every decision is relative to
 the _norm of its own inputs) and _as_finite for inputs (every matrix argument
 is converted by _as_real, shape-checked by _as_matrix and must be finite, else
 a ValidationError naming it; time arrays share _as_real).  A matrix the library
-forms is checked where it is formed: NumericalError when it overflowed.
+forms is checked where it is formed: NumericalError when it overflowed.  Work
+kept across calls is kept by _LastValue: one entry, found by its key's value.
 """
 
 import functools
@@ -146,6 +147,32 @@ def _guarded(what=None):
             return out
         return guarded
     return decorate
+
+
+class _LastValue:
+    """One-entry memo of func(key, *args), for a func whose value depends on its
+    arguments only through key: the value of the last call is served again while
+    key == that call's key.  The key is compared, not hashed: two equal bytes
+    objects compare by one memcmp, while hashing a new one reads it at several
+    times that cost.  A miss drops the entry before func runs, so at most one
+    value is held, and a call that raises stores nothing.  The entry is one
+    (key, value) pair, replaced whole.  cache_clear empties it."""
+
+    def __init__(self, func):
+        functools.update_wrapper(self, func)
+        self.cache_clear()
+
+    def __call__(self, key, *args):
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        self._last = None
+        value = self.__wrapped__(key, *args)
+        self._last = key, value
+        return value
+
+    def cache_clear(self):
+        self._last = None
 
 
 @_guarded("the matrix exponential")

@@ -466,14 +466,18 @@ class TestOptimize:
     # The before/after comparison expands each system once: delta_derivatives
     # once per system (plus once at R* inside optimal_energy_matrix) and one
     # threshold scale tr(F P F^T) per system, however many epsilon there are.
+    # tau sets its one system up once from an empty memo, for every epsilon.
     @pytest.mark.parametrize("epsilon", [[0.01, 0.1], [0.01, 0.02, 0.05, 0.1]])
     @pytest.mark.parametrize("command, data, derivative_calls", [
         ("optimize-energy", single_mode_scenario(), 3),
         ("optimize-r12", interconnection_scenario(), 2),
+        ("tau", single_mode_scenario(), 1),
     ])
     def test_one_expansion_per_system(self, tmp_path, capsys, monkeypatch,
                                       command, data, derivative_calls, epsilon):
+        systems, line = (1, ": tau=") if command == "tau" else (2, "tau_hat before=")
         path = write_scenario(tmp_path, "s.json", dict(data, epsilon=epsilon))
+        decoherence._set_up.cache_clear()
         calls = collections.Counter()
         for module, name in [(dynamics, "delta_derivatives"), (design, "delta_derivatives"),
                              (decoherence, "delta_derivatives"), (decoherence, "_weighted_trace")]:
@@ -481,8 +485,8 @@ class TestOptimize:
             monkeypatch.setattr(module, name,
                                 lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
         assert cli.main([command, "--scenario", path]) == 0
-        assert calls == {"delta_derivatives": derivative_calls, "_weighted_trace": 2}
-        assert capsys.readouterr().out.count("tau_hat before=") == len(epsilon)
+        assert calls == {"delta_derivatives": derivative_calls, "_weighted_trace": systems}
+        assert capsys.readouterr().out.count(line) == len(epsilon)
 
     def test_mode_mismatch(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())

@@ -286,9 +286,11 @@ class TestDecoherenceTime:
     # One tau takes the threshold scale tr(F P F^T) from one _weighted_trace
     # call and the derivatives at t = 0 from one delta_derivatives call; so
     # does tau_hat.  (The evaluator reads the scale through dynamics' own
-    # binding, which is not counted.)
+    # binding, which is not counted.)  The set-up memo is emptied first: a
+    # system an earlier test left in it takes no call.
     def test_one_expansion_pass(self, monkeypatch):
         real, w, mo = single_mode()
+        decoherence._set_up.cache_clear()
         calls = collections.Counter()
         for name in ("_weighted_trace", "delta_derivatives"):
             original = getattr(decoherence, name)
@@ -554,3 +556,120 @@ class TestDecoherenceTime:
         assert rep.certificate == CERT_CROSSING
         assert not rep.expansion_valid
         assert math.isfinite(rep.tau) and rep.tau > 0
+
+
+# decoherence_time keeps the eps-independent half of its last system, the
+# DeviationEvaluator and the _Expansion, keyed by the system's value
+# (dynamics._set_up_key), beside dynamics' memo of A's factorization.
+class TestSetUpMemo:
+    @staticmethod
+    def count_set_ups(monkeypatch):
+        """A Counter of the evaluator set-ups and delta_derivatives calls that
+        decoherence makes from now on."""
+        calls = collections.Counter()
+        for name in ("DeviationEvaluator", "delta_derivatives"):
+            original = getattr(decoherence, name)
+            monkeypatch.setattr(decoherence, name,
+                                lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+        return calls
+
+    @staticmethod
+    def systems():
+        """(name, (A, B), Weighting, MomentData) of a damped system, the same on
+        the Van Loan path, and a marginal one, each at n = 8 with its own arrays."""
+        rng = np.random.default_rng(43)
+        params, real = random_damped_realization(rng, 4)
+        w = Weighting(rng.standard_normal((4, 8)))
+        mo = MomentData(random_spd(rng, 8), params.ccr)
+        marginal = random_marginal_modes(rng, 4)
+        return [(name, tuple(np.array(x) for x in system), w, mo)
+                for name, system in (("spectral", (real.a, real.b)), ("van_loan", (real.a, real.b)),
+                                     ("marginal", marginal))]
+
+    def test_second_epsilon_takes_no_set_up(self, monkeypatch):
+        real, w, mo = single_mode()
+        decoherence._set_up.cache_clear()
+        calls = self.count_set_ups(monkeypatch)
+        first = decoherence_time(real, w, mo, 0.01)
+        assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
+        second = decoherence_time(real, w, mo, 0.1)
+        assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
+        assert second.tau > first.tau
+
+    # A report from a memo that holds the system equals the report from an
+    # empty one in every field, on each path; eps = 10 certifies the damped
+    # system by its Hurwitz limit, every other eps crosses.
+    @pytest.mark.parametrize("epsilon", [0.01, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["spectral", "van_loan", "marginal"])
+    def test_warm_report_is_the_cold_report(self, monkeypatch, index, epsilon):
+        name, system, w, mo = self.systems()[index]
+        if name == "van_loan":
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        decoherence._set_up.cache_clear()
+        cold = decoherence_time(system, w, mo, epsilon)
+        decoherence_time(system, w, mo, 2.0 * epsilon)
+        calls = self.count_set_ups(monkeypatch)
+        warm = decoherence_time(system, w, mo, epsilon)
+        assert not calls
+        assert bits(warm) == bits(cold)
+        assert warm.delta_path == (dynamics.VAN_LOAN if name == "van_loan" else dynamics.SPECTRAL)
+
+    # An array changed in place has other bytes: the memo misses, and the
+    # report is the one an empty memo gives for the changed system.
+    @pytest.mark.parametrize("which", ["A", "B", "F", "P"])
+    def test_changed_in_place_is_set_up_again(self, monkeypatch, which):
+        _, (a, b), w, mo = self.systems()[0]
+        before = decoherence_time((a, b), w, mo, 0.1)
+        array = {"A": a, "B": b, "F": w.f, "P": mo.p}[which]
+        array.flags.writeable = True  # F is read-only in its Weighting
+        array *= 1.25
+        calls = self.count_set_ups(monkeypatch)
+        warm = decoherence_time((a, b), w, mo, 0.1)
+        assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
+        decoherence._set_up.cache_clear()
+        dynamics._factor.cache_clear()
+        assert bits(warm) == bits(decoherence_time((a, b), w, mo, 0.1))
+        assert warm.tau != before.tau
+
+    # The memo's evaluator keeps copies of A and P, so a caller that changes
+    # its arrays after the call does not reach a later hit from equal ones.
+    # On the Van Loan path every point reads A and P.
+    def test_evaluator_keeps_its_own_a_and_p(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+        _, (a, b), w, mo = self.systems()[0]
+        equal_a, equal_mo = a.copy(), MomentData(mo.p, mo.ccr)
+        decoherence._set_up.cache_clear()
+        cold = decoherence_time((a, b), w, mo, 0.1)
+        a *= 1.25
+        mo.p[:] *= 1.25
+        calls = self.count_set_ups(monkeypatch)
+        assert bits(decoherence_time((equal_a, b), w, equal_mo, 0.1)) == bits(cold)
+        assert not calls
+
+    # The set-up reads the two limits; a system already in the memo is set up
+    # again under patched ones, as an empty memo would.
+    @pytest.mark.parametrize("limit, value", [("_SPECTRAL_COND_LIMIT", 0.0), ("_NEAR_RESONANT", 10.0)])
+    def test_patched_limit_is_set_up_again(self, monkeypatch, limit, value):
+        _, system, w, mo = self.systems()[2]
+        decoherence_time(system, w, mo, 0.1)
+        monkeypatch.setattr(dynamics, limit, value)
+        calls = self.count_set_ups(monkeypatch)
+        warm = decoherence_time(system, w, mo, 0.1)
+        assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
+        assert warm.delta_path == (dynamics.VAN_LOAN if value == 0.0 else dynamics.SPECTRAL)
+        decoherence._set_up.cache_clear()
+        dynamics._factor.cache_clear()
+        assert bits(warm) == bits(decoherence_time(system, w, mo, 0.1))
+
+    # tr(F P F^T) = 0 (a degenerate moment stub) and B = 1e200 J2, whose
+    # ||F B||^2 overflows: each call sets up again and raises again.
+    @pytest.mark.parametrize("case, error", [("zero scale", PreconditionError),
+                                             ("overflowing B", NumericalError)])
+    def test_set_up_error_is_not_memoized(self, monkeypatch, case, error):
+        real, w, mo = single_mode()
+        system, mo = ((real, _ZeroMoments()) if case == "zero scale" else ((real.a, 1e200 * J2), mo))
+        calls = self.count_set_ups(monkeypatch)
+        for repeat in (1, 2):
+            with pytest.raises(error):
+                decoherence_time(system, w, mo, 0.01)
+            assert calls == {"DeviationEvaluator": repeat, "delta_derivatives": repeat}
