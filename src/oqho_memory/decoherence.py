@@ -17,9 +17,9 @@ of A, B, F and P and the two limits the set-up reads), so tau at several eps
 on one system builds it once, and a system changed in place is built again.
 The per-eps half runs on every call: the threshold, the grid, the a-priori
 bound, the scan, Brent's method and the report.  A set-up that raises is not
-memoized, and the inputs are checked on every call.  The factorization of A
-is memoized apart, by A's value (dynamics._modal_basis), so delta and the
-others on the same A share it.
+memoized, and the inputs are checked on every call.  _set_up is the
+library's one process-wide state: delta and the others build their own
+evaluator on every call.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
 below the threshold.  dynamics._delta_bound is nondecreasing in t,

@@ -46,16 +46,16 @@ Every (A, B) is read by model._system, every time array by _times: a time
 is finite and nonnegative on every path, and Delta at t = inf is
 hurwitz_limit.
 
-A is factored once per distinct A, not once per call: _modal_basis keeps
-the last factorization, keyed by A's value (its n, its bytes and
-_SPECTRAL_COND_LIMIT), so tau at several eps, delta, hurwitz_limit,
-gramian and asymptotic_rate on one A run eig once between them.  The one
-entry holds 4 to 5 n^2 doubles (the key, V, V^-1 and Z), 0.32 to 0.4 MB at
-n = 100 and 32 to 40 MB at n = 1000.  decoherence.decoherence_time keeps a
-whole evaluator the same way, keyed by _set_up_key; the evaluator holds its
-own copies of A and P for it.  Both memos are numerics._LastValue: one entry,
-its key compared, not hashed, and no error stored.  A process that asks one
-question of each A gains nothing from them.
+Each DeviationEvaluator, and each call of gramian or asymptotic_rate,
+factors A anew, so a loop of delta or hurwitz_limit calls on one A pays eig
+on every call.  The library's one process-wide state is
+decoherence.decoherence_time's memo of the last system's whole evaluator,
+keyed by _set_up_key (a numerics._LastValue: one entry, its key compared,
+not hashed, and no error stored).  So that a caller's later in-place change
+cannot reach a hit, the evaluator keeps nothing of the caller's arrays: it
+decides hurwitz_limit's Hurwitz test at set-up, keeps on the spectral path
+only what it formed, and on the Van Loan path, where every point reads them,
+its own copies of A and P beside B B^T and Sigma.
 """
 
 import math
@@ -71,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .model import _system, ito_j
-from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _LastValue, _norm,
+from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm,
                        _on_axis, _product, _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
@@ -283,21 +283,6 @@ def _modal_basis(a):
     """(lam, basis): the eigenvalues of A and its real modal basis
     (k, V, V^-1, kept, Z), for a float64 A read by model._system.
 
-    Memoized by A's value: _factor (a numerics._LastValue) keeps the last
-    factorization under the key (n, A's bytes, _SPECTRAL_COND_LIMIT).  An A
-    changed in place has other bytes and is factored again; -0.0 against 0.0
-    is only a miss.  The entry holds the key, V and V^-1 (3 n^2 doubles) and
-    Z ((n - k) n complex numbers).  Every array returned is read-only, so no
-    caller can alter the memo.
-    """
-    return _factor((len(a), a.tobytes(), _SPECTRAL_COND_LIMIT))
-
-
-@_LastValue
-def _factor(key):
-    """_modal_basis of the n x n A whose bytes are data, for the key
-    (n, data, limit), with limit for _SPECTRAL_COND_LIMIT.
-
     np.linalg.eig (LAPACK dgeev) lists each conjugate pair next to each
     other, Im lam > 0 first, with conjugate eigenvectors.  lam is reordered
     so that the k pairs come first, (lam, conj(lam)) each, then the real
@@ -308,13 +293,11 @@ def _factor(key):
     kept indexes the rows of the pair form, the first eigenvalue of each pair
     and every real one, and Z_ij = lam_i + conj(lam_j) is formed on them.
     basis is None (lam in LAPACK order) when A is defective or cond(U)
-    exceeds limit.  That is decided without an SVD wherever the bound
-    cond_2(V) <= ||V||_F ||V^-1||_F (Golub & Van Loan, Matrix Computations,
-    2.3) is within the limit; only above it does np.linalg.cond decide.
-    NumericalError if eig fails; an error is not memoized.
+    exceeds _SPECTRAL_COND_LIMIT.  That is decided without an SVD wherever
+    the bound cond_2(V) <= ||V||_F ||V^-1||_F (Golub & Van Loan, Matrix
+    Computations, 2.3) is within the limit; only above it does
+    np.linalg.cond decide.  NumericalError if eig fails.
     """
-    n, data, limit = key
-    a = np.frombuffer(data).reshape(n, n)
     try:
         lam, u = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -330,15 +313,12 @@ def _factor(key):
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:  # V is singular: A is defective
         v_inv = None
+    limit = _SPECTRAL_COND_LIMIT
     if v_inv is None or not (np.linalg.norm(v) * np.linalg.norm(v_inv) <= limit or np.linalg.cond(v) <= limit):
-        lam.flags.writeable = False
         return lam, None
     lam = np.concatenate([np.stack([lam[pairs], lam[pairs].conj()], axis=1).ravel(), lam[reals]])
     kept = np.r_[0:2 * k:2, 2 * k:len(lam)]
-    basis = (k, v, v_inv, kept, lam[kept][:, None] + lam.conj()[None, :])
-    for x in (lam,) + basis[1:]:
-        x.flags.writeable = False
-    return lam, basis
+    return lam, (k, v, v_inv, kept, lam[kept][:, None] + lam.conj()[None, :])
 
 
 # The pair form.  A is real, so every matrix Y the spectral path forms in
@@ -474,18 +454,21 @@ class DeviationEvaluator:
     @_guarded()  # an overflow here makes every point non-finite, which terms reports
     def __init__(self, a, b, weighting, moments):
         a, b = _system((a, b), moments.p.shape[0], weighting.f)
-        # Copies of A and P: nothing a caller changes later reaches the evaluator
-        # (Sigma is read-only in its Weighting).
-        self._a, self._bbt, self._p, self._sigma = a.copy(), b @ b.T, moments.p.copy(), weighting.sigma
+        bbt, sigma = b @ b.T, weighting.sigma
         self._scale = _weighted_trace(weighting.f, moments.p)  # the signal term at t = inf
         lam, basis = _modal_basis(a)
         self._lam = lam
+        self._hurwitz = bool(np.all((lam.real < 0) & ~_on_axis(lam, a)))  # hurwitz_limit's precondition
         self.path = VAN_LOAN if basis is None else SPECTRAL
         if basis is None:
+            # Every point reads these.  Copies of A and P: nothing a caller
+            # changes later reaches the evaluator (Sigma is read-only in its
+            # Weighting).
+            self._a, self._bbt, self._p, self._sigma = a.copy(), bbt, moments.p.copy(), sigma
             return
         k, v, v_inv, kept, z = basis
-        s_t = _to_pairs(v.T @ self._sigma @ v, k).conj()  # S^T = conj(S): S is Hermitian
-        g = s_t * _to_pairs(v_inv @ self._bbt @ v_inv.T, k)
+        s_t = _to_pairs(v.T @ sigma @ v, k).conj()  # S^T = conj(S): S is Hermitian
+        g = s_t * _to_pairs(v_inv @ bbt @ v_inv.T, k)
         h = s_t * _to_pairs(v_inv @ moments.p @ v_inv.T, k)
         near = np.abs(z) <= _NEAR_RESONANT * np.maximum(np.abs(lam[kept])[:, None], np.abs(lam)[None, :])
         m_theta = _from_pairs(np.where(near, 0.0, g) / np.where(near, 1.0, z), k)
@@ -585,7 +568,7 @@ class DeviationEvaluator:
         Hurwitz by numerics._on_axis, as in classify_spectrum; NumericalError
         when the limit overflows.
         """
-        if not np.all((self._lam.real < 0) & ~_on_axis(self._lam, self._a)):
+        if not self._hurwitz:
             raise PreconditionError(f"A must be Hurwitz, its largest Re lambda is {self._lam.real.max():.3e}")
         if self.path == VAN_LOAN:
             if not np.isfinite(self._bbt).all():
@@ -599,12 +582,10 @@ class DeviationEvaluator:
 def delta(a, b, weighting, moments, t):
     """Weighted mean-square deviation Delta(t) >= 0.
 
-    Each call builds a DeviationEvaluator.  The factorization of A is
-    memoized by A's value (_modal_basis: one entry, 4 to 5 n^2 doubles), so
-    a repeated call on the same A skips eig; the O(n^3) congruences of the
-    set-up still run per call (only decoherence_time memoizes a set-up), and
-    a caller that needs Delta at many times should hold one evaluator and
-    call its delta.
+    Each call builds a DeviationEvaluator, so each runs eig and the O(n^3)
+    congruences of the set-up (only decoherence_time memoizes a set-up); a
+    caller that needs Delta at many times should hold one evaluator and call
+    its delta.
     """
     return DeviationEvaluator(a, b, weighting, moments).delta(t)
 

@@ -481,21 +481,18 @@ class TestDecoherenceTime:
 
     def test_one_eigendecomposition_on_no_crossing_path(self, monkeypatch):
         # The scan, the Hurwitz test and the limit all read one factorization
-        # of A, and so do a second tau, delta, hurwitz_limit and gramian on
-        # the same A: from an empty memo, eig runs once.
+        # of A, and a second tau on the same system reads the set-up memo:
+        # from an empty memo, eig runs once for both.
         real, w, mo = single_mode()
+        decoherence._set_up.cache_clear()
         calls = []
         for module, name in itertools.product((np.linalg, scipy.linalg), ("eig", "eigvals")):
             func = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *args, _func=func, **kw: calls.append(_func) or _func(*args, **kw))
-        dynamics._factor.cache_clear()
         rep = decoherence_time(real, w, mo, 1.6)
         assert rep.certificate == CERT_HURWITZ
         assert decoherence_time(real, w, mo, 0.5).certificate == CERT_CROSSING
-        delta(real.a, real.b, w, mo, 0.3)
-        hurwitz_limit(real.a, real.b, w, mo)
-        dynamics.gramian(real.a, real.b, 0.3)
         assert len(calls) == 1
 
     def test_monotone_in_epsilon(self):
@@ -560,7 +557,7 @@ class TestDecoherenceTime:
 
 # decoherence_time keeps the eps-independent half of its last system, the
 # DeviationEvaluator and the _Expansion, keyed by the system's value
-# (dynamics._set_up_key), beside dynamics' memo of A's factorization.
+# (dynamics._set_up_key): the library's one process-wide state.
 class TestSetUpMemo:
     @staticmethod
     def count_set_ups(monkeypatch):
@@ -627,24 +624,30 @@ class TestSetUpMemo:
         warm = decoherence_time((a, b), w, mo, 0.1)
         assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
         decoherence._set_up.cache_clear()
-        dynamics._factor.cache_clear()
         assert bits(warm) == bits(decoherence_time((a, b), w, mo, 0.1))
         assert warm.tau != before.tau
 
-    # The memo's evaluator keeps copies of A and P, so a caller that changes
-    # its arrays after the call does not reach a later hit from equal ones.
-    # On the Van Loan path every point reads A and P.
-    def test_evaluator_keeps_its_own_a_and_p(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
-        _, (a, b), w, mo = self.systems()[0]
+    # An evaluator keeps nothing of the caller's arrays, so a caller that
+    # changes them after the call reaches neither a later hit from equal ones
+    # nor an evaluator built before the change: the Van Loan path reads its
+    # own copies of A and P at every point, the spectral path keeps only what
+    # it formed from them, and both decide the Hurwitz test at set-up.
+    @pytest.mark.parametrize("index", [0, 1], ids=["spectral", "van_loan"])
+    def test_evaluator_keeps_its_own_a_and_p(self, monkeypatch, index):
+        name, (a, b), w, mo = self.systems()[index]
+        if name == "van_loan":
+            monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
         equal_a, equal_mo = a.copy(), MomentData(mo.p, mo.ccr)
         decoherence._set_up.cache_clear()
         cold = decoherence_time((a, b), w, mo, 0.1)
-        a *= 1.25
+        evaluator = DeviationEvaluator(a, b, w, mo)
+        limit = evaluator.hurwitz_limit()
+        a *= -1.0
         mo.p[:] *= 1.25
         calls = self.count_set_ups(monkeypatch)
         assert bits(decoherence_time((equal_a, b), w, equal_mo, 0.1)) == bits(cold)
         assert not calls
+        assert evaluator.hurwitz_limit() == limit
 
     # The set-up reads the two limits; a system already in the memo is set up
     # again under patched ones, as an empty memo would.
@@ -658,7 +661,6 @@ class TestSetUpMemo:
         assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
         assert warm.delta_path == (dynamics.VAN_LOAN if value == 0.0 else dynamics.SPECTRAL)
         decoherence._set_up.cache_clear()
-        dynamics._factor.cache_clear()
         assert bits(warm) == bits(decoherence_time(system, w, mo, 0.1))
 
     # tr(F P F^T) = 0 (a degenerate moment stub) and B = 1e200 J2, whose
