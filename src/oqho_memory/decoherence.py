@@ -10,14 +10,18 @@ certificate share one dynamics.DeviationEvaluator, and each point costs
 O(n^2) on its spectral path (the Van Loan path when A is defective or its
 eigenvectors ill-conditioned).
 
-A tau has two halves.  The per-system half, the evaluator and the _Expansion
-(one delta_derivatives), does not depend on eps; _set_up keeps the last one
-built, keyed by the system's value (dynamics._set_up_key: the shape and bytes
-of A, B, F and P and the two limits the set-up reads), so tau at several eps
-on one system builds it once, and a system changed in place is built again.
-The per-eps half runs on every call: the threshold, the grid, the a-priori
-bound, the scan, Brent's method and the report.  A set-up that raises is not
-memoized, and the inputs are checked on every call.  _set_up is the
+A tau has two halves.  The per-system half does not depend on eps: the
+evaluator, the _Expansion (one delta_derivatives), the horizon, the grid and
+the a-priori bound over it.  _set_up keeps the last one built, keyed by the
+shape and bytes of A, B, F and P and by horizon and grid_points as passed, so
+tau at several eps on one system builds it once, a system changed in place
+is built again, and a caller that alternates horizon or grid_points on one
+system builds it on every call.  The key holds no module constant of
+dynamics (_SPECTRAL_COND_LIMIT, _NEAR_RESONANT): code that patches one, or
+_delta_bound, must keep the set-ups it builds out of the memo.  The per-eps
+half runs on every call: the threshold, tau_hat, the certified prefix, the
+scan, the certificate, Brent's method and the report.  A set-up that raises
+is not memoized, and the inputs are checked on every call.  _set_up is the
 library's one process-wide state: delta and the others build their own
 evaluator on every call.
 
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _delta_bound, _dot_delta,
-                       _set_up_key, _weighted_trace, delta_derivatives, time_scale)
+                       _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .model import _system
 from .numerics import _as_finite, _as_matrix, _guarded, _LastValue
@@ -182,18 +186,6 @@ def tau_hat(system, weighting, moments, epsilon):
     return _expansion(system, weighting, moments, applicable=True).tau_hat(epsilon)
 
 
-@_LastValue
-def _set_up(key, a, b, weighting, moments):
-    """(DeviationEvaluator, _Expansion): the eps-independent half of a tau, for
-    the system whose dynamics._set_up_key is key.  Memoized by that key, so tau
-    at several eps on one system builds them once; a system whose expansion
-    coefficients raise is not memoized."""
-    evaluator = DeviationEvaluator(a, b, weighting, moments)
-    expansion = _expansion((a, b), weighting, moments)
-    expansion.coefficients()
-    return evaluator, expansion
-
-
 def _hybrid_grid(horizon, points):
     """Log+linear hybrid grid of points distinct times on (0, horizon]; dense
     near 0 and uniform overall.  A log part of two or more points ends at the
@@ -203,6 +195,23 @@ def _hybrid_grid(horizon, points):
     log_part = np.geomspace(horizon * 1e-8, horizon, n_log)
     lin_part = np.linspace(horizon / n_lin, horizon, n_lin)
     return np.unique(np.concatenate([log_part, lin_part]))
+
+
+@_LastValue
+def _set_up(key, a, b, weighting, moments, horizon, grid_points):
+    """(evaluator, expansion, horizon, grid, bound): the eps-independent half of
+    a tau, with horizon resolved (50 max(tau', time_scale(A)) when None; tau'
+    is read as 0 when F B = 0), its grid and _delta_bound over that grid.
+    Memoized by key, the shape and bytes of A, B, F and P and horizon and
+    grid_points as passed, so tau at several eps builds them once; a system
+    whose expansion coefficients raise is not memoized."""
+    evaluator = DeviationEvaluator(a, b, weighting, moments)
+    expansion = _expansion((a, b), weighting, moments)
+    tp = expansion.coefficients()[0]
+    if horizon is None:
+        horizon = 50.0 * max(tp if math.isfinite(tp) else 0.0, time_scale(a))
+    grid = _hybrid_grid(horizon, grid_points)
+    return evaluator, expansion, horizon, grid, _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid)
 
 
 @_guarded()  # the report is a record; the scan and _brent check their values
@@ -225,28 +234,22 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     after it are not looked at.  +inf is returned with a certificate: the
     deviation is identically zero, or A is Hurwitz with its limit below the
     threshold; otherwise the horizon was exhausted and the result is
-    inconclusive.  The evaluator and the expansion, which eps does not
-    change, come from _set_up, memoized by the system's value.
+    inconclusive.  What eps does not change, from the evaluator to the
+    bound over the grid, comes from _set_up, memoized by the system's value.
     """
     _check_epsilon(epsilon)
     a, b = _system(system)
     if horizon is not None:
         _check_horizon(horizon)
     _check_grid_points(grid_points, "grid_points")
-    evaluator, expansion = _set_up(_set_up_key(a, b, weighting, moments), a, b, weighting, moments)
+    key = tuple(x for m in (a, b, weighting.f, moments.p) for x in (m.shape, m.tobytes())) + (horizon, grid_points)
+    evaluator, expansion, horizon, grid, bound = _set_up(key, a, b, weighting, moments, horizon, grid_points)
     tp, ts = expansion.coefficients()
-    expansion_valid = math.isfinite(tp)
     hat = expansion.tau_hat(epsilon)
     threshold = float(epsilon * expansion.scale)
-
-    if horizon is None:
-        horizon = 50.0 * max(tp if expansion_valid else 0.0, time_scale(a))
-
-    grid = _hybrid_grid(horizon, grid_points)
     # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
     # scan starts at its last point, the bracket's lower end if the crossing
     # comes next, and skips the whole grid when every point is certified.
-    bound = _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid)
     certified = bound <= 0.5 * threshold
     start = len(grid) if certified.all() else max(int(np.argmin(certified)) - 1, 0)
     times = grid[start:]
@@ -275,7 +278,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     return DecoherenceReport(
         epsilon=float(epsilon), threshold=threshold, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
         horizon_used=float(horizon), certificate=certificate, grid_points=grid_points,
-        bisection_iterations=steps, expansion_valid=expansion_valid,
+        bisection_iterations=steps, expansion_valid=math.isfinite(tp),
         delta_evaluations=min(k + 1, len(times)) + steps, delta_path=evaluator.path)
 
 

@@ -48,14 +48,11 @@ hurwitz_limit.
 
 Each DeviationEvaluator, and each call of gramian or asymptotic_rate,
 factors A anew, so a loop of delta or hurwitz_limit calls on one A pays eig
-on every call.  The library's one process-wide state is
-decoherence.decoherence_time's memo of the last system's whole evaluator,
-keyed by _set_up_key (a numerics._LastValue: one entry, its key compared,
-not hashed, and no error stored).  So that a caller's later in-place change
-cannot reach a hit, the evaluator keeps nothing of the caller's arrays: it
-decides hurwitz_limit's Hurwitz test at set-up, keeps on the spectral path
-only what it formed, and on the Van Loan path, where every point reads them,
-its own copies of A and P beside B B^T and Sigma.
+on every call.  An evaluator keeps nothing of the caller's arrays, so a
+caller's later in-place change cannot reach it: it decides hurwitz_limit's
+Hurwitz test at set-up, keeps on the spectral path only what it formed, and
+on the Van Loan path, where every point reads them, its own copies of A and
+P beside B B^T and Sigma.
 """
 
 import math
@@ -402,15 +399,6 @@ def gramian(a, b, t):
     return 0.5 * (v + v.conj().T)
 
 
-def _set_up_key(a, b, weighting, moments):
-    """What a DeviationEvaluator's set-up and delta_derivatives read, as a key
-    for a memo of them by value: the shape and bytes of A, B, F and P (Sigma is
-    F^T F, read-only in its Weighting), then _SPECTRAL_COND_LIMIT and
-    _NEAR_RESONANT as they are at the call."""
-    return tuple(x for m in (a, b, weighting.f, moments.p) for x in (m.shape, m.tobytes())) + (
-        _SPECTRAL_COND_LIMIT, _NEAR_RESONANT)
-
-
 class DeviationEvaluator:
     """(signal, noise) summands of Delta(t) at any t from one factorization of A.
 
@@ -583,9 +571,8 @@ def delta(a, b, weighting, moments, t):
     """Weighted mean-square deviation Delta(t) >= 0.
 
     Each call builds a DeviationEvaluator, so each runs eig and the O(n^3)
-    congruences of the set-up (only decoherence_time memoizes a set-up); a
-    caller that needs Delta at many times should hold one evaluator and call
-    its delta.
+    congruences of the set-up; a caller that needs Delta at many times
+    should hold one evaluator and call its delta.
     """
     return DeviationEvaluator(a, b, weighting, moments).delta(t)
 

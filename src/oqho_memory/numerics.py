@@ -18,8 +18,7 @@ the _norm of its own inputs) and _as_finite for inputs (every matrix argument
 is converted by _as_real, shape-checked by _as_matrix and must be finite, else
 a ValidationError naming it; time arrays share _as_real).  A matrix the library
 forms is checked where it is formed: NumericalError when it overflowed.
-_LastValue, a one-entry memo found by its key's value, keeps the one piece
-of work kept across calls, decoherence._set_up.
+_LastValue is a one-entry memo found by its key's value.
 """
 
 import functools

@@ -50,6 +50,14 @@ def bits(rep):
     return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rep)]
 
 
+def bypass_set_up_memo(patch, _unmemoized=decoherence._set_up.__wrapped__):
+    """Make decoherence._set_up build every set-up afresh while patch (a
+    monkeypatch or one of its contexts) holds.  The memo's key holds no
+    dynamics limit and no bound function, so a set-up built under a patched
+    one must neither be read from the memo nor be left in it."""
+    patch.setattr(decoherence, "_set_up", _unmemoized)
+
+
 def closed_form_delta(t):
     return 2.0 * (1.0 - np.exp(-t)) ** 2 + 1.0 - np.exp(-2.0 * t)
 
@@ -247,6 +255,7 @@ class TestDecoherenceTime:
         want = math.log1p(math.copysign(math.sqrt(0.1), s)) / s
         assert abs(rep.tau - want) <= 1e-12 * want
         monkeypatch.setattr(decoherence, "_delta_bound", lambda *args: np.full(len(args[-1]), np.inf))
+        bypass_set_up_memo(monkeypatch)
         ref = decoherence_time(system, w, mo, 0.1)
         assert bits(dataclasses.replace(rep, delta_evaluations=ref.delta_evaluations)) == bits(ref)
         assert rep.delta_evaluations < ref.delta_evaluations
@@ -319,6 +328,7 @@ class TestDecoherenceTime:
             rep = decoherence_time(system, w, mo, eps)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+                bypass_set_up_memo(m)
                 ref = decoherence_time(system, w, mo, eps)
             assert (rep.delta_path, ref.delta_path) == (dynamics.SPECTRAL, dynamics.VAN_LOAN)
             assert rep.certificate == ref.certificate == CERT_CROSSING
@@ -437,12 +447,14 @@ class TestDecoherenceTime:
             w, mo = Weighting(rng.standard_normal((int(n), int(n)))), MomentData(random_spd(rng, int(n)), params.ccr)
         if van_loan:
             monkeypatch.setattr(dynamics, "_SPECTRAL_COND_LIMIT", 0.0)
+            bypass_set_up_memo(monkeypatch)
 
         for eps in (1e-12, 1e-6, 0.01, 0.1, 1.0):
             rep = decoherence_time((a, b), w, mo, eps)
             assert rep.delta_path == (dynamics.VAN_LOAN if van_loan or name == "van-loan" else dynamics.SPECTRAL)
             with monkeypatch.context() as m:
                 m.setattr(decoherence, "_delta_bound", lambda *args: np.full(len(args[-1]), np.inf))
+                bypass_set_up_memo(m)
                 ref = decoherence_time((a, b), w, mo, eps)
             assert bits(dataclasses.replace(rep, delta_evaluations=ref.delta_evaluations)) == bits(ref), eps
             assert rep.delta_evaluations <= ref.delta_evaluations
@@ -452,6 +464,7 @@ class TestDecoherenceTime:
             above = grid[np.sum(grid < ref.tau)]  # the crossing's grid point
             with monkeypatch.context() as m:
                 m.setattr(decoherence, "_delta_bound", lambda *args: np.where(args[-1] <= above, 0.0, np.inf))
+                bypass_set_up_memo(m)
                 if above == grid[0]:  # the scan starts at t = 0 all the same
                     assert bits(decoherence_time((a, b), w, mo, eps)) == bits(ref), eps
                     continue
@@ -555,16 +568,21 @@ class TestDecoherenceTime:
         assert math.isfinite(rep.tau) and rep.tau > 0
 
 
-# decoherence_time keeps the eps-independent half of its last system, the
-# DeviationEvaluator and the _Expansion, keyed by the system's value
-# (dynamics._set_up_key): the library's one process-wide state.
+# decoherence_time keeps the eps-independent half of its last system, from the
+# DeviationEvaluator and the _Expansion to the grid and the a-priori bound,
+# keyed by the system's value and horizon and grid_points as passed: the
+# library's one process-wide state.
 class TestSetUpMemo:
+    # What a set-up calls in decoherence's namespace; time_scale only for the
+    # default horizon.
+    SET_UP = ("DeviationEvaluator", "delta_derivatives", "time_scale", "_hybrid_grid", "_delta_bound")
+
     @staticmethod
-    def count_set_ups(monkeypatch):
-        """A Counter of the evaluator set-ups and delta_derivatives calls that
-        decoherence makes from now on."""
+    def count_set_ups(monkeypatch, names=("DeviationEvaluator", "delta_derivatives")):
+        """A Counter of the calls of names (by default the evaluator set-ups
+        and delta_derivatives) that decoherence makes from now on."""
         calls = collections.Counter()
-        for name in ("DeviationEvaluator", "delta_derivatives"):
+        for name in names:
             original = getattr(decoherence, name)
             monkeypatch.setattr(decoherence, name,
                                 lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
@@ -592,6 +610,34 @@ class TestSetUpMemo:
         second = decoherence_time(real, w, mo, 0.1)
         assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
         assert second.tau > first.tau
+
+    # A second and a third eps at the same horizon and grid_points build
+    # nothing again: no evaluator, expansion, default horizon, grid or bound.
+    @pytest.mark.parametrize("horizon, grid_points", [(None, 2000), (2.0, 500)])
+    def test_more_epsilons_take_no_set_up(self, monkeypatch, horizon, grid_points):
+        _, system, w, mo = self.systems()[0]
+        decoherence._set_up.cache_clear()
+        calls = self.count_set_ups(monkeypatch, self.SET_UP)
+        decoherence_time(system, w, mo, 0.01, horizon, grid_points)
+        once = {name: 1 for name in self.SET_UP if horizon is None or name != "time_scale"}
+        assert calls == once
+        for epsilon in (0.1, 1.0):
+            decoherence_time(system, w, mo, epsilon, horizon, grid_points)
+        assert calls == once
+
+    # Another horizon or grid_points on the system in the memo sets it up
+    # once more, and its report is an empty memo's; its next eps is a hit.
+    @pytest.mark.parametrize("change", [{"horizon": 2.0}, {"grid_points": 500}, {"horizon": 2.0, "grid_points": 500}],
+                             ids=["horizon", "grid_points", "both"])
+    def test_changed_horizon_or_grid_points_is_set_up_again(self, monkeypatch, change):
+        _, system, w, mo = self.systems()[0]
+        decoherence_time(system, w, mo, 0.1)
+        calls = self.count_set_ups(monkeypatch, self.SET_UP)
+        warm = decoherence_time(system, w, mo, 0.1, **change)
+        decoherence_time(system, w, mo, 1.0, **change)
+        assert calls == {name: 1 for name in self.SET_UP if "horizon" not in change or name != "time_scale"}
+        decoherence._set_up.cache_clear()
+        assert bits(warm) == bits(decoherence_time(system, w, mo, 0.1, **change))
 
     # A report from a memo that holds the system equals the report from an
     # empty one in every field, on each path; eps = 10 certifies the damped
@@ -648,20 +694,6 @@ class TestSetUpMemo:
         assert bits(decoherence_time((equal_a, b), w, equal_mo, 0.1)) == bits(cold)
         assert not calls
         assert evaluator.hurwitz_limit() == limit
-
-    # The set-up reads the two limits; a system already in the memo is set up
-    # again under patched ones, as an empty memo would.
-    @pytest.mark.parametrize("limit, value", [("_SPECTRAL_COND_LIMIT", 0.0), ("_NEAR_RESONANT", 10.0)])
-    def test_patched_limit_is_set_up_again(self, monkeypatch, limit, value):
-        _, system, w, mo = self.systems()[2]
-        decoherence_time(system, w, mo, 0.1)
-        monkeypatch.setattr(dynamics, limit, value)
-        calls = self.count_set_ups(monkeypatch)
-        warm = decoherence_time(system, w, mo, 0.1)
-        assert calls == {"DeviationEvaluator": 1, "delta_derivatives": 1}
-        assert warm.delta_path == (dynamics.VAN_LOAN if value == 0.0 else dynamics.SPECTRAL)
-        decoherence._set_up.cache_clear()
-        assert bits(warm) == bits(decoherence_time(system, w, mo, 0.1))
 
     # tr(F P F^T) = 0 (a degenerate moment stub) and B = 1e200 J2, whose
     # ||F B||^2 overflows: each call sets up again and raises again.
