@@ -41,8 +41,9 @@ from t = 0.  Should that first point be above the threshold, Delta there
 is off by more than half the threshold or the bound is wrong, and a
 NumericalError names the time, Delta and the bound.  The bound's norms and
 products are formed so that it under- or overflows only where its value
-does.  Brent's method evaluates one point per step; on the bracket
-[0, grid[0]] its tolerance is that of t = 0.  The report names the path and
+does.  Brent's method refines the scale-free residual Delta / threshold - 1
+(a threshold that underflows to 0 is a NumericalError) and evaluates one
+point per step; on the bracket [0, grid[0]] its tolerance is that of t = 0.  The report names the path and
 counts the Delta evaluations made: the scanned points up to and including
 the crossing, and Brent's steps.  The expansion coefficients are
 
@@ -247,6 +248,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     tp, ts = expansion.coefficients()
     hat = expansion.tau_hat(epsilon)
     threshold = float(epsilon * expansion.scale)
+    if not threshold:  # Brent's method reads Delta / threshold
+        raise NumericalError(f"the threshold eps tr(F P F^T) = {epsilon:.6g} * {expansion.scale:.6g} underflows to 0")
     # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
     # scan starts at its last point, the bracket's lower end if the crossing
     # comes next, and skips the whole grid when every point is certified.
@@ -268,13 +271,16 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         raise NumericalError(f"Delta at t = {times[0]:.6g} is {sig[0] + noise[0]:.6g}, above the threshold "
                              f"{threshold:.6g}, where the a-priori bound {bound[start]:.6g} is at most half of it")
     else:
-        # The bracket's end values come from the scan, so their signs are the
-        # scan's; at k = 0 the lower end is t = 0, where Delta = 0, and the
-        # tolerance is that end's, for a crossing far below grid[0].
-        certificate, d = CERT_CROSSING, sig + noise
-        lo, d_lo = (times[k - 1], d[k - 1]) if k else (0.0, 0.0)
-        tau, steps = _brent(lambda t: evaluator.delta(t) - threshold, lo, d_lo - threshold,
-                            times[k], d[k] - threshold, 4.0 * np.spacing(times[k] if k else 0.0))
+        # Brent's method refines the scale-free residual Delta / threshold - 1,
+        # O(1) near tau at any threshold, so that its interpolation products
+        # do not underflow.  The bracket's end values come from the scan, so
+        # their signs are the scan's; at k = 0 the lower end is t = 0, where
+        # Delta = 0, and the tolerance is that end's, for a crossing far below
+        # grid[0].
+        certificate, r = CERT_CROSSING, (sig + noise) / threshold - 1.0
+        lo, r_lo = (times[k - 1], r[k - 1]) if k else (0.0, -1.0)
+        tau, steps = _brent(lambda t: evaluator.delta(t) / threshold - 1.0, lo, r_lo,
+                            times[k], r[k], 4.0 * np.spacing(times[k] if k else 0.0))
     return DecoherenceReport(
         epsilon=float(epsilon), threshold=threshold, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
         horizon_used=float(horizon), certificate=certificate, grid_points=grid_points,

@@ -362,6 +362,27 @@ class TestDecoherenceTime:
         assert abs(rep.tau_hat - eps / s**2) <= 1e-12 * rep.tau_hat
         assert rep.bisection_iterations <= 5
 
+    # A = -I, B = J2, F = P = I: Delta = 2 expm1(-t)^2 - expm1(-2t) reaches
+    # 2 eps at tau ~ eps.  Near tau the residual Delta - threshold is ~1e-13
+    # of the threshold, and its products with steps ~tau underflow below
+    # ~1e-150; Delta / threshold - 1 is O(1) there at every scale, subnormal
+    # thresholds included.
+    @pytest.mark.parametrize("eps", [1e-150, 1e-160, 1e-200, 1e-300, 1e-308, 1e-310])
+    def test_refinement_is_scale_free(self, eps):
+        real, w, mo = single_mode()
+        rep = decoherence_time(real, w, mo, eps)
+        root = scipy.optimize.brentq(lambda t: (2.0 * math.expm1(-t) ** 2 - math.expm1(-2.0 * t)) / (2.0 * eps) - 1.0,
+                                     0.0, 4.0 * eps, xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
+        assert rep.certificate == CERT_CROSSING
+        assert rep.bisection_iterations <= 10
+        assert abs(rep.tau - root) <= 1e-14 * root
+
+    def test_threshold_underflow_is_numerical_error(self):
+        # eps tr(F P F^T) = 1e-10 * 2e-320 is 0 in double precision.
+        real, _, mo = single_mode()
+        with pytest.raises(NumericalError, match="threshold .* underflows to 0"):
+            decoherence_time(real, Weighting(1e-160 * np.eye(2)), mo, 1e-10)
+
     def test_refinement_failure_is_numerical_error(self, monkeypatch):
         real, w, mo = single_mode()
         monkeypatch.setattr(decoherence, "_MAX_REFINEMENTS", 1)
