@@ -14,16 +14,14 @@ A tau has two halves.  The per-system half does not depend on eps: the
 evaluator, the _Expansion (one delta_derivatives), the horizon, the grid and
 the a-priori bound over it.  _set_up keeps the last one built, keyed by the
 shape and bytes of A, B, F and P and by horizon and grid_points as passed, so
-tau at several eps on one system builds it once, a system changed in place
-is built again, and a caller that alternates horizon or grid_points on one
-system builds it on every call.  The key holds no module constant of
-dynamics (_SPECTRAL_COND_LIMIT, _NEAR_RESONANT): code that patches one, or
-_delta_bound, must keep the set-ups it builds out of the memo.  The per-eps
-half runs on every call: the threshold, tau_hat, the certified prefix, the
-scan, the certificate, Brent's method and the report.  A set-up that raises
-is not memoized, and the inputs are checked on every call.  _set_up is the
-library's one process-wide state: delta and the others build their own
-evaluator on every call.
+tau at several eps builds it once, and a system changed in place, or another
+horizon or grid_points, is built again.  The key holds no module limit of
+dynamics: code that patches one, or _delta_bound, keeps its set-ups out of
+the memo.  The per-eps half runs on every call: the threshold, tau_hat, the
+scan from the certified prefix, the certificate, Brent's method and the
+report.  A set-up that raises is not memoized, and the inputs are checked on
+every call.  _set_up is the library's one process-wide state: delta and the
+others build their own evaluator on every call.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
 below the threshold.  dynamics._delta_bound is nondecreasing in t,
@@ -41,11 +39,11 @@ from t = 0.  Should that first point be above the threshold, Delta there
 is off by more than half the threshold or the bound is wrong, and a
 NumericalError names the time, Delta and the bound.  The bound's norms and
 products are formed so that it under- or overflows only where its value
-does.  Brent's method refines the scale-free residual Delta / threshold - 1
-(a threshold that underflows to 0 is a NumericalError) and evaluates one
-point per step; on the bracket [0, grid[0]] its tolerance is that of t = 0.  The report names the path and
-counts the Delta evaluations made: the scanned points up to and including
-the crossing, and Brent's steps.  The expansion coefficients are
+does.  Brent's method refines Delta / threshold - 1, O(1) near tau at any
+threshold (one that underflows to 0 is a NumericalError), a point per step;
+on the bracket [0, grid[0]] its tolerance is that of t = 0.  The report names
+the path and counts the Delta evaluations made: the scanned points up to and
+including the crossing, and Brent's steps.  The expansion coefficients are
 
     tau'  = tr(F P F^T) / ||F B||^2,
     tau'' = -ddot(Delta) * tau'^2 / dot(Delta),
@@ -78,10 +76,11 @@ __all__ = [
     "CERT_CROSSING",
 ]
 
-CERT_DELTA_ZERO = "delta_identically_zero"
-CERT_HURWITZ = "hurwitz_below_threshold"
-CERT_INCONCLUSIVE = "horizon_exhausted"
-CERT_CROSSING = "crossing_found"
+# What each certificate proves; DecoherenceReport says what two of them do not.
+CERT_DELTA_ZERO = "delta_identically_zero"  # A = B = 0: Delta = 0 and tau = inf
+CERT_HURWITZ = "hurwitz_below_threshold"  # no grid point above the threshold, Delta(inf) at most it
+CERT_INCONCLUSIVE = "horizon_exhausted"  # no grid point above the threshold, and A not certified
+CERT_CROSSING = "crossing_found"  # tau in the first grid interval that ends above the threshold
 
 _MAX_REFINEMENTS = 200
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -89,6 +88,12 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class DecoherenceReport:
+    """One tau(eps) and how it was found.  The certificate proves what its
+    CERT_* comment says, no more: crossing_found need not be the first
+    crossing (one before grid[0], or inside an interval whose ends are both
+    below the threshold, is not looked at), and hurwitz_below_threshold is
+    not tau = inf (Delta may overshoot its limit after the horizon)."""
+
     epsilon: float
     threshold: float
     tau: float
@@ -201,11 +206,9 @@ def _hybrid_grid(horizon, points):
 @_LastValue
 def _set_up(key, a, b, weighting, moments, horizon, grid_points):
     """(evaluator, expansion, horizon, grid, bound): the eps-independent half of
-    a tau, with horizon resolved (50 max(tau', time_scale(A)) when None; tau'
-    is read as 0 when F B = 0), its grid and _delta_bound over that grid.
-    Memoized by key, the shape and bytes of A, B, F and P and horizon and
-    grid_points as passed, so tau at several eps builds them once; a system
-    whose expansion coefficients raise is not memoized."""
+    a tau, horizon resolved (None is 50 max(tau', time_scale(A)), tau' read as
+    0 when F B = 0), memoized by key; a system whose expansion coefficients
+    raise is not memoized."""
     evaluator = DeviationEvaluator(a, b, weighting, moments)
     expansion = _expansion((a, b), weighting, moments)
     tp = expansion.coefficients()[0]
@@ -271,12 +274,10 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         raise NumericalError(f"Delta at t = {times[0]:.6g} is {sig[0] + noise[0]:.6g}, above the threshold "
                              f"{threshold:.6g}, where the a-priori bound {bound[start]:.6g} is at most half of it")
     else:
-        # Brent's method refines the scale-free residual Delta / threshold - 1,
-        # O(1) near tau at any threshold, so that its interpolation products
-        # do not underflow.  The bracket's end values come from the scan, so
+        # Delta / threshold - 1 keeps Brent's products from underflowing at a
+        # tiny threshold.  The bracket's end values come from the scan, so
         # their signs are the scan's; at k = 0 the lower end is t = 0, where
-        # Delta = 0, and the tolerance is that end's, for a crossing far below
-        # grid[0].
+        # Delta = 0, and the tolerance is that end's, for a crossing far below grid[0].
         certificate, r = CERT_CROSSING, (sig + noise) / threshold - 1.0
         lo, r_lo = (times[k - 1], r[k - 1]) if k else (0.0, -1.0)
         tau, steps = _brent(lambda t: evaluator.delta(t) / threshold - 1.0, lo, r_lo,

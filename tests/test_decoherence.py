@@ -728,3 +728,36 @@ class TestSetUpMemo:
             with pytest.raises(error):
                 decoherence_time(system, w, mo, 0.01)
             assert calls == {"DeviationEvaluator": repeat, "delta_derivatives": repeat}
+
+
+# Two weakly coupled memories on which tau is wrong (ROADMAP item 21): Theta =
+# (1/2) I2 (x) J2, selector and F the identity, the default horizon.  Each is
+# pinned as a strict expected failure, so the fix must turn it into a pass.
+class TestWeaklyCoupledMemory:
+    @staticmethod
+    def system(energy, coupling, p):
+        ccr = canonical_ccr(2)
+        real = build_realization(OqhoParams(ccr=ccr, energy=np.diag(energy), coupling=coupling, selector=np.eye(4)))
+        return real, Weighting(np.eye(4)), MomentData(np.diag(p), ccr)
+
+    # tau' = 2.75e7, so the grid starts at 13.75, past the first crossing near
+    # t = 0.2661, which a horizon of 1e3, 1e5 or 1e7 finds; the scan reports
+    # a later one (14.27).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the interval (0, grid[0]) is never evaluated")
+    def test_first_crossing_before_the_grid(self):
+        real, w, mo = self.system([6.28, 6.28, 0.003, 0.003], 1e-3 * np.eye(4), [5.0, 5.0, 50.0, 50.0])
+        rep = decoherence_time(real, w, mo, 0.2)
+        assert abs(rep.tau - 0.26607655839637) <= 1e-12 * 0.26607655839637
+
+    # A damped mode beside a memory mode: the Hurwitz limit (103) is below the
+    # threshold 252.5, and no point up to the default horizon 25.25 is above
+    # it, but Delta crosses at t = 1828.41, long after the horizon.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="hurwitz_below_threshold reads only Delta at the scanned points and at infinity")
+    def test_no_hurwitz_certificate_where_delta_crosses(self):
+        real, w, mo = self.system([1.0, 1.0, 1e-3, 1e-3], np.diag([10.0, 10.0, 1e-3, 1e-3]), [0.5, 0.5, 50.0, 50.0])
+        far = decoherence_time(real, w, mo, 2.5, horizon=1e4)
+        assert far.certificate == CERT_CROSSING
+        assert abs(far.tau - 1828.4084705824105) <= 1e-12 * 1828.4084705824105
+        assert decoherence_time(real, w, mo, 2.5).certificate != CERT_HURWITZ
