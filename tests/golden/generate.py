@@ -99,13 +99,14 @@ def compute(name):
     }
 
 
-def check_brackets(name, entry):
-    """AssertionError unless each scan decides BRACKET_MARGIN away from its
-    threshold, and the a-priori bound that sets where the scan starts decides
-    BRACKET_MARGIN away from half the threshold."""
-    a, b, w, mo = system(name)
+def check_brackets(name, sys_, reports):
+    """AssertionError unless each of reports, decoherence_time's reports on the
+    system sys_ (A, B, Weighting, MomentData), decides its scan BRACKET_MARGIN
+    away from its threshold, and the a-priori bound that sets where the scan
+    starts decides BRACKET_MARGIN away from half the threshold."""
+    a, b, w, mo = sys_
     ev = DeviationEvaluator(a, b, w, mo)
-    for r in entry["reports"]:
+    for r in reports:
         grid = _hybrid_grid(r["horizon_used"], r["grid_points"])
         if r["certificate"] == "crossing_found":
             # tau lies in (grid[k - 1], grid[k]]; Delta(0) = 0 exactly when the first point crosses.
@@ -113,7 +114,7 @@ def check_brackets(name, entry):
             decided = list(ev.delta(grid[:k + 1])[-2:])
         else:
             certified = r["certificate"] == "hurwitz_below_threshold"
-            decided = [ev.delta(grid).max()] + [entry["hurwitz_limit"]] * certified
+            decided = [ev.delta(grid).max()] + ([ev.hurwitz_limit()] if certified else [])
         bound = _delta_bound(a, b, w.f, mo.p, _dot_delta(w.f, b), grid)
         last = int(np.sum(bound <= 0.5 * r["threshold"])) - 1
         for x in decided:
@@ -130,11 +131,16 @@ def main():
         "systems": {name: compute(name) for name in SYSTEMS},
     }
     for name, entry in table["systems"].items():
-        check_brackets(name, entry)
-    # One line per list of numbers: a row of a matrix, the Delta values.
+        check_brackets(name, system(name), entry["reports"])
+    write(TABLE, table)
+
+
+def write(path, table):
+    """Write table as JSON to path, one line per list of numbers: a row of a
+    matrix, the Delta values."""
     text = re.sub(r'\[[^\[\]{}"]*\]', lambda m: "[" + " ".join(m.group()[1:-1].split()) + "]",
                   json.dumps(table, indent=1))
-    TABLE.write_text(text + "\n")
+    path.write_text(text + "\n")
 
 
 if __name__ == "__main__":

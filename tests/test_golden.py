@@ -1,9 +1,10 @@
 """The Delta, design and network layers against their golden tables.
 
-tests/golden/generate.py writes tests/golden/delta_layer.json and
-tests/golden/generate_network.py writes tests/golden/design_network.json; each
-computes its entries with its `compute`, and these tests recompute every entry
-and compare.  The tolerances hold on any BLAS:
+tests/golden/generate.py writes tests/golden/delta_layer.json,
+tests/golden/generate_bench.py writes tests/golden/bench_reports.json (the
+benchmark's n = 100 taus) and tests/golden/generate_network.py writes
+tests/golden/design_network.json; each computes its entries with its
+`compute`, and these tests recompute every entry and compare.  The tolerances hold on any BLAS:
 OpenBLAS picks its kernel per CPU, and forcing another one (OPENBLAS_CORETYPE
 Prescott, Core2, Nehalem, Sandybridge or Haswell) moved tau by up to 7.3e-14
 relative, Delta on the marginal kinds by up to 1.1e-12 and every other Delta
@@ -27,12 +28,13 @@ import json
 import numpy as np
 import pytest
 
-from golden import generate_network
+from golden import generate_bench, generate_network
 from golden.generate import SYSTEMS, TABLE, compute
 from oqho_memory.network import assemble
 
 GOLDEN = json.loads(TABLE.read_text())["systems"]
 NETWORK_GOLDEN = json.loads(generate_network.TABLE.read_text())["pairs"]
+BENCH_GOLDEN = json.loads(generate_bench.TABLE.read_text())["systems"]
 
 EXACT = ("certificate", "delta_path", "grid_points", "expansion_valid")
 RTOL = 1e-13  # every value not named otherwise
@@ -57,11 +59,12 @@ def assert_close(got, want, rtol, what):
         assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), (what, got, want)
 
 
-@pytest.mark.parametrize("name", SYSTEMS)
-def test_delta_layer_matches_golden_table(name):
-    got, want = compute(name), GOLDEN[name]
-    assert len(got["reports"]) == len(want["reports"])
-    for r, w in zip(got["reports"], want["reports"]):
+def assert_reports_match(got, want):
+    """Each DecoherenceReport of got (as a dict) against want: EXACT fields
+    and the scanned count equal, Brent's steps within BRENT_SLACK, tau within
+    TAU_RTOL and every other field within RTOL."""
+    assert len(got) == len(want)
+    for r, w in zip(got, want):
         eps = w["epsilon"]
         for field in EXACT:
             assert r[field] == w[field], (eps, field)
@@ -70,6 +73,12 @@ def test_delta_layer_matches_golden_table(name):
         assert abs(r["bisection_iterations"] - w["bisection_iterations"]) <= BRENT_SLACK, eps
         for field in set(w) - set(EXACT) - {"delta_evaluations", "bisection_iterations"}:
             assert_close(r[field], w[field], TAU_RTOL if field == "tau" else RTOL, (eps, field))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_delta_layer_matches_golden_table(name):
+    got, want = compute(name), GOLDEN[name]
+    assert_reports_match(got["reports"], want["reports"])
     marginal_rtol = MARGINAL_RTOL if want["marginal"] else RTOL
     np.testing.assert_allclose(got["delta"], want["delta"], rtol=marginal_rtol, atol=0)
     for field, rtol in (("hurwitz_limit", RTOL), ("gramian", RTOL), ("asymptotic_rate", marginal_rtol)):
@@ -77,6 +86,13 @@ def test_delta_layer_matches_golden_table(name):
         if want[field] is not None:
             assert_close(got[field], want[field], rtol, field)
 
+
+@pytest.mark.parametrize("name", generate_bench.SYSTEMS)
+def test_bench_reports_match_golden_table(name):
+    got, want = generate_bench.compute(name), BENCH_GOLDEN[name]
+    # A moved fingerprint means the benchmark's generator changed, not tau.
+    assert_close(got["a_fingerprint"], want["a_fingerprint"], RTOL, "bench systems changed")
+    assert_reports_match(got["reports"], want["reports"])
 
 
 @pytest.mark.parametrize("name", generate_network.PAIRS)
