@@ -280,7 +280,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         # Delta = 0, and the tolerance is that end's, for a crossing far below grid[0].
         certificate, r = CERT_CROSSING, (sig + noise) / threshold - 1.0
         lo, r_lo = (times[k - 1], r[k - 1]) if k else (0.0, -1.0)
-        tau, steps = _brent(lambda t: evaluator.delta(t) / threshold - 1.0, lo, r_lo,
+        tau, steps = _brent(lambda t: evaluator._delta_at(t) / threshold - 1.0, lo, r_lo,
                             times[k], r[k], 4.0 * np.spacing(times[k] if k else 0.0))
     return DecoherenceReport(
         epsilon=float(epsilon), threshold=threshold, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,

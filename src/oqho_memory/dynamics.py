@@ -542,6 +542,18 @@ class DeviationEvaluator:
         theta[:, 2 * k:] = e[:, k:]
         return theta
 
+    @_guarded()
+    def _delta_at(self, t):
+        """Delta(t) at one time t >= 0 from one _terms call, as delta(t) computes
+        it, without delta's walk: for Brent's steps, whose t the scan's bracket
+        has checked.  NumericalError naming t, as scan raises it, when Delta is
+        not finite."""
+        sig, noise = self._terms(np.array([t]))
+        d = sig[0] + noise[0]
+        if not math.isfinite(d):
+            raise NumericalError(f"deviation not finite at t = {t:.6g}: signal {sig[0]}, noise {noise[0]}")
+        return float(d)
+
     def delta(self, t):
         """Delta(t) = signal + noise, at a time t or at each time of a 1-D array t."""
         sig, noise = self.terms(t)
