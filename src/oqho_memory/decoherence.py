@@ -24,12 +24,17 @@ every call.  _set_up is the library's one process-wide state: delta and the
 others build their own evaluator on every call.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
-below the threshold.  dynamics._delta_bound is nondecreasing in t,
+below the threshold.  dynamics._delta_bound is nondecreasing in t, of order
+K = 4 in x = alpha t:
 
-    Delta(t) <= phi^2 tr(P) expm1(alpha t)^2 + t (||F B||_F + phi ||B||_F expm1(alpha t))^2,
+    Delta(t) <= r_s(t)^2 + t r_n(t)^2,
+    r_s(t) = sum_{j=1}^{K-1} (x^j / j!) ||F Ah^j P^{1/2}||_F + phi sqrt(tr P) T_K(x),
+    r_n(t) = ||F B||_F + sum_{j=1}^{K-1} (x^j / j!) ||F Ah^j B||_F + phi ||B||_F T_K(x),
 
-with alpha >= ||A||_2 and phi >= ||F||_2 (||e^{tA} - I||_2 <= expm1(t ||A||_2),
-Moler & Van Loan 2003), and costs O(n^2) once and O(1) a grid point.  A point
+with alpha >= ||A||_2, Ah = A / alpha, phi >= ||F||_2 and the Taylor tail
+T_K(x) = sum_{j >= K} x^j / j!: each term bounds its own part of the series
+of e^{tA}, with ||A^j||_2 <= alpha^j (Moler & Van Loan 2003).  It costs
+O(K n^3) once, in the set-up, and O(K) a grid point.  A point
 whose bound is at most half the threshold is decided without evaluating
 Delta; the margin of 1/2 leaves room for rounding in Delta and in the bound.
 The scan is one DeviationEvaluator.scan from the last such point (the

@@ -68,8 +68,8 @@ from .errors import (
     ValidationError,
 )
 from .model import _system, ito_j
-from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _guarded, _norm,
-                       _on_axis, _product, _scaled_eigh, matrix_exp, solve_lyapunov)
+from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _exponent, _guarded, _norm,
+                       _on_axis, _scaled_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -250,29 +250,91 @@ def _weighted_trace(f, x):
     return float(np.sum((f @ x) * f))
 
 
+# _delta_bound takes the first _TAYLOR_ORDER - 1 terms of the Taylor series
+# of e^{tA} - I one by one and bounds the rest by its tail in ||A||_2.
+_TAYLOR_ORDER = 4
+
+# _taylor_tail sums the tail's first _TAIL_TERMS terms for x <= 1; the first
+# one left out is below eps / 10 of the first one kept.
+_TAIL_TERMS = 16
+_INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(_TAYLOR_ORDER + _TAIL_TERMS))
+
+
+def _horner(c, x):
+    """sum_i c[i] x^i at each x of a 1-D array, in Horner form (0 for no c)."""
+    acc = np.zeros(len(x))
+    for ci in reversed(c):
+        acc *= x
+        acc += ci
+    return acc
+
+
+def _taylor_tail(x, order):
+    """T(x) = sum_{j >= order} x^j / j! at each x >= 0 of a 1-D array,
+    nondecreasing in x: expm1 for order 1; else, up to x = 1, where expm1(x)
+    minus the first terms would cancel, the series itself, and above it that
+    difference.  A running maximum over x keeps the values nondecreasing
+    where the two forms meet and wherever rounding turns one down."""
+    if order == 1:
+        return np.expm1(x)
+    tail = np.empty(len(x))
+    small = x <= 1.0
+    xs, xl = x[small], x[~small]
+    tail[small] = xs ** order * _horner(_INV_FACTORIAL[order:order + _TAIL_TERMS], xs)
+    tail[~small] = np.expm1(xl) - _horner((0.0,) + _INV_FACTORIAL[1:order], xl)
+    by_x = np.argsort(x)
+    tail[by_x] = np.maximum.accumulate(tail[by_x])
+    return tail
+
+
 @_guarded()  # an overflow gives inf or nan, which no caller reads as below anything
 def _delta_bound(a, b, f, p, dot, times):
     """An upper bound on Delta at each of times (a 1-D array), nondecreasing in t:
 
-        bound(t) = (phi sqrt(tr P) expm1(alpha t))^2 + (sqrt(t) (g + phi ||B||_F expm1(alpha t)))^2
+        bound(t) = r_s(t)^2 + t r_n(t)^2,
+        r_s(t) = sum_{j=1}^{K-1} (x^j / j!) ||F Ah^j P^{1/2}||_F + phi sqrt(tr P) T_K(x),
+        r_n(t) = g + sum_{j=1}^{K-1} (x^j / j!) ||F Ah^j B||_F + phi ||B||_F T_K(x),
 
-    with alpha = _norm2_bound(A) >= ||A||_2 (the bound _propagate reads),
-    phi = _norm2_bound(F) >= ||F||_2 and g = sqrt(dot) = ||F B||_F, dot as
-    _dot_delta forms it.  E = e^{tA} - I has ||E||_2 <= expm1(t ||A||_2)
-    (Moler & Van Loan 2003; Higham, Functions of Matrices, 2008, ch. 10), so
-    the signal term ||F E P^{1/2}||_F^2 is at most the first square, and the
-    noise term is the integral over [0, t] of ||F e^{sA} B||_F^2, whose root is
-    at most g + phi ||B||_F expm1(alpha s).  Each root is one _product, and
-    ||B||_F is numerics._norm, so the bound over- or underflows only where
-    its value does.  A dot below the normal range (||F B||_F^2 underflowed)
-    is read as g = sqrt(2 tiny), above what underflowed.  O(n^2) once, O(1)
-    a time.
+    with K = _TAYLOR_ORDER, alpha = _norm2_bound(A) >= ||A||_2 (the bound
+    _propagate reads), x = alpha t, Ah = A / alpha, phi = _norm2_bound(F) >=
+    ||F||_2, T_K(x) = sum_{j >= K} x^j / j! (_taylor_tail) and g = sqrt(dot)
+    = ||F B||_F, dot as _dot_delta forms it.  E = e^{tA} - I is the sum of
+    (tA)^j / j! over j >= 1, and ||A^j||_2 <= alpha^j (Moler & Van Loan 2003;
+    Higham, Functions of Matrices, 2008, ch. 10), so the signal term
+    ||F E P^{1/2}||_F^2 is at most r_s^2: each of its first K - 1 terms is
+    bounded apart and the rest by phi sqrt(tr P) T_K.  The noise term is the
+    integral over [0, t] of ||F e^{sA} B||_F^2, whose root is at most
+    r_n(s) <= r_n(t) the same way.  The first coefficients are exact, so the
+    bound meets Delta as t -> 0.  ||F Ah^j P^{1/2}||_F^2 is
+    tr(F Ah^j P (F Ah^j)^T), as _weighted_trace forms it, so no P^{1/2} is
+    formed.  K is 1 for alpha = 0 (Delta = t g^2) or inf, where the bound is
+    expm1's.
+
+    Ah has ||Ah^j||_2 <= 1, so no power of it overflows, and F, B and P enter
+    scaled by powers of two to largest entries near 1; each root takes its
+    scale back in one np.ldexp, and sqrt(t) r_n is one product, so the bound
+    over- or underflows only where its value does.  A dot below the normal
+    range (||F B||_F^2 underflowed) is read as g = sqrt(2 tiny), above what
+    underflowed.  O(K n^3) once, O(K) a time.
     """
+    alpha = _norm2_bound(a)
+    order = _TAYLOR_ORDER if 0.0 < alpha < math.inf else 1
+    ef, eb, ep = _exponent(f), _exponent(b), _exponent(p)
+    ep += ep % 2  # even: P^{1/2} scales by 2^(ep/2)
+    f, b, p = np.ldexp(f, -ef), np.ldexp(b, -eb), np.ldexp(p, -ep)
+    # Horner coefficients of the two sums: ||F Ah^j P^{1/2}||_F / j! and ||F Ah^j B||_F / j!.
+    a_hat, fa, sig_c, noise_c = a / alpha, f, [0.0], [0.0]
+    for j in range(1, order):
+        fa = fa @ a_hat
+        fb = fa @ b
+        sig_c.append(math.sqrt(max(np.vdot(fa @ p, fa), 0.0)) * _INV_FACTORIAL[j])
+        noise_c.append(math.sqrt(np.vdot(fb, fb)) * _INV_FACTORIAL[j])
+    x = alpha * times
+    tail = _taylor_tail(x, order)
     phi = _norm2_bound(f)
-    e = np.expm1(_norm2_bound(a) * times)
+    signal = np.ldexp(_horner(sig_c, x) + phi * math.sqrt(np.trace(p)) * tail, ef + ep // 2)
     g = math.sqrt(max(dot, 2.0 * np.finfo(float).tiny))
-    signal = _product(phi, math.sqrt(np.trace(p)), e)
-    noise = _product(np.sqrt(times), g + _product(phi, _norm(b), e))
+    noise = np.sqrt(times) * (g + np.ldexp(_horner(noise_c, x) + phi * np.linalg.norm(b) * tail, ef + eb))
     return signal * signal + noise * noise
 
 
