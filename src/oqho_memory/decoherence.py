@@ -67,7 +67,7 @@ from .dynamics import (DeviationEvaluator, _check_grid_points, _check_horizon, _
                        _weighted_trace, delta_derivatives, time_scale)
 from .errors import NumericalError, PreconditionError
 from .model import _system
-from .numerics import _as_finite, _as_matrix, _guarded, _LastValue
+from .numerics import _as_finite, _as_matrix, _exponent, _guarded, _LastValue
 
 __all__ = [
     "DecoherenceReport",
@@ -210,17 +210,23 @@ def _hybrid_grid(horizon, points):
 
 @_LastValue
 def _set_up(key, a, b, weighting, moments, horizon, grid_points):
-    """(evaluator, expansion, horizon, grid, bound): the eps-independent half of
-    a tau, horizon resolved (None is 50 max(tau', time_scale(A)), tau' read as
-    0 when F B = 0), memoized by key; a system whose expansion coefficients
-    raise is not memoized."""
+    """(evaluator, expansion, horizon, grid, bound, shift): the eps-independent
+    half of a tau, horizon resolved (None is 50 max(tau', time_scale(A)), tau'
+    read as 0 when F B = 0), memoized by key; a system whose expansion
+    coefficients raise is not memoized.  Evaluator, expansion and bound are
+    built on F 2^shift, whose largest entry is in [1, 2): Delta, the threshold
+    and the bound are 4^shift theirs at F, exactly while both stay normal,
+    and normal at any scale of F."""
+    shift = 1 - _exponent(weighting.f)
+    weighting = weighting._scaled(shift)
     evaluator = DeviationEvaluator(a, b, weighting, moments)
     expansion = _expansion((a, b), weighting, moments)
     tp = expansion.coefficients()[0]
     if horizon is None:
         horizon = 50.0 * max(tp if math.isfinite(tp) else 0.0, time_scale(a))
     grid = _hybrid_grid(horizon, grid_points)
-    return evaluator, expansion, horizon, grid, _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid)
+    bound = _delta_bound(a, b, weighting.f, moments.p, expansion.dot, grid)
+    return evaluator, expansion, horizon, grid, bound, shift
 
 
 @_guarded()  # the report is a record; the scan and _brent check their values
@@ -252,12 +258,17 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         _check_horizon(horizon)
     _check_grid_points(grid_points, "grid_points")
     key = tuple(x for m in (a, b, weighting.f, moments.p) for x in (m.shape, m.tobytes())) + (horizon, grid_points)
-    evaluator, expansion, horizon, grid, bound = _set_up(key, a, b, weighting, moments, horizon, grid_points)
+    evaluator, expansion, horizon, grid, bound, shift = _set_up(key, a, b, weighting, moments, horizon, grid_points)
     tp, ts = expansion.coefficients()
     hat = expansion.tau_hat(epsilon)
+    # The scan, the bound and Brent's method read F 2^shift: Delta, the bound
+    # and this threshold are 4^shift theirs at F.  The report keeps F's.
     threshold = float(epsilon * expansion.scale)
-    if not threshold:  # Brent's method reads Delta / threshold
-        raise NumericalError(f"the threshold eps tr(F P F^T) = {epsilon:.6g} * {expansion.scale:.6g} underflows to 0")
+    scale = float(np.ldexp(expansion.scale, -2 * shift))  # tr(F P F^T)
+    if scale == math.inf:
+        raise NumericalError("tr(F P F^T) overflows")
+    if not epsilon * scale:
+        raise NumericalError(f"the threshold eps tr(F P F^T) = {epsilon:.6g} * {scale:.6g} underflows to 0")
     # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
     # scan starts at its last point, the bracket's lower end if the crossing
     # comes next, and skips the whole grid when every point is certified.
@@ -276,8 +287,9 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
                 below = False
             certificate = CERT_HURWITZ if below else CERT_INCONCLUSIVE
     elif start and not k:  # Delta is off by more than threshold / 2, or the bound is wrong
-        raise NumericalError(f"Delta at t = {times[0]:.6g} is {sig[0] + noise[0]:.6g}, above the threshold "
-                             f"{threshold:.6g}, where the a-priori bound {bound[start]:.6g} is at most half of it")
+        unscaled = np.ldexp([sig[0] + noise[0], threshold, bound[start]], -2 * shift)
+        raise NumericalError("Delta at t = {:.6g} is {:.6g}, above the threshold {:.6g}, where the a-priori "
+                             "bound {:.6g} is at most half of it".format(times[0], *unscaled))
     else:
         # Delta / threshold - 1 keeps Brent's products from underflowing at a
         # tiny threshold.  The bracket's end values come from the scan, so
@@ -288,7 +300,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         tau, steps = _brent(lambda t: evaluator._delta_at(t) / threshold - 1.0, lo, r_lo,
                             times[k], r[k], 4.0 * np.spacing(times[k] if k else 0.0))
     return DecoherenceReport(
-        epsilon=float(epsilon), threshold=threshold, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
+        epsilon=float(epsilon), threshold=float(epsilon * scale), tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
         horizon_used=float(horizon), certificate=certificate, grid_points=grid_points,
         bisection_iterations=steps, expansion_valid=math.isfinite(tp),
         delta_evaluations=min(k + 1, len(times)) + steps, delta_path=evaluator.path)

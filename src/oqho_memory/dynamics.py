@@ -147,6 +147,18 @@ class Weighting:
         keep = w > _RANK_RTOL * np.max(w)
         return cls(np.ldexp(np.sqrt(w[keep])[:, None] * v[:, keep].T, k))
 
+    def _scaled(self, k):
+        """This weighting with F 2^k (itself for k = 0), without a second rank
+        check: a power of two keeps the rank of an F that stays normal."""
+        if not k:
+            return self
+        scaled, f = object.__new__(Weighting), np.ldexp(self.f, k)
+        sigma = f.T @ f
+        f.flags.writeable = sigma.flags.writeable = False
+        object.__setattr__(scaled, "f", f)
+        object.__setattr__(scaled, "_sigma", sigma)
+        return scaled
+
     @property
     def sigma(self):
         """Sigma = F^T F, computed once (read-only, like F)."""

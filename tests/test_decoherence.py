@@ -383,6 +383,36 @@ class TestDecoherenceTime:
         with pytest.raises(NumericalError, match="threshold .* underflows to 0"):
             decoherence_time(real, Weighting(1e-160 * np.eye(2)), mo, 1e-10)
 
+    # Delta and the threshold both scale as F^2.  The scan reads F scaled by a
+    # power of two to unit size, so F = c I gives tau at F = I at any c: at
+    # c = 1e-160 the threshold 2e-323 is subnormal, and a scan of Delta ~1e-320
+    # itself once reported tau = 0.00122 at eps = 1e-3.
+    @pytest.mark.parametrize("c", [1e-160, 1e-100, 1e100])
+    def test_tau_does_not_depend_on_the_scale_of_f(self, c):
+        real, w, mo = single_mode()
+        want = decoherence_time(real, w, mo, 1e-3)
+        rep = decoherence_time(real, Weighting(c * np.eye(2)), mo, 1e-3)
+        assert rep.certificate == CERT_CROSSING
+        assert abs(rep.tau - want.tau) <= 1e-14 * want.tau
+        assert rep.threshold > 0.0
+
+    # F = 2^k I scales Delta and the threshold exactly: every field but the
+    # threshold is the F = I report's, bit for bit, and the threshold is 4^k its.
+    @pytest.mark.parametrize("k", [-530, -1, 3, 400])
+    def test_power_of_two_f_is_bit_identical(self, k):
+        real, w, mo = single_mode()
+        for eps in (1e-3, 0.1):
+            want = decoherence_time(real, w, mo, eps)
+            rep = decoherence_time(real, Weighting(2.0**k * np.eye(2)), mo, eps)
+            assert bits(dataclasses.replace(rep, threshold=want.threshold)) == bits(want)
+            assert rep.threshold == eps * np.ldexp(2.0, 2 * k)
+
+    def test_scale_overflow_is_numerical_error(self):
+        # tr(F P F^T) = 2^1201 overflows, although tau at F 2^-600 is finite.
+        real, _, mo = single_mode()
+        with pytest.raises(NumericalError, match="tr\\(F P F\\^T\\) overflows"):
+            decoherence_time(real, Weighting(2.0**600 * np.eye(2)), mo, 1e-3)
+
     def test_refinement_failure_is_numerical_error(self, monkeypatch):
         real, w, mo = single_mode()
         monkeypatch.setattr(decoherence, "_MAX_REFINEMENTS", 1)
