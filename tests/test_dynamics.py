@@ -1,8 +1,11 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqho_memory import dynamics
 from oqho_memory.decoherence import decoherence_time, tau_hat, tau_prime, tau_second
@@ -28,7 +31,8 @@ from oqho_memory.errors import (
     PreconditionError,
     ValidationError,
 )
-from oqho_memory.model import HURWITZ, J2, CcrMatrix, build_realization, canonical_ccr, classify_spectrum
+from oqho_memory.model import (HURWITZ, J2, CcrMatrix, OqhoParams, build_realization, canonical_ccr,
+                               classify_spectrum)
 from oqho_memory.numerics import sqrt_psd
 
 from oracles import (
@@ -1034,6 +1038,27 @@ def bound_system(name):
     return a, b, w, mo
 
 
+def random_bound_system(kind, nu, rng):
+    """(A, B, Weighting, MomentData) of a physically realizable system of
+    nu modes: Hurwitz (random_damped_realization), marginal (rotations
+    through a near-identity similarity, random_marginal_modes) or defective
+    (energy r u u^T and coupling c I2 per mode: A = J R - c^2 I has the
+    nilpotent part r J u u^T)."""
+    n = 2 * nu
+    params, real = random_damped_realization(rng, nu)
+    a, b = real.a, real.b
+    if kind == "marginal":
+        a, b = random_marginal_modes(rng, nu)
+    elif kind == "defective":
+        u = rng.standard_normal((nu, 2))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        energy = scipy.linalg.block_diag(*[r * np.outer(x, x) for r, x in zip(rng.uniform(0.5, 2.0, nu), u)])
+        coupling = np.kron(np.diag(rng.uniform(0.5, 1.5, nu)), np.eye(2))
+        real = build_realization(OqhoParams(ccr=params.ccr, energy=energy, coupling=coupling, selector=np.eye(n)))
+        a, b = real.a, real.b
+    return a, b, Weighting(rng.standard_normal((n, n))), MomentData(random_spd(rng, n), params.ccr)
+
+
 class TestDeltaBound:
     @pytest.mark.parametrize("van_loan", [False, True])
     @pytest.mark.parametrize("name", BOUND_SYSTEMS)
@@ -1080,4 +1105,73 @@ class TestDeltaBound:
         bound = dynamics._delta_bound(s * a0, bs, fs, p * mo.p, dynamics._dot_delta(fs, bs), times / s)
         assert np.isfinite(bound).all()
         assert np.all(want <= bound * (1.0 + 1e-9))
+        assert np.all(np.diff(bound) >= 0.0)
+
+    # The first Taylor coefficients of the bound are exact, so as t -> 0 it is
+    # t ||F B||_F^2 (1 + O(alpha t)), as Delta is: within 1e-3 of it at
+    # alpha t = 1e-6 wherever F B != 0.
+    @pytest.mark.parametrize("name", [x for x in BOUND_SYSTEMS if x != "unstable-noiseless"])
+    def test_bound_meets_delta_at_leading_order(self, name):
+        a, b, w, mo = bound_system(name)
+        alpha = dynamics._norm2_bound(a)
+        t = np.array([1e-6 / alpha if alpha else 1e-6])
+        bound = dynamics._delta_bound(a, b, w.f, mo.p, dynamics._dot_delta(w.f, b), t)[0]
+        d = DeviationEvaluator(a, b, w, mo).delta(t)[0]
+        assert d <= bound * (1.0 + 1e-9)
+        assert bound <= d * (1.0 + 1e-3)
+
+    # A = 50 I, F = 2 I, P = I and B = b I: e^{tA} = e^{50 t} I, and every term
+    # of its series is bounded without loss, so both roots are exact:
+    # bound = 4 n (expm1(50 t)^2 + t b^2 e^{100 t}), which is Delta at b = 0.
+    # To rounding and to alpha's: sqrt(50) sqrt(50) is 50 (1 + ~1e-16), which
+    # moves e^{50 t} by ~1e-16 50 t relative (~7e-14 at t = 7).
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_bound_is_exact_on_a_scalar_system(self, b):
+        n = 8
+        a, bb, w, mo = 50.0 * np.eye(n), b * np.eye(n), Weighting(2.0 * np.eye(n)), MomentData(np.eye(n), canonical_ccr(4))
+        times = np.unique(np.concatenate([np.geomspace(1e-8, 7.0, 300), np.linspace(0.0, 7.0, 201)]))
+        bound = dynamics._delta_bound(a, bb, w.f, mo.p, dynamics._dot_delta(w.f, bb), times)
+        want = 4.0 * n * (np.expm1(50.0 * times) ** 2 + b * b * times * np.exp(100.0 * times))
+        np.testing.assert_allclose(bound, want, rtol=1e-12, atol=0)
+        if not b:
+            np.testing.assert_allclose(DeviationEvaluator(a, bb, w, mo).delta(times), want, rtol=1e-12, atol=0)
+
+    # T_4(x) = sum_{j >= 4} x^j / j! against exact rational sums, and
+    # nondecreasing between adjacent floats, where its two forms meet (x = 1)
+    # and where expm1(x) minus the first terms rounds down (near x = 1.5).
+    def test_taylor_tail(self):
+        def exact(x):
+            term, total, j = Fraction(1), Fraction(0), 0
+            while j < 4 or term > total / 10**20:
+                j += 1
+                term = term * Fraction(x) / j
+                total += term if j >= 4 else 0
+            return float(total)
+
+        x = np.array([0.0, 1e-300, 1e-8, 1e-3, 0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0])
+        np.testing.assert_allclose(dynamics._taylor_tail(x, 4), [exact(v) for v in x], rtol=1e-14, atol=0)
+        for c in (1.0, 1.5, 2.0):
+            x = c + np.arange(-1000, 1000) * np.spacing(c)
+            assert np.all(np.diff(dynamics._taylor_tail(x, 4)) >= 0.0)
+
+    # Small realizable systems of each kind the bound must cover, at
+    # log-uniform scales of A, B, F and P (each over 1e-60 .. 1e60), checked
+    # as the extreme scales above are: Delta(t) of (s A, sqrt(s) b B, c F, p P)
+    # is c^2 (p signal(s t) + b^2 noise(s t)).
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["hurwitz", "marginal", "defective"]), nu=st.integers(1, 3),
+           seed=st.integers(0, 2**16), exponents=st.tuples(*[st.floats(-60.0, 60.0)] * 4))
+    def test_bound_holds_on_random_systems(self, kind, nu, seed, exponents):
+        a0, b0, w, mo = random_bound_system(kind, nu, np.random.default_rng(seed))
+        s, b, c, p = 10.0 ** np.array(exponents)
+        alpha = dynamics._norm2_bound(a0)
+        times = np.unique(np.concatenate([np.geomspace(1e-8, 30.0, 200), np.linspace(0.0, 30.0, 101)])) / alpha
+        ev = DeviationEvaluator(a0, b0, w, mo)
+        assert ev.path == (VAN_LOAN if kind == "defective" else SPECTRAL)
+        sig, noise = ev.terms(times)
+        want = c * (c * p) * sig + (c * b) ** 2 * noise
+        bs, fs = np.sqrt(s) * b * b0, c * w.f
+        bound = dynamics._delta_bound(s * a0, bs, fs, p * mo.p, dynamics._dot_delta(fs, bs), times / s)
+        assert np.isfinite(bound).all()
+        assert np.all(want <= bound * (1.0 + 1e-9)), times[want > bound * (1.0 + 1e-9)]
         assert np.all(np.diff(bound) >= 0.0)
