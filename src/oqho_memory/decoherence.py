@@ -20,7 +20,9 @@ dynamics: code that patches one, or _delta_bound, keeps its set-ups out of
 the memo.  The per-eps half runs on every call: the threshold, tau_hat, the
 scan from the certified prefix, the certificate, Brent's method and the
 report.  A set-up that raises is not memoized, and the inputs are checked on
-every call.  _set_up is the library's one process-wide state: delta and the
+every call.  The set-up reads F scaled by a power of two to unit size, so
+Delta and the threshold that the scan compares stay in the normal range at
+any scale of F; the report keeps the threshold at F.  _set_up is the library's one process-wide state: delta and the
 others build their own evaluator on every call.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
