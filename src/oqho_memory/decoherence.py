@@ -22,8 +22,9 @@ scan from the certified prefix, the certificate, Brent's method and the
 report.  A set-up that raises is not memoized, and the inputs are checked on
 every call.  The set-up reads F scaled by a power of two to unit size, so
 Delta and the threshold that the scan compares stay in the normal range at
-any scale of F; the report keeps the threshold at F.  _set_up is the library's one process-wide state: delta and the
-others build their own evaluator on every call.
+any scale of F; the report keeps the threshold at F.  _set_up is the
+library's one process-wide state: delta and the others build their own
+evaluator on every call.
 
 The scan skips the grid's prefix where an a-priori bound certifies Delta
 below the threshold.  dynamics._delta_bound is nondecreasing in t, of order
@@ -269,7 +270,8 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
     scale = float(np.ldexp(expansion.scale, -2 * shift))  # tr(F P F^T)
     if scale == math.inf:
         raise NumericalError("tr(F P F^T) overflows")
-    if not epsilon * scale:
+    reported = float(epsilon * scale)
+    if not reported:
         raise NumericalError(f"the threshold eps tr(F P F^T) = {epsilon:.6g} * {scale:.6g} underflows to 0")
     # Delta <= bound <= threshold / 2 on the certified prefix of the grid.  The
     # scan starts at its last point, the bracket's lower end if the crossing
@@ -302,7 +304,7 @@ def decoherence_time(system, weighting, moments, epsilon, horizon=None, grid_poi
         tau, steps = _brent(lambda t: evaluator._delta_at(t) / threshold - 1.0, lo, r_lo,
                             times[k], r[k], 4.0 * np.spacing(times[k] if k else 0.0))
     return DecoherenceReport(
-        epsilon=float(epsilon), threshold=float(epsilon * scale), tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
+        epsilon=float(epsilon), threshold=reported, tau=tau, tau_prime=tp, tau_second=ts, tau_hat=hat,
         horizon_used=float(horizon), certificate=certificate, grid_points=grid_points,
         bisection_iterations=steps, expansion_valid=math.isfinite(tp),
         delta_evaluations=min(k + 1, len(times)) + steps, delta_path=evaluator.path)

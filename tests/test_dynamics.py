@@ -1128,7 +1128,8 @@ class TestDeltaBound:
     @pytest.mark.parametrize("b", [0.0, 0.5])
     def test_bound_is_exact_on_a_scalar_system(self, b):
         n = 8
-        a, bb, w, mo = 50.0 * np.eye(n), b * np.eye(n), Weighting(2.0 * np.eye(n)), MomentData(np.eye(n), canonical_ccr(4))
+        a, bb = 50.0 * np.eye(n), b * np.eye(n)
+        w, mo = Weighting(2.0 * np.eye(n)), MomentData(np.eye(n), canonical_ccr(n // 2))
         times = np.unique(np.concatenate([np.geomspace(1e-8, 7.0, 300), np.linspace(0.0, 7.0, 201)]))
         bound = dynamics._delta_bound(a, bb, w.f, mo.p, dynamics._dot_delta(w.f, bb), times)
         want = 4.0 * n * (np.expm1(50.0 * times) ** 2 + b * b * times * np.exp(100.0 * times))

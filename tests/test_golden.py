@@ -4,8 +4,9 @@ tests/golden/generate.py writes tests/golden/delta_layer.json,
 tests/golden/generate_bench.py writes tests/golden/bench_reports.json (the
 benchmark's n = 100 taus) and tests/golden/generate_network.py writes
 tests/golden/design_network.json; each computes its entries with its
-`compute`, and these tests recompute every entry and compare.  The tolerances hold on any BLAS:
-OpenBLAS picks its kernel per CPU, and forcing another one (OPENBLAS_CORETYPE
+`compute`, and these tests recompute every entry and compare.  The
+tolerances hold on any BLAS: OpenBLAS picks its kernel per CPU, and forcing
+another one (OPENBLAS_CORETYPE
 Prescott, Core2, Nehalem, Sandybridge or Haswell) moved tau by up to 7.3e-14
 relative, Delta on the marginal kinds by up to 1.1e-12 and every other Delta
 by up to 2.9e-15, the asymptotic rate of the near-degenerate marginal kind
