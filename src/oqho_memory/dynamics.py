@@ -68,8 +68,8 @@ from .errors import (
     ValidationError,
 )
 from .model import _system, ito_j
-from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _check_psd, _exponent, _guarded, _norm,
-                       _on_axis, _scaled_eigh, matrix_exp, solve_lyapunov)
+from .numerics import (_as_finite, _as_matrix, _as_real, _asymmetric, _exponent, _guarded, _norm, _on_axis,
+                       _psd_eigh, matrix_exp, solve_lyapunov)
 
 __all__ = [
     "MomentData",
@@ -90,7 +90,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentData:
-    """Initial second moments: Pi = P + i Theta must be PSD (Heisenberg); pi_min = min eig(Pi)."""
+    """Initial second moments: Pi = P + i Theta must be PSD (Heisenberg), the one test of P:
+    x^T Pi x = x^T P x for real x, so it rejects every P that is not PSD; pi_min = min eig(Pi)."""
 
     p: np.ndarray
     ccr: "CcrMatrix"
@@ -103,8 +104,6 @@ class MomentData:
             raise InvalidMomentMatrixError("P has an entry that is not finite")
         if _asymmetric(p):
             raise InvalidMomentMatrixError("P not symmetric")
-        w, _, k = _scaled_eigh(p, vectors=False)
-        _check_psd(w, k, "P")
         # Heisenberg, relative to Theta's scale 2 max|Theta_ij| (1 for the canonical CCR)
         pi_min = float(np.min(np.linalg.eigvalsh(p + 1j * self.ccr.theta)))
         if pi_min < -1e-10 * 2.0 * np.max(np.abs(self.ccr.theta)):
@@ -123,15 +122,20 @@ class Weighting:
     @_guarded()  # Sigma may overflow for a finite F; its users raise on the result
     def __post_init__(self):
         f = _as_finite(self.f, "F").copy()
-        object.__setattr__(self, "f", f)
         # Full row rank: a row or more, one singular value per row, none below
         # numpy's default rank tolerance (scaled last, so it cannot overflow).
         sv = np.linalg.svd(f, compute_uv=False)
         tol = sv.max(initial=0.0) * (max(f.shape) * np.finfo(float).eps)
         if f.shape[0] == 0 or sv.size < f.shape[0] or np.any(sv <= tol):
             raise ValidationError("F must have full row rank and at least one row")
+        self._store(f)
+
+    def _store(self, f):
+        """Hold F and Sigma = F^T F, both read-only: the step that __post_init__ ends
+        with and the whole of _scaled, so a scaled copy holds what a checked one does."""
         sigma = f.T @ f
         f.flags.writeable = sigma.flags.writeable = False
+        object.__setattr__(self, "f", f)
         object.__setattr__(self, "_sigma", sigma)
 
     @classmethod
@@ -142,8 +146,7 @@ class Weighting:
         sigma = _as_finite(sigma, "Sigma", square=True)
         if _asymmetric(sigma):
             raise InvalidMomentMatrixError("Sigma not symmetric")
-        w, v, k = _scaled_eigh(sigma)
-        _check_psd(w, k, "Sigma")
+        w, v, k = _psd_eigh(sigma, "Sigma")
         keep = w > _RANK_RTOL * np.max(w)
         return cls(np.ldexp(np.sqrt(w[keep])[:, None] * v[:, keep].T, k))
 
@@ -152,11 +155,8 @@ class Weighting:
         check: a power of two keeps the rank of an F that stays normal."""
         if not k:
             return self
-        scaled, f = object.__new__(Weighting), np.ldexp(self.f, k)
-        sigma = f.T @ f
-        f.flags.writeable = sigma.flags.writeable = False
-        object.__setattr__(scaled, "f", f)
-        object.__setattr__(scaled, "_sigma", sigma)
+        scaled = object.__new__(Weighting)
+        scaled._store(np.ldexp(self.f, k))
         return scaled
 
     @property

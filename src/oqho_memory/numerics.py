@@ -59,7 +59,7 @@ _CG_MAX_ITER_PER_UNKNOWN = 2
 # _SYLVESTER_RTOL (||Q|| + ||op|| ||X||).
 _NULL_RTOL = 1e-12
 _SYLVESTER_RTOL = 1e-10
-_PSD_NEG_RTOL = 1e-8  # _check_psd: least eigenvalue allowed, relative to the largest
+_PSD_NEG_RTOL = 1e-8  # _psd_eigh: least eigenvalue allowed, relative to the largest
 _SYM_RTOL = 1e-10  # _asymmetric
 _SPECTRAL_RTOL = 1e-9  # _on_axis
 _LYAPUNOV_RTOL = 1e-10  # solve_lyapunov: resonant eigenvalue sums and the residual, relative
@@ -319,26 +319,19 @@ def _on_axis(lam, a):
     return np.abs(lam.real) <= _SPECTRAL_RTOL * _norm(a)
 
 
-def _scaled_eigh(p, vectors=True):
-    """(w, V, k) with sym(P) = 4^k V diag(w) V^T (V is None without vectors);
-    P is scaled by 4^-k ~ 1 / max|P| first, which is exact and keeps every
-    step finite for a finite P."""
+def _psd_eigh(p, what):
+    """(w, V, k) with sym(P) = 4^k V diag(w) V^T, P scaled by 4^-k ~ 1 / max|P|
+    first, which is exact and keeps every step finite for a finite P;
+    InvalidMomentMatrixError naming what when the least w is below
+    -_PSD_NEG_RTOL times the largest |w|."""
     k = _exponent(p) // 2
     q = np.ldexp(p, -2 * k)
-    q = 0.5 * (q + q.T)
-    if not vectors:
-        return np.linalg.eigvalsh(q), None, k
-    w, v = np.linalg.eigh(q)
-    return w, v, k
-
-
-def _check_psd(w, k, what):
-    """InvalidMomentMatrixError naming what unless 4^k diag(w), the eigenvalues
-    of _scaled_eigh, has none below -_PSD_NEG_RTOL times the largest |w|."""
+    w, v = np.linalg.eigh(0.5 * (q + q.T))
     if np.min(w) < -_PSD_NEG_RTOL * np.max(np.abs(w)):
         raise InvalidMomentMatrixError(
             f"{what} has a significantly negative eigenvalue {np.ldexp(np.min(w), 2 * k):.3e}"
         )
+    return w, v, k
 
 
 @_guarded()  # a norm in _asymmetric may overflow for a huge P
@@ -347,8 +340,7 @@ def sqrt_psd(p):
     p = _as_finite(p, "P", square=True)
     if _asymmetric(p):
         raise InvalidMomentMatrixError("matrix not symmetric")
-    w, v, k = _scaled_eigh(p)  # sqrt(P) = 2^k sqrt(P / 4^k)
-    _check_psd(w, k, "matrix")
+    w, v, k = _psd_eigh(p, "matrix")  # sqrt(P) = 2^k sqrt(P / 4^k)
     w = np.clip(w, 0.0, None)
     return np.ldexp((v * np.sqrt(w)) @ v.T, k)
 

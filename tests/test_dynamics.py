@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -122,10 +123,60 @@ class TestMomentData:
 
     def test_small_indefinite_p_rejected(self):
         # With Theta = 1e-20 J2 / 2, P + i Theta has least eigenvalue ~ -5e-11,
-        # which the Heisenberg test's absolute -1e-10 passes; the relative PSD
-        # test of P itself rejects it.
-        with pytest.raises(InvalidMomentMatrixError, match="P has a significantly negative eigenvalue"):
+        # far below the Heisenberg margin relative to Theta, -1e-10 * 1e-20:
+        # the one admissibility test rejects a P that is not PSD.
+        with pytest.raises(InvalidMomentMatrixError, match=r"P \+ i Theta has negative eigenvalue -5\.000e-11"):
             MomentData(np.diag([1e-12, -5e-11]), CcrMatrix(0.5e-20 * J2))
+
+    # The Heisenberg test is the one admissibility test: it rejects every P
+    # that is not PSD, since x^T (P + i Theta) x = x^T P x for real x.  The
+    # reference is the relative PSD test of P that MomentData once ran beside
+    # it: least eigenvalue of P / 4^k (4^k ~ max|P|) below -1e-8 times the
+    # largest in magnitude.  Theta is canonical or T Theta T^T, P is PSD,
+    # indefinite, at that PSD test's boundary or at the Heisenberg boundary
+    # (|i Theta| plus a multiple of 1e-9 Theta's scale times I), and both
+    # scales are log-uniform.  An accepted P keeps pi_min = min eig(P + i Theta).
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(nu=st.integers(1, 4), seed=st.integers(0, 2**16), congruent=st.booleans(),
+           kind=st.sampled_from(["psd", "indefinite", "psd-boundary", "heisenberg-boundary"]),
+           theta_exponent=st.floats(-150.0, 150.0), p_exponent=st.floats(-20.0, 20.0))
+    def test_rejects_every_p_that_is_not_psd(self, nu, seed, congruent, kind, theta_exponent, p_exponent):
+        def psd_test_rejects(p):
+            k = int(np.frexp(np.max(np.abs(p)))[1]) // 2
+            q = np.ldexp(p, -2 * k)
+            w = np.linalg.eigvalsh(0.5 * (q + q.T))
+            return np.min(w) < -1e-8 * np.max(np.abs(w))
+
+        rng, n = np.random.default_rng(seed), 2 * nu
+        theta = canonical_ccr(nu).theta
+        if congruent:
+            t = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            theta = t @ theta @ t.T
+            theta = 0.5 * (theta - theta.T)
+        theta = 10.0 ** theta_exponent * theta
+        scale = 10.0 ** p_exponent * np.max(np.abs(theta))
+        if kind == "heisenberg-boundary":
+            lam, u = np.linalg.eigh(1j * theta)
+            p = ((u * np.abs(lam)) @ u.conj().T).real + 1e-9 * rng.uniform(-3.0, 3.0) * np.max(np.abs(theta)) * np.eye(n)
+        else:
+            w = 10.0 ** rng.uniform(-3.0, 0.0, n)
+            if kind == "indefinite":
+                w[0] = -w[0] * 10.0 ** rng.uniform(-12.0, 0.0)
+            elif kind == "psd-boundary":
+                w[0] = -1e-8 * np.max(w[1:], initial=w[0]) * rng.uniform(0.5, 1.5)
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            p = scale * (q * w) @ q.T
+        p = 0.5 * (p + p.T)
+        ccr = CcrMatrix(theta)
+        if psd_test_rejects(p):
+            with pytest.raises(InvalidMomentMatrixError, match="not Heisenberg-admissible"):
+                MomentData(p, ccr)
+            return
+        try:
+            mo = MomentData(p, ccr)
+        except InvalidMomentMatrixError:
+            return
+        assert mo.pi_min == np.min(np.linalg.eigvalsh(p + 1j * theta))
 
     def test_asymmetric_rejected_when_norm_overflows(self):
         # ||P|| = inf must not make the symmetry bound inf.
@@ -743,6 +794,30 @@ class TestDeviationEvaluator:
         assert np.all(np.isfinite(ev.terms(np.arange(8.0))))
         with pytest.raises(NumericalError, match="t = 8:"):
             ev.terms(np.arange(12.0))
+
+    # Brent's steps read _delta_at, which names its time as the scan does:
+    # A = 50 I, B = 0, F = 2 I, P = I overflows before t = 8.
+    def test_delta_at_overflow_names_the_time(self):
+        _, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(50.0 * np.eye(2), np.zeros((2, 2)), Weighting(2.0 * np.eye(2)), mo)
+        assert math.isfinite(ev._delta_at(7.0))
+        with pytest.raises(NumericalError, match="deviation not finite at t = 8:"):
+            ev._delta_at(8.0)
+
+    # The Van Loan path forms e^{tA} - I by subtracting I from the block
+    # exponential, so the signal term cancels to ~eps / (t ||A||) relative at
+    # small t.  On the defective A = [[-1, 1], [0, -1]] with B = 0 and F = P = I,
+    # Delta(t) = 2 expm1(-t)^2 + t^2 e^{-2t} exactly; the path reads 1.4e-9
+    # relative below it at t = 1e-8 and 2.1e-11 at t = 1e-6.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the Van Loan path takes e^{tA} - I, not an expm1 of the block")
+    def test_van_loan_signal_term_at_small_times(self):
+        w, mo = identity_weighting_moments()
+        ev = DeviationEvaluator(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.zeros((2, 2)), w, mo)
+        assert ev.path == VAN_LOAN
+        t = np.array([1e-8, 1e-6])
+        np.testing.assert_allclose(ev.delta(t), 2.0 * np.expm1(-t) ** 2 + t * t * np.exp(-2.0 * t),
+                                   rtol=1e-12, atol=0)
 
     # terms and delta walk any array through scan: _terms is never handed more
     # than one block, so memory stays O(n _SCAN_BLOCK) for any number of times.
