@@ -132,6 +132,7 @@ class TestCheck:
         ("subsystems", [1, 2]),
         ("energy", [[float("inf"), 0.0], [0.0, 0.0]]),
         ("moments_p", [[1.0, 0.0], [0.0, -float("inf")]]),
+        ("subsystems", interconnection_scenario()["subsystems"][:1]),
     ])
     def test_invalid_field_is_parse_error(self, tmp_path, capsys, field, value):
         data = interconnection_scenario() if field == "subsystems" else single_mode_scenario()
@@ -153,7 +154,8 @@ class TestCheck:
          "/epsilon"),
         ('{"schema_version": 1, "mode": "single\xff"}', "/"),
         ("[" * 100_000, "/"),
-    ], ids=["1e400", "long-integer", "over-4300-digits", "not-utf-8", "deep-nesting"])
+        (json.dumps([single_mode_scenario()]), "/"),
+    ], ids=["1e400", "long-integer", "over-4300-digits", "not-utf-8", "deep-nesting", "list-root"])
     def test_raw_file_is_parse_error(self, tmp_path, capsys, text, location):
         path = tmp_path / "s.json"
         path.write_bytes(text.encode("latin-1"))
@@ -414,6 +416,21 @@ class TestTau:
         assert json.loads(first.read_text())[0]["horizon_used"] == 5.0
         assert json.loads(second.read_text())[0]["horizon_used"] != 5.0
 
+    # JSON has no inf or nan, so the report writes them as strings.  At
+    # epsilon = 1000 Delta stays below the threshold: tau is inf.  With no
+    # coupling and no energy Delta is 0: tau' is inf and tau'' nan.
+    @pytest.mark.parametrize("overrides, want", [
+        ({"epsilon": [1000.0]}, {"tau": "inf", "certificate": "hurwitz_below_threshold"}),
+        ({"coupling": [[0.0, 0.0], [0.0, 0.0]]},
+         {"tau_prime": "inf", "tau_second": "nan", "certificate": "delta_identically_zero"}),
+    ], ids=["tau-inf", "zero-coupling"])
+    def test_out_writes_inf_and_nan_as_strings(self, tmp_path, overrides, want):
+        path = write_scenario(tmp_path, "s.json", single_mode_scenario(**overrides))
+        out = tmp_path / "tau.json"
+        assert cli.main(["tau", "--scenario", path, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())[0]
+        assert {k: rep[k] for k in want} == want
+
     def test_stdout_text_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json",
                               single_mode_scenario(epsilon=[0.01, 0.1]))
@@ -491,6 +508,15 @@ class TestOptimize:
     def test_mode_mismatch(self, tmp_path, capsys):
         path = write_scenario(tmp_path, "s.json", single_mode_scenario())
         assert cli.main(["optimize-r12", "--scenario", path]) == 1
+
+    @pytest.mark.parametrize("command, mode, want", [
+        ("optimize-energy", "interconnection", "a single-oscillator"),
+        ("interconnect", "single", "an interconnection"),
+    ], ids=["optimize-energy", "interconnect"])
+    def test_mode_mismatch_names_the_mode(self, tmp_path, capsys, command, mode, want):
+        data = single_mode_scenario() if mode == "single" else interconnection_scenario()
+        assert cli.main([command, "--scenario", write_scenario(tmp_path, "s.json", data)]) == 1
+        assert capsys.readouterr().err == f"validation error: {command} requires {want} scenario\n"
 
 
 class TestInterconnect:
