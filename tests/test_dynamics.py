@@ -154,10 +154,10 @@ class TestMomentData:
             theta = t @ theta @ t.T
             theta = 0.5 * (theta - theta.T)
         theta = 10.0 ** theta_exponent * theta
-        scale = 10.0 ** p_exponent * np.max(np.abs(theta))
+        scale = np.max(np.abs(theta))
         if kind == "heisenberg-boundary":
             lam, u = np.linalg.eigh(1j * theta)
-            p = ((u * np.abs(lam)) @ u.conj().T).real + 1e-9 * rng.uniform(-3.0, 3.0) * np.max(np.abs(theta)) * np.eye(n)
+            p = ((u * np.abs(lam)) @ u.conj().T).real + 1e-9 * rng.uniform(-3.0, 3.0) * scale * np.eye(n)
         else:
             w = 10.0 ** rng.uniform(-3.0, 0.0, n)
             if kind == "indefinite":
@@ -165,7 +165,7 @@ class TestMomentData:
             elif kind == "psd-boundary":
                 w[0] = -1e-8 * np.max(w[1:], initial=w[0]) * rng.uniform(0.5, 1.5)
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            p = scale * (q * w) @ q.T
+            p = 10.0 ** p_exponent * scale * (q * w) @ q.T
         p = 0.5 * (p + p.T)
         ccr = CcrMatrix(theta)
         if psd_test_rejects(p):
